@@ -290,10 +290,15 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     if args.verb in ("analyze", "simulate", "compare"):
         return _run_grid_verb(args, models_default=list(ANALYTIC_MODELS))
-    if args.verb == "optimize":
-        return _run_optimize(args)
-    if args.verb == "oracle":
-        return _run_oracle(args)
+    runners = {"optimize": _run_optimize, "oracle": _run_oracle}
+    if args.verb in runners:
+        # rejected input (too many oracle slots, no feasible pair, bad
+        # channel statistics) is one error line, not a traceback
+        try:
+            return runners[args.verb](args)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     raise AssertionError(f"unhandled verb {args.verb!r}")
 
 

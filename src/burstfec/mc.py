@@ -1,10 +1,13 @@
-"""Monte Carlo reference: DAR(1) bit errors, interleaved decoding, CIs.
+"""Monte Carlo reference: sojourn-time bit errors, interleaved decoding, CIs.
 
-The bit error stream follows a DAR(1) recursion -- keep the previous bit
-with probability ``nacf``, otherwise redraw Bernoulli(ber) -- which is
-stochastically identical to the two-state model used by the analytic
-side but vectorizes cleanly: one uniform drives each slot, deciding both
-whether the value is fresh and, if so, what it is.
+The bit error stream is the two-state interrupted-Bernoulli channel of
+``ibp_from_stats`` (stochastically identical to a DAR(1) recursion with
+the same ``ber`` and ``nacf``), sampled through its sojourn times as in
+Gilbert (1960): a stream alternates geometric good runs, rate
+alpha = (1 - nacf) * ber, and geometric bad runs, rate
+beta = (1 - nacf) * (1 - ber), starting from the stationary law.  Only
+the bad runs are expanded into error slots, so the work and memory of a
+batch grow with its error count, not with its bit count.
 
 Packets are simulated in fixed-size batches whose RNG streams derive
 from (seed, batch index) only, so estimates are bit-for-bit reproducible
@@ -23,6 +26,7 @@ import numpy as np
 from .channel import ChannelSpec, CodeSpec, SchemeSpec
 
 BIT_GENERATOR = "philox"  # pinned counter-based generator, echoed in reports
+SAMPLER = "sojourn"  # error-stream construction, echoed in reports next to the generator
 _BATCH_PACKETS = 1024  # RNG partition size; independent of the worker count
 
 
@@ -100,33 +104,79 @@ def _batch_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key))
 
 
-def _dar1_matrix(rng, rows, cols, ber, nacf):
-    """``rows`` independent DAR(1) error streams of ``cols`` bits each.
+def _error_runs(rng, rows, bits, ber, nacf):
+    """Bad runs of ``rows`` independent channel streams of ``bits`` slots.
 
-    The first slot of every stream draws from the stationary law; one
-    uniform per slot decides copy-vs-redraw and the redrawn value at
-    once (conditional on u >= nacf being false, u rescaled is uniform, so
-    u < nacf + (1 - nacf) * ber is a Bernoulli(ber) redraw).
+    Returns (row, begin, stop) arrays: stream ``row`` errs in slots
+    begin..stop-1, with stop clipped to ``bits``.  The first slot draws
+    its state from the stationary law, and by memorylessness the rest of
+    the opening run is geometric like any other.  Run lengths are drawn
+    in (bad, good) pairs, per round the mean pair count still to cover
+    plus three times its square root; only streams that have not yet
+    reached ``bits`` draw another round.  Lengths are clipped to
+    ``bits``, which changes nothing inside the window and keeps numpy's
+    saturated draws at tiny rates from overflowing the running sums.
     """
-    u = rng.random((rows, cols))
-    if nacf == 0.0:
-        return u < ber
-    fresh = u >= nacf
-    fresh[:, 0] = True
-    values = u < nacf + (1.0 - nacf) * ber
-    values[:, 0] = u[:, 0] < ber  # stationary start, no copy branch to rescale
-    last_fresh = np.maximum.accumulate(
-        np.where(fresh, np.arange(cols), 0), axis=1
+    empty = np.zeros(0, dtype=np.int64)
+    if ber == 0.0:
+        return empty, empty, empty
+    if ber == 1.0:
+        return np.arange(rows), np.zeros(rows, dtype=np.int64), np.full(rows, bits)
+    alpha = (1.0 - nacf) * ber
+    beta = (1.0 - nacf) * (1.0 - ber)
+    mean_pair = 1.0 / alpha + 1.0 / beta
+
+    row = np.arange(rows)
+    # slot where each stream's next bad run begins
+    begin = np.where(
+        rng.random(rows) < ber, 0, np.minimum(rng.geometric(alpha, rows), bits)
     )
-    return np.take_along_axis(values, last_fresh, axis=1)
+    runs = [(empty, empty, empty)]
+    while True:
+        live = begin < bits
+        row, begin = row[live], begin[live]
+        if not row.size:
+            break
+        expected = (bits - int(begin.min())) / mean_pair
+        pairs = int(expected + 3.0 * math.sqrt(expected)) + 1
+        bad = np.minimum(rng.geometric(beta, (row.size, pairs)), bits)
+        good = np.minimum(rng.geometric(alpha, (row.size, pairs)), bits)
+        ends = begin[:, np.newaxis] + np.cumsum(bad + good, axis=1)
+        stop = ends - good
+        starts = stop - bad
+        hit = starts < bits
+        runs.append((
+            np.broadcast_to(row[:, np.newaxis], hit.shape)[hit],
+            starts[hit],
+            np.minimum(stop[hit], bits),
+        ))
+        begin = ends[:, -1]
+    return tuple(np.concatenate(parts) for parts in zip(*runs))
+
+
+def _error_slots(rng, rows, bits, ber, nacf):
+    """(row, slot) of every bit error in ``rows`` streams of ``bits`` slots."""
+    row, begin, stop = _error_runs(rng, rows, bits, ber, nacf)
+    length = stop - begin
+    # slot = position within the flattened runs + that run's begin - its offset
+    shift = np.repeat(begin - (np.cumsum(length) - length), length)
+    return np.repeat(row, length), np.arange(int(length.sum())) + shift
 
 
 def dar1_stream(channel: ChannelSpec, length: int, seed: int) -> np.ndarray:
-    """One DAR(1) bit error stream as a boolean array; deterministic in seed."""
+    """One channel bit error stream as a boolean array; deterministic in seed.
+
+    Dense view of the run sampler that ``simulate_packets`` uses; its law
+    is that of the DAR(1) recursion with the channel's ``ber`` and
+    ``nacf``.
+    """
     if length < 1:
         raise ValueError(f"stream length must be >= 1, got {length}")
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    return _dar1_matrix(rng, 1, length, channel.ber, channel.nacf)[0]
+    _, slot = _error_slots(rng, 1, length, channel.ber, channel.nacf)
+    stream = np.zeros(length, dtype=bool)
+    stream[slot] = True
+    return stream
 
 
 def simulate_packets(cfg: SimConfig, workers: int = 1) -> CiEstimate:
@@ -141,6 +191,7 @@ def simulate_packets(cfg: SimConfig, workers: int = 1) -> CiEstimate:
         raise ValueError(f"worker count must be >= 1, got {workers}")
     code, scheme = cfg.code, cfg.scheme
     bits = scheme.packet_bits(code.n)
+    block_bits = code.n * scheme.depth
 
     spans = [
         (index, min(_BATCH_PACKETS, cfg.packets - start))
@@ -150,9 +201,13 @@ def simulate_packets(cfg: SimConfig, workers: int = 1) -> CiEstimate:
     def batch_losses(span):
         index, count = span
         rng = _batch_rng(cfg.seed, index)
-        errors = _dar1_matrix(rng, count, bits, cfg.channel.ber, cfg.channel.nacf)
-        counts = errors.reshape(count, scheme.blocks, code.n, scheme.depth).sum(axis=2)
-        return int(np.count_nonzero((counts > code.l).any(axis=(1, 2))))
+        row, slot = _error_slots(rng, count, bits, cfg.channel.ber, cfg.channel.nacf)
+        # column-wise interleaving: slot u of a block carries its codeword u % depth
+        codeword = slot // block_bits * scheme.depth + slot % scheme.depth
+        counts = np.bincount(
+            row * scheme.codewords + codeword, minlength=count * scheme.codewords
+        )
+        return int(np.count_nonzero((counts.reshape(count, -1) > code.l).any(axis=1)))
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:

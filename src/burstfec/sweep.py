@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelSpec, CodeSpec, SchemeSpec, ibp_from_stats
-from .mc import BIT_GENERATOR, SimConfig, simulate_packets
+from .mc import BIT_GENERATOR, SAMPLER, SimConfig, simulate_packets
 from .models import ANALYTIC_MODELS, evaluate_models
 
 MODEL_NAMES = ANALYTIC_MODELS + ("mc",)
@@ -295,9 +295,10 @@ def optimize_depth(
 def emit_results(rows, csv_path, report_path=None, config=None):
     """Write the delimited results table and, optionally, a JSON report.
 
-    The report embeds the full configuration echo and the pinned RNG
-    identity next to the rows.  Output bytes depend only on the inputs,
-    so identical sweeps produce identical files.
+    The report embeds the full configuration echo, the pinned RNG
+    identity and the Monte Carlo sampler identity next to the rows.
+    Output bytes depend only on the inputs, so identical sweeps produce
+    identical files.
     """
     written = []
     with open(csv_path, "w", newline="") as handle:
@@ -311,6 +312,7 @@ def emit_results(rows, csv_path, report_path=None, config=None):
             "config": config if config is not None else {},
             "generator": BIT_GENERATOR,
             "rows": [row.as_dict() for row in rows],
+            "sampler": SAMPLER,
         }
         with open(report_path, "w") as handle:
             json.dump(report, handle, indent=2, sort_keys=True)

@@ -3,8 +3,8 @@
 Each test prints a single ``criterion N (...): PASS/FAIL`` line (visible
 with ``pytest -s`` or on failure) and then asserts, so a verbose run
 reads as a checklist.  Tolerances are pinned here and nowhere else; the
-slow Monte Carlo cross-validation (criterion 3) dominates the runtime
-of the whole suite at a few minutes.
+Monte Carlo cross-validation (criterion 3) dominates the runtime of the
+whole suite, at about 15 s of its 25 s on a 2-core x86-64 host.
 """
 
 import math

@@ -39,6 +39,7 @@ def test_analyze_writes_csv_and_report(tmp_path, capsys):
     assert all(r["p"] != "" and r["p_hat"] == "" for r in rows)
     report = json.loads((tmp_path / "out.json").read_text())
     assert report["generator"] == "philox"
+    assert report["sampler"] == "sojourn"
     assert report["config"]["packets"] == 500
     assert len(report["rows"]) == 4
     err = capsys.readouterr().err
@@ -160,6 +161,25 @@ def test_oracle_verb_prints_reference(capsys):
     model = ibp_from_stats(ChannelSpec(ber=0.1, nacf=0.6))
     assert printed == pytest.approx(exact_block_error(model, 4, 2, 1), rel=1e-11)
     assert "model predictions" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # n * depth = 28 slots, past the exhaustive enumeration's ceiling
+        ["oracle", "--n", "7", "--l", "1", "--depth", "4", "--blocks", "1",
+         "--ber", "0.01", "--nacf", "0.5"],
+        # 1000 is no multiple of n = 63, so no (depth, blocks) pair fills it
+        ["optimize", "--budget", "1000", "--ber", "0.01", "--nacf", "0.5"],
+    ],
+    ids=["oracle-too-many-slots", "optimize-infeasible-budget"],
+)
+def test_rejected_input_prints_one_error_line(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
 def test_parser_requires_a_verb():

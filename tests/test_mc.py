@@ -150,23 +150,101 @@ def test_simulation_seed_changes_estimate():
     assert len(losses) > 1
 
 
-def test_simulation_matches_exact_small_instance():
+def assert_matches_exact(ber, nacf, code, depth, blocks, seed):
     # tiny exhaustive instance: estimate must land within 4 binomial SEs
     from burstfec.oracle import exact_packet_error
 
-    channel = ChannelSpec(ber=0.1, nacf=0.5)
-    model = ibp_from_stats(channel)
-    exact = exact_packet_error(model, 5, 3, 1, 2)
+    channel = ChannelSpec(ber=ber, nacf=nacf)
+    n, k, l = code
+    exact = exact_packet_error(ibp_from_stats(channel), n, depth, l, blocks)
     cfg = SimConfig(
         channel=channel,
-        code=CodeSpec(5, 3, 1),
-        scheme=SchemeSpec(depth=3, blocks=2),
+        code=CodeSpec(n, k, l),
+        scheme=SchemeSpec(depth=depth, blocks=blocks),
         packets=100_000,
-        seed=5,
+        seed=seed,
     )
     estimate = simulate_packets(cfg)
     se = math.sqrt(exact * (1 - exact) / cfg.packets)
     assert estimate.p_hat == pytest.approx(exact, abs=4 * se)
+
+
+def test_simulation_matches_exact_small_instance():
+    assert_matches_exact(0.1, 0.5, (5, 3, 1), depth=3, blocks=2, seed=5)
+
+
+@pytest.mark.parametrize(
+    "ber,nacf,code,depth,blocks,seed",
+    [
+        # runs span several slots of every block
+        (0.05, 0.9, (5, 3, 1), 4, 3, 31),
+        (0.02, 0.95, (10, 6, 2), 2, 4, 32),
+        (0.1, 0.8, (6, 4, 1), 3, 2, 33),
+    ],
+)
+def test_simulation_matches_exact_correlated_instance(ber, nacf, code, depth, blocks, seed):
+    assert_matches_exact(ber, nacf, code, depth, blocks, seed)
+
+
+def test_simulation_total_loss_channel_loses_every_packet():
+    # 2500 packets: two full batches and a partial one, all of them lost
+    estimate = simulate_packets(
+        small_config(channel=ChannelSpec(ber=1.0, nacf=0.5), packets=2_500)
+    )
+    assert estimate.losses == 2_500
+    assert estimate.p_hat == 1.0
+    assert estimate.degenerate
+
+
+def test_simulation_counts_the_partial_last_batch():
+    # batch 0 is the same draw in both runs, so the 476 packets of the
+    # partial second batch must add losses on this lossy channel
+    channel = ChannelSpec(ber=0.1, nacf=0.8)
+    full = simulate_packets(small_config(channel=channel, packets=1_024, seed=41))
+    longer = simulate_packets(small_config(channel=channel, packets=1_500, seed=41))
+    assert longer.packets == 1_500
+    assert longer.losses > full.losses
+    assert longer.p_hat == longer.losses / 1_500
+
+
+def test_first_slot_follows_the_stationary_law():
+    # at c = 0.9 a stream that always opened in one state would keep its
+    # first slots far from p_E for about ten slots
+    from burstfec.mc import _batch_rng, _error_slots
+
+    ber, rows, bits = 0.05, 200_000, 8
+    row, slot = _error_slots(_batch_rng(51, 0), rows, bits, ber, 0.9)
+    se = math.sqrt(ber * (1 - ber) / rows)
+    for position in (0, bits - 1):
+        freq = np.count_nonzero(slot == position) / rows
+        assert freq == pytest.approx(ber, abs=4 * se)
+    # runs never overlap or leave the window
+    assert 0 <= slot.min() and slot.max() < bits and row.max() < rows
+    assert np.unique(row * bits + slot).size == slot.size
+
+
+def test_long_packets_use_memory_in_proportion_to_errors():
+    # 4 packets of 10**6 bits: a dense per-bit draw would need 32 MB of
+    # float64 uniforms alone; about 4000 error slots need far less
+    import tracemalloc
+
+    cfg = SimConfig(
+        channel=ChannelSpec(ber=0.001, nacf=0.5),
+        code=CodeSpec(100, 80, 5),
+        scheme=SchemeSpec(depth=10, blocks=1_000),
+        packets=4,
+        seed=61,
+    )
+    assert cfg.scheme.packet_bits(cfg.code.n) == 1_000_000
+    tracemalloc.start()
+    try:
+        estimate = simulate_packets(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert estimate.packets == 4
+    assert 0 <= estimate.losses <= 4
+    assert peak < 8 * 2**20
 
 
 def test_simulation_uncorrelated_matches_baseline():
