@@ -6,7 +6,7 @@ Verbs:
 * ``simulate`` -- Monte Carlo estimation only;
 * ``compare``  -- analytic models against Monte Carlo with relative errors;
 * ``optimize`` -- rank interleaving depths under a fixed packet bit budget;
-* ``oracle``   -- exhaustive reference values for one small instance.
+* ``oracle``   -- exact count-vector recursion values for one instance.
 
 Grid parameters come from an optional JSON config file; every command
 line flag overrides the matching config entry.  The defaults reproduce a
@@ -123,7 +123,9 @@ def build_parser():
     optimize.add_argument("--threshold", type=float, default=DECORRELATION_THRESHOLD,
                           help="residual correlation considered decorrelated")
 
-    oracle = verbs.add_parser("oracle", help="exhaustive reference for one small instance")
+    oracle = verbs.add_parser(
+        "oracle", help="exact count-vector recursion reference for one instance"
+    )
     oracle.add_argument("--n", type=int, required=True, help="codeword length")
     oracle.add_argument("--l", type=int, required=True, help="correctable errors")
     oracle.add_argument("--depth", type=int, required=True, help="interleaving depth")
@@ -262,9 +264,11 @@ def _run_oracle(args):
     model = ibp_from_stats(channel)
     slots = args.n * args.depth
     cap = args.l + 1
+    # built before any output, so a code the models reject prints nothing
+    code = CodeSpec(n=args.n, k=max(args.n - 1, 1), l=args.l) if args.n > 1 else None
     p_block = exact_block_error(model, args.n, args.depth, args.l)
     p_packet = exact_packet_error(model, args.n, args.depth, args.l, args.blocks)
-    print(f"exhaustive reference over {slots} slots per block")
+    print(f"exact count-vector recursion over {slots} slots per block")
     print(f"block error  : {p_block:.12g}")
     print(f"packet error : {p_packet:.12g}  (blocks={args.blocks})")
     marginal = exact_marginal_law(model, args.n, args.depth, cap)
@@ -276,7 +280,6 @@ def _run_oracle(args):
     print("joint law of two adjacent codewords:")
     for i in range(cap + 1):
         print("  " + "  ".join(f"{q[i, j]:.6e}" for j in range(cap + 1)))
-    code = CodeSpec(n=args.n, k=max(args.n - 1, 1), l=args.l) if args.n > 1 else None
     if code is not None:
         scheme = SchemeSpec(depth=args.depth, blocks=args.blocks)
         results = evaluate_models(model, code, scheme)
@@ -292,8 +295,9 @@ def main(argv=None):
         return _run_grid_verb(args, models_default=list(ANALYTIC_MODELS))
     runners = {"optimize": _run_optimize, "oracle": _run_oracle}
     if args.verb in runners:
-        # rejected input (too many oracle slots, no feasible pair, bad
-        # channel statistics) is one error line, not a traceback
+        # rejected input (too many oracle count vectors, an oracle code with
+        # l >= n, no feasible pair, bad channel statistics) is one error line,
+        # not a traceback
         try:
             return runners[args.verb](args)
         except ValueError as exc:

@@ -1,12 +1,13 @@
-"""Exhaustive references for small interleaved blocks.
+"""Exact references for interleaved blocks by count-vector recursion.
 
-Everything here enumerates every bit error pattern of a whole
-interleaved codeblock and weighs it by its Markov path probability --
-no marginalized gaps, no saturating counters, no codeword-level chain.
-Cost is exponential in the slot count, so instances must stay small;
-the point is to pin down the production recursions and the analytic
-models on cases where exactness is checkable, both from the test suite
-and from the ``oracle`` CLI verb.
+The recursion walks the slots of a block one at a time and keeps, for every
+channel start state, end state and vector of per-codeword error counts, the
+probability of the paths reaching it.  A slot of a tracked codeword
+multiplies by the no-error/error kernels d0/d1 and moves that codeword's
+counter up on an error; any other slot multiplies by the transition matrix.
+With no gap powers and no codeword-level chain, the results check the
+production recursions and the analytic models independently.  Cost is
+linear in the slot count and grows as (l+1)**depth count vectors.
 """
 
 from __future__ import annotations
@@ -15,59 +16,73 @@ import numpy as np
 
 from .channel import FsmcModel
 
-# Hard ceiling on enumerated slots: 2**20 patterns times an S x S matrix
-# each is about 32 MB for two states; anything beyond is a mistake.
-MAX_SLOTS = 20
-
-
-def _pattern_flow(model: FsmcModel, slots: int) -> np.ndarray:
-    """(2**slots, S, S) path matrices; pattern index bit u = error in slot u."""
-    if not 1 <= slots <= MAX_SLOTS:
-        raise ValueError(f"slot count must be in [1, {MAX_SLOTS}], got {slots}")
-    mats = np.eye(model.states)[np.newaxis]
-    for _ in range(slots):
-        # new pattern index = old index + (slot error << slot); extending
-        # the path product on the right keeps slot order intact
-        mats = np.concatenate([mats @ model.d0, mats @ model.d1])
-    return mats
-
-
-def _slot_errors(slots: int) -> np.ndarray:
-    """(2**slots, slots) 0/1 matrix unpacking every pattern index."""
-    idx = np.arange(1 << slots, dtype=np.uint32)
-    return ((idx[:, np.newaxis] >> np.arange(slots, dtype=np.uint32)) & 1).astype(np.uint8)
+# Ceiling on flow entries, states**2 * (cap+1)**counters: 32 MiB of float64
+# per flow; up to three flows are live within a slot, so at most ~96 MiB.
+MAX_FLOW = 2**22
 
 
 def _codeword_of_slot(n: int, depth: int, slots: int) -> np.ndarray:
-    """Codeword index occupying each slot.
-
-    For depth >= 2 this is the interleaved layout (slot u carries bit
-    u // depth of codeword u % depth); for depth 1 consecutive codewords
-    simply follow each other, n slots apiece.
-    """
+    """Codeword of each slot: u % depth interleaved, or n slots apiece at depth 1."""
     if depth >= 2:
         return np.arange(slots) % depth
     return np.arange(slots) // n
 
 
+def _count_flow(model: FsmcModel, owner, counters: int, cap: int, drop: bool):
+    """(flow, dropped) after the slots of ``owner``.
+
+    flow[t, s, c_0, ..., c_{counters-1}] is the probability of the paths
+    from start state s to end state t whose tracked codewords saw c_0, c_1,
+    ... errors; ``owner[u]`` is the counter slot u advances, or >=
+    ``counters`` for an untracked slot.  A count past ``cap`` saturates at
+    cap, or with ``drop`` its path is discarded and its probability added
+    to dropped[s].  The flow is kept as one (S, S * count vectors) array,
+    so each slot is a single matrix product per kernel.
+    """
+    states = model.states
+    shape = (states, states) + (cap + 1,) * counters
+    if (size := states**2 * (cap + 1) ** counters) > MAX_FLOW:
+        raise ValueError(
+            f"exact recursion needs {states}**2 * {cap + 1}**{counters} = {size}"
+            f" flow entries, over the limit of {MAX_FLOW}"
+        )
+    flow = np.zeros(shape)
+    flow[(slice(None), slice(None)) + (0,) * counters] = np.eye(states)
+    flow = flow.reshape(states, -1)
+    miss, full = (np.ascontiguousarray(k.T) for k in (model.d0, model.transition))
+    # error terms only for end states an error can lead to (the bad state of an IBP chain)
+    live = np.flatnonzero(model.d1.any(axis=0))
+    rows = slice(live[0], live[-1] + 1) if live.size else slice(0, 0)
+    hit = np.ascontiguousarray(model.d1.T[rows])
+    dropped = np.zeros(states)
+    for j in owner:
+        if j >= counters:
+            flow = full @ flow
+            continue
+        # start state, counters before j, counter j, counters after j
+        grid = (states, (cap + 1) ** j, cap + 1, (cap + 1) ** (counters - 1 - j))
+        errors = (hit @ flow).reshape(hit.shape[:1] + grid)
+        flow = miss @ flow
+        moved = flow.reshape((states,) + grid)[rows]  # a view into flow
+        moved[:, :, :, 1:] += errors[:, :, :, :-1]
+        if drop:
+            dropped += errors[:, :, :, -1].sum(axis=(0, 2, 3))
+        else:
+            moved[:, :, :, -1] += errors[:, :, :, -1]
+    return flow.reshape(shape), dropped
+
+
 def exact_joint_law(model: FsmcModel, n: int, depth: int, cap: int) -> np.ndarray:
     """Exact bucketed joint error-count law of the first two codewords.
 
-    For depth >= 2 the enumeration covers the whole interleaved block of
+    For depth >= 2 the recursion covers the whole interleaved block of
     n * depth slots; for depth 1 it covers two back-to-back codewords.
     """
     if n < 1 or depth < 1 or cap < 0:
         raise ValueError("need n >= 1, depth >= 1, cap >= 0")
     slots = n * depth if depth >= 2 else 2 * n
-    mats = _pattern_flow(model, slots)
-    errors = _slot_errors(slots)
-    codeword = _codeword_of_slot(n, depth, slots)
-    first = np.minimum(errors[:, codeword == 0].sum(axis=1), cap)
-    second = np.minimum(errors[:, codeword == 1].sum(axis=1), cap)
-    weights = np.einsum("s,pst->p", model.pi, mats)
-    q = np.zeros((cap + 1, cap + 1))
-    np.add.at(q, (first, second), weights)
-    return q
+    flow, _ = _count_flow(model, _codeword_of_slot(n, depth, slots), 2, cap, drop=False)
+    return np.einsum("s,tsij->ij", model.pi, flow)
 
 
 def exact_marginal_law(model: FsmcModel, n: int, depth: int, cap: int) -> np.ndarray:
@@ -75,49 +90,34 @@ def exact_marginal_law(model: FsmcModel, n: int, depth: int, cap: int) -> np.nda
     if n < 1 or depth < 1 or cap < 0:
         raise ValueError("need n >= 1, depth >= 1, cap >= 0")
     slots = n * depth if depth >= 2 else n
-    mats = _pattern_flow(model, slots)
-    errors = _slot_errors(slots)
-    codeword = _codeword_of_slot(n, depth, slots)
-    count = np.minimum(errors[:, codeword == 0].sum(axis=1), cap)
-    weights = np.einsum("s,pst->p", model.pi, mats)
-    probs = np.zeros(cap + 1)
-    np.add.at(probs, count, weights)
-    return probs
+    flow, _ = _count_flow(model, _codeword_of_slot(n, depth, slots), 1, cap, drop=False)
+    return np.einsum("s,tsj->j", model.pi, flow)
 
 
-def _block_flow(model: FsmcModel, n: int, depth: int, l: int):
-    """(block error probability, flow matrix over decodable blocks)."""
-    slots = n * depth
-    mats = _pattern_flow(model, slots)
-    errors = _slot_errors(slots)
-    codeword = _codeword_of_slot(n, depth, slots)
-    decodable = np.ones(1 << slots, dtype=bool)
-    for cw in range(depth):
-        decodable &= errors[:, codeword == cw].sum(axis=1) <= l
-    flow_ok = mats[decodable].sum(axis=0)
-    p_block = 1.0 - float(model.pi @ flow_ok @ np.ones(model.states))
-    return min(max(p_block, 0.0), 1.0), flow_ok
+def _loss(model: FsmcModel, n: int, depth: int, l: int, blocks: int) -> float:
+    """P(some block among ``blocks`` consecutive ones fails to decode).
+
+    The block flow tracks every codeword and drops the paths past l, whose
+    probability is summed as they go, not taken as 1 - (decodable mass), so
+    tiny losses keep full relative precision.  The channel runs on across
+    blocks: block m + 1 starts where the paths decoding blocks 1..m ended.
+    """
+    if n < 1 or depth < 1 or l < 0 or blocks < 1:
+        raise ValueError("need n >= 1, depth >= 1, l >= 0, blocks >= 1")
+    flow, failed = _count_flow(model, _codeword_of_slot(n, depth, n * depth), depth, l, True)
+    flow_ok = flow.reshape(model.states, model.states, -1).sum(axis=2).T
+    reach, loss = model.pi, 0.0
+    for _ in range(blocks):
+        loss += float(reach @ failed)
+        reach = reach @ flow_ok
+    return min(loss, 1.0)
 
 
 def exact_block_error(model: FsmcModel, n: int, depth: int, l: int) -> float:
     """P(any codeword of one interleaved block exceeds l errors), exactly."""
-    if n < 1 or depth < 1 or l < 0:
-        raise ValueError("need n >= 1, depth >= 1, l >= 0")
-    p_block, _ = _block_flow(model, n, depth, l)
-    return p_block
+    return _loss(model, n, depth, l, 1)
 
 
 def exact_packet_error(model: FsmcModel, n: int, depth: int, l: int, blocks: int) -> float:
-    """Exact loss probability of ``blocks`` consecutive interleaved blocks.
-
-    The channel stream runs on across block boundaries, so the decodable
-    flow matrix of one block is chained ``blocks`` times; this keeps the
-    enumeration at 2**(n * depth) patterns rather than 2**(n * depth * blocks).
-    """
-    if blocks < 1:
-        raise ValueError(f"block count must be >= 1, got {blocks}")
-    _, flow_ok = _block_flow(model, n, depth, l)
-    survived = float(
-        model.pi @ np.linalg.matrix_power(flow_ok, blocks) @ np.ones(model.states)
-    )
-    return min(max(1.0 - survived, 0.0), 1.0)
+    """Exact loss probability of ``blocks`` consecutive interleaved blocks."""
+    return _loss(model, n, depth, l, blocks)

@@ -3,8 +3,9 @@
 Each test prints a single ``criterion N (...): PASS/FAIL`` line (visible
 with ``pytest -s`` or on failure) and then asserts, so a verbose run
 reads as a checklist.  Tolerances are pinned here and nowhere else; the
-Monte Carlo cross-validation (criterion 3) dominates the runtime of the
-whole suite, at about 15 s of its 25 s on a 2-core x86-64 host.
+Monte Carlo cross-validation (criterion 3) and the exact model table
+(criterion 9) dominate the runtime of the whole suite, at about 15 s and
+15 s of its 42 s on a 2-core x86-64 host.
 """
 
 import math
@@ -25,7 +26,12 @@ from burstfec.models import (
     evaluate_models,
     model3_block_error,
 )
-from burstfec.oracle import exact_block_error, exact_joint_law, exact_marginal_law
+from burstfec.oracle import (
+    exact_block_error,
+    exact_joint_law,
+    exact_marginal_law,
+    exact_packet_error,
+)
 from burstfec.sweep import (
     SweepSpec,
     emit_results,
@@ -86,7 +92,7 @@ def test_criterion_1_degeneracy():
 
 
 # ----------------------------------------------------------------------
-# 2. exhaustive-enumeration equivalence on small instances
+# 2. equivalence with the exact oracle on small instances
 # ----------------------------------------------------------------------
 
 
@@ -359,4 +365,52 @@ def test_criterion_8_determinism(tmp_path):
         8, "determinism", ok,
         f"{len(outputs)} runs (worker counts 1/1/3), "
         + ("all byte-identical" if ok else "outputs differ"),
+    )
+
+
+# ----------------------------------------------------------------------
+# 9. the analytic models against exact values at paper scale
+# ----------------------------------------------------------------------
+
+
+def test_criterion_9_models_against_exact():
+    started = time.monotonic()
+    model3_bound = 0.50
+    worst = {"model1": 0.0, "model2": 0.0, "model3": 0.0}
+    worst_label = {}
+    points = 0
+    print("\ncode        I  M  c    p_E    exact        model1  model2  model3  (rel. dev.)")
+    for code in CODES:
+        for scheme in (SchemeSpec(2, 8), SchemeSpec(4, 4), SchemeSpec(8, 2), SchemeSpec(16, 1)):
+            if (code.l + 1) ** scheme.depth > 2**20:
+                continue
+            for nacf in (0.3, 0.6, 0.9):
+                for ber in (0.001, 0.005, 0.01, 0.02):
+                    fsmc = ibp_from_stats(ChannelSpec(ber=ber, nacf=nacf))
+                    exact = exact_packet_error(fsmc, code.n, scheme.depth, code.l, scheme.blocks)
+                    predictions = evaluate_models(fsmc, code, scheme, tuple(worst))
+                    devs = {
+                        name: abs(predictions[name].packet_error - exact) / exact
+                        for name in worst
+                    }
+                    label = f"(63,{code.k},{code.l}) I={scheme.depth} c={nacf} p_E={ber}"
+                    for name, dev in devs.items():
+                        if dev > worst[name]:
+                            worst[name], worst_label[name] = dev, label
+                    points += 1
+                    print(
+                        f"(63,{code.k},{code.l}) {scheme.depth:>2d} {scheme.blocks:>2d}"
+                        f" {nacf:<4g} {ber:<6g} {exact:<12.6g} "
+                        + "  ".join(f"{devs[name]:6.3f}" for name in worst)
+                    )
+    elapsed = time.monotonic() - started
+    accurate = points == 108 and worst["model3"] <= model3_bound
+    fast = elapsed < 30.0
+    # accuracy and time are reported apart, so a slow host is not read as a model miss
+    _report(
+        9, "models against exact", accurate and fast,
+        f"{points} points, worst relative deviation "
+        + ", ".join(f"{name} {dev:.3f} at {worst_label[name]}" for name, dev in worst.items())
+        + f" (model3 bound {model3_bound}): accuracy {'met' if accurate else 'MISSED'};"
+        + f" {elapsed:.1f}s of the 30s time bound: time {'met' if fast else 'MISSED'}",
     )

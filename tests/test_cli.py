@@ -5,7 +5,7 @@ import pytest
 
 from burstfec.channel import ChannelSpec, ibp_from_stats
 from burstfec.cli import DEFAULT_CONFIG, build_parser, main
-from burstfec.oracle import exact_block_error
+from burstfec.oracle import exact_block_error, exact_packet_error
 
 
 def read_rows(path):
@@ -163,16 +163,32 @@ def test_oracle_verb_prints_reference(capsys):
     assert "model predictions" in out
 
 
+def test_oracle_verb_runs_at_paper_scale(capsys):
+    assert main([
+        "oracle", "--n", "63", "--l", "3", "--depth", "4",
+        "--blocks", "4", "--ber", "0.01", "--nacf", "0.9",
+    ]) == 0
+    out = capsys.readouterr().out
+    packet_line = next(line for line in out.splitlines() if line.startswith("packet error"))
+    model = ibp_from_stats(ChannelSpec(ber=0.01, nacf=0.9))
+    assert float(packet_line.split(":")[1].split()[0]) == pytest.approx(
+        exact_packet_error(model, 63, 4, 3, 4), rel=1e-11
+    )
+
+
 @pytest.mark.parametrize(
     "argv",
     [
-        # n * depth = 28 slots, past the exhaustive enumeration's ceiling
-        ["oracle", "--n", "7", "--l", "1", "--depth", "4", "--blocks", "1",
+        # 2**2 * 4**11 count vectors, past the exact recursion's ceiling
+        ["oracle", "--n", "7", "--l", "3", "--depth", "11", "--blocks", "1",
          "--ber", "0.01", "--nacf", "0.5"],
+        # l = n: the exact values exist, but no code for the model predictions
+        ["oracle", "--n", "3", "--l", "3", "--depth", "2", "--blocks", "1",
+         "--ber", "0.1", "--nacf", "0.5"],
         # 1000 is no multiple of n = 63, so no (depth, blocks) pair fills it
         ["optimize", "--budget", "1000", "--ber", "0.01", "--nacf", "0.5"],
     ],
-    ids=["oracle-too-many-slots", "optimize-infeasible-budget"],
+    ids=["oracle-too-many-slots", "oracle-l-not-below-n", "optimize-infeasible-budget"],
 )
 def test_rejected_input_prints_one_error_line(argv, capsys):
     assert main(argv) == 2

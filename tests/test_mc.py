@@ -151,7 +151,7 @@ def test_simulation_seed_changes_estimate():
 
 
 def assert_matches_exact(ber, nacf, code, depth, blocks, seed):
-    # tiny exhaustive instance: estimate must land within 4 binomial SEs
+    # estimate must land within 4 binomial SEs of the exact packet error
     from burstfec.oracle import exact_packet_error
 
     channel = ChannelSpec(ber=ber, nacf=nacf)
@@ -180,6 +180,8 @@ def test_simulation_matches_exact_small_instance():
         (0.05, 0.9, (5, 3, 1), 4, 3, 31),
         (0.02, 0.95, (10, 6, 2), 2, 4, 32),
         (0.1, 0.8, (6, 4, 1), 3, 2, 33),
+        # paper scale: 1008-bit packets
+        (0.01, 0.9, (63, 45, 3), 8, 2, 34),
     ],
 )
 def test_simulation_matches_exact_correlated_instance(ber, nacf, code, depth, blocks, seed):

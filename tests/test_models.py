@@ -151,7 +151,7 @@ def test_model3_two_codewords_is_joint_quadrant():
 
 
 @pytest.mark.parametrize("ber,nacf", [(0.05, 0.5), (0.2, 0.9), (0.5, 0.5)])
-@pytest.mark.parametrize("n,l", [(4, 0), (5, 1), (5, 2)])
+@pytest.mark.parametrize("n,l", [(4, 0), (5, 1), (5, 2), (63, 1), (63, 3), (63, 5)])
 def test_model3_exact_through_depth_two(ber, nacf, n, l):
     model = ibp_from_stats(ChannelSpec(ber=ber, nacf=nacf))
     for depth in (1, 2):
@@ -286,7 +286,7 @@ def test_two_state_block_error_uncorrelated_closed_form():
 
 
 @pytest.mark.parametrize("ber,nacf", [(0.05, 0.5), (0.2, 0.9)])
-@pytest.mark.parametrize("n,l", [(4, 0), (5, 1)])
+@pytest.mark.parametrize("n,l", [(4, 0), (5, 1), (63, 1), (63, 3), (63, 5)])
 def test_model1_exact_through_depth_two(ber, nacf, n, l):
     model = ibp_from_stats(ChannelSpec(ber=ber, nacf=nacf))
     for depth in (1, 2):
@@ -355,8 +355,8 @@ def test_evaluate_models_shares_joint_and_matches_standalone():
 
 @pytest.mark.parametrize("name", ["model1", "model2", "model3"])
 def test_models_against_exhaustive_packet_reference(name):
-    # small instance where the exact multi-block packet error is
-    # enumerable; all three models must land in the right ballpark
+    # small instance with an exact multi-block packet error; all three
+    # models must land in the right ballpark
     # (they are approximations, so the bound here is loose)
     model = ibp_from_stats(ChannelSpec(ber=0.1, nacf=0.5))
     code = CodeSpec(5, 3, 1)

@@ -3,8 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
-from burstfec.channel import ChannelSpec, ibp_from_stats
+from burstfec.channel import ChannelSpec, FsmcModel, ibp_from_stats
+from burstfec.dist import joint_error_distribution, marginal_error_distribution
 from burstfec.oracle import (
     exact_block_error,
     exact_joint_law,
@@ -150,6 +153,19 @@ def test_uncorrelated_block_error_closed_form(ber):
     assert exact_block_error(model, n, depth, l) == pytest.approx(expected, abs=1e-13)
 
 
+@pytest.mark.parametrize("ber,l,depth,blocks", [(1e-4, 5, 2, 3), (1e-5, 3, 2, 1)])
+def test_tiny_losses_keep_relative_precision(ber, l, depth, blocks):
+    # losses of 4e-16 and 1e-14, where 1 - P(decoded) would be all rounding
+    model = ibp_from_stats(ChannelSpec(ber=ber, nacf=0.0))
+    tail = math.fsum(
+        math.comb(63, i) * ber**i * (1 - ber) ** (63 - i) for i in range(l + 1, 64)
+    )
+    expected = -math.expm1(depth * blocks * math.log1p(-tail))
+    assert exact_packet_error(model, 63, depth, l, blocks) == pytest.approx(
+        expected, rel=1e-12, abs=0.0
+    )
+
+
 def test_laws_are_normalized():
     model = ibp_from_stats(ChannelSpec(ber=0.3, nacf=0.8))
     q = exact_joint_law(model, 3, 3, 2)
@@ -168,5 +184,111 @@ def test_single_block_packet_is_block_error():
 
 def test_enumeration_size_is_bounded():
     model = ibp_from_stats(ChannelSpec(ber=0.1, nacf=0.7))
-    with pytest.raises(ValueError):
-        exact_block_error(model, 11, 2, 1)  # 22 slots: over the ceiling
+    with pytest.raises(ValueError, match="4194304"):
+        exact_block_error(model, 63, 11, 3)  # 2**2 * 4**11 count vectors: over the ceiling
+
+
+# ----------------------------------------------------------------------
+# paper scale: the count-vector engine against the gap-power recursions
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("depth", [2, 4, 8])
+@pytest.mark.parametrize("l", [1, 3, 5])
+def test_laws_match_dist_recursions_at_paper_scale(depth, l):
+    model = ibp_from_stats(ChannelSpec(ber=0.01, nacf=0.9))
+    n, cap = 63, l + 1
+    _, probs = marginal_error_distribution(model, n, depth, cap)
+    joint = joint_error_distribution(model, n, depth, cap)
+    np.testing.assert_allclose(
+        exact_marginal_law(model, n, depth, cap), probs, rtol=0, atol=1e-12
+    )
+    np.testing.assert_allclose(
+        exact_joint_law(model, n, depth, cap), joint.q, rtol=0, atol=1e-12
+    )
+
+
+# ----------------------------------------------------------------------
+# any finite-state channel: the engine against plain pattern enumeration
+# ----------------------------------------------------------------------
+
+
+@st.composite
+def small_fsmcs(draw):
+    """Random 2- or 3-state chains; zeros allowed, so periodic chains occur."""
+    states = draw(st.integers(2, 3))
+    unit = st.floats(0.0, 1.0)
+    rows = [draw(st.lists(unit, min_size=states, max_size=states)) for _ in range(states)]
+    assume(all(sum(row) > 0.05 for row in rows))
+    transition = np.array([np.array(row) / sum(row) for row in rows])
+    profile = draw(st.lists(unit, min_size=states, max_size=states))
+    try:
+        return FsmcModel(transition, profile)
+    except ValueError:  # no unique stationary law
+        assume(False)
+
+
+def pattern_laws(model, n, depth, cap, l, blocks):
+    """Marginal, joint, block and packet references by enumerating every pattern."""
+    kernels = (model.d0, model.d1)
+    block_slots = n * depth
+
+    def counts(pattern, codewords):
+        out = [0] * codewords
+        for slot, err in enumerate(pattern):
+            out[slot % depth if depth >= 2 else slot // n] += err
+        return out
+
+    marginal = np.zeros(cap + 1)
+    for pattern in itertools.product((0, 1), repeat=block_slots):
+        marginal[min(counts(pattern, depth)[0], cap)] += stream_probability(
+            model.pi, kernels, pattern
+        )
+    joint = np.zeros((cap + 1, cap + 1))
+    for pattern in itertools.product((0, 1), repeat=max(block_slots, 2 * n)):
+        first, second = counts(pattern, max(depth, 2))[:2]
+        joint[min(first, cap), min(second, cap)] += stream_probability(
+            model.pi, kernels, pattern
+        )
+    block = packet = 0.0
+    for pattern in itertools.product((0, 1), repeat=block_slots * blocks):
+        failed = [
+            max(counts(pattern[b * block_slots:(b + 1) * block_slots], depth)) > l
+            for b in range(blocks)
+        ]
+        prob = stream_probability(model.pi, kernels, pattern)
+        block += prob * failed[0]
+        packet += prob * any(failed)
+    return marginal, joint, block, packet
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@example(  # periodic
+    model=FsmcModel([[0, 1], [1, 0]], [0, 1]), n=2, depth=2, cap=1, l=1, blocks=2
+)
+@example(  # negatively correlated
+    model=FsmcModel([[0.1, 0.9], [0.9, 0.1]], [0, 1]), n=3, depth=1, cap=1, l=1, blocks=3
+)
+@example(  # periodic, three states, fractional error probabilities
+    model=FsmcModel([[0, 1, 0], [0, 0, 1], [1, 0, 0]], [0.2, 1.0, 0.5]),
+    n=2, depth=3, cap=2, l=0, blocks=1,
+)
+@given(
+    model=small_fsmcs(),
+    n=st.integers(1, 4),
+    depth=st.integers(1, 4),
+    cap=st.integers(0, 5),
+    l=st.integers(0, 3),
+    blocks=st.integers(1, 3),
+)
+def test_engine_matches_pattern_enumeration_on_any_fsmc(model, n, depth, cap, l, blocks):
+    assume(n * depth * blocks <= 10)
+    marginal, joint, block, packet = pattern_laws(model, n, depth, cap, l, blocks)
+    np.testing.assert_allclose(
+        exact_marginal_law(model, n, depth, cap), marginal, rtol=0, atol=1e-13
+    )
+    np.testing.assert_allclose(
+        exact_joint_law(model, n, depth, cap), joint, rtol=0, atol=1e-13
+    )
+    assert exact_block_error(model, n, depth, l) == pytest.approx(block, abs=1e-13)
+    assert exact_packet_error(model, n, depth, l, blocks) == pytest.approx(packet, abs=1e-13)
