@@ -285,7 +285,12 @@ def _run_oracle(args):
         results = evaluate_models(model, code, scheme)
         print("model predictions for the same instance:")
         for name in ANALYTIC_MODELS:
-            print(f"  {name:<9s}: {results[name].packet_error:.12g}")
+            result = results[name]
+            shown = (
+                f"{result.packet_error:.12g}" if result.error is None
+                else f"error: {result.error}"
+            )
+            print(f"  {name:<9s}: {shown}")
     return 0
 
 

@@ -11,6 +11,10 @@ adjacent codewords go out back to back.  The recursions therefore
 alternate counted steps (split d0/d1 kernels) with marginalized gap
 powers of the full transition matrix: D**(I-1) between the bits of one
 codeword, D**(I-2) between the bit pairs of two adjacent codewords.
+
+Each recursion takes one FsmcModel, or a sequence of them with equal
+state counts run as one stack along a leading batch axis; a sequence
+gives a list with one result per channel.
 """
 
 from __future__ import annotations
@@ -53,26 +57,50 @@ class JointErrorDistribution:
     def first_marginal(self) -> np.ndarray:
         return self.q.sum(axis=1)
 
-    @property
-    def second_marginal(self) -> np.ndarray:
-        return self.q.sum(axis=0)
+
+def _stack(model, n: int, cap: int, counters: int):
+    """Check a recursion's inputs; return its channels, the start buckets
+    B x (cap+1)^counters x S x S and the transition, d0 and d1 kernels
+    B x 1^counters x S x S, which broadcast over the count axes."""
+    if n < 1:
+        raise ValueError(f"codeword length must be >= 1, got {n}")
+    if cap < 0:
+        raise ValueError(f"counter cap must be >= 0, got {cap}")
+    channels = [model] if isinstance(model, FsmcModel) else list(model)
+    sizes = sorted({channel.states for channel in channels})
+    if len(sizes) != 1:
+        raise ValueError(f"stacked channels need one common state count, got {sizes}")
+    shape = (len(channels),) + (1,) * counters + (sizes[0],) * 2
+    buckets = np.zeros(shape[:1] + (cap + 1,) * counters + shape[-2:])
+    buckets[(slice(None),) + (0,) * counters] = np.eye(sizes[0])
+    kernels = np.stack([(c.transition, c.d0, c.d1) for c in channels], axis=1)
+    return (channels, buckets, *kernels.reshape((3,) + shape))
 
 
-def _count_step(buckets, miss_kernel, hit_kernel, axis=0):
-    """Advance every bucket matrix by one counted bit.
-
-    Multiplies by the no-error/error kernels and shifts the counter on
-    ``axis``, saturating at the top bucket.
-    """
-    moved = np.moveaxis(buckets, axis, 0)
-    out = moved @ miss_kernel
-    hit = moved @ hit_kernel
-    out[1:] += hit[:-1]
-    out[-1] += hit[-1]
-    return np.moveaxis(out, 0, axis)
+def _count_step(buckets, miss_kernel, hit_kernel, axis):
+    """Advance every bucket matrix by one counted bit: multiply by the
+    no-error/error kernels and move the counter on array axis ``axis`` up
+    by one on an error, saturating at the top bucket."""
+    out = buckets @ miss_kernel
+    hit = buckets @ hit_kernel
+    head = (slice(None),) * axis
+    out[head + (slice(1, None),)] += hit[head + (slice(None, -1),)]
+    out[head + (-1,)] += hit[head + (-1,)]
+    return out
 
 
-def marginal_error_distribution(model: FsmcModel, n: int, depth: int, cap: int):
+def _laws(model, channels, buckets, cap):
+    """Per channel (family, probs) for one counter, else the joint law;
+    contracted channel by channel, as a batched einsum rounds differently."""
+    results = []
+    for channel, b in zip(channels, buckets):
+        family = CountMatrixFamily(buckets=b, cap=cap)
+        law = np.einsum("s,...st->...", channel.pi, b)
+        results.append((family, law) if b.ndim == 3 else JointErrorDistribution(law, cap, family))
+    return results[0] if isinstance(model, FsmcModel) else results
+
+
+def marginal_error_distribution(model, n: int, depth: int, cap: int):
     """Distribution of the bucketed error count in one interleaved codeword.
 
     Every counted bit except the last is followed by a marginalized gap
@@ -80,25 +108,16 @@ def marginal_error_distribution(model: FsmcModel, n: int, depth: int, cap: int):
     Returns the bucket family and the probability vector
     ``probs[j] = pi @ buckets[j] @ 1``.
     """
-    if n < 1:
-        raise ValueError(f"codeword length must be >= 1, got {n}")
     if depth < 1:
         raise ValueError(f"interleaving depth must be >= 1, got {depth}")
-    if cap < 0:
-        raise ValueError(f"counter cap must be >= 0, got {cap}")
-    gap = np.linalg.matrix_power(model.transition, depth - 1)
-    miss, hit = model.d0 @ gap, model.d1 @ gap
-    buckets = np.zeros((cap + 1, model.states, model.states))
-    buckets[0] = np.eye(model.states)
-    for _ in range(n - 1):
-        buckets = _count_step(buckets, miss, hit)
-    buckets = _count_step(buckets, model.d0, model.d1)
-    family = CountMatrixFamily(buckets=buckets, cap=cap)
-    probs = np.einsum("s,jst->j", model.pi, buckets)
-    return family, probs
+    channels, buckets, transition, d0, d1 = _stack(model, n, cap, 1)
+    gap = np.linalg.matrix_power(transition, depth - 1)
+    for miss, hit in [(d0 @ gap, d1 @ gap)] * (n - 1) + [(d0, d1)]:
+        buckets = _count_step(buckets, miss, hit, 1)
+    return _laws(model, channels, buckets, cap)
 
 
-def joint_error_distribution(model: FsmcModel, n: int, depth: int, cap: int):
+def joint_error_distribution(model, n: int, depth: int, cap: int):
     """Joint law of the bucketed error counts in two adjacent codewords.
 
     The matching bits of the two codewords are transmitted back to back;
@@ -107,48 +126,28 @@ def joint_error_distribution(model: FsmcModel, n: int, depth: int, cap: int):
     has no column pairing (see :func:`sequential_joint_distribution`).
     """
     if depth < 2:
-        raise ValueError(
-            "joint pairing needs depth >= 2; "
-            "use sequential_joint_distribution for depth 1"
-        )
-    if n < 1:
-        raise ValueError(f"codeword length must be >= 1, got {n}")
-    if cap < 0:
-        raise ValueError(f"counter cap must be >= 0, got {cap}")
-    gap = np.linalg.matrix_power(model.transition, depth - 2)
-    size = model.states
-    buckets = np.zeros((cap + 1, cap + 1, size, size))
-    buckets[0, 0] = np.eye(size)
+        raise ValueError("joint pairing needs depth >= 2; use sequential_joint_distribution")
+    channels, buckets, transition, d0, d1 = _stack(model, n, cap, 2)
+    gap = np.linalg.matrix_power(transition, depth - 2)
     for i in range(n):
-        buckets = _count_step(buckets, model.d0, model.d1, axis=0)
-        buckets = _count_step(buckets, model.d0, model.d1, axis=1)
+        buckets = _count_step(buckets, d0, d1, 1)
+        buckets = _count_step(buckets, d0, d1, 2)
         if i < n - 1 and depth > 2:
             buckets = buckets @ gap
-    family = CountMatrixFamily(buckets=buckets, cap=cap)
-    q = np.einsum("s,ijst->ij", model.pi, buckets)
-    return JointErrorDistribution(q=q, cap=cap, family=family)
+    return _laws(model, channels, buckets, cap)
 
 
-def sequential_joint_distribution(model: FsmcModel, n: int, cap: int):
+def sequential_joint_distribution(model, n: int, cap: int):
     """Joint error-count law of two codewords sent back to back.
 
     This is the depth-1 layout: the two codewords occupy 2n consecutive
     transmission slots with no interleaving gaps at all.
     """
-    if n < 1:
-        raise ValueError(f"codeword length must be >= 1, got {n}")
-    if cap < 0:
-        raise ValueError(f"counter cap must be >= 0, got {cap}")
-    size = model.states
-    buckets = np.zeros((cap + 1, cap + 1, size, size))
-    buckets[0, 0] = np.eye(size)
-    for _ in range(n):
-        buckets = _count_step(buckets, model.d0, model.d1, axis=0)
-    for _ in range(n):
-        buckets = _count_step(buckets, model.d0, model.d1, axis=1)
-    family = CountMatrixFamily(buckets=buckets, cap=cap)
-    q = np.einsum("s,ijst->ij", model.pi, buckets)
-    return JointErrorDistribution(q=q, cap=cap, family=family)
+    channels, buckets, _, d0, d1 = _stack(model, n, cap, 2)
+    for axis in (1, 2):
+        for _ in range(n):
+            buckets = _count_step(buckets, d0, d1, axis)
+    return _laws(model, channels, buckets, cap)
 
 
 def marginal_consistency_check(joint: JointErrorDistribution, marginal_probs) -> float:

@@ -239,13 +239,18 @@ def two_state_block_error(proc: CodewordProcess, depth: int) -> float:
 
 @dataclass(frozen=True)
 class PacketErrorResult:
-    """One model's prediction for one configuration."""
+    """One model's prediction for one configuration.
+
+    A model whose chain stage rejects its inputs carries the reason in
+    ``error`` and no probabilities.
+    """
 
     model: str
-    block_error: float  # P(an interleaved codeblock is lost)
-    packet_error: float  # P(the whole packet is lost)
+    block_error: float | None  # P(an interleaved codeblock is lost)
+    packet_error: float | None  # P(the whole packet is lost)
     code: CodeSpec
     scheme: SchemeSpec
+    error: str | None = None
 
 
 def block_to_packet(block_error: float, blocks: int) -> float:
@@ -293,72 +298,87 @@ def binomial_baseline(ber: float, code: CodeSpec, codewords: int) -> float:
     return block_to_packet(_binomial_tail_above(code.n, code.l, ber), codewords)
 
 
-def _joint_for(model: FsmcModel, n: int, depth: int, cap: int) -> JointErrorDistribution:
+def _joint_for(model, n: int, depth: int, cap: int):
     if depth >= 2:
         return joint_error_distribution(model, n, depth, cap)
     return sequential_joint_distribution(model, n, cap)
 
 
+def _single_model(name: str, model: FsmcModel, code: CodeSpec, scheme: SchemeSpec):
+    result = evaluate_models(model, code, scheme, (name,))[name]
+    if result.error is not None:
+        raise ValueError(result.error)
+    return result
+
+
 def model1_packet_error(model: FsmcModel, code: CodeSpec, scheme: SchemeSpec) -> PacketErrorResult:
     """Joint two-codeword law -> two-state codeword chain -> packet."""
-    joint = _joint_for(model, code.n, scheme.depth, code.l + 1)
-    proc = codeword_process_from_joint(joint, code.l)
-    block = two_state_block_error(proc, scheme.depth)
-    return PacketErrorResult("model1", block, block_to_packet(block, scheme.blocks), code, scheme)
+    return _single_model("model1", model, code, scheme)
 
 
 def model2_packet_error(model: FsmcModel, code: CodeSpec, scheme: SchemeSpec) -> PacketErrorResult:
     """One-codeword law plus bit-level NACF -> two-state chain -> packet."""
-    _, probs = marginal_error_distribution(model, code.n, scheme.depth, code.l + 1)
-    error_rate = min(max(1.0 - float(probs[: code.l + 1].sum()), 0.0), 1.0)
-    proc = codeword_process_from_rates(error_rate, model.lag1_nacf())
-    block = two_state_block_error(proc, scheme.depth)
-    return PacketErrorResult("model2", block, block_to_packet(block, scheme.blocks), code, scheme)
+    return _single_model("model2", model, code, scheme)
 
 
 def model3_packet_error(model: FsmcModel, code: CodeSpec, scheme: SchemeSpec) -> PacketErrorResult:
     """Joint two-codeword law -> absorbing count chain -> packet."""
-    joint = _joint_for(model, code.n, scheme.depth, code.l + 1)
-    block = model3_block_error(joint, code.l, scheme.depth)
-    return PacketErrorResult("model3", block, block_to_packet(block, scheme.blocks), code, scheme)
+    return _single_model("model3", model, code, scheme)
 
 
-def evaluate_models(
-    model: FsmcModel,
-    code: CodeSpec,
-    scheme: SchemeSpec,
-    which=ANALYTIC_MODELS,
-) -> dict[str, PacketErrorResult]:
+def _chain_stage(name, model, joint, probs, code, scheme) -> PacketErrorResult:
+    """One model's result on one channel, from that channel's count laws."""
+    try:
+        if name == "baseline":
+            codeword_error = _binomial_tail_above(code.n, code.l, model.ber)
+            block = block_to_packet(codeword_error, scheme.depth)
+            packet = block_to_packet(codeword_error, scheme.codewords)
+            return PacketErrorResult(name, block, packet, code, scheme)
+        if name == "model1":
+            block = two_state_block_error(codeword_process_from_joint(joint, code.l), scheme.depth)
+        elif name == "model2":
+            error_rate = min(max(1.0 - float(probs[: code.l + 1].sum()), 0.0), 1.0)
+            proc = codeword_process_from_rates(error_rate, model.lag1_nacf())
+            block = two_state_block_error(proc, scheme.depth)
+        else:
+            block = model3_block_error(joint, code.l, scheme.depth)
+        return PacketErrorResult(name, block, block_to_packet(block, scheme.blocks), code, scheme)
+    except ValueError as exc:
+        return PacketErrorResult(name, None, None, code, scheme, error=str(exc))
+
+
+def evaluate_models(model, code: CodeSpec, scheme: SchemeSpec, which=ANALYTIC_MODELS):
     """Evaluate the requested analytic models on one configuration.
+
+    ``model`` is one FsmcModel, giving one dict of results by model name,
+    or a sequence of them with equal state counts, giving a list of such
+    dicts: the count recursions then run once over the whole stack, and
+    the chain stage once per channel.
 
     Models 1 and 3 consume the identical joint distribution object, so
     any disagreement between them isolates their second-stage
-    approximations rather than the shared first stage.
+    approximations rather than the shared first stage.  A model whose
+    chain stage fails (e.g. a codeword NACF outside the two-state
+    chain's range) gets a result with ``error`` set; the other models
+    keep their numbers.
     """
     unknown = set(which) - set(ANALYTIC_MODELS)
     if unknown:
         raise ValueError(f"unknown models: {sorted(unknown)}")
-    results: dict[str, PacketErrorResult] = {}
-    joint = None
+    channels = [model] if isinstance(model, FsmcModel) else list(model)
+    cap = code.l + 1
+    joints = probs = [None] * len(channels)
     if "model1" in which or "model3" in which:
-        joint = _joint_for(model, code.n, scheme.depth, code.l + 1)
-    if "model1" in which:
-        proc = codeword_process_from_joint(joint, code.l)
-        block = two_state_block_error(proc, scheme.depth)
-        results["model1"] = PacketErrorResult(
-            "model1", block, block_to_packet(block, scheme.blocks), code, scheme
-        )
+        joints = _joint_for(channels, code.n, scheme.depth, cap)
     if "model2" in which:
-        results["model2"] = model2_packet_error(model, code, scheme)
-    if "model3" in which:
-        block = model3_block_error(joint, code.l, scheme.depth)
-        results["model3"] = PacketErrorResult(
-            "model3", block, block_to_packet(block, scheme.blocks), code, scheme
-        )
-    if "baseline" in which:
-        codeword_error = _binomial_tail_above(code.n, code.l, model.ber)
-        block = block_to_packet(codeword_error, scheme.depth)
-        results["baseline"] = PacketErrorResult(
-            "baseline", block, block_to_packet(codeword_error, scheme.codewords), code, scheme
-        )
-    return results
+        laws = marginal_error_distribution(channels, code.n, scheme.depth, cap)
+        probs = [law for _, law in laws]
+    results = [
+        {
+            name: _chain_stage(name, channel, joint, law, code, scheme)
+            for name in ANALYTIC_MODELS
+            if name in which
+        }
+        for channel, joint, law in zip(channels, joints, probs)
+    ]
+    return results[0] if isinstance(model, FsmcModel) else results

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import __version__
 from .channel import ChannelSpec, CodeSpec, SchemeSpec, ibp_from_stats
 from .mc import BIT_GENERATOR, SAMPLER, SimConfig, simulate_packets
 from .models import ANALYTIC_MODELS, evaluate_models
@@ -144,48 +145,69 @@ def run_sweep(spec: SweepSpec, workers: int = 1, on_row=None) -> list[ResultRow]
     """Evaluate the full grid, one row per (grid point, model).
 
     Rows come out in a fixed nested order (code, pair, nacf, ber, model).
-    When both analytic models and "mc" are requested, analytic rows get
-    ``rel_err`` against the Monte Carlo estimate of the same grid point.
-    Infeasible or failing grid points are reported on their rows instead
-    of aborting the sweep.
+    The channels of one (code, pair) go through the analytic models as
+    one stack.  When both analytic models and "mc" are requested,
+    analytic rows get ``rel_err`` against the Monte Carlo estimate of the
+    same grid point.  Infeasible or failing grid points, and single
+    failing models, are reported on their rows instead of aborting the
+    sweep.
     """
     analytic = tuple(m for m in spec.models if m != "mc")
+    points = [(nacf, ber) for nacf in spec.nacfs for ber in spec.bers]
     rows: list[ResultRow] = []
     index = 0
     for code in spec.codes:
         for scheme in spec.pairs:
-            for nacf in spec.nacfs:
-                for ber in spec.bers:
-                    point_rows, index = _grid_point_rows(
-                        spec, code, scheme, nacf, ber, analytic, index, workers
-                    )
-                    rows.extend(point_rows)
-                    if on_row is not None:
-                        for row in point_rows:
-                            on_row(row)
+            evaluated = _evaluate_group(spec, code, scheme, points, analytic)
+            for (nacf, ber), (residual, note, results) in zip(points, evaluated):
+                point_rows, index = _grid_point_rows(
+                    spec, code, scheme, nacf, ber, residual, note, results, index, workers
+                )
+                rows.extend(point_rows)
+                if on_row is not None:
+                    for row in point_rows:
+                        on_row(row)
     return rows
 
 
-def _grid_point_rows(spec, code, scheme, nacf, ber, analytic, index, workers):
+def _evaluate_group(spec, code, scheme, points, analytic):
+    """(residual_corr, note, analytic results) of each (nacf, ber) point
+    of one (code, pair), with the valid channels evaluated as one stack.
+
+    An infeasible pair notes every point; a point whose statistics no
+    channel can represent is an error with no residual correlation.
+    """
     note = None
     if spec.budget is not None and scheme.packet_bits(code.n) != spec.budget:
         note = (
             f"infeasible: depth*blocks*n = {scheme.packet_bits(code.n)}"
             f" != budget {spec.budget}"
         )
-
-    results = {}
-    estimate = None
-    if note is None:
-        channel = ChannelSpec(ber=ber, nacf=nacf, slot=spec.slot)
+    residuals, notes, channels = [], [], {}
+    for i, (nacf, ber) in enumerate(points):
         try:
-            if analytic:
-                results = evaluate_models(ibp_from_stats(channel), code, scheme, analytic)
+            channel = ibp_from_stats(ChannelSpec(ber=ber, nacf=nacf, slot=spec.slot))
+        except ValueError as exc:
+            residuals.append(None)
+            notes.append(f"error: {exc}")
+            continue
+        residuals.append(residual_correlation(nacf, scheme.depth))
+        notes.append(note)
+        if note is None:
+            channels[i] = channel
+    results = {}
+    if analytic and channels:
+        try:
+            stacked = evaluate_models(list(channels.values()), code, scheme, analytic)
+            results = dict(zip(channels, stacked))
         except Exception as exc:  # surfaced per-row, sweep keeps going
-            note = f"error: {exc}"
+            notes = [f"error: {exc}" if i in channels else n for i, n in enumerate(notes)]
+    return [(residuals[i], notes[i], results.get(i, {})) for i in range(len(points))]
 
+
+def _grid_point_rows(spec, code, scheme, nacf, ber, residual, note, results, index, workers):
     rows = []
-    residual = residual_correlation(nacf, scheme.depth)
+    estimate = None
     for model in spec.models:
         row = ResultRow(
             model=model, ber=ber, nacf=nacf, code=code, scheme=scheme,
@@ -208,6 +230,8 @@ def _grid_point_rows(spec, code, scheme, nacf, ber, analytic, index, workers):
                     row.note = "degenerate: loss rate estimate is 0 or 1"
             except Exception as exc:
                 row.note = f"error: {exc}"
+        elif note is None and results[model].error is not None:
+            row.note = f"error: {results[model].error}"
         elif note is None:
             row.p = results[model].packet_error
             row.throughput = throughput(code, scheme, row.p)
@@ -274,6 +298,8 @@ def optimize_depth(
     candidates = []
     for scheme in pairs:
         result = evaluate_models(fsmc, code, scheme, which=(model,))[model]
+        if result.error is not None:
+            raise ValueError(result.error)
         residual = residual_correlation(channel.nacf, scheme.depth)
         candidates.append(
             DepthCandidate(
@@ -296,7 +322,8 @@ def emit_results(rows, csv_path, report_path=None, config=None):
     """Write the delimited results table and, optionally, a JSON report.
 
     The report embeds the full configuration echo, the pinned RNG
-    identity and the Monte Carlo sampler identity next to the rows.
+    identity, the Monte Carlo sampler identity and the package and numpy
+    versions next to the rows.
     Output bytes depend only on the inputs, so identical sweeps produce
     identical files.
     """
@@ -311,6 +338,7 @@ def emit_results(rows, csv_path, report_path=None, config=None):
         report = {
             "config": config if config is not None else {},
             "generator": BIT_GENERATOR,
+            "meta": {"numpy": np.__version__, "version": __version__},
             "rows": [row.as_dict() for row in rows],
             "sampler": SAMPLER,
         }

@@ -1,8 +1,13 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import burstfec
 from burstfec.channel import ChannelSpec, ibp_from_stats
 from burstfec.cli import DEFAULT_CONFIG, build_parser, main
 from burstfec.oracle import exact_block_error, exact_packet_error
@@ -124,6 +129,32 @@ def test_infeasible_budget_is_reported_not_fatal(tmp_path):
     assert all(r["note"].startswith("infeasible:") for r in report["rows"])
 
 
+@pytest.mark.parametrize("verb", ["analyze", "simulate", "compare"])
+def test_bad_channel_statistics_give_error_rows_not_a_traceback(tmp_path, verb):
+    # c = 1.0 and p_E = 1.5 are statistics no channel has
+    argv = grid_args(
+        tmp_path, verb, ber="0.01,1.5", nacf="1.0,0.5", code="63,45,3", pair="4,4",
+        packets="200",
+    )
+    src = str(Path(burstfec.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-m", "burstfec.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 1
+    assert "Traceback" not in done.stderr
+    assert "nacf must be in [0, 1), got 1.0" in done.stderr
+    assert "ber must be in [0, 1], got 1.5" in done.stderr
+    rows = read_rows(tmp_path / "out.csv")
+    good = [r for r in rows if (r["p_E"], r["c"]) == ("0.01", "0.5")]
+    assert good and all(r["p"] != "" or r["p_hat"] != "" for r in good)
+    assert all(r["residual_corr"] == "0.0625" for r in good)
+    bad = [r for r in rows if r not in good]
+    assert len(bad) == 3 * len(good)
+    assert all(r["p"] == r["p_hat"] == r["residual_corr"] == "" for r in bad)
+
+
 def test_progress_lines_unless_quiet(tmp_path, capsys):
     args = grid_args(tmp_path, "analyze", models="model3")
     args.remove("--quiet")
@@ -161,6 +192,21 @@ def test_oracle_verb_prints_reference(capsys):
     model = ibp_from_stats(ChannelSpec(ber=0.1, nacf=0.6))
     assert printed == pytest.approx(exact_block_error(model, 4, 2, 1), rel=1e-11)
     assert "model predictions" in out
+
+
+def test_oracle_verb_prints_a_failing_model_as_its_error(monkeypatch, capsys):
+    def reject(error_rate, nacf):
+        raise ValueError("synthetic chain failure")
+
+    monkeypatch.setattr("burstfec.models._chain_rates", reject)
+    assert main([
+        "oracle", "--n", "4", "--l", "1", "--depth", "2",
+        "--blocks", "2", "--ber", "0.1", "--nacf", "0.6",
+    ]) == 0
+    out = capsys.readouterr().out
+    assert "  model1   : error: synthetic chain failure" in out
+    assert "  model2   : error: synthetic chain failure" in out
+    float(next(line for line in out.splitlines() if "model3" in line).split(":")[1])
 
 
 def test_oracle_verb_runs_at_paper_scale(capsys):

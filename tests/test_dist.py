@@ -5,7 +5,7 @@ import time
 import numpy as np
 import pytest
 
-from burstfec.channel import ChannelSpec, ibp_from_stats
+from burstfec.channel import ChannelSpec, FsmcModel, ibp_from_stats
 from burstfec.dist import (
     joint_error_distribution,
     marginal_consistency_check,
@@ -278,3 +278,114 @@ def test_long_codeword_joint_is_fast():
     elapsed = time.perf_counter() - start
     assert joint.q.sum() == pytest.approx(1.0, abs=1e-11)
     assert elapsed < 1.0
+
+
+# ----------------------------------------------------------------------
+# stacked channels: one recursion over a leading batch axis
+# ----------------------------------------------------------------------
+
+
+def looped_laws(model, n, depth, cap):
+    """One channel's marginal probs and joint q, by the per-channel
+    recursion the stacked one replaced: same float operations in the same
+    order, so the results must agree bit for bit."""
+
+    def step(buckets, miss, hit, axis):
+        moved = np.moveaxis(buckets, axis, 0)
+        out, up = moved @ miss, moved @ hit
+        out[1:] += up[:-1]
+        out[-1] += up[-1]
+        return np.moveaxis(out, 0, axis)
+
+    size = model.states
+    gap = np.linalg.matrix_power(model.transition, depth - 1)
+    marginal = np.zeros((cap + 1, size, size))
+    marginal[0] = np.eye(size)
+    for _ in range(n - 1):
+        marginal = step(marginal, model.d0 @ gap, model.d1 @ gap, 0)
+    marginal = step(marginal, model.d0, model.d1, 0)
+    joint = np.zeros((cap + 1, cap + 1, size, size))
+    joint[0, 0] = np.eye(size)
+    if depth == 1:
+        for axis in (0, 1):
+            for _ in range(n):
+                joint = step(joint, model.d0, model.d1, axis)
+    else:
+        gap = np.linalg.matrix_power(model.transition, depth - 2)
+        for i in range(n):
+            joint = step(step(joint, model.d0, model.d1, 0), model.d0, model.d1, 1)
+            if i < n - 1 and depth > 2:
+                joint = joint @ gap
+    return (
+        np.einsum("s,jst->j", model.pi, marginal),
+        np.einsum("s,ijst->ij", model.pi, joint),
+    )
+
+
+def random_fsmc(seed, states=3):
+    rng = np.random.default_rng(seed)
+    transition = rng.random((states, states)) + 0.05
+    return FsmcModel(transition / transition.sum(axis=1, keepdims=True), rng.random(states))
+
+
+STACKS = {
+    "ber-nacf-grid": [
+        ibp_from_stats(ChannelSpec(ber=ber, nacf=nacf))
+        for nacf in (0.0, 0.3, 0.6, 0.9)
+        for ber in (0.0001, 0.01, 0.2, 1.0)
+    ],
+    "three-state": [random_fsmc(seed) for seed in range(5)],
+    "one-channel": [ibp_from_stats(ChannelSpec(ber=0.02, nacf=0.8))],
+}
+
+
+@pytest.mark.parametrize("stack", STACKS.values(), ids=STACKS.keys())
+@pytest.mark.parametrize("n,depth,cap", [(63, 1, 2), (63, 4, 4), (9, 2, 9), (5, 7, 0)])
+def test_stacked_laws_equal_per_channel_laws(stack, n, depth, cap):
+    marginals = marginal_error_distribution(stack, n, depth, cap)
+    sequentials = sequential_joint_distribution(stack, n, cap)
+    joints = (
+        joint_error_distribution(stack, n, depth, cap) if depth >= 2 else sequentials
+    )
+    assert len(marginals) == len(joints) == len(sequentials) == len(stack)
+    for model, (family, probs), joint, sequential in zip(
+        stack, marginals, joints, sequentials
+    ):
+        alone_family, alone_probs = marginal_error_distribution(model, n, depth, cap)
+        assert np.array_equal(probs, alone_probs)
+        assert np.array_equal(family.buckets, alone_family.buckets)
+        alone_sequential = sequential_joint_distribution(model, n, cap)
+        assert np.array_equal(sequential.q, alone_sequential.q)
+        assert np.array_equal(sequential.family.buckets, alone_sequential.family.buckets)
+        alone_joint = (
+            joint_error_distribution(model, n, depth, cap) if depth >= 2 else alone_sequential
+        )
+        assert np.array_equal(joint.q, alone_joint.q)
+        looped_probs, looped_q = looped_laws(model, n, depth, cap)
+        assert np.array_equal(probs, looped_probs)
+        assert np.array_equal(joint.q, looped_q)
+
+
+def test_single_channel_call_returns_one_result():
+    model = STACKS["one-channel"][0]
+    family, probs = marginal_error_distribution(model, 5, 3, 2)
+    assert family.buckets.shape == (3, 2, 2) and probs.shape == (3,)
+    assert joint_error_distribution(model, 5, 3, 2).q.shape == (3, 3)
+    assert len(joint_error_distribution(STACKS["one-channel"], 5, 3, 2)) == 1
+
+
+@pytest.mark.parametrize(
+    "recursion",
+    [
+        lambda stack: marginal_error_distribution(stack, 4, 2, 2),
+        lambda stack: joint_error_distribution(stack, 4, 2, 2),
+        lambda stack: sequential_joint_distribution(stack, 4, 2),
+    ],
+    ids=["marginal", "joint", "sequential"],
+)
+def test_stack_with_mixed_state_counts_is_rejected(recursion):
+    mixed = [STACKS["one-channel"][0], random_fsmc(0)]
+    with pytest.raises(ValueError, match="common state count, got \\[2, 3\\]"):
+        recursion(mixed)
+    with pytest.raises(ValueError, match="common state count"):
+        recursion([])

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from burstfec.channel import ChannelSpec, CodeSpec, SchemeSpec, ibp_from_stats
+from burstfec.channel import ChannelSpec, CodeSpec, FsmcModel, SchemeSpec, ibp_from_stats
 from burstfec.dist import (
     joint_error_distribution,
     marginal_error_distribution,
@@ -351,6 +351,38 @@ def test_evaluate_models_shares_joint_and_matches_standalone():
     )
     with pytest.raises(ValueError):
         evaluate_models(model, code, scheme, which=("model9",))
+
+
+# A periodic chain: every codeword errs almost surely and the codeword
+# NACF is negative, which the two-state codeword chain cannot represent.
+PERIODIC = FsmcModel([[0.1, 0.9], [0.9, 0.1]], [0.0, 1.0])
+
+
+def test_failing_chain_stage_keeps_the_other_models():
+    code, scheme = CodeSpec(63, 45, 3), SchemeSpec(depth=4, blocks=4)
+    results = evaluate_models(PERIODIC, code, scheme)
+    for name in ("model1", "model2"):
+        assert "outside the two-state chain's parameter range" in results[name].error
+        assert results[name].block_error is None and results[name].packet_error is None
+    for name in ("model3", "baseline"):
+        assert results[name].error is None
+        assert results[name].packet_error == 1.0
+    with pytest.raises(ValueError, match="parameter range"):
+        model1_packet_error(PERIODIC, code, scheme)
+
+
+def test_stacked_evaluation_equals_per_channel_evaluation():
+    code, scheme = CodeSpec(63, 45, 3), SchemeSpec(depth=4, blocks=4)
+    stack = [
+        ibp_from_stats(ChannelSpec(ber=ber, nacf=nacf))
+        for nacf in (0.0, 0.9)
+        for ber in (0.001, 0.02)
+    ] + [PERIODIC]
+    stacked = evaluate_models(stack, code, scheme)
+    assert stacked == [evaluate_models(model, code, scheme) for model in stack]
+    three_state = FsmcModel(np.full((3, 3), 1 / 3), [0.0, 0.5, 1.0])
+    with pytest.raises(ValueError, match="common state count"):
+        evaluate_models([PERIODIC, three_state], code, scheme)
 
 
 @pytest.mark.parametrize("name", ["model1", "model2", "model3"])

@@ -2,9 +2,12 @@ import csv
 import itertools
 import json
 
+import numpy as np
 import pytest
 
-from burstfec.channel import ChannelSpec, CodeSpec, SchemeSpec
+import burstfec
+from burstfec.channel import ChannelSpec, CodeSpec, FsmcModel, SchemeSpec, ibp_from_stats
+from burstfec.models import evaluate_models
 from burstfec.sweep import (
     CSV_COLUMNS,
     DepthCandidate,
@@ -156,6 +159,54 @@ def test_model_failure_is_reported_on_the_row(monkeypatch):
         assert row.p is None
 
 
+def test_stacked_sweep_matches_per_point_evaluation():
+    # p_E = 1.5 and c = 1.0 are statistics no channel has: their points
+    # become error rows with no residual correlation, the rest keep the
+    # numbers a per-point evaluation gives
+    spec = small_spec(
+        bers=(0.001, 1.5, 0.01), nacfs=(0.5, 1.0, 0.0),
+        codes=(SMALL_CODE, CODE_63_57),
+        models=("model1", "model2", "model3", "baseline"),
+    )
+    rows = run_sweep(spec)
+    expected = []
+    for code, scheme, nacf, ber in itertools.product(
+        spec.codes, spec.pairs, spec.nacfs, spec.bers
+    ):
+        try:
+            results = evaluate_models(ibp_from_stats(ChannelSpec(ber, nacf)), code, scheme)
+        except ValueError:
+            results = None
+        for model in spec.models:
+            row = ResultRow(model=model, ber=ber, nacf=nacf, code=code, scheme=scheme)
+            if results is not None:
+                row.p = results[model].packet_error
+                row.throughput = throughput(code, scheme, row.p)
+                row.residual_corr = residual_correlation(nacf, scheme.depth)
+            expected.append(row.csv_record())
+    assert [row.csv_record() for row in rows] == expected
+    bad = [row for row in rows if row.ber == 1.5 or row.nacf == 1.0]
+    assert len(bad) == 2 * 2 * 5 * 4
+    assert all(row.note.startswith("error: ") and row.residual_corr is None for row in bad)
+
+
+def test_single_model_failure_notes_only_its_row(monkeypatch):
+    periodic = FsmcModel([[0.1, 0.9], [0.9, 0.1]], [0.0, 1.0])
+    monkeypatch.setattr("burstfec.sweep.ibp_from_stats", lambda channel: periodic)
+    spec = small_spec(
+        bers=(0.01,), nacfs=(0.5,), codes=(CodeSpec(63, 45, 3),),
+        pairs=(SchemeSpec(depth=4, blocks=4),),
+        models=("model1", "model2", "model3", "baseline", "mc"), packets=500,
+    )
+    rows = {row.model: row for row in run_sweep(spec)}
+    for name in ("model1", "model2"):
+        assert rows[name].note.startswith("error: ") and "parameter range" in rows[name].note
+        assert rows[name].p is None and rows[name].residual_corr is not None
+    for name in ("model3", "baseline"):
+        assert rows[name].note is None and rows[name].p == 1.0
+    assert rows["mc"].note is None and rows["mc"].p_hat is not None
+
+
 def test_spec_validation():
     with pytest.raises(ValueError, match="non-empty"):
         small_spec(bers=())
@@ -304,6 +355,7 @@ def test_report_embeds_config_and_notes(tmp_path):
     assert report["config"] == config
     assert report["generator"] == "philox"
     assert report["sampler"] == "sojourn"
+    assert report["meta"] == {"numpy": np.__version__, "version": burstfec.__version__}
     assert len(report["rows"]) == 2
     assert report["rows"][0]["p"] == "0.125"
     assert "note" not in report["rows"][0]
