@@ -34,8 +34,6 @@ from .mc import (
     SimConfig,
     confidence_interval,
     dar1_stream,
-    deinterleave_index,
-    interleave_index,
     simulate_packets,
 )
 from .models import (
@@ -68,7 +66,6 @@ from .sweep import (
     SweepSpec,
     emit_results,
     feasible_pairs,
-    normalized_goodput,
     optimize_depth,
     residual_correlation,
     run_sweep,
@@ -101,7 +98,6 @@ __all__ = [
     "codeword_process_from_rates",
     "confidence_interval",
     "dar1_stream",
-    "deinterleave_index",
     "emit_results",
     "evaluate_models",
     "exact_block_error",
@@ -110,7 +106,6 @@ __all__ = [
     "exact_packet_error",
     "feasible_pairs",
     "ibp_from_stats",
-    "interleave_index",
     "joint_error_distribution",
     "marginal_consistency_check",
     "marginal_error_distribution",
@@ -118,7 +113,6 @@ __all__ = [
     "model2_packet_error",
     "model3_block_error",
     "model3_packet_error",
-    "normalized_goodput",
     "optimize_depth",
     "residual_correlation",
     "run_sweep",

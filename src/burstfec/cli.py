@@ -17,6 +17,7 @@ standard evaluation grid of three shortened BCH-style codes under a
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -96,6 +97,7 @@ def _add_grid_arguments(parser):
     parser.add_argument("--quiet", action="store_true", help="suppress progress output")
 
 
+@functools.cache  # argparse keeps no state between parses
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="burstfec",

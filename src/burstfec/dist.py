@@ -14,7 +14,9 @@ codeword, D**(I-2) between the bit pairs of two adjacent codewords.
 
 Each recursion takes one FsmcModel, or a sequence of them with equal
 state counts run as one stack along a leading batch axis; a sequence
-gives a list with one result per channel.
+gives a list with one result per channel.  Every product multiplies a
+channel's whole bucket stack, viewed as one (counts*S) x S matrix, so a
+counted bit costs one matrix product per channel and kernel.
 """
 
 from __future__ import annotations
@@ -60,8 +62,8 @@ class JointErrorDistribution:
 
 def _stack(model, n: int, cap: int, counters: int):
     """Check a recursion's inputs; return its channels, the start buckets
-    B x (cap+1)^counters x S x S and the transition, d0 and d1 kernels
-    B x 1^counters x S x S, which broadcast over the count axes."""
+    B x (cap+1)^counters x S x S, the transitions B x S x S and the
+    no-error/error kernels d0, d1 stacked once as 2 x B x S x S."""
     if n < 1:
         raise ValueError(f"codeword length must be >= 1, got {n}")
     if cap < 0:
@@ -70,19 +72,27 @@ def _stack(model, n: int, cap: int, counters: int):
     sizes = sorted({channel.states for channel in channels})
     if len(sizes) != 1:
         raise ValueError(f"stacked channels need one common state count, got {sizes}")
-    shape = (len(channels),) + (1,) * counters + (sizes[0],) * 2
-    buckets = np.zeros(shape[:1] + (cap + 1,) * counters + shape[-2:])
+    buckets = np.zeros((len(channels),) + (cap + 1,) * counters + (sizes[0],) * 2)
     buckets[(slice(None),) + (0,) * counters] = np.eye(sizes[0])
-    kernels = np.stack([(c.transition, c.d0, c.d1) for c in channels], axis=1)
-    return (channels, buckets, *kernels.reshape((3,) + shape))
+    names = ("transition", "d0", "d1")
+    stacked = np.array([[getattr(c, name) for c in channels] for name in names])
+    return channels, buckets, stacked[0], stacked[1:]
 
 
-def _count_step(buckets, miss_kernel, hit_kernel, axis):
+def _product(buckets, kernels):
+    """``buckets @ kernels`` for kernels B x S x S or 2 x B x S x S, with
+    each channel's bucket matrices viewed as one (counts*S) x S matrix:
+    one BLAS product per channel and kernel, not one per bucket."""
+    rows = buckets.reshape(len(buckets), -1, buckets.shape[-1])
+    return (rows @ kernels).reshape(kernels.shape[:-3] + buckets.shape)
+
+
+def _count_step(buckets, kernels, axis):
     """Advance every bucket matrix by one counted bit: multiply by the
     no-error/error kernels and move the counter on array axis ``axis`` up
     by one on an error, saturating at the top bucket."""
-    out = buckets @ miss_kernel
-    hit = buckets @ hit_kernel
+    product = _product(buckets, kernels)
+    out, hit = product[0], product[1]  # cheaper than unpacking the array
     head = (slice(None),) * axis
     out[head + (slice(1, None),)] += hit[head + (slice(None, -1),)]
     out[head + (-1,)] += hit[head + (-1,)]
@@ -110,10 +120,10 @@ def marginal_error_distribution(model, n: int, depth: int, cap: int):
     """
     if depth < 1:
         raise ValueError(f"interleaving depth must be >= 1, got {depth}")
-    channels, buckets, transition, d0, d1 = _stack(model, n, cap, 1)
+    channels, buckets, transition, kernels = _stack(model, n, cap, 1)
     gap = np.linalg.matrix_power(transition, depth - 1)
-    for miss, hit in [(d0 @ gap, d1 @ gap)] * (n - 1) + [(d0, d1)]:
-        buckets = _count_step(buckets, miss, hit, 1)
+    for step in [kernels @ gap] * (n - 1) + [kernels]:
+        buckets = _count_step(buckets, step, 1)
     return _laws(model, channels, buckets, cap)
 
 
@@ -127,13 +137,13 @@ def joint_error_distribution(model, n: int, depth: int, cap: int):
     """
     if depth < 2:
         raise ValueError("joint pairing needs depth >= 2; use sequential_joint_distribution")
-    channels, buckets, transition, d0, d1 = _stack(model, n, cap, 2)
+    channels, buckets, transition, kernels = _stack(model, n, cap, 2)
     gap = np.linalg.matrix_power(transition, depth - 2)
     for i in range(n):
-        buckets = _count_step(buckets, d0, d1, 1)
-        buckets = _count_step(buckets, d0, d1, 2)
+        buckets = _count_step(buckets, kernels, 1)
+        buckets = _count_step(buckets, kernels, 2)
         if i < n - 1 and depth > 2:
-            buckets = buckets @ gap
+            buckets = _product(buckets, gap)
     return _laws(model, channels, buckets, cap)
 
 
@@ -143,10 +153,10 @@ def sequential_joint_distribution(model, n: int, cap: int):
     This is the depth-1 layout: the two codewords occupy 2n consecutive
     transmission slots with no interleaving gaps at all.
     """
-    channels, buckets, _, d0, d1 = _stack(model, n, cap, 2)
+    channels, buckets, _, kernels = _stack(model, n, cap, 2)
     for axis in (1, 2):
         for _ in range(n):
-            buckets = _count_step(buckets, d0, d1, axis)
+            buckets = _count_step(buckets, kernels, axis)
     return _laws(model, channels, buckets, cap)
 
 

@@ -83,22 +83,6 @@ def confidence_interval(p_hat: float, packets: int, gamma: float):
     return max(0.0, p_hat - half), min(1.0, p_hat + half)
 
 
-def interleave_index(codeword: int, bit: int, depth: int, n: int) -> int:
-    """Transmission slot of a codeword bit under column-wise interleaving."""
-    if not 0 <= codeword < depth:
-        raise ValueError(f"codeword index must be in [0, {depth}), got {codeword}")
-    if not 0 <= bit < n:
-        raise ValueError(f"bit position must be in [0, {n}), got {bit}")
-    return bit * depth + codeword
-
-
-def deinterleave_index(slot: int, depth: int, n: int):
-    """Inverse map: transmission slot -> (codeword index, bit position)."""
-    if not 0 <= slot < n * depth:
-        raise ValueError(f"slot must be in [0, {n * depth}), got {slot}")
-    return slot % depth, slot // depth
-
-
 def _batch_rng(seed: int, index: int) -> np.random.Generator:
     key = np.random.SeedSequence(seed, spawn_key=(index,))
     return np.random.Generator(np.random.Philox(key))

@@ -129,13 +129,6 @@ def throughput(code: CodeSpec, scheme: SchemeSpec, p: float) -> float:
     return scheme.codewords * code.k * (1.0 - p)
 
 
-def normalized_goodput(code: CodeSpec, p: float) -> float:
-    """Fraction of raw channel bits delivered as data: rate times success."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"loss probability must be in [0, 1], got {p!r}")
-    return (code.k / code.n) * (1.0 - p)
-
-
 def _row_seed(root: int, index: int) -> int:
     key = np.random.SeedSequence(root, spawn_key=(index,))
     return int(key.generate_state(1, np.uint64)[0])

@@ -250,6 +250,30 @@ def test_parser_requires_a_verb():
     assert info.value.code == 2
 
 
+def test_repeated_main_calls_share_the_parser_but_not_its_state(tmp_path, capsys):
+    assert build_parser() is build_parser()
+    first = grid_args(tmp_path, "analyze", models="model3", csv="a.csv", report="a.json")
+    assert main(first + ["--code", "6,2,2"]) == 0
+    oracle = ["oracle", "--n", "4", "--l", "1", "--depth", "2", "--ber", "0.05", "--nacf", "0.5"]
+    assert main(oracle) == 0
+    assert "(blocks=1)" in capsys.readouterr().out
+    second = [
+        "analyze", "--ber", "0.05", "--nacf", "0.5", "--pair", "2,2", "--budget", "0",
+        "--csv", str(tmp_path / "b.csv"), "--report", str(tmp_path / "b.json"), "--quiet",
+    ]
+    assert main(second) == 0
+    first_rows, second_rows = read_rows(tmp_path / "a.csv"), read_rows(tmp_path / "b.csv")
+    assert [(r["n"], r["k"], r["l"], r["model"]) for r in first_rows] == [
+        ("6", "3", "1", "model3"), ("6", "2", "2", "model3"),
+    ]
+    # no --code or --models this time: the appended codes and the model
+    # list of the first call must not carry over
+    assert sorted({(r["n"], r["k"], r["l"]) for r in second_rows}) == [
+        ("63", "36", "5"), ("63", "45", "3"), ("63", "57", "1"),
+    ]
+    assert {r["model"] for r in second_rows} == {"model1", "model2", "model3", "baseline"}
+
+
 def test_bad_code_argument_is_rejected(tmp_path):
     with pytest.raises(SystemExit) as info:
         main(grid_args(tmp_path, "analyze", code="6,3"))

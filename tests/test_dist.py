@@ -340,7 +340,10 @@ STACKS = {
 
 
 @pytest.mark.parametrize("stack", STACKS.values(), ids=STACKS.keys())
-@pytest.mark.parametrize("n,depth,cap", [(63, 1, 2), (63, 4, 4), (9, 2, 9), (5, 7, 0)])
+@pytest.mark.parametrize(
+    "n,depth,cap",
+    [(63, 1, 2), (63, 2, 2), (63, 4, 4), (63, 8, 4), (63, 16, 6), (9, 2, 9), (5, 7, 0)],
+)
 def test_stacked_laws_equal_per_channel_laws(stack, n, depth, cap):
     marginals = marginal_error_distribution(stack, n, depth, cap)
     sequentials = sequential_joint_distribution(stack, n, cap)

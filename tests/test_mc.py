@@ -9,8 +9,6 @@ from burstfec.mc import (
     SimConfig,
     confidence_interval,
     dar1_stream,
-    deinterleave_index,
-    interleave_index,
     simulate_packets,
 )
 from reference_stats import lag1_autocorr, stat_standard_errors
@@ -76,39 +74,6 @@ def test_stream_is_deterministic_in_seed():
 def test_stream_degenerate_rates():
     assert not dar1_stream(ChannelSpec(ber=0.0, nacf=0.9), 1000, seed=1).any()
     assert dar1_stream(ChannelSpec(ber=1.0, nacf=0.0), 1000, seed=1).all()
-
-
-# ----------------------------------------------------------------------
-# interleaving index maps
-# ----------------------------------------------------------------------
-
-
-def test_deinterleave_examples():
-    assert deinterleave_index(0, 4, 63) == (0, 0)
-    assert deinterleave_index(5, 4, 63) == (1, 1)
-    # depth 1 is the identity layout
-    for slot in range(10):
-        assert deinterleave_index(slot, 1, 10) == (0, slot)
-
-
-def test_interleave_round_trip():
-    depth, n = 16, 63
-    seen = set()
-    for codeword in range(depth):
-        for bit in range(n):
-            slot = interleave_index(codeword, bit, depth, n)
-            assert deinterleave_index(slot, depth, n) == (codeword, bit)
-            seen.add(slot)
-    assert seen == set(range(depth * n))
-
-
-def test_index_maps_reject_out_of_range():
-    with pytest.raises(ValueError):
-        deinterleave_index(63 * 4, 4, 63)
-    with pytest.raises(ValueError):
-        interleave_index(4, 0, 4, 63)
-    with pytest.raises(ValueError):
-        interleave_index(0, 63, 4, 63)
 
 
 # ----------------------------------------------------------------------

@@ -15,7 +15,6 @@ from burstfec.sweep import (
     SweepSpec,
     emit_results,
     feasible_pairs,
-    normalized_goodput,
     optimize_depth,
     residual_correlation,
     run_sweep,
@@ -227,14 +226,6 @@ def test_throughput_values():
     assert throughput(code, scheme, 1.0) == 0.0
     with pytest.raises(ValueError):
         throughput(code, scheme, 1.5)
-
-
-def test_normalized_goodput_values():
-    assert normalized_goodput(CODE_63_57, 0.25) == pytest.approx(
-        (57 / 63) * 0.75, abs=1e-12
-    )
-    with pytest.raises(ValueError):
-        normalized_goodput(CODE_63_57, -0.1)
 
 
 def test_residual_correlation_values():
