@@ -21,8 +21,6 @@ from .channel import (
     stationary_vector,
 )
 from .dist import (
-    CountMatrixFamily,
-    JointErrorDistribution,
     joint_error_distribution,
     marginal_consistency_check,
     marginal_error_distribution,
@@ -38,8 +36,6 @@ from .mc import (
 )
 from .models import (
     ANALYTIC_MODELS,
-    AbsorbingChain,
-    CodewordProcess,
     PacketErrorResult,
     absorbing_chain_from_joint,
     binomial_baseline,
@@ -47,10 +43,7 @@ from .models import (
     codeword_process_from_joint,
     codeword_process_from_rates,
     evaluate_models,
-    model1_packet_error,
-    model2_packet_error,
     model3_block_error,
-    model3_packet_error,
     two_state_block_error,
 )
 from .oracle import (
@@ -74,18 +67,14 @@ from .sweep import (
 
 __all__ = [
     "ANALYTIC_MODELS",
-    "AbsorbingChain",
     "BIT_GENERATOR",
     "CSV_COLUMNS",
     "ChannelParameterError",
     "ChannelSpec",
     "CiEstimate",
     "CodeSpec",
-    "CodewordProcess",
-    "CountMatrixFamily",
     "DepthCandidate",
     "FsmcModel",
-    "JointErrorDistribution",
     "PacketErrorResult",
     "ResultRow",
     "SchemeSpec",
@@ -109,10 +98,7 @@ __all__ = [
     "joint_error_distribution",
     "marginal_consistency_check",
     "marginal_error_distribution",
-    "model1_packet_error",
-    "model2_packet_error",
     "model3_block_error",
-    "model3_packet_error",
     "optimize_depth",
     "residual_correlation",
     "run_sweep",

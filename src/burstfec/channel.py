@@ -34,21 +34,19 @@ class ChannelSpec:
     nacf  -- lag-1 normalized autocorrelation of the bit error indicator,
              in [0, 1).  A value of 1 would freeze the channel in its
              initial state forever and is rejected.
-    slot  -- time to transmit one bit, in seconds.  Carried as metadata
-             for reporting; no computation in this package depends on it.
+
+    Time enters only as the bit index: a channel is described per bit
+    slot, whatever the slot's duration.
     """
 
     ber: float
     nacf: float
-    slot: float = 1.0
 
     def __post_init__(self):
         if not 0.0 <= self.ber <= 1.0:
             raise ChannelParameterError(f"ber must be in [0, 1], got {self.ber!r}")
         if not 0.0 <= self.nacf < 1.0:
             raise ChannelParameterError(f"nacf must be in [0, 1), got {self.nacf!r}")
-        if not self.slot > 0.0:
-            raise ChannelParameterError(f"slot duration must be positive, got {self.slot!r}")
 
 
 @dataclass(frozen=True)
@@ -89,17 +87,6 @@ class SchemeSpec:
             raise ValueError(f"interleaving depth must be >= 1, got {self.depth}")
         if self.blocks < 1:
             raise ValueError(f"block count must be >= 1, got {self.blocks}")
-
-    @classmethod
-    def for_budget(cls, budget: int, n: int, depth: int) -> "SchemeSpec":
-        """Pair ``depth`` with the block count filling an exact bit budget."""
-        if depth < 1 or n < 1 or budget < 1:
-            raise ValueError("budget, n and depth must be positive")
-        if budget % (n * depth):
-            raise ValueError(
-                f"budget {budget} is not a multiple of depth*n = {depth * n}"
-            )
-        return cls(depth=depth, blocks=budget // (n * depth))
 
     def packet_bits(self, n: int) -> int:
         """Total bits per packet for codewords of length n."""
@@ -185,7 +172,7 @@ def split_transition_matrix(transition, error_profile):
     return transition - d1, d1
 
 
-def stationary_vector(transition, tol: float = STOCHASTIC_TOL):
+def stationary_vector(transition):
     """Stationary row vector: pi @ transition = pi, entries sum to 1.
 
     Two-state chains use the closed form; larger chains solve the linear
@@ -211,13 +198,15 @@ def stationary_vector(transition, tol: float = STOCHASTIC_TOL):
         rhs = np.zeros(size + 1)
         rhs[-1] = 1.0
         pi, *_ = np.linalg.lstsq(system, rhs, rcond=None)
-        if np.any(pi < -tol):
+        if np.any(pi < -STOCHASTIC_TOL):
             raise ValueError("stationary solve produced negative probabilities")
         pi = np.clip(pi, 0.0, None)
         pi = pi / pi.sum()
     residual = float(np.max(np.abs(pi @ transition - pi)))
-    if residual > tol:
-        raise ValueError(f"stationary residual {residual:g} exceeds tolerance {tol:g}")
+    if residual > STOCHASTIC_TOL:
+        raise ValueError(
+            f"stationary residual {residual:g} exceeds tolerance {STOCHASTIC_TOL:g}"
+        )
     return pi
 
 

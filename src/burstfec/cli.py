@@ -12,6 +12,9 @@ Grid parameters come from an optional JSON config file; every command
 line flag overrides the matching config entry.  The defaults reproduce a
 standard evaluation grid of three shortened BCH-style codes under a
 1008-bit packet budget.
+
+Input no verb can run on prints one ``error:`` line and exits with 2; a
+grid verb whose sweep holds error rows writes them and exits with 1.
 """
 
 from __future__ import annotations
@@ -31,7 +34,6 @@ from .oracle import (
 )
 from .sweep import (
     DECORRELATION_THRESHOLD,
-    MODEL_NAMES,
     SweepSpec,
     emit_results,
     optimize_depth,
@@ -42,7 +44,6 @@ DEFAULT_CONFIG = {
     "channel": {
         "ber": [0.0001, 0.001, 0.005, 0.01, 0.02],
         "nacf": [0.3, 0.6, 0.9],
-        "slot": 1.0,
     },
     "codes": [[63, 57, 1], [63, 45, 3], [63, 36, 5]],
     "pairs": [[1, 16], [2, 8], [4, 4], [8, 2], [16, 1]],
@@ -91,7 +92,6 @@ def _add_grid_arguments(parser):
     parser.add_argument("--seed", type=int, help="root seed for Monte Carlo rows")
     parser.add_argument("--gamma", type=float, help="confidence level for intervals")
     parser.add_argument("--workers", type=int, help="worker threads for simulation")
-    parser.add_argument("--slot", type=float, help="bit slot duration in seconds (metadata)")
     parser.add_argument("--csv", metavar="FILE", help="CSV output path")
     parser.add_argument("--report", metavar="FILE", help="JSON report output path")
     parser.add_argument("--quiet", action="store_true", help="suppress progress output")
@@ -139,9 +139,18 @@ def build_parser():
 
 
 def _load_config(path):
-    with open(path) as handle:
-        loaded = json.load(handle)
+    """A deep copy of DEFAULT_CONFIG with the JSON object in ``path``, if
+    any, merged over it."""
     config = json.loads(json.dumps(DEFAULT_CONFIG))  # deep copy
+    if path is None:
+        return config
+    with open(path) as handle:
+        try:
+            loaded = json.load(handle)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"config {path} is not valid JSON: {exc}") from None
+    if not isinstance(loaded, dict):
+        raise ValueError(f"config {path} must hold a JSON object, got {type(loaded).__name__}")
     for key, value in loaded.items():
         if isinstance(value, dict) and isinstance(config.get(key), dict):
             config[key].update(value)
@@ -150,7 +159,7 @@ def _load_config(path):
     return config
 
 
-def _merge_flags(config, args, models_default):
+def _merge_flags(config, args):
     if args.ber is not None:
         config["channel"]["ber"] = args.ber
     if args.nacf is not None:
@@ -163,8 +172,6 @@ def _merge_flags(config, args, models_default):
         value = getattr(args, key)
         if value is not None:
             config[key] = value
-    if args.slot is not None:
-        config["channel"]["slot"] = args.slot
     if args.csv is not None:
         config["output"]["csv"] = args.csv
     if args.report is not None:
@@ -173,8 +180,18 @@ def _merge_flags(config, args, models_default):
     if requested:
         config["models"] = [part for part in requested.split(",") if part]
     elif "models" not in config or config["models"] is None:
-        config["models"] = models_default
+        config["models"] = list(ANALYTIC_MODELS)
     return config
+
+
+def _int_entries(entries, size, key):
+    """The ``key`` entries of a config, each as a tuple of ``size`` integers."""
+    if not isinstance(entries, list):
+        raise ValueError(f"{key} must be a list, got {entries!r}")
+    for entry in entries:
+        if not isinstance(entry, list) or len(entry) != size:
+            raise ValueError(f"each entry of {key} needs {size} integers, got {entry!r}")
+    return [tuple(map(int, entry)) for entry in entries]
 
 
 def _sweep_spec(config, models):
@@ -185,20 +202,18 @@ def _sweep_spec(config, models):
     return SweepSpec(
         bers=tuple(float(b) for b in bers),
         nacfs=tuple(float(c) for c in nacfs),
-        codes=tuple(CodeSpec(*map(int, code)) for code in config["codes"]),
-        pairs=tuple(SchemeSpec(*map(int, pair)) for pair in config["pairs"]),
+        codes=tuple(CodeSpec(*code) for code in _int_entries(config["codes"], 3, "codes")),
+        pairs=tuple(SchemeSpec(*pair) for pair in _int_entries(config["pairs"], 2, "pairs")),
         models=tuple(models),
         budget=None if not budget else int(budget),
         packets=int(config["packets"]),
         seed=int(config["seed"]),
         gamma=float(config["gamma"]),
-        slot=float(channel.get("slot", 1.0)),
     )
 
 
-def _run_grid_verb(args, models_default):
-    config = _load_config(args.config) if args.config else json.loads(json.dumps(DEFAULT_CONFIG))
-    config = _merge_flags(config, args, models_default)
+def _run_grid_verb(args):
+    config = _merge_flags(_load_config(args.config), args)
     requested = config["models"]
     if args.verb == "simulate":
         models = ["mc"]
@@ -206,13 +221,9 @@ def _run_grid_verb(args, models_default):
         models = [m for m in requested if m != "mc"] + ["mc"]
     else:
         models = [m for m in requested if m != "mc"]
-    bad = set(models) - set(MODEL_NAMES)
-    if bad:
-        print(f"error: unknown models {sorted(bad)}", file=sys.stderr)
-        return 2
     config["models"] = models
 
-    spec = _sweep_spec(config, models)
+    spec = _sweep_spec(config, models)  # rejects unknown models
     on_row = None
     if not args.quiet:
         def on_row(row):
@@ -296,21 +307,25 @@ def _run_oracle(args):
     return 0
 
 
+_RUNNERS = {
+    "analyze": _run_grid_verb,
+    "simulate": _run_grid_verb,
+    "compare": _run_grid_verb,
+    "optimize": _run_optimize,
+    "oracle": _run_oracle,
+}
+
+
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    if args.verb in ("analyze", "simulate", "compare"):
-        return _run_grid_verb(args, models_default=list(ANALYTIC_MODELS))
-    runners = {"optimize": _run_optimize, "oracle": _run_oracle}
-    if args.verb in runners:
-        # rejected input (too many oracle count vectors, an oracle code with
-        # l >= n, no feasible pair, bad channel statistics) is one error line,
-        # not a traceback
-        try:
-            return runners[args.verb](args)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    raise AssertionError(f"unhandled verb {args.verb!r}")
+    # rejected input (a bad code, pair or model name, an unreadable config,
+    # an unwritable output path, too many oracle count vectors, no feasible
+    # pair) is one error line, not a traceback
+    try:
+        return _RUNNERS[args.verb](args)
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

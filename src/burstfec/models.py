@@ -173,16 +173,12 @@ def codeword_process_from_rates(error_rate: float, nacf: float) -> CodewordProce
     )
 
 
-def codeword_process_from_joint(
-    joint: JointErrorDistribution, l: int, bit_nacf: float | None = None
-) -> CodewordProcess:
+def codeword_process_from_joint(joint: JointErrorDistribution, l: int) -> CodewordProcess:
     """Parameterize the codeword chain from the two-codeword joint law.
 
     The error rate and the outcome quadrants come straight from the
     joint; the lag-1 NACF is the quadrant covariance normalized by the
-    binary variance.  Passing ``bit_nacf`` overrides that estimate with
-    the bit-process value (the simplified coupling used when only
-    one-codeword statistics are available).
+    binary variance.
     """
     if joint.cap != l + 1:
         raise ValueError(f"joint computed with cap {joint.cap}, need l + 1 = {l + 1}")
@@ -195,16 +191,13 @@ def codeword_process_from_joint(
     variance = error_rate - error_rate * error_rate
     if variance <= 0.0:
         return codeword_process_from_rates(float(round(error_rate)), 0.0)
-    if bit_nacf is None:
-        ok = 1.0 - error_rate
-        covariance = (
-            error_rate * error_rate * nu00
-            - error_rate * ok * (nu01 + nu10)
-            + ok * ok * nu11
-        )
-        nacf = covariance / variance
-    else:
-        nacf = bit_nacf
+    ok = 1.0 - error_rate
+    covariance = (
+        error_rate * error_rate * nu00
+        - error_rate * ok * (nu01 + nu10)
+        + ok * ok * nu11
+    )
+    nacf = covariance / variance
     alpha, beta = _chain_rates(error_rate, nacf)
     return CodewordProcess(
         error_rate=error_rate,
@@ -302,28 +295,6 @@ def _joint_for(model, n: int, depth: int, cap: int):
     if depth >= 2:
         return joint_error_distribution(model, n, depth, cap)
     return sequential_joint_distribution(model, n, cap)
-
-
-def _single_model(name: str, model: FsmcModel, code: CodeSpec, scheme: SchemeSpec):
-    result = evaluate_models(model, code, scheme, (name,))[name]
-    if result.error is not None:
-        raise ValueError(result.error)
-    return result
-
-
-def model1_packet_error(model: FsmcModel, code: CodeSpec, scheme: SchemeSpec) -> PacketErrorResult:
-    """Joint two-codeword law -> two-state codeword chain -> packet."""
-    return _single_model("model1", model, code, scheme)
-
-
-def model2_packet_error(model: FsmcModel, code: CodeSpec, scheme: SchemeSpec) -> PacketErrorResult:
-    """One-codeword law plus bit-level NACF -> two-state chain -> packet."""
-    return _single_model("model2", model, code, scheme)
-
-
-def model3_packet_error(model: FsmcModel, code: CodeSpec, scheme: SchemeSpec) -> PacketErrorResult:
-    """Joint two-codeword law -> absorbing count chain -> packet."""
-    return _single_model("model3", model, code, scheme)
 
 
 def _chain_stage(name, model, joint, probs, code, scheme) -> PacketErrorResult:

@@ -47,7 +47,6 @@ class SweepSpec:
     packets: int = 100_000
     seed: int = 0
     gamma: float = 0.95
-    slot: float = 1.0
 
     def __post_init__(self):
         if not (self.bers and self.nacfs and self.codes and self.pairs and self.models):
@@ -179,7 +178,7 @@ def _evaluate_group(spec, code, scheme, points, analytic):
     residuals, notes, channels = [], [], {}
     for i, (nacf, ber) in enumerate(points):
         try:
-            channel = ibp_from_stats(ChannelSpec(ber=ber, nacf=nacf, slot=spec.slot))
+            channel = ibp_from_stats(ChannelSpec(ber=ber, nacf=nacf))
         except ValueError as exc:
             residuals.append(None)
             notes.append(f"error: {exc}")
@@ -211,7 +210,7 @@ def _grid_point_rows(spec, code, scheme, nacf, ber, residual, note, results, ind
             try:
                 estimate = simulate_packets(
                     SimConfig(
-                        channel=ChannelSpec(ber=ber, nacf=nacf, slot=spec.slot),
+                        channel=ChannelSpec(ber=ber, nacf=nacf),
                         code=code, scheme=scheme, packets=spec.packets,
                         seed=row.seed, gamma=spec.gamma,
                     ),

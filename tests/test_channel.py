@@ -110,12 +110,6 @@ def test_channel_spec_rejects_bad_stats(ber, nacf):
         ChannelSpec(ber=ber, nacf=nacf)
 
 
-def test_channel_spec_slot_is_metadata_only():
-    fast = ibp_from_stats(ChannelSpec(ber=0.01, nacf=0.6, slot=1e-6))
-    slow = ibp_from_stats(ChannelSpec(ber=0.01, nacf=0.6, slot=10.0))
-    np.testing.assert_array_equal(fast.transition, slow.transition)
-
-
 def test_fsmc_rejects_bad_matrices():
     with pytest.raises(ValueError):
         FsmcModel(np.array([[0.9, 0.2], [0.5, 0.5]]), np.array([0.0, 1.0]))
@@ -147,17 +141,10 @@ def test_code_spec_rejects_bad_parameters(n, k, l):
         CodeSpec(n=n, k=k, l=l)
 
 
-def test_scheme_for_budget():
-    scheme = SchemeSpec.for_budget(1008, 63, 4)
-    assert (scheme.depth, scheme.blocks) == (4, 4)
+def test_scheme_packet_bits_and_codewords():
+    scheme = SchemeSpec(4, 4)
     assert scheme.packet_bits(63) == 1008
     assert scheme.codewords == 16
-
-
-@pytest.mark.parametrize("depth", [5, 7, 32])
-def test_scheme_for_budget_rejects_nondivisor(depth):
-    with pytest.raises(ValueError):
-        SchemeSpec.for_budget(1008, 63, depth)
 
 
 @pytest.mark.parametrize("depth,blocks", [(0, 1), (1, 0), (-2, 3)])

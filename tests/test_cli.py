@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -222,26 +223,70 @@ def test_oracle_verb_runs_at_paper_scale(capsys):
     )
 
 
+SMALL_GRID = ["--ber", "0.01", "--nacf", "0.5", "--code", "6,3,1", "--pair", "2,2",
+              "--budget", "0", "--packets", "200", "--quiet"]
+
+
 @pytest.mark.parametrize(
-    "argv",
+    "argv,files",
     [
         # 2**2 * 4**11 count vectors, past the exact recursion's ceiling
-        ["oracle", "--n", "7", "--l", "3", "--depth", "11", "--blocks", "1",
-         "--ber", "0.01", "--nacf", "0.5"],
+        pytest.param(
+            ["oracle", "--n", "7", "--l", "3", "--depth", "11", "--blocks", "1",
+             "--ber", "0.01", "--nacf", "0.5"], {}, id="oracle-too-many-slots",
+        ),
         # l = n: the exact values exist, but no code for the model predictions
-        ["oracle", "--n", "3", "--l", "3", "--depth", "2", "--blocks", "1",
-         "--ber", "0.1", "--nacf", "0.5"],
+        pytest.param(
+            ["oracle", "--n", "3", "--l", "3", "--depth", "2", "--blocks", "1",
+             "--ber", "0.1", "--nacf", "0.5"], {}, id="oracle-l-not-below-n",
+        ),
         # 1000 is no multiple of n = 63, so no (depth, blocks) pair fills it
-        ["optimize", "--budget", "1000", "--ber", "0.01", "--nacf", "0.5"],
+        pytest.param(
+            ["optimize", "--budget", "1000", "--ber", "0.01", "--nacf", "0.5"], {},
+            id="optimize-infeasible-budget",
+        ),
+        pytest.param(["analyze", "--code", "63,63,1"], {}, id="analyze-code-k-equals-n"),
+        pytest.param(["simulate", "--pair", "0,4"], {}, id="simulate-pair-depth-zero"),
+        pytest.param(["analyze", "--models", "mc"], {}, id="analyze-no-analytic-model"),
+        pytest.param(["compare", "--config", "missing.json"], {}, id="compare-missing-config"),
+        pytest.param(
+            ["analyze", "--config", "bad.json"], {"bad.json": "{not json"},
+            id="analyze-malformed-config",
+        ),
+        pytest.param(
+            ["analyze", "--config", "list.json"], {"list.json": "[1, 2]"},
+            id="analyze-config-not-an-object",
+        ),
+        pytest.param(
+            ["analyze", "--config", "short.json"], {"short.json": '{"codes": [[63, 45]]}'},
+            id="analyze-config-code-of-two-integers",
+        ),
+        pytest.param(
+            ["compare", "--config", "short.json"], {"short.json": '{"pairs": [[4]]}'},
+            id="compare-config-pair-of-one-integer",
+        ),
+        pytest.param(
+            ["analyze", *SMALL_GRID, "--csv", "missing/o.csv"], {},
+            id="analyze-csv-in-missing-directory",
+        ),
+        pytest.param(
+            ["simulate", *SMALL_GRID, "--report", "missing/o.json"], {},
+            id="simulate-report-in-missing-directory",
+        ),
     ],
-    ids=["oracle-too-many-slots", "oracle-l-not-below-n", "optimize-infeasible-budget"],
 )
-def test_rejected_input_prints_one_error_line(argv, capsys):
+def test_rejected_input_prints_one_error_line(argv, files, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+    if "--report" not in argv:
+        # nothing but the inputs: no default CSV or report was written
+        assert sorted(path.name for path in tmp_path.iterdir()) == sorted(files)
 
 
 def test_parser_requires_a_verb():
@@ -282,3 +327,14 @@ def test_bad_code_argument_is_rejected(tmp_path):
 
 def test_default_config_is_json_round_trippable():
     assert json.loads(json.dumps(DEFAULT_CONFIG)) == DEFAULT_CONFIG
+
+
+def test_default_analyze_csv_bytes_are_pinned(tmp_path):
+    csv_path, report_path = tmp_path / "results.csv", tmp_path / "report.json"
+    assert main(["analyze", "--quiet", "--csv", str(csv_path), "--report", str(report_path)]) == 0
+    digest = hashlib.sha256(csv_path.read_bytes()).hexdigest()
+    assert digest == "5147edbb3f96ac34bd4471e38a07370b6fe34b36aede201abb9ac88e6ab890e9"
+    report = json.loads(report_path.read_text())
+    assert report["config"]["channel"] == {
+        "ber": [0.0001, 0.001, 0.005, 0.01, 0.02], "nacf": [0.3, 0.6, 0.9],
+    }

@@ -16,10 +16,7 @@ from burstfec.models import (
     codeword_process_from_joint,
     codeword_process_from_rates,
     evaluate_models,
-    model1_packet_error,
-    model2_packet_error,
     model3_block_error,
-    model3_packet_error,
     two_state_block_error,
 )
 from burstfec.oracle import exact_block_error, exact_packet_error
@@ -228,16 +225,6 @@ def test_codeword_process_uncorrelated_channel():
     assert proc.nacf == pytest.approx(0.0, abs=1e-10)
 
 
-def test_codeword_process_bit_nacf_override():
-    model = ibp_from_stats(ChannelSpec(ber=0.05, nacf=0.7))
-    joint = make_joint(model, 7, 2, 2)
-    proc = codeword_process_from_joint(joint, 1, bit_nacf=0.7)
-    assert proc.nacf == 0.7
-    assert proc.error_rate == pytest.approx(
-        codeword_process_from_joint(joint, 1).error_rate, abs=1e-15
-    )
-
-
 def test_codeword_process_degenerate_rates():
     model = ibp_from_stats(ChannelSpec(ber=0.0, nacf=0.6))
     joint = make_joint(model, 5, 2, 2)
@@ -301,7 +288,7 @@ def test_model1_exact_through_depth_two(ber, nacf, n, l):
 def test_model2_depth_one_is_codeword_error_rate():
     model = ibp_from_stats(ChannelSpec(ber=0.03, nacf=0.8))
     code = CodeSpec(15, 7, 2)
-    result = model2_packet_error(model, code, SchemeSpec(depth=1, blocks=4))
+    result = evaluate_models(model, code, SchemeSpec(depth=1, blocks=4), ("model2",))["model2"]
     assert result.block_error == pytest.approx(
         codeword_error_rate(model, 15, 1, 2), abs=1e-13
     )
@@ -330,27 +317,16 @@ def test_packet_error_monotone_in_blocks():
     code = CodeSpec(63, 45, 3)
     last = 0.0
     for blocks in (1, 2, 4, 8):
-        result = model3_packet_error(model, code, SchemeSpec(depth=2, blocks=blocks))
+        scheme = SchemeSpec(depth=2, blocks=blocks)
+        result = evaluate_models(model, code, scheme, ("model3",))["model3"]
         assert result.packet_error >= last - 1e-15
         last = result.packet_error
 
 
-def test_evaluate_models_shares_joint_and_matches_standalone():
+def test_evaluate_models_rejects_unknown_model():
     model = ibp_from_stats(ChannelSpec(ber=0.01, nacf=0.9))
-    code = CodeSpec(63, 45, 3)
-    scheme = SchemeSpec(depth=4, blocks=4)
-    results = evaluate_models(model, code, scheme)
-    assert results["model1"].packet_error == pytest.approx(
-        model1_packet_error(model, code, scheme).packet_error, abs=1e-15
-    )
-    assert results["model2"].packet_error == pytest.approx(
-        model2_packet_error(model, code, scheme).packet_error, abs=1e-15
-    )
-    assert results["model3"].packet_error == pytest.approx(
-        model3_packet_error(model, code, scheme).packet_error, abs=1e-15
-    )
-    with pytest.raises(ValueError):
-        evaluate_models(model, code, scheme, which=("model9",))
+    with pytest.raises(ValueError, match="model9"):
+        evaluate_models(model, CodeSpec(63, 45, 3), SchemeSpec(depth=4, blocks=4), ("model9",))
 
 
 # A periodic chain: every codeword errs almost surely and the codeword
@@ -367,8 +343,6 @@ def test_failing_chain_stage_keeps_the_other_models():
     for name in ("model3", "baseline"):
         assert results[name].error is None
         assert results[name].packet_error == 1.0
-    with pytest.raises(ValueError, match="parameter range"):
-        model1_packet_error(PERIODIC, code, scheme)
 
 
 def test_stacked_evaluation_equals_per_channel_evaluation():
@@ -407,7 +381,8 @@ def test_model1_tracks_simulation_within_expected_envelope():
     channel = ChannelSpec(ber=0.01, nacf=0.6)
     code = CodeSpec(63, 45, 3)
     scheme = SchemeSpec(depth=2, blocks=8)
-    predicted = model1_packet_error(ibp_from_stats(channel), code, scheme).packet_error
+    results = evaluate_models(ibp_from_stats(channel), code, scheme, ("model1",))
+    predicted = results["model1"].packet_error
     estimate = simulate_packets(
         SimConfig(channel=channel, code=code, scheme=scheme, packets=100_000, seed=7)
     )
