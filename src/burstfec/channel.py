@@ -172,6 +172,18 @@ def split_transition_matrix(transition, error_profile):
     return transition - d1, d1
 
 
+_TWO_ABSORBING_STATES = "no unique stationary distribution: both states absorbing"
+
+
+def _two_state_stationary(up, down):
+    """Stationary law [down, up] / (up + down) of the two-state chain that
+    leaves state 0 with probability ``up`` and state 1 with ``down``;
+    array rates give one law per entry along a new last axis."""
+    pi = np.empty(np.shape(up) + (2,))
+    pi[..., 0], pi[..., 1] = down, up
+    return pi / np.asarray(up + down)[..., None]
+
+
 def stationary_vector(transition):
     """Stationary row vector: pi @ transition = pi, entries sum to 1.
 
@@ -186,8 +198,8 @@ def stationary_vector(transition):
     if size == 2:
         up, down = transition[0, 1], transition[1, 0]
         if up + down <= 0.0:
-            raise ValueError("no unique stationary distribution: both states absorbing")
-        pi = np.array([down, up]) / (up + down)
+            raise ValueError(_TWO_ABSORBING_STATES)
+        pi = _two_state_stationary(up, down)
     else:
         balance = transition.T - np.eye(size)
         svals = np.linalg.svd(balance, compute_uv=False)

@@ -152,11 +152,23 @@ def _load_config(path):
     if not isinstance(loaded, dict):
         raise ValueError(f"config {path} must hold a JSON object, got {type(loaded).__name__}")
     for key, value in loaded.items():
-        if isinstance(value, dict) and isinstance(config.get(key), dict):
+        _check_key(key, DEFAULT_CONFIG)
+        if isinstance(config[key], dict):
+            if not isinstance(value, dict):
+                raise ValueError(f"config key {key!r} must hold an object, got {value!r}")
+            for subkey in value:
+                _check_key(subkey, DEFAULT_CONFIG[key], f"{key}.")
             config[key].update(value)
         else:
             config[key] = value
     return config
+
+
+def _check_key(key, allowed, prefix=""):
+    if key not in allowed:
+        raise ValueError(
+            f"unknown config key {prefix + key!r}; allowed: {', '.join(sorted(allowed))}"
+        )
 
 
 def _merge_flags(config, args):
@@ -179,7 +191,7 @@ def _merge_flags(config, args):
     requested = getattr(args, "models", None)
     if requested:
         config["models"] = [part for part in requested.split(",") if part]
-    elif "models" not in config or config["models"] is None:
+    elif config["models"] is None:
         config["models"] = list(ANALYTIC_MODELS)
     return config
 
@@ -188,33 +200,62 @@ def _int_entries(entries, size, key):
     """The ``key`` entries of a config, each as a tuple of ``size`` integers."""
     if not isinstance(entries, list):
         raise ValueError(f"{key} must be a list, got {entries!r}")
+    converted = []
     for entry in entries:
-        if not isinstance(entry, list) or len(entry) != size:
-            raise ValueError(f"each entry of {key} needs {size} integers, got {entry!r}")
-    return [tuple(map(int, entry)) for entry in entries]
+        if isinstance(entry, list) and len(entry) == size:
+            try:
+                converted.append(tuple(map(int, entry)))
+                continue
+            except (TypeError, ValueError):
+                pass
+        raise ValueError(f"each entry of {key} needs {size} integers, got {entry!r}")
+    return converted
+
+
+def _number(value, kind, key):
+    """The value of config key ``key`` as an int or float (``kind``)."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        what = "an integer" if kind is int else "a number"
+        raise ValueError(f"{key} must be {what}, got {value!r}") from None
 
 
 def _sweep_spec(config, models):
     channel = config["channel"]
-    bers = channel["ber"] if isinstance(channel["ber"], list) else [channel["ber"]]
-    nacfs = channel["nacf"] if isinstance(channel["nacf"], list) else [channel["nacf"]]
+    grids = {}
+    for key in ("ber", "nacf"):
+        values = channel[key] if isinstance(channel[key], list) else [channel[key]]
+        grids[key] = tuple(_number(value, float, f"channel.{key}") for value in values)
     budget = config.get("budget")
     return SweepSpec(
-        bers=tuple(float(b) for b in bers),
-        nacfs=tuple(float(c) for c in nacfs),
+        bers=grids["ber"],
+        nacfs=grids["nacf"],
         codes=tuple(CodeSpec(*code) for code in _int_entries(config["codes"], 3, "codes")),
         pairs=tuple(SchemeSpec(*pair) for pair in _int_entries(config["pairs"], 2, "pairs")),
         models=tuple(models),
-        budget=None if not budget else int(budget),
-        packets=int(config["packets"]),
-        seed=int(config["seed"]),
-        gamma=float(config["gamma"]),
+        budget=_number(budget, int, "budget") if budget else None,
+        packets=_number(config["packets"], int, "packets"),
+        seed=_number(config["seed"], int, "seed"),
+        gamma=_number(config["gamma"], float, "gamma"),
     )
+
+
+def _output_paths(config):
+    """The CSV path and the report path (or None) of a config."""
+    csv_path, report_path = config["output"]["csv"], config["output"].get("report")
+    if not isinstance(csv_path, str):
+        raise ValueError(f"output.csv must be a path, got {csv_path!r}")
+    if report_path is not None and not isinstance(report_path, str):
+        raise ValueError(f"output.report must be a path or null, got {report_path!r}")
+    return csv_path, report_path
 
 
 def _run_grid_verb(args):
     config = _merge_flags(_load_config(args.config), args)
     requested = config["models"]
+    if not isinstance(requested, list) or not all(isinstance(m, str) for m in requested):
+        raise ValueError(f"models must be a list of model names, got {requested!r}")
     if args.verb == "simulate":
         models = ["mc"]
     elif args.verb == "compare":
@@ -224,6 +265,8 @@ def _run_grid_verb(args):
     config["models"] = models
 
     spec = _sweep_spec(config, models)  # rejects unknown models
+    workers = _number(config["workers"], int, "workers")
+    csv_path, report_path = _output_paths(config)
     on_row = None
     if not args.quiet:
         def on_row(row):
@@ -237,10 +280,8 @@ def _run_grid_verb(args):
                 file=sys.stderr,
             )
 
-    rows = run_sweep(spec, workers=int(config["workers"]), on_row=on_row)
-    written = emit_results(
-        rows, config["output"]["csv"], config["output"].get("report"), config=config
-    )
+    rows = run_sweep(spec, workers=workers, on_row=on_row)
+    written = emit_results(rows, csv_path, report_path, config=config)
     for path in written:
         print(f"wrote {path}", file=sys.stderr)
 
@@ -319,7 +360,8 @@ _RUNNERS = {
 def main(argv=None):
     args = build_parser().parse_args(argv)
     # rejected input (a bad code, pair or model name, an unreadable config,
-    # an unwritable output path, too many oracle count vectors, no feasible
+    # an unknown config key or a config value of the wrong type, an
+    # unwritable output path, too many oracle count vectors, no feasible
     # pair) is one error line, not a traceback
     try:
         return _RUNNERS[args.verb](args)

@@ -93,12 +93,6 @@ class ResultRow:
             "" if self.seed is None else str(self.seed),
         ]
 
-    def as_dict(self) -> dict:
-        record = dict(zip(CSV_COLUMNS, self.csv_record()))
-        if self.note is not None:
-            record["note"] = self.note
-        return record
-
 
 def _fmt(value) -> str:
     """12-significant-digit rendering; empty string for absent values."""
@@ -137,8 +131,9 @@ def run_sweep(spec: SweepSpec, workers: int = 1, on_row=None) -> list[ResultRow]
     """Evaluate the full grid, one row per (grid point, model).
 
     Rows come out in a fixed nested order (code, pair, nacf, ber, model).
-    The channels of one (code, pair) go through the analytic models as
-    one stack.  When both analytic models and "mc" are requested,
+    Each grid point's channel is built once and shared by every (code,
+    pair), whose channels go through the analytic models as one stack.
+    When both analytic models and "mc" are requested,
     analytic rows get ``rel_err`` against the Monte Carlo estimate of the
     same grid point.  Infeasible or failing grid points, and single
     failing models, are reported on their rows instead of aborting the
@@ -146,11 +141,12 @@ def run_sweep(spec: SweepSpec, workers: int = 1, on_row=None) -> list[ResultRow]
     """
     analytic = tuple(m for m in spec.models if m != "mc")
     points = [(nacf, ber) for nacf in spec.nacfs for ber in spec.bers]
+    channels = [_point_channel(nacf, ber) for nacf, ber in points]
     rows: list[ResultRow] = []
     index = 0
     for code in spec.codes:
         for scheme in spec.pairs:
-            evaluated = _evaluate_group(spec, code, scheme, points, analytic)
+            evaluated = _evaluate_group(spec, code, scheme, points, channels, analytic)
             for (nacf, ber), (residual, note, results) in zip(points, evaluated):
                 point_rows, index = _grid_point_rows(
                     spec, code, scheme, nacf, ber, residual, note, results, index, workers
@@ -162,7 +158,16 @@ def run_sweep(spec: SweepSpec, workers: int = 1, on_row=None) -> list[ResultRow]
     return rows
 
 
-def _evaluate_group(spec, code, scheme, points, analytic):
+def _point_channel(nacf, ber):
+    """The two-state channel of one (nacf, ber) grid point, or the
+    ValueError that says why its statistics have none."""
+    try:
+        return ibp_from_stats(ChannelSpec(ber=ber, nacf=nacf))
+    except ValueError as exc:
+        return exc
+
+
+def _evaluate_group(spec, code, scheme, points, channels, analytic):
     """(residual_corr, note, analytic results) of each (nacf, ber) point
     of one (code, pair), with the valid channels evaluated as one stack.
 
@@ -175,25 +180,23 @@ def _evaluate_group(spec, code, scheme, points, analytic):
             f"infeasible: depth*blocks*n = {scheme.packet_bits(code.n)}"
             f" != budget {spec.budget}"
         )
-    residuals, notes, channels = [], [], {}
-    for i, (nacf, ber) in enumerate(points):
-        try:
-            channel = ibp_from_stats(ChannelSpec(ber=ber, nacf=nacf))
-        except ValueError as exc:
+    residuals, notes, stack = [], [], {}
+    for i, ((nacf, _), channel) in enumerate(zip(points, channels)):
+        if isinstance(channel, ValueError):
             residuals.append(None)
-            notes.append(f"error: {exc}")
+            notes.append(f"error: {channel}")
             continue
         residuals.append(residual_correlation(nacf, scheme.depth))
         notes.append(note)
         if note is None:
-            channels[i] = channel
+            stack[i] = channel
     results = {}
-    if analytic and channels:
+    if analytic and stack:
         try:
-            stacked = evaluate_models(list(channels.values()), code, scheme, analytic)
-            results = dict(zip(channels, stacked))
+            stacked = evaluate_models(list(stack.values()), code, scheme, analytic)
+            results = dict(zip(stack, stacked))
         except Exception as exc:  # surfaced per-row, sweep keeps going
-            notes = [f"error: {exc}" if i in channels else n for i, n in enumerate(notes)]
+            notes = [f"error: {exc}" if i in stack else n for i, n in enumerate(notes)]
     return [(residuals[i], notes[i], results.get(i, {})) for i in range(len(points))]
 
 
@@ -320,18 +323,23 @@ def emit_results(rows, csv_path, report_path=None, config=None):
     identical files.
     """
     written = []
+    # one record per row, formatted once: its values are the CSV line and,
+    # with the note added, it is the row's report entry
+    records = [dict(zip(CSV_COLUMNS, row.csv_record())) for row in rows]
     with open(csv_path, "w", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
-        for row in rows:
-            writer.writerow(row.csv_record())
+        writer.writerows(record.values() for record in records)
     written.append(csv_path)
     if report_path is not None:
+        for record, row in zip(records, rows):
+            if row.note is not None:
+                record["note"] = row.note
         report = {
             "config": config if config is not None else {},
             "generator": BIT_GENERATOR,
             "meta": {"numpy": np.__version__, "version": __version__},
-            "rows": [row.as_dict() for row in rows],
+            "rows": records,
             "sampler": SAMPLER,
         }
         with open(report_path, "w") as handle:

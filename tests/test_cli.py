@@ -266,6 +266,26 @@ SMALL_GRID = ["--ber", "0.01", "--nacf", "0.5", "--code", "6,3,1", "--pair", "2,
             id="compare-config-pair-of-one-integer",
         ),
         pytest.param(
+            ["analyze", "--config", "c.json"], {"c.json": '{"codes": [[63, null, 3]]}'},
+            id="analyze-config-code-entry-null",
+        ),
+        pytest.param(
+            ["analyze", "--config", "c.json"], {"c.json": '{"packets": null}'},
+            id="analyze-config-packets-null",
+        ),
+        pytest.param(
+            ["analyze", "--config", "c.json"], {"c.json": '{"channel": 5}'},
+            id="analyze-config-channel-not-an-object",
+        ),
+        pytest.param(
+            ["compare", "--config", "c.json"], {"c.json": '{"pair": [[4, 4]]}'},
+            id="compare-config-unknown-key",
+        ),
+        pytest.param(
+            ["analyze", "--config", "c.json"], {"c.json": '{"channel": {"slot": 1e-6}}'},
+            id="analyze-config-unknown-channel-key",
+        ),
+        pytest.param(
             ["analyze", *SMALL_GRID, "--csv", "missing/o.csv"], {},
             id="analyze-csv-in-missing-directory",
         ),
@@ -287,6 +307,51 @@ def test_rejected_input_prints_one_error_line(argv, files, tmp_path, monkeypatch
     if "--report" not in argv:
         # nothing but the inputs: no default CSV or report was written
         assert sorted(path.name for path in tmp_path.iterdir()) == sorted(files)
+
+
+@pytest.mark.parametrize(
+    "config,message",
+    [
+        pytest.param(
+            {"pair": [[4, 4]]},
+            "unknown config key 'pair'; allowed: budget, channel, codes, gamma, models,"
+            " output, packets, pairs, seed, workers",
+            id="unknown-key",
+        ),
+        pytest.param(
+            {"channel": {"slot": 1e-6}}, "unknown config key 'channel.slot'; allowed: ber, nacf",
+            id="unknown-channel-key",
+        ),
+        pytest.param(
+            {"output": {"json": "r.json"}},
+            "unknown config key 'output.json'; allowed: csv, report", id="unknown-output-key",
+        ),
+        pytest.param(
+            {"codes": [[63, None, 3]]}, "each entry of codes needs 3 integers, got [63, None, 3]",
+            id="code-entry-null",
+        ),
+        pytest.param({"packets": None}, "packets must be an integer, got None", id="packets-null"),
+        pytest.param(
+            {"channel": 5}, "config key 'channel' must hold an object, got 5",
+            id="channel-not-an-object",
+        ),
+        pytest.param(
+            {"channel": {"nacf": [0.5, "high"]}}, "channel.nacf must be a number, got 'high'",
+            id="nacf-entry-not-a-number",
+        ),
+        pytest.param(
+            {"models": 5}, "models must be a list of model names, got 5", id="models-not-a-list",
+        ),
+        pytest.param(
+            {"output": {"csv": None}}, "output.csv must be a path, got None", id="csv-path-null",
+        ),
+    ],
+)
+def test_config_errors_name_the_key(config, message, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "c.json").write_text(json.dumps(config))
+    assert main(["analyze", "--config", "c.json", "--quiet"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_parser_requires_a_verb():

@@ -1,7 +1,10 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from burstfec.channel import ChannelSpec, CodeSpec, FsmcModel, SchemeSpec, ibp_from_stats
 from burstfec.dist import (
@@ -359,6 +362,29 @@ def test_stacked_evaluation_equals_per_channel_evaluation():
         evaluate_models([PERIODIC, three_state], code, scheme)
 
 
+def test_chain_stage_values_are_pinned_to_the_bit():
+    # every block and packet error (as float.hex) or error string of the
+    # default grid's 15 channels plus PERIODIC; the CSV keeps 12
+    # significant digits, so this is what pins the chain stage's arithmetic
+    stack = [
+        ibp_from_stats(ChannelSpec(ber=ber, nacf=nacf))
+        for nacf in (0.3, 0.6, 0.9)
+        for ber in (0.0001, 0.001, 0.005, 0.01, 0.02)
+    ] + [PERIODIC]
+    lines = []
+    for code in BENCHMARK_CODES:
+        for scheme in BUDGET_PAIRS:
+            for results in evaluate_models(stack, code, scheme):
+                lines += [
+                    r.error if r.error is not None
+                    else f"{r.block_error.hex()} {r.packet_error.hex()}"
+                    for r in results.values()
+                ]
+    assert len(lines) == 15 * 16 * 4
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "3f1fab6add4521d186af4d769a3942ea283500fc3758c37aa2c8eb1b705ba5e8"
+
+
 @pytest.mark.parametrize("name", ["model1", "model2", "model3"])
 def test_models_against_exhaustive_packet_reference(name):
     # small instance with an exact multi-block packet error; all three
@@ -408,3 +434,101 @@ def test_model2_comparable_to_model3_on_strong_code():
     dev2 = abs(results["model2"].packet_error - estimate.p_hat) / estimate.p_hat
     dev3 = abs(results["model3"].packet_error - estimate.p_hat) / estimate.p_hat
     assert dev2 <= dev3 + 0.15
+
+
+# ----------------------------------------------------------------------
+# property: the stacked chain stage on any finite-state channel
+# ----------------------------------------------------------------------
+
+
+@st.composite
+def channel_stacks(draw):
+    """1-4 channels with one common state count (2 or 3): random chains
+    (zeros allowed), periodic cycles, strongly switching (negatively
+    correlated) chains, and channels with ber 0 or 1."""
+    states = draw(st.integers(2, 3))
+    unit = st.floats(0.0, 1.0)
+    stack = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["random", "periodic", "switching", "ber0", "ber1"]))
+        if kind == "periodic":
+            transition = np.roll(np.eye(states), 1, axis=1)
+        elif kind == "switching":
+            stay = draw(st.floats(0.0, 0.2))
+            transition = np.full((states, states), (1.0 - stay) / (states - 1))
+            np.fill_diagonal(transition, stay)
+        else:
+            rows = [draw(st.lists(unit, min_size=states, max_size=states)) for _ in range(states)]
+            assume(all(sum(row) > 0.05 for row in rows))
+            transition = np.array([np.array(row) / sum(row) for row in rows])
+        profile = {
+            "ber0": [0.0] * states,
+            "ber1": [1.0] * states,
+        }.get(kind) or draw(st.lists(unit, min_size=states, max_size=states))
+        try:
+            stack.append(FsmcModel(transition, profile))
+        except ValueError:  # no unique stationary law
+            assume(False)
+    return stack
+
+
+def per_channel_blocks(channel, code, depth):
+    """Block error (or error message) of each chain model on one channel,
+    through the public one-channel functions."""
+    joint = make_joint(channel, code.n, depth, code.l + 1)
+    _, probs = marginal_error_distribution(channel, code.n, depth, code.l + 1)
+    error_rate = min(max(1.0 - float(probs[: code.l + 1].sum()), 0.0), 1.0)
+    calls = {
+        "model1": lambda: two_state_block_error(codeword_process_from_joint(joint, code.l), depth),
+        "model2": lambda: two_state_block_error(
+            codeword_process_from_rates(error_rate, channel.lag1_nacf()), depth
+        ),
+        "model3": lambda: model3_block_error(joint, code.l, depth),
+    }
+    blocks = {}
+    for name, call in calls.items():
+        try:
+            blocks[name] = (call(), None)
+        except ValueError as exc:
+            blocks[name] = (None, str(exc))
+    return blocks
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@example(stack=[PERIODIC, FsmcModel([[0, 1], [1, 0]], [0, 1])], n=4, l=1, depth=2, blocks=2)
+@example(
+    stack=[FsmcModel([[0.5, 0.5], [0.5, 0.5]], [0.0, 0.0]),
+           FsmcModel([[0.3, 0.7], [0.6, 0.4]], [1.0, 1.0])],
+    n=3, l=0, depth=1, blocks=3,
+)
+@given(
+    stack=channel_stacks(),
+    n=st.integers(2, 6),
+    l=st.integers(0, 2),
+    depth=st.integers(1, 4),
+    blocks=st.integers(1, 3),
+)
+def test_stacked_chain_stage_on_any_fsmc(stack, n, l, depth, blocks):
+    assume(l < n)
+    code, scheme = CodeSpec(n, 1, l), SchemeSpec(depth, blocks)
+    stacked = evaluate_models(stack, code, scheme)
+    assert len(stacked) == len(stack)
+    for channel, results in zip(stack, stacked):
+        # every model gives a probability or its own error
+        for result in results.values():
+            if result.error is None:
+                assert 0.0 <= result.block_error <= 1.0
+                assert 0.0 <= result.packet_error <= 1.0
+            else:
+                assert result.error and result.block_error is None and result.packet_error is None
+        # a stack of one, and the public one-channel functions, give the
+        # same floats and the same error strings
+        assert evaluate_models(channel, code, scheme) == results
+        for name, (block, error) in per_channel_blocks(channel, code, depth).items():
+            assert (results[name].block_error, results[name].error) == (block, error)
+        # at depth <= 2 models 1 and 3 are exact wherever they give a value
+        if depth <= 2:
+            exact = exact_block_error(channel, n, depth, l)
+            for name in ("model1", "model3"):
+                if results[name].error is None:
+                    assert results[name].block_error == pytest.approx(exact, abs=1e-12)

@@ -7,7 +7,8 @@ import pytest
 
 import burstfec
 from burstfec.channel import ChannelSpec, CodeSpec, FsmcModel, SchemeSpec, ibp_from_stats
-from burstfec.models import evaluate_models
+from burstfec.cli import DEFAULT_CONFIG, main
+from burstfec.models import ANALYTIC_MODELS, evaluate_models
 from burstfec.sweep import (
     CSV_COLUMNS,
     DepthCandidate,
@@ -204,6 +205,52 @@ def test_single_model_failure_notes_only_its_row(monkeypatch):
     for name in ("model3", "baseline"):
         assert rows[name].note is None and rows[name].p == 1.0
     assert rows["mc"].note is None and rows["mc"].p_hat is not None
+
+
+def counted(monkeypatch, module, name):
+    """Count the calls made through ``module.name``; returns the live tally."""
+    calls = []
+    original = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_default_sweep_builds_each_point_channel_once(monkeypatch):
+    built = counted(monkeypatch, burstfec.sweep, "ibp_from_stats")
+    channel = DEFAULT_CONFIG["channel"]
+    spec = SweepSpec(
+        bers=tuple(channel["ber"]), nacfs=tuple(channel["nacf"]),
+        codes=tuple(CodeSpec(*code) for code in DEFAULT_CONFIG["codes"]),
+        pairs=tuple(SchemeSpec(*pair) for pair in DEFAULT_CONFIG["pairs"]),
+        models=ANALYTIC_MODELS,
+    )
+    rows = run_sweep(spec)
+    assert len(rows) == 900 and all(row.note is None for row in rows)
+    assert len(built) == 15  # one per (nacf, ber) point, shared by the 15 (code, pair)s
+
+
+def test_back_to_back_analyze_calls_repeat_bytes_and_work(tmp_path, monkeypatch):
+    # the same work and the same bytes each time: nothing is cached across calls
+    work = [counted(monkeypatch, burstfec.sweep, "ibp_from_stats")] + [
+        counted(monkeypatch, burstfec.models, name)
+        for name in (
+            "joint_error_distribution", "sequential_joint_distribution",
+            "marginal_error_distribution",
+        )
+    ]
+    done = []
+    csv_path, report_path = tmp_path / "results.csv", tmp_path / "report.json"
+    for _ in range(2):
+        assert main(["analyze", "--quiet", "--csv", str(csv_path), "--report", str(report_path)]) == 0
+        done.append((csv_path.read_bytes(), report_path.read_bytes(), [len(c) for c in work]))
+    assert done[0][:2] == done[1][:2]
+    first, second = done[0][2], [b - a for a, b in zip(done[0][2], done[1][2])]
+    assert first == second == [15, 12, 3, 15]
 
 
 def test_spec_validation():
