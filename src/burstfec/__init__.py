@@ -37,14 +37,9 @@ from .mc import (
 from .models import (
     ANALYTIC_MODELS,
     PacketErrorResult,
-    absorbing_chain_from_joint,
     binomial_baseline,
     block_to_packet,
-    codeword_process_from_joint,
-    codeword_process_from_rates,
     evaluate_models,
-    model3_block_error,
-    two_state_block_error,
 )
 from .oracle import (
     exact_block_error,
@@ -80,11 +75,8 @@ __all__ = [
     "SchemeSpec",
     "SimConfig",
     "SweepSpec",
-    "absorbing_chain_from_joint",
     "binomial_baseline",
     "block_to_packet",
-    "codeword_process_from_joint",
-    "codeword_process_from_rates",
     "confidence_interval",
     "dar1_stream",
     "emit_results",
@@ -98,7 +90,6 @@ __all__ = [
     "joint_error_distribution",
     "marginal_consistency_check",
     "marginal_error_distribution",
-    "model3_block_error",
     "optimize_depth",
     "residual_correlation",
     "run_sweep",
@@ -107,5 +98,4 @@ __all__ = [
     "split_transition_matrix",
     "stationary_vector",
     "throughput",
-    "two_state_block_error",
 ]

@@ -196,29 +196,40 @@ def _merge_flags(config, args):
     return config
 
 
+def _as(value, kind):
+    """``value`` as an int or float (``kind``), or None where it is not a
+    JSON number of that kind: bools, strings and, for int, non-whole
+    numbers are refused rather than cast."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
+    if kind is int and isinstance(value, float) and not value.is_integer():
+        return None
+    try:
+        return kind(value)
+    except OverflowError:  # an integer beyond float range
+        return None
+
+
 def _int_entries(entries, size, key):
     """The ``key`` entries of a config, each as a tuple of ``size`` integers."""
     if not isinstance(entries, list):
         raise ValueError(f"{key} must be a list, got {entries!r}")
     converted = []
     for entry in entries:
-        if isinstance(entry, list) and len(entry) == size:
-            try:
-                converted.append(tuple(map(int, entry)))
-                continue
-            except (TypeError, ValueError):
-                pass
-        raise ValueError(f"each entry of {key} needs {size} integers, got {entry!r}")
+        values = tuple(_as(value, int) for value in entry) if isinstance(entry, list) else ()
+        if len(values) != size or None in values:
+            raise ValueError(f"each entry of {key} needs {size} integers, got {entry!r}")
+        converted.append(values)
     return converted
 
 
 def _number(value, kind, key):
     """The value of config key ``key`` as an int or float (``kind``)."""
-    try:
-        return kind(value)
-    except (TypeError, ValueError):
+    number = _as(value, kind)
+    if number is None:
         what = "an integer" if kind is int else "a number"
-        raise ValueError(f"{key} must be {what}, got {value!r}") from None
+        raise ValueError(f"{key} must be {what}, got {value!r}")
+    return number
 
 
 def _sweep_spec(config, models):
@@ -227,14 +238,14 @@ def _sweep_spec(config, models):
     for key in ("ber", "nacf"):
         values = channel[key] if isinstance(channel[key], list) else [channel[key]]
         grids[key] = tuple(_number(value, float, f"channel.{key}") for value in values)
-    budget = config.get("budget")
+    budget = config.get("budget")  # null or 0 disables the check
     return SweepSpec(
         bers=grids["ber"],
         nacfs=grids["nacf"],
         codes=tuple(CodeSpec(*code) for code in _int_entries(config["codes"], 3, "codes")),
         pairs=tuple(SchemeSpec(*pair) for pair in _int_entries(config["pairs"], 2, "pairs")),
         models=tuple(models),
-        budget=_number(budget, int, "budget") if budget else None,
+        budget=None if budget is None else _number(budget, int, "budget") or None,
         packets=_number(config["packets"], int, "packets"),
         seed=_number(config["seed"], int, "seed"),
         gamma=_number(config["gamma"], float, "gamma"),

@@ -29,7 +29,6 @@ from .channel import (
     _two_state_stationary,
 )
 from .dist import (
-    JointErrorDistribution,
     joint_error_distribution,
     marginal_error_distribution,
     sequential_joint_distribution,
@@ -46,8 +45,8 @@ ANALYTIC_MODELS = ("model1", "model2", "model3", "baseline")
 # per channel along a leading axis, and ``errors`` holds one message (or
 # None) per channel.  A channel the chain cannot represent gets the
 # message of the first check it fails and keeps computing along with the
-# rest; its numbers are never read.  The per-channel public functions are
-# stacks of one.
+# rest; its numbers are never read.  evaluate_models is the only caller:
+# one channel is a stack of one.
 
 
 def _fail(errors, rejected, message, *values):
@@ -56,11 +55,6 @@ def _fail(errors, rejected, message, *values):
     for i in rejected.nonzero()[0]:
         if errors[i] is None:
             errors[i] = message.format(*(value.item(i) for value in values))
-
-
-def _check_cap(joint: JointErrorDistribution, l: int):
-    if joint.cap != l + 1:
-        raise ValueError(f"joint computed with cap {joint.cap}, need l + 1 = {l + 1}")
 
 
 def _absorbed(start, transient, steps: int):
@@ -76,106 +70,37 @@ def _absorbed(start, transient, steps: int):
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AbsorbingChain:
-    """Codeword-reception chain with one absorbing failure state.
+def _absorbing_chains(q, l: int):
+    """The transient matrices (B x (l+1) x (l+1)) and start vectors
+    (B x (l+1)) of the absorbing count chains of a stack of joint laws
+    ``q`` (B x (l+2) x (l+2)).
 
     Transient states are the bucketed error counts 0..l of the current
-    codeword; absorption means "some codeword was undecodable".  Row
-    ``i`` of ``transient`` plus ``absorb[i]`` sums to one.
-
-    start          -- sub-distribution of the first codeword's count.
-    start_absorbed -- mass absorbed immediately (first codeword failed).
-    dead_rows      -- transient states with zero reachable mass, whose
-                      rows were replaced by certain absorption so the
-                      chain stays well defined.
-    """
-
-    transient: np.ndarray
-    absorb: np.ndarray
-    start: np.ndarray
-    start_absorbed: float
-    dead_rows: tuple[int, ...] = ()
-
-    def absorption_cdf(self, steps: int) -> float:
-        """P(absorbed within ``steps`` transitions after the first codeword)."""
-        if steps < 0:
-            raise ValueError(f"step count must be >= 0, got {steps}")
-        return _absorbed(self.start[None], self.transient[None], steps).item(0)
-
-
-def _absorbing_chains(q, l: int):
-    """The absorbing chains of a stack of joint laws ``q`` (B x (l+2) x
-    (l+2)): transient, absorb and start as stacks, the immediately
-    absorbed mass and the mask of live (reachable) transient states.
-
-    Each row of a joint is conditioned on the first codeword's count, so
-    it is normalized by its marginal mass; the first codeword itself is
-    consumed by the start vector.
+    codeword; absorption means "some codeword was undecodable".  Each row
+    of a joint is conditioned on the first codeword's count, so it is
+    normalized by its marginal mass; a count with no mass (not ``live``)
+    gets a zero row, i.e. certain absorption.  The first codeword itself
+    is consumed by the start vector.
     """
     mass = q.sum(axis=2)
     live = mass[:, : l + 1] > 0.0
     scale = np.where(live, mass[:, : l + 1], 1.0)
     transient = np.where(live[..., None], q[:, : l + 1, : l + 1] / scale[..., None], 0.0)
-    absorb = np.where(live, q[:, : l + 1, l + 1] / scale, 1.0)
-    return transient, absorb, mass[:, : l + 1], mass[:, l + 1], live
-
-
-def absorbing_chain_from_joint(joint: JointErrorDistribution, l: int) -> AbsorbingChain:
-    """Build the absorbing codeword chain from the two-codeword joint law."""
-    _check_cap(joint, l)
-    transient, absorb, start, absorbed, live = (
-        part[0] for part in _absorbing_chains(joint.q[None], l)
-    )
-    return AbsorbingChain(
-        transient=transient,
-        absorb=absorb,
-        start=start,
-        start_absorbed=float(absorbed),
-        dead_rows=tuple(np.flatnonzero(~live).tolist()),
-    )
-
-
-def model3_block_error(joint: JointErrorDistribution, l: int, depth: int) -> float:
-    """Codeblock error probability via the absorbing count chain.
-
-    The block fails unless the chain survives all ``depth`` codewords:
-    the first is consumed by the start vector, the remaining depth-1 by
-    chain transitions.
-    """
-    if depth < 1:
-        raise ValueError(f"interleaving depth must be >= 1, got {depth}")
-    return absorbing_chain_from_joint(joint, l).absorption_cdf(depth - 1)
+    return transient, mass[:, : l + 1]
 
 
 def _model3_blocks(q, l: int, depth: int, errors):
-    transient, _, start, _, _ = _absorbing_chains(q, l)
+    """Codeblock error probability of each joint law of a stack via the
+    absorbing count chain: the block fails unless the chain survives all
+    ``depth`` codewords, the first consumed by the start vector and the
+    remaining depth-1 by chain transitions."""
+    transient, start = _absorbing_chains(q, l)
     return _absorbed(start, transient, depth - 1)
 
 
 # ----------------------------------------------------------------------
 # models 1 and 2: two-state codeword chain
 # ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CodewordProcess:
-    """Two-state Markov chain over codeword outcomes (0 decoded, 1 failed).
-
-    nu00..nu11 are the stationary probabilities of consecutive outcome
-    pairs; ``degenerate`` marks an error rate of exactly 0 or 1, where
-    correlation is undefined and the chain is parameterized as i.i.d.
-    """
-
-    error_rate: float
-    nacf: float
-    alpha: float  # P(decoded -> failed)
-    beta: float  # P(failed -> decoded)
-    nu00: float
-    nu01: float
-    nu10: float
-    nu11: float
-    degenerate: bool = False
 
 
 def _chain_rates(error_rate, nacf):
@@ -188,9 +113,11 @@ def _chain_rates(error_rate, nacf):
 
 
 def _chains(error_rate, nacf, errors):
-    """(nacf, alpha, beta, degenerate) of the two-state codeword chains
-    with these error rates and lag-1 NACFs; a degenerate chain (error
-    rate exactly 0 or 1) has no correlation and is parameterized as i.i.d."""
+    """(alpha, beta) of the two-state codeword chains over outcomes (0
+    decoded, 1 failed) with these error rates and lag-1 NACFs: alpha is
+    P(decoded -> failed), beta P(failed -> decoded).  A degenerate chain
+    (error rate exactly 0 or 1) has no correlation and is parameterized
+    as i.i.d."""
     degenerate = (error_rate == 0.0) | (error_rate == 1.0)
     nacf = np.where(degenerate, 0.0, nacf)
     alpha, beta, outside = _chain_rates(error_rate, nacf)
@@ -199,11 +126,13 @@ def _chains(error_rate, nacf, errors):
         "(error_rate={!r}, nacf={!r}) is outside the two-state chain's parameter range",
         error_rate, nacf,
     )
-    return nacf, alpha, beta, degenerate
+    return alpha, beta
 
 
 def _rate_chains(error_rate, nacf, errors):
-    """_chains after the checks of codeword_process_from_rates."""
+    """_chains after range checks of the error rates and NACFs themselves:
+    the model 2 parameterization, which reuses the bit-level correlation
+    at the codeword level."""
     _fail(errors, ~((0.0 <= error_rate) & (error_rate <= 1.0)),
           "error rate must be in [0, 1], got {!r}", error_rate)
     _fail(errors, ~((-1.0 < nacf) & (nacf < 1.0)), "lag-1 NACF must be in (-1, 1), got {!r}", nacf)
@@ -221,8 +150,9 @@ def _quadrants(q, l: int):
 
 
 def _joint_chains(quadrants, errors):
-    """(error_rate, *_chains) fitted to the quadrants of joint laws, as in
-    codeword_process_from_joint."""
+    """_chains fitted to the quadrants of joint laws: the error rate is
+    a codeword's failure probability and the lag-1 NACF is the quadrant
+    covariance normalized by the binary variance."""
     nu00, nu01, nu10, nu11 = quadrants
     error_rate = np.minimum(np.maximum(nu10 + nu11, 0.0), 1.0)
     variance = error_rate - error_rate * error_rate
@@ -233,56 +163,7 @@ def _joint_chains(quadrants, errors):
         + ok * ok * nu11
     )
     nacf = covariance / np.where(variance <= 0.0, 1.0, variance)  # 0 variance is degenerate
-    return error_rate, *_chains(error_rate, nacf, errors)
-
-
-def _process(error_rate, nacf, alpha, beta, degenerate, pairs=None) -> CodewordProcess:
-    """The CodewordProcess of the one chain in stacks of one; its
-    outcome-pair probabilities are ``pairs`` where given and the chain is
-    not degenerate, else the chain's own stationary two-step law."""
-    error_rate, nacf, alpha, beta, degenerate = (
-        x.item(0) for x in (error_rate, nacf, alpha, beta, degenerate)
-    )
-    if pairs is None or degenerate:
-        ok = 1.0 - error_rate
-        pairs = (ok * (1.0 - alpha), ok * alpha, error_rate * beta, error_rate * (1.0 - beta))
-    else:
-        pairs = (pair.item(0) for pair in pairs)
-    return CodewordProcess(error_rate, nacf, alpha, beta, *pairs, degenerate=degenerate)
-
-
-def _raise_first(errors):
-    if errors[0] is not None:
-        raise ValueError(errors[0])
-
-
-def codeword_process_from_rates(error_rate: float, nacf: float) -> CodewordProcess:
-    """Codeword chain from (error rate, lag-1 NACF) directly.
-
-    The outcome-pair probabilities are the chain's own stationary
-    two-step law.  This is the model 2 parameterization, which reuses
-    the bit-level correlation at the codeword level.
-    """
-    errors = [None]
-    error_rate = np.array([error_rate], dtype=float)
-    chains = _rate_chains(error_rate, np.array([nacf], dtype=float), errors)
-    _raise_first(errors)
-    return _process(error_rate, *chains)
-
-
-def codeword_process_from_joint(joint: JointErrorDistribution, l: int) -> CodewordProcess:
-    """Parameterize the codeword chain from the two-codeword joint law.
-
-    The error rate and the outcome quadrants come straight from the
-    joint; the lag-1 NACF is the quadrant covariance normalized by the
-    binary variance.
-    """
-    _check_cap(joint, l)
-    errors = [None]
-    quadrants = _quadrants(joint.q[None], l)
-    chains = _joint_chains(quadrants, errors)
-    _raise_first(errors)
-    return _process(*chains, pairs=quadrants)
+    return _chains(error_rate, nacf, errors)
 
 
 def _two_state_blocks(alpha, beta, depth: int, errors):
@@ -296,25 +177,14 @@ def _two_state_blocks(alpha, beta, depth: int, errors):
         return _absorbed(_two_state_stationary(alpha, beta), decoded_flow, depth)
 
 
-def two_state_block_error(proc: CodewordProcess, depth: int) -> float:
-    """P(at least one of ``depth`` consecutive codewords fails) under the
-    two-state codeword chain started from stationarity."""
-    if depth < 1:
-        raise ValueError(f"interleaving depth must be >= 1, got {depth}")
-    errors = [None]
-    block = _two_state_blocks(np.array([proc.alpha]), np.array([proc.beta]), depth, errors)
-    _raise_first(errors)
-    return block.item(0)
-
-
 def _model1_blocks(q, l: int, depth: int, errors):
-    _, _, alpha, beta, _ = _joint_chains(_quadrants(q, l), errors)
+    alpha, beta = _joint_chains(_quadrants(q, l), errors)
     return _two_state_blocks(alpha, beta, depth, errors)
 
 
 def _model2_blocks(probs, nacf, l: int, depth: int, errors):
     error_rate = np.minimum(np.maximum(1.0 - probs[:, : l + 1].sum(axis=1), 0.0), 1.0)
-    _, alpha, beta, _ = _rate_chains(error_rate, nacf, errors)
+    alpha, beta = _rate_chains(error_rate, nacf, errors)
     return _two_state_blocks(alpha, beta, depth, errors)
 
 
@@ -331,11 +201,8 @@ class PacketErrorResult:
     ``error`` and no probabilities.
     """
 
-    model: str
     block_error: float | None  # P(an interleaved codeblock is lost)
     packet_error: float | None  # P(the whole packet is lost)
-    code: CodeSpec
-    scheme: SchemeSpec
     error: str | None = None
 
 
@@ -401,30 +268,29 @@ def _baseline_results(channels, code: CodeSpec, scheme: SchemeSpec):
             codeword_error = _binomial_tail_above(code.n, code.l, ber)
             block = block_to_packet(codeword_error, scheme.depth)
             packet = block_to_packet(codeword_error, scheme.codewords)
-            by_ber[ber] = PacketErrorResult("baseline", block, packet, code, scheme)
+            by_ber[ber] = PacketErrorResult(block, packet)
         except ValueError as exc:
-            by_ber[ber] = PacketErrorResult("baseline", None, None, code, scheme, error=str(exc))
+            by_ber[ber] = PacketErrorResult(None, None, error=str(exc))
     return [by_ber[ber] for ber in bers]
 
 
-def _chain_results(name, stage, *args, count: int, code: CodeSpec, scheme: SchemeSpec):
+def _chain_results(stage, *args, count: int, blocks: int):
     """One model's result for each channel of a stack, from its stacked
     chain stage; a ValueError of the whole stage is every channel's error."""
     errors = [None] * count
     try:
-        blocks = stage(*args, errors).tolist()
+        block_errors = stage(*args, errors).tolist()
     except ValueError as exc:
-        blocks, errors = [None] * count, [str(exc)] * count
+        block_errors, errors = [None] * count, [str(exc)] * count
     results = []
-    for block, error in zip(blocks, errors):
+    for block, error in zip(block_errors, errors):
         if error is None:
             try:
-                packet = block_to_packet(block, scheme.blocks)
-                results.append(PacketErrorResult(name, block, packet, code, scheme))
+                results.append(PacketErrorResult(block, block_to_packet(block, blocks)))
                 continue
             except ValueError as exc:
                 error = str(exc)
-        results.append(PacketErrorResult(name, None, None, code, scheme, error=error))
+        results.append(PacketErrorResult(None, None, error=error))
     return results
 
 
@@ -460,7 +326,7 @@ def evaluate_models(model, code: CodeSpec, scheme: SchemeSpec, which=ANALYTIC_MO
         stages["model2"] = (_model2_blocks, probs, nacf, l, depth)
     columns = {
         name: _baseline_results(channels, code, scheme) if name == "baseline"
-        else _chain_results(name, *stages[name], count=len(channels), code=code, scheme=scheme)
+        else _chain_results(*stages[name], count=len(channels), blocks=scheme.blocks)
         for name in ANALYTIC_MODELS
         if name in which
     }

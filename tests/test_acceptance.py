@@ -21,11 +21,7 @@ from burstfec.dist import (
     sequential_joint_distribution,
 )
 from burstfec.mc import SimConfig, dar1_stream, simulate_packets
-from burstfec.models import (
-    binomial_baseline,
-    evaluate_models,
-    model3_block_error,
-)
+from burstfec.models import _model3_blocks, binomial_baseline, evaluate_models
 from burstfec.oracle import (
     exact_block_error,
     exact_joint_law,
@@ -124,7 +120,12 @@ def test_criterion_2_oracle_equivalence():
                         worst_dist = max(worst_dist, float(gap))
 
                         exact = exact_block_error(fsmc, n, depth, l)
-                        predicted = model3_block_error(joint, l, depth)
+                        if 1 < n and l < n:  # a valid CodeSpec: the public entry point
+                            predicted = evaluate_models(
+                                fsmc, CodeSpec(n, 1, l), SchemeSpec(depth, 1), ("model3",)
+                            )["model3"].block_error
+                        else:
+                            predicted = _model3_blocks(joint.q[None], l, depth, [None]).item(0)
                         if exact <= zero_floor:
                             devs[nacf] = 0.0
                             assert predicted <= zero_floor, (

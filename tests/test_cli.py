@@ -331,6 +331,23 @@ def test_rejected_input_prints_one_error_line(argv, files, tmp_path, monkeypatch
             id="code-entry-null",
         ),
         pytest.param({"packets": None}, "packets must be an integer, got None", id="packets-null"),
+        pytest.param({"packets": 2.7}, "packets must be an integer, got 2.7", id="packets-fraction"),
+        pytest.param({"budget": 0.5}, "budget must be an integer, got 0.5", id="budget-fraction"),
+        pytest.param({"seed": True}, "seed must be an integer, got True", id="seed-bool"),
+        pytest.param({"workers": "2"}, "workers must be an integer, got '2'", id="workers-string"),
+        pytest.param(
+            {"codes": [[6.9, 3, 1]]}, "each entry of codes needs 3 integers, got [6.9, 3, 1]",
+            id="code-entry-fraction",
+        ),
+        pytest.param(
+            {"pairs": [[4, True]]}, "each entry of pairs needs 2 integers, got [4, True]",
+            id="pair-entry-bool",
+        ),
+        pytest.param({"gamma": True}, "gamma must be a number, got True", id="gamma-bool"),
+        pytest.param(
+            {"channel": {"nacf": ["0.5"]}}, "channel.nacf must be a number, got '0.5'",
+            id="nacf-entry-string",
+        ),
         pytest.param(
             {"channel": 5}, "config key 'channel' must hold an object, got 5",
             id="channel-not-an-object",

@@ -13,14 +13,15 @@ from burstfec.dist import (
     sequential_joint_distribution,
 )
 from burstfec.models import (
-    absorbing_chain_from_joint,
+    _absorbing_chains,
+    _joint_chains,
+    _model3_blocks,
+    _quadrants,
+    _rate_chains,
+    _two_state_blocks,
     binomial_baseline,
     block_to_packet,
-    codeword_process_from_joint,
-    codeword_process_from_rates,
     evaluate_models,
-    model3_block_error,
-    two_state_block_error,
 )
 from burstfec.oracle import exact_block_error, exact_packet_error
 
@@ -34,6 +35,37 @@ def make_joint(model, n, depth, cap):
 def codeword_error_rate(model, n, depth, l):
     _, probs = marginal_error_distribution(model, n, depth, l + 1)
     return 1.0 - float(probs[: l + 1].sum())
+
+
+def block_error(name, model, n, l, depth):
+    """One chain model's codeblock error on a valid (n, l) code."""
+    scheme = SchemeSpec(depth=depth, blocks=1)
+    return evaluate_models(model, CodeSpec(n, 1, l), scheme, (name,))[name].block_error
+
+
+def rate_chain(error_rate, nacf):
+    """alpha, beta and the error (or None) of the model-2 chain with these rates."""
+    errors = [None]
+    alpha, beta = _rate_chains(np.array([error_rate]), np.array([nacf]), errors)
+    return alpha.item(0), beta.item(0), errors[0]
+
+
+def joint_chain(joint, l):
+    """The quadrants nu00..nu11 of one joint law, and alpha and beta of
+    the model-1 chain fitted to them."""
+    errors = [None]
+    quadrants = _quadrants(joint.q[None], l)
+    alpha, beta = _joint_chains(quadrants, errors)
+    assert errors == [None]
+    return [nu.item(0) for nu in quadrants], alpha.item(0), beta.item(0)
+
+
+def two_state_block(alpha, beta, depth):
+    """P(a block of ``depth`` codewords fails) under one two-state chain."""
+    errors = [None]
+    block = _two_state_blocks(np.array([alpha]), np.array([beta]), depth, errors)
+    assert errors == [None]
+    return block.item(0)
 
 
 # ----------------------------------------------------------------------
@@ -97,37 +129,29 @@ def test_binomial_baseline_edge_rates():
 def test_absorbing_chain_rows_are_stochastic():
     model = ibp_from_stats(ChannelSpec(ber=0.1, nacf=0.6))
     joint = make_joint(model, 5, 2, 2)
-    chain = absorbing_chain_from_joint(joint, 1)
-    np.testing.assert_allclose(
-        chain.transient.sum(axis=1) + chain.absorb, 1.0, atol=1e-12
-    )
-    assert chain.start.sum() + chain.start_absorbed == pytest.approx(1.0, abs=1e-12)
-    assert chain.dead_rows == ()
+    transient, start = (part[0] for part in _absorbing_chains(joint.q[None], 1))
+    absorb = joint.q[:2, 2] / start
+    np.testing.assert_allclose(transient.sum(axis=1) + absorb, 1.0, atol=1e-12)
+    assert start.sum() + joint.q[2].sum() == pytest.approx(1.0, abs=1e-12)
+    assert (start > 0.0).all()  # every count reachable: no dead rows
 
 
 def test_absorbing_chain_flags_unreachable_counts():
-    # a zero-error channel leaves every positive count unreachable
+    # a zero-error channel leaves every positive count unreachable; those
+    # rows become certain absorption
     model = ibp_from_stats(ChannelSpec(ber=0.0, nacf=0.5))
     joint = make_joint(model, 5, 2, 3)
-    chain = absorbing_chain_from_joint(joint, 2)
-    assert chain.dead_rows == (1, 2)
-    np.testing.assert_allclose(
-        chain.transient.sum(axis=1) + chain.absorb, 1.0, atol=1e-15
-    )
-    assert model3_block_error(joint, 2, 2) == pytest.approx(0.0, abs=1e-15)
-
-
-def test_absorbing_chain_requires_matching_cap():
-    model = ibp_from_stats(ChannelSpec(ber=0.1, nacf=0.6))
-    joint = make_joint(model, 5, 2, 3)
-    with pytest.raises(ValueError):
-        absorbing_chain_from_joint(joint, 1)
+    transient, start = (part[0] for part in _absorbing_chains(joint.q[None], 2))
+    assert (start > 0.0).tolist() == [True, False, False]
+    np.testing.assert_allclose(transient.sum(axis=1), [1.0, 0.0, 0.0], atol=1e-15)
+    assert block_error("model3", model, 5, 2, 2) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_absorption_cdf_is_nondecreasing_cdf():
     model = ibp_from_stats(ChannelSpec(ber=0.2, nacf=0.8))
-    chain = absorbing_chain_from_joint(make_joint(model, 5, 2, 2), 1)
-    values = [chain.absorption_cdf(k) for k in range(12)]
+    q = make_joint(model, 5, 2, 2).q[None]
+    # depth k + 1: absorbed within k transitions after the first codeword
+    values = [_model3_blocks(q, 1, k + 1, [None]).item(0) for k in range(12)]
     assert all(0.0 <= v <= 1.0 for v in values)
     assert all(b >= a - 1e-15 for a, b in zip(values, values[1:]))
 
@@ -137,9 +161,8 @@ def test_model3_single_codeword_is_plain_tail():
     # failure probability from the marginal law
     model = ibp_from_stats(ChannelSpec(ber=0.2, nacf=0.7))
     n, l = 5, 1
-    joint = make_joint(model, n, 1, l + 1)
     expected = codeword_error_rate(model, n, 1, l)
-    assert model3_block_error(joint, l, 1) == pytest.approx(expected, abs=1e-14)
+    assert block_error("model3", model, n, l, 1) == pytest.approx(expected, abs=1e-14)
 
 
 def test_model3_two_codewords_is_joint_quadrant():
@@ -147,7 +170,7 @@ def test_model3_two_codewords_is_joint_quadrant():
     n, l = 5, 1
     joint = make_joint(model, n, 2, l + 1)
     both_ok = float(joint.q[: l + 1, : l + 1].sum())
-    assert model3_block_error(joint, l, 2) == pytest.approx(1.0 - both_ok, abs=1e-14)
+    assert block_error("model3", model, n, l, 2) == pytest.approx(1.0 - both_ok, abs=1e-14)
 
 
 @pytest.mark.parametrize("ber,nacf", [(0.05, 0.5), (0.2, 0.9), (0.5, 0.5)])
@@ -155,8 +178,7 @@ def test_model3_two_codewords_is_joint_quadrant():
 def test_model3_exact_through_depth_two(ber, nacf, n, l):
     model = ibp_from_stats(ChannelSpec(ber=ber, nacf=nacf))
     for depth in (1, 2):
-        joint = make_joint(model, n, depth, l + 1)
-        predicted = model3_block_error(joint, l, depth)
+        predicted = block_error("model3", model, n, l, depth)
         assert predicted == pytest.approx(
             exact_block_error(model, n, depth, l), abs=1e-12
         )
@@ -167,8 +189,7 @@ def test_model3_depth_three_stays_close_to_oracle():
     # approximation; on this instance it is within a few percent
     model = ibp_from_stats(ChannelSpec(ber=0.1, nacf=0.5))
     n, l, depth = 5, 1, 3
-    joint = make_joint(model, n, depth, l + 1)
-    predicted = model3_block_error(joint, l, depth)
+    predicted = block_error("model3", model, n, l, depth)
     exact = exact_block_error(model, n, depth, l)
     assert predicted == pytest.approx(exact, rel=0.10)
     assert predicted != pytest.approx(exact, rel=1e-12)
@@ -178,8 +199,7 @@ def test_model3_depth_three_stays_close_to_oracle():
 def test_model3_uncorrelated_reduces_to_independent_codewords(nacf):
     model = ibp_from_stats(ChannelSpec(ber=0.02, nacf=nacf))
     n, l, depth = 15, 1, 4
-    joint = make_joint(model, n, depth, l + 1)
-    predicted = model3_block_error(joint, l, depth)
+    predicted = block_error("model3", model, n, l, depth)
     single = codeword_error_rate(model, n, depth, l)
     independent = 1.0 - (1.0 - single) ** depth
     if nacf == 0.0:
@@ -198,81 +218,77 @@ def test_codeword_process_quadrants_from_joint():
     model = ibp_from_stats(ChannelSpec(ber=0.01, nacf=0.6))
     n, l, depth = 63, 3, 2
     joint = make_joint(model, n, depth, l + 1)
-    proc = codeword_process_from_joint(joint, l)
-    total = proc.nu00 + proc.nu01 + proc.nu10 + proc.nu11
-    assert total == pytest.approx(1.0, abs=1e-12)
-    assert proc.error_rate == pytest.approx(proc.nu10 + proc.nu11, abs=1e-14)
-    assert proc.error_rate == pytest.approx(
-        codeword_error_rate(model, n, depth, l), abs=1e-12
-    )
+    (nu00, nu01, nu10, nu11), alpha, beta = joint_chain(joint, l)
+    assert nu00 + nu01 + nu10 + nu11 == pytest.approx(1.0, abs=1e-12)
+    error_rate = nu10 + nu11
+    assert error_rate == pytest.approx(codeword_error_rate(model, n, depth, l), abs=1e-12)
+    assert 0.0 < error_rate < 1.0  # not degenerate
     # chain rates regenerate from (error_rate, nacf)
-    assert proc.alpha == pytest.approx((1 - proc.nacf) * proc.error_rate, abs=1e-15)
-    assert proc.beta == pytest.approx((1 - proc.nacf) * (1 - proc.error_rate), abs=1e-15)
-    assert not proc.degenerate
+    nacf = 1.0 - alpha - beta
+    assert alpha == pytest.approx((1 - nacf) * error_rate, abs=1e-15)
+    assert beta == pytest.approx((1 - nacf) * (1 - error_rate), abs=1e-15)
 
 
 def test_codeword_process_covariance_identity():
-    # the NACF from the quadrants must equal cov/var computed directly
+    # the chain's NACF (1 - alpha - beta) must equal cov/var of the quadrants
     model = ibp_from_stats(ChannelSpec(ber=0.1, nacf=0.5))
     joint = make_joint(model, 3, 2, 1)
-    proc = codeword_process_from_joint(joint, 0)
-    p = proc.error_rate
-    cov = proc.nu11 - p * p
-    assert proc.nacf == pytest.approx(cov / (p - p * p), abs=1e-12)
+    (_, _, nu10, nu11), alpha, beta = joint_chain(joint, 0)
+    p = nu10 + nu11
+    cov = nu11 - p * p
+    assert 1.0 - alpha - beta == pytest.approx(cov / (p - p * p), abs=1e-12)
 
 
 def test_codeword_process_uncorrelated_channel():
     model = ibp_from_stats(ChannelSpec(ber=0.05, nacf=0.0))
     joint = make_joint(model, 7, 3, 2)
-    proc = codeword_process_from_joint(joint, 1)
-    assert proc.nacf == pytest.approx(0.0, abs=1e-10)
+    _, alpha, beta = joint_chain(joint, 1)
+    assert 1.0 - alpha - beta == pytest.approx(0.0, abs=1e-10)
 
 
 def test_codeword_process_degenerate_rates():
+    # an error rate of exactly 0 or 1 gives the i.i.d. chain (nacf 0)
     model = ibp_from_stats(ChannelSpec(ber=0.0, nacf=0.6))
     joint = make_joint(model, 5, 2, 2)
-    proc = codeword_process_from_joint(joint, 1)
-    assert proc.degenerate
-    assert proc.error_rate == 0.0 and proc.nacf == 0.0
-    assert two_state_block_error(proc, 8) == 0.0
+    (_, _, nu10, nu11), alpha, beta = joint_chain(joint, 1)
+    assert nu10 + nu11 == 0.0 and (alpha, beta) == (0.0, 1.0)
+    assert two_state_block(alpha, beta, 8) == 0.0
 
-    proc = codeword_process_from_rates(1.0, 0.0)
-    assert proc.degenerate
-    assert two_state_block_error(proc, 8) == 1.0
+    alpha, beta, error = rate_chain(1.0, 0.0)
+    assert error is None and (alpha, beta) == (1.0, 0.0)
+    assert two_state_block(alpha, beta, 8) == 1.0
 
 
 def test_codeword_process_rejects_bad_rates():
-    with pytest.raises(ValueError):
-        codeword_process_from_rates(1.2, 0.0)
-    with pytest.raises(ValueError):
-        codeword_process_from_rates(0.1, 1.0)
+    assert rate_chain(1.2, 0.0)[2] == "error rate must be in [0, 1], got 1.2"
+    assert rate_chain(0.1, 1.0)[2] == "lag-1 NACF must be in (-1, 1), got 1.0"
 
 
 def test_two_state_block_error_by_hand_paths():
     # depth 2: enumerate the chain's four two-codeword paths directly
-    proc = codeword_process_from_rates(0.1, 0.5)
-    pi0, pi1 = 1.0 - proc.error_rate, proc.error_rate
+    alpha, beta, _ = rate_chain(0.1, 0.5)
+    pi0, pi1 = 1.0 - 0.1, 0.1
     paths = {
-        (0, 0): pi0 * (1.0 - proc.alpha),
-        (0, 1): pi0 * proc.alpha,
-        (1, 0): pi1 * proc.beta,
-        (1, 1): pi1 * (1.0 - proc.beta),
+        (0, 0): pi0 * (1.0 - alpha),
+        (0, 1): pi0 * alpha,
+        (1, 0): pi1 * beta,
+        (1, 1): pi1 * (1.0 - beta),
     }
     assert sum(paths.values()) == pytest.approx(1.0, abs=1e-15)
     expected = paths[(0, 1)] + paths[(1, 0)] + paths[(1, 1)]
-    assert two_state_block_error(proc, 2) == pytest.approx(expected, abs=1e-15)
+    assert two_state_block(alpha, beta, 2) == pytest.approx(expected, abs=1e-15)
 
 
 def test_two_state_block_error_depth_one_is_error_rate():
-    proc = codeword_process_from_rates(0.23, 0.6)
-    assert two_state_block_error(proc, 1) == pytest.approx(0.23, abs=1e-14)
+    alpha, beta, _ = rate_chain(0.23, 0.6)
+    assert two_state_block(alpha, beta, 1) == pytest.approx(0.23, abs=1e-14)
 
 
 def test_two_state_block_error_uncorrelated_closed_form():
-    proc = codeword_process_from_rates(0.23, 0.0)
+    alpha, beta, _ = rate_chain(0.23, 0.0)
     for depth in (1, 2, 8, 16):
         expected = 1.0 - (1.0 - 0.23) ** depth
-        assert two_state_block_error(proc, depth) == pytest.approx(expected, abs=1e-12)
+        assert two_state_block(alpha, beta, depth) == pytest.approx(expected, abs=1e-12)
 
 
 @pytest.mark.parametrize("ber,nacf", [(0.05, 0.5), (0.2, 0.9)])
@@ -280,9 +296,7 @@ def test_two_state_block_error_uncorrelated_closed_form():
 def test_model1_exact_through_depth_two(ber, nacf, n, l):
     model = ibp_from_stats(ChannelSpec(ber=ber, nacf=nacf))
     for depth in (1, 2):
-        joint = make_joint(model, n, depth, l + 1)
-        proc = codeword_process_from_joint(joint, l)
-        predicted = two_state_block_error(proc, depth)
+        predicted = block_error("model1", model, n, l, depth)
         assert predicted == pytest.approx(
             exact_block_error(model, n, depth, l), abs=1e-12
         )
@@ -472,28 +486,6 @@ def channel_stacks(draw):
     return stack
 
 
-def per_channel_blocks(channel, code, depth):
-    """Block error (or error message) of each chain model on one channel,
-    through the public one-channel functions."""
-    joint = make_joint(channel, code.n, depth, code.l + 1)
-    _, probs = marginal_error_distribution(channel, code.n, depth, code.l + 1)
-    error_rate = min(max(1.0 - float(probs[: code.l + 1].sum()), 0.0), 1.0)
-    calls = {
-        "model1": lambda: two_state_block_error(codeword_process_from_joint(joint, code.l), depth),
-        "model2": lambda: two_state_block_error(
-            codeword_process_from_rates(error_rate, channel.lag1_nacf()), depth
-        ),
-        "model3": lambda: model3_block_error(joint, code.l, depth),
-    }
-    blocks = {}
-    for name, call in calls.items():
-        try:
-            blocks[name] = (call(), None)
-        except ValueError as exc:
-            blocks[name] = (None, str(exc))
-    return blocks
-
-
 @settings(max_examples=80, deadline=None, derandomize=True)
 @example(stack=[PERIODIC, FsmcModel([[0, 1], [1, 0]], [0, 1])], n=4, l=1, depth=2, blocks=2)
 @example(
@@ -521,11 +513,8 @@ def test_stacked_chain_stage_on_any_fsmc(stack, n, l, depth, blocks):
                 assert 0.0 <= result.packet_error <= 1.0
             else:
                 assert result.error and result.block_error is None and result.packet_error is None
-        # a stack of one, and the public one-channel functions, give the
-        # same floats and the same error strings
+        # a stack of one gives the same floats and the same error strings
         assert evaluate_models(channel, code, scheme) == results
-        for name, (block, error) in per_channel_blocks(channel, code, depth).items():
-            assert (results[name].block_error, results[name].error) == (block, error)
         # at depth <= 2 models 1 and 3 are exact wherever they give a value
         if depth <= 2:
             exact = exact_block_error(channel, n, depth, l)

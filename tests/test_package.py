@@ -12,20 +12,18 @@ PUBLIC_NAMES = [
     "ANALYTIC_MODELS", "BIT_GENERATOR", "CSV_COLUMNS", "ChannelParameterError",
     "ChannelSpec", "CiEstimate", "CodeSpec", "DepthCandidate", "FsmcModel",
     "PacketErrorResult", "ResultRow", "SchemeSpec", "SimConfig", "SweepSpec",
-    "absorbing_chain_from_joint", "binomial_baseline", "block_to_packet",
-    "codeword_process_from_joint", "codeword_process_from_rates", "confidence_interval",
+    "binomial_baseline", "block_to_packet", "confidence_interval",
     "dar1_stream", "emit_results", "evaluate_models", "exact_block_error",
     "exact_joint_law", "exact_marginal_law", "exact_packet_error", "feasible_pairs",
     "ibp_from_stats", "joint_error_distribution", "marginal_consistency_check",
-    "marginal_error_distribution", "model3_block_error", "optimize_depth",
+    "marginal_error_distribution", "optimize_depth",
     "residual_correlation", "run_sweep", "sequential_joint_distribution",
     "simulate_packets", "split_transition_matrix", "stationary_vector", "throughput",
-    "two_state_block_error",
 ]
 
 
 def test_public_names_are_pinned_and_resolve():
-    assert len(PUBLIC_NAMES) == 42
+    assert len(PUBLIC_NAMES) == 37
     assert sorted(burstfec.__all__) == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         assert hasattr(burstfec, name), name
@@ -33,17 +31,24 @@ def test_public_names_are_pinned_and_resolve():
 
 def test_result_classes_stay_importable_from_their_modules():
     from burstfec.dist import CountMatrixFamily, JointErrorDistribution
-    from burstfec.models import AbsorbingChain, CodewordProcess
 
-    for cls in (CountMatrixFamily, JointErrorDistribution, AbsorbingChain, CodewordProcess):
+    for cls in (CountMatrixFamily, JointErrorDistribution):
         assert cls.__name__ not in burstfec.__all__
 
 
-@pytest.mark.parametrize("name", ["model1_packet_error", "model2_packet_error",
-                                  "model3_packet_error"])
+@pytest.mark.parametrize("name", [
+    "model1_packet_error", "model2_packet_error", "model3_packet_error",
+    "absorbing_chain_from_joint", "model3_block_error", "codeword_process_from_joint",
+    "codeword_process_from_rates", "two_state_block_error", "AbsorbingChain", "CodewordProcess",
+])
 def test_models_have_one_entry_point(name):
     assert not hasattr(burstfec, name)
     assert not hasattr(models, name)
+
+
+def test_packet_error_result_holds_only_what_callers_read():
+    fields = [field.name for field in dataclasses.fields(models.PacketErrorResult)]
+    assert fields == ["block_error", "packet_error", "error"]
 
 
 def test_deleted_options_stay_deleted():
