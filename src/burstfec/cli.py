@@ -26,12 +26,7 @@ import sys
 
 from .channel import ChannelSpec, CodeSpec, SchemeSpec, ibp_from_stats
 from .models import ANALYTIC_MODELS, evaluate_models
-from .oracle import (
-    exact_block_error,
-    exact_joint_law,
-    exact_marginal_law,
-    exact_packet_error,
-)
+from .oracle import _loss, exact_joint_law, exact_marginal_law
 from .sweep import (
     DECORRELATION_THRESHOLD,
     SweepSpec,
@@ -331,8 +326,8 @@ def _run_oracle(args):
     cap = args.l + 1
     # built before any output, so a code the models reject prints nothing
     code = CodeSpec(n=args.n, k=max(args.n - 1, 1), l=args.l) if args.n > 1 else None
-    p_block = exact_block_error(model, args.n, args.depth, args.l)
-    p_packet = exact_packet_error(model, args.n, args.depth, args.l, args.blocks)
+    # one block flow gives the block error and the packet error
+    p_block, p_packet = _loss(model, args.n, args.depth, args.l, args.blocks)
     print(f"exact count-vector recursion over {slots} slots per block")
     print(f"block error  : {p_block:.12g}")
     print(f"packet error : {p_packet:.12g}  (blocks={args.blocks})")

@@ -14,9 +14,11 @@ codeword, D**(I-2) between the bit pairs of two adjacent codewords.
 
 Each recursion takes one FsmcModel, or a sequence of them with equal
 state counts run as one stack along a leading batch axis; a sequence
-gives a list with one result per channel.  Every product multiplies a
-channel's whole bucket stack, viewed as one (counts*S) x S matrix, so a
-counted bit costs one matrix product per channel and kernel.
+gives a list with one result per channel.  The interleaved recursions
+take one depth for the whole stack or one depth per channel, so a whole
+sweep over depths is one stack.  Every product multiplies a channel's
+whole bucket stack, viewed as one (counts*S) x S matrix, so a counted
+bit costs one matrix product per channel and kernel.
 """
 
 from __future__ import annotations
@@ -79,6 +81,24 @@ def _stack(model, n: int, cap: int, counters: int):
     return channels, buckets, stacked[0], stacked[1:]
 
 
+def _powers(matrices, exponents):
+    """``matrices[i] ** exponents[i]`` over a stack, for one exponent or
+    one per matrix (from each channel's depth); one matrix_power per
+    distinct exponent, so no matrix's power depends on the rest of the
+    stack."""
+    if np.ndim(exponents) and len(exponents) != len(matrices):
+        raise ValueError(f"got {len(exponents)} depths for {len(matrices)} channels")
+    exponents = np.ravel(exponents).tolist()
+    distinct = set(exponents)
+    if len(distinct) == 1:  # no copies for a stack of one depth
+        return np.linalg.matrix_power(matrices, exponents[0])
+    powers = np.empty_like(matrices)
+    for exponent in distinct:
+        chosen = [i for i, e in enumerate(exponents) if e == exponent]
+        powers[chosen] = np.linalg.matrix_power(matrices[chosen], exponent)
+    return powers
+
+
 def _product(buckets, kernels):
     """``buckets @ kernels`` for kernels B x S x S or 2 x B x S x S, with
     each channel's bucket matrices viewed as one (counts*S) x S matrix:
@@ -110,39 +130,44 @@ def _laws(model, channels, buckets, cap):
     return results[0] if isinstance(model, FsmcModel) else results
 
 
-def marginal_error_distribution(model, n: int, depth: int, cap: int):
+def marginal_error_distribution(model, n: int, depth, cap: int):
     """Distribution of the bucketed error count in one interleaved codeword.
 
     Every counted bit except the last is followed by a marginalized gap
-    of depth-1 slots occupied by the other codewords of the block.
-    Returns the bucket family and the probability vector
+    of depth-1 slots occupied by the other codewords of the block;
+    ``depth`` is one int or one per channel of the stack.  Returns the
+    bucket family and the probability vector
     ``probs[j] = pi @ buckets[j] @ 1``.
     """
-    if depth < 1:
-        raise ValueError(f"interleaving depth must be >= 1, got {depth}")
+    if (least := np.min(depth, initial=1)) < 1:
+        raise ValueError(f"interleaving depth must be >= 1, got {least}")
     channels, buckets, transition, kernels = _stack(model, n, cap, 1)
-    gap = np.linalg.matrix_power(transition, depth - 1)
+    gap = _powers(transition, np.subtract(depth, 1))
     for step in [kernels @ gap] * (n - 1) + [kernels]:
         buckets = _count_step(buckets, step, 1)
     return _laws(model, channels, buckets, cap)
 
 
-def joint_error_distribution(model, n: int, depth: int, cap: int):
+def joint_error_distribution(model, n: int, depth, cap: int):
     """Joint law of the bucketed error counts in two adjacent codewords.
 
     The matching bits of the two codewords are transmitted back to back;
     successive bit pairs are separated by depth-2 marginalized slots, and
-    the final pair has no trailing gap.  Requires depth >= 2 -- depth 1
-    has no column pairing (see :func:`sequential_joint_distribution`).
+    the final pair has no trailing gap.  ``depth`` is one int or one per
+    channel of the stack; the gap product is skipped only when every
+    depth is 2, and is the identity for the depth-2 channels of a mixed
+    stack.  Requires depth >= 2 -- depth 1 has no column pairing (see
+    :func:`sequential_joint_distribution`).
     """
-    if depth < 2:
+    if np.min(depth, initial=2) < 2:
         raise ValueError("joint pairing needs depth >= 2; use sequential_joint_distribution")
     channels, buckets, transition, kernels = _stack(model, n, cap, 2)
-    gap = np.linalg.matrix_power(transition, depth - 2)
+    gap = _powers(transition, np.subtract(depth, 2))
+    gapped = np.max(depth, initial=2) > 2
     for i in range(n):
         buckets = _count_step(buckets, kernels, 1)
         buckets = _count_step(buckets, kernels, 2)
-        if i < n - 1 and depth > 2:
+        if i < n - 1 and gapped:
             buckets = _product(buckets, gap)
     return _laws(model, channels, buckets, cap)
 

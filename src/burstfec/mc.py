@@ -42,10 +42,15 @@ class SimConfig:
     gamma: float = 0.95
 
     def __post_init__(self):
-        if self.packets < 1:
-            raise ValueError(f"packet count must be >= 1, got {self.packets}")
-        if not 0.0 < self.gamma < 1.0:
-            raise ValueError(f"confidence level must be in (0, 1), got {self.gamma!r}")
+        _check_sampling(self.packets, self.gamma)
+
+
+def _check_sampling(packets: int, gamma: float):
+    """Refuse a packet count below 1 and a confidence level outside (0, 1)."""
+    if packets < 1:
+        raise ValueError(f"packet count must be >= 1, got {packets}")
+    if not 0.0 < gamma < 1.0:
+        raise ValueError(f"confidence level must be in (0, 1), got {gamma!r}")
 
 
 @dataclass(frozen=True)

@@ -29,6 +29,7 @@ from .channel import (
     _two_state_stationary,
 )
 from .dist import (
+    _powers,
     joint_error_distribution,
     marginal_error_distribution,
     sequential_joint_distribution,
@@ -57,11 +58,12 @@ def _fail(errors, rejected, message, *values):
             errors[i] = message.format(*(value.item(i) for value in values))
 
 
-def _absorbed(start, transient, steps: int):
-    """P(absorbed within ``steps`` transitions) of each chain of a stack:
-    one minus the mass that ``start`` (B x k) keeps in the transient
-    states ``transient`` (B x k x k), clipped to [0, 1]."""
-    flow = start[:, None, :] @ np.linalg.matrix_power(transient, steps)
+def _absorbed(start, transient, steps):
+    """P(absorbed within ``steps`` transitions, one count for the stack or
+    one per chain) of each chain of a stack: one minus the mass that
+    ``start`` (B x k) keeps in the transient states ``transient``
+    (B x k x k), clipped to [0, 1]."""
+    flow = start[:, None, :] @ _powers(transient, steps)
     return np.minimum(np.maximum(1.0 - flow[:, 0].sum(axis=1), 0.0), 1.0)
 
 
@@ -89,13 +91,14 @@ def _absorbing_chains(q, l: int):
     return transient, mass[:, : l + 1]
 
 
-def _model3_blocks(q, l: int, depth: int, errors):
+def _model3_blocks(q, l: int, depths, errors):
     """Codeblock error probability of each joint law of a stack via the
     absorbing count chain: the block fails unless the chain survives all
-    ``depth`` codewords, the first consumed by the start vector and the
-    remaining depth-1 by chain transitions."""
+    ``depths`` codewords (one depth for the stack or one per law), the
+    first consumed by the start vector and the remaining depth-1 by chain
+    transitions."""
     transient, start = _absorbing_chains(q, l)
-    return _absorbed(start, transient, depth - 1)
+    return _absorbed(start, transient, np.subtract(depths, 1))
 
 
 # ----------------------------------------------------------------------
@@ -166,26 +169,27 @@ def _joint_chains(quadrants, errors):
     return _chains(error_rate, nacf, errors)
 
 
-def _two_state_blocks(alpha, beta, depth: int, errors):
-    """P(at least one of ``depth`` consecutive codewords fails) under
-    each two-state codeword chain of a stack, started from stationarity."""
+def _two_state_blocks(alpha, beta, depths, errors):
+    """P(at least one of ``depths`` consecutive codewords fails, one depth
+    for the stack or one per chain) under each two-state codeword chain
+    of a stack, started from stationarity."""
     _fail(errors, alpha + beta <= 0.0, _TWO_ABSORBING_STATES)
     decoded_flow = np.zeros((len(alpha), 2, 2))
     decoded_flow[:, 0, 0] = 1.0 - alpha
     decoded_flow[:, 1, 0] = beta
     with np.errstate(invalid="ignore", over="ignore"):  # rejected chains only
-        return _absorbed(_two_state_stationary(alpha, beta), decoded_flow, depth)
+        return _absorbed(_two_state_stationary(alpha, beta), decoded_flow, depths)
 
 
-def _model1_blocks(q, l: int, depth: int, errors):
+def _model1_blocks(q, l: int, depths, errors):
     alpha, beta = _joint_chains(_quadrants(q, l), errors)
-    return _two_state_blocks(alpha, beta, depth, errors)
+    return _two_state_blocks(alpha, beta, depths, errors)
 
 
-def _model2_blocks(probs, nacf, l: int, depth: int, errors):
+def _model2_blocks(probs, nacf, l: int, depths, errors):
     error_rate = np.minimum(np.maximum(1.0 - probs[:, : l + 1].sum(axis=1), 0.0), 1.0)
     alpha, beta = _rate_chains(error_rate, nacf, errors)
-    return _two_state_blocks(alpha, beta, depth, errors)
+    return _two_state_blocks(alpha, beta, depths, errors)
 
 
 # ======================================================================
@@ -251,42 +255,57 @@ def binomial_baseline(ber: float, code: CodeSpec, codewords: int) -> float:
     return block_to_packet(_binomial_tail_above(code.n, code.l, ber), codewords)
 
 
-def _joint_for(model, n: int, depth: int, cap: int):
-    if depth >= 2:
-        return joint_error_distribution(model, n, depth, cap)
-    return sequential_joint_distribution(model, n, cap)
+def _joint_laws(channels, n: int, depths, cap: int):
+    """The joint law q of each channel of a stack: the depth-1 channels
+    from one sequential recursion, all others from one joint recursion."""
+    q = np.empty((len(channels), cap + 1, cap + 1))
+    sequential = [i for i, depth in enumerate(depths) if depth == 1]
+    paired = [i for i, depth in enumerate(depths) if depth != 1]
+    if sequential:
+        laws = sequential_joint_distribution([channels[i] for i in sequential], n, cap)
+        q[sequential] = [joint.q for joint in laws]
+    if paired:
+        laws = joint_error_distribution(
+            [channels[i] for i in paired], n, [depths[i] for i in paired], cap
+        )
+        q[paired] = [joint.q for joint in laws]
+    return q
 
 
-def _baseline_results(channels, code: CodeSpec, scheme: SchemeSpec):
-    """The baseline result of each channel, worked out once per distinct ber."""
-    bers = [channel.ber for channel in channels]
-    by_ber = {}
-    for ber in bers:
-        if ber in by_ber:
+def _baseline_results(channels, code: CodeSpec, schemes):
+    """The baseline result of each channel, worked out once per distinct
+    (ber, depth, codewords)."""
+    keys = [(c.ber, s.depth, s.codewords) for c, s in zip(channels, schemes)]
+    memo = {}
+    for key in keys:
+        if key in memo:
             continue
+        ber, depth, codewords = key
         try:
             codeword_error = _binomial_tail_above(code.n, code.l, ber)
-            block = block_to_packet(codeword_error, scheme.depth)
-            packet = block_to_packet(codeword_error, scheme.codewords)
-            by_ber[ber] = PacketErrorResult(block, packet)
+            block = block_to_packet(codeword_error, depth)
+            packet = block_to_packet(codeword_error, codewords)
+            memo[key] = PacketErrorResult(block, packet)
         except ValueError as exc:
-            by_ber[ber] = PacketErrorResult(None, None, error=str(exc))
-    return [by_ber[ber] for ber in bers]
+            memo[key] = PacketErrorResult(None, None, error=str(exc))
+    return [memo[key] for key in keys]
 
 
-def _chain_results(stage, *args, count: int, blocks: int):
+def _chain_results(stage, *args, blocks):
     """One model's result for each channel of a stack, from its stacked
-    chain stage; a ValueError of the whole stage is every channel's error."""
+    chain stage and each channel's block count; a ValueError of the whole
+    stage is every channel's error."""
+    count = len(blocks)
     errors = [None] * count
     try:
         block_errors = stage(*args, errors).tolist()
     except ValueError as exc:
         block_errors, errors = [None] * count, [str(exc)] * count
     results = []
-    for block, error in zip(block_errors, errors):
+    for block, error, packet_blocks in zip(block_errors, errors, blocks):
         if error is None:
             try:
-                results.append(PacketErrorResult(block, block_to_packet(block, blocks)))
+                results.append(PacketErrorResult(block, block_to_packet(block, packet_blocks)))
                 continue
             except ValueError as exc:
                 error = str(exc)
@@ -294,13 +313,15 @@ def _chain_results(stage, *args, count: int, blocks: int):
     return results
 
 
-def evaluate_models(model, code: CodeSpec, scheme: SchemeSpec, which=ANALYTIC_MODELS):
+def evaluate_models(model, code: CodeSpec, scheme, which=ANALYTIC_MODELS):
     """Evaluate the requested analytic models on one configuration.
 
     ``model`` is one FsmcModel, giving one dict of results by model name,
     or a sequence of them with equal state counts, giving a list of such
     dicts: the count recursions and each model's chain stage then run
-    once over the whole stack.
+    once over the whole stack.  ``scheme`` is one SchemeSpec, or for a
+    stack one per channel, so a sweep over depths is one stack too; a
+    channel's results do not depend on the rest of its stack.
 
     Models 1 and 3 consume the identical joint distribution object, so
     any disagreement between them isolates their second-stage
@@ -313,20 +334,25 @@ def evaluate_models(model, code: CodeSpec, scheme: SchemeSpec, which=ANALYTIC_MO
     if unknown:
         raise ValueError(f"unknown models: {sorted(unknown)}")
     channels = [model] if isinstance(model, FsmcModel) else list(model)
-    cap, l, depth = code.l + 1, code.l, scheme.depth
+    schemes = [scheme] * len(channels) if isinstance(scheme, SchemeSpec) else list(scheme)
+    if len(schemes) != len(channels):
+        raise ValueError(f"got {len(schemes)} schemes for {len(channels)} channels")
+    cap, l = code.l + 1, code.l
+    depths = [s.depth for s in schemes]
     stages = {}
     if "model1" in which or "model3" in which:
-        q = np.array([joint.q for joint in _joint_for(channels, code.n, depth, cap)])
-        stages["model1"] = (_model1_blocks, q, l, depth)
-        stages["model3"] = (_model3_blocks, q, l, depth)
+        q = _joint_laws(channels, code.n, depths, cap)
+        stages["model1"] = (_model1_blocks, q, l, depths)
+        stages["model3"] = (_model3_blocks, q, l, depths)
     if "model2" in which:
-        laws = marginal_error_distribution(channels, code.n, depth, cap)
+        laws = marginal_error_distribution(channels, code.n, depths, cap)
         probs = np.array([law for _, law in laws])
         nacf = np.array([channel.lag1_nacf() for channel in channels])
-        stages["model2"] = (_model2_blocks, probs, nacf, l, depth)
+        stages["model2"] = (_model2_blocks, probs, nacf, l, depths)
+    blocks = [s.blocks for s in schemes]
     columns = {
-        name: _baseline_results(channels, code, scheme) if name == "baseline"
-        else _chain_results(*stages[name], count=len(channels), blocks=scheme.blocks)
+        name: _baseline_results(channels, code, schemes) if name == "baseline"
+        else _chain_results(*stages[name], blocks=blocks)
         for name in ANALYTIC_MODELS
         if name in which
     }

@@ -94,8 +94,9 @@ def exact_marginal_law(model: FsmcModel, n: int, depth: int, cap: int) -> np.nda
     return np.einsum("s,tsj->j", model.pi, flow)
 
 
-def _loss(model: FsmcModel, n: int, depth: int, l: int, blocks: int) -> float:
-    """P(some block among ``blocks`` consecutive ones fails to decode).
+def _loss(model: FsmcModel, n: int, depth: int, l: int, blocks: int):
+    """P(the first block fails to decode) and P(some block among ``blocks``
+    consecutive ones fails), from one block flow.
 
     The block flow tracks every codeword and drops the paths past l, whose
     probability is summed as they go, not taken as 1 - (decodable mass), so
@@ -106,18 +107,18 @@ def _loss(model: FsmcModel, n: int, depth: int, l: int, blocks: int) -> float:
         raise ValueError("need n >= 1, depth >= 1, l >= 0, blocks >= 1")
     flow, failed = _count_flow(model, _codeword_of_slot(n, depth, n * depth), depth, l, True)
     flow_ok = flow.reshape(model.states, model.states, -1).sum(axis=2).T
-    reach, loss = model.pi, 0.0
+    reach, losses = model.pi, [0.0]
     for _ in range(blocks):
-        loss += float(reach @ failed)
+        losses.append(losses[-1] + float(reach @ failed))
         reach = reach @ flow_ok
-    return min(loss, 1.0)
+    return min(losses[1], 1.0), min(losses[-1], 1.0)
 
 
 def exact_block_error(model: FsmcModel, n: int, depth: int, l: int) -> float:
     """P(any codeword of one interleaved block exceeds l errors), exactly."""
-    return _loss(model, n, depth, l, 1)
+    return _loss(model, n, depth, l, 1)[0]
 
 
 def exact_packet_error(model: FsmcModel, n: int, depth: int, l: int, blocks: int) -> float:
     """Exact loss probability of ``blocks`` consecutive interleaved blocks."""
-    return _loss(model, n, depth, l, blocks)
+    return _loss(model, n, depth, l, blocks)[1]

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from .channel import ChannelSpec, CodeSpec, SchemeSpec, ibp_from_stats
-from .mc import BIT_GENERATOR, SAMPLER, SimConfig, simulate_packets
+from .mc import BIT_GENERATOR, SAMPLER, SimConfig, _check_sampling, simulate_packets
 from .models import ANALYTIC_MODELS, evaluate_models
 
 MODEL_NAMES = ANALYTIC_MODELS + ("mc",)
@@ -54,6 +54,7 @@ class SweepSpec:
         unknown = set(self.models) - set(MODEL_NAMES)
         if unknown:
             raise ValueError(f"unknown models: {sorted(unknown)}")
+        _check_sampling(self.packets, self.gamma)  # before any row, not on every mc row
 
     @property
     def rows(self) -> int:
@@ -132,7 +133,8 @@ def run_sweep(spec: SweepSpec, workers: int = 1, on_row=None) -> list[ResultRow]
 
     Rows come out in a fixed nested order (code, pair, nacf, ber, model).
     Each grid point's channel is built once and shared by every (code,
-    pair), whose channels go through the analytic models as one stack.
+    pair); the channels of all feasible pairs of a code go through the
+    analytic models as one stack, with one scheme per channel.
     When both analytic models and "mc" are requested,
     analytic rows get ``rel_err`` against the Monte Carlo estimate of the
     same grid point.  Infeasible or failing grid points, and single
@@ -145,9 +147,9 @@ def run_sweep(spec: SweepSpec, workers: int = 1, on_row=None) -> list[ResultRow]
     rows: list[ResultRow] = []
     index = 0
     for code in spec.codes:
-        for scheme in spec.pairs:
-            evaluated = _evaluate_group(spec, code, scheme, points, channels, analytic)
-            for (nacf, ber), (residual, note, results) in zip(points, evaluated):
+        evaluated = _evaluate_code(spec, code, points, channels, analytic)
+        for scheme, group in zip(spec.pairs, evaluated):
+            for (nacf, ber), (residual, note, results) in zip(points, group):
                 point_rows, index = _grid_point_rows(
                     spec, code, scheme, nacf, ber, residual, note, results, index, workers
                 )
@@ -167,37 +169,43 @@ def _point_channel(nacf, ber):
         return exc
 
 
-def _evaluate_group(spec, code, scheme, points, channels, analytic):
-    """(residual_corr, note, analytic results) of each (nacf, ber) point
-    of one (code, pair), with the valid channels evaluated as one stack.
+def _evaluate_code(spec, code, points, channels, analytic):
+    """For each pair, the (residual_corr, note, analytic results) of each
+    (nacf, ber) point of one code, with the valid channels of every
+    feasible pair evaluated as one stack.
 
     An infeasible pair notes every point; a point whose statistics no
     channel can represent is an error with no residual correlation.
     """
-    note = None
-    if spec.budget is not None and scheme.packet_bits(code.n) != spec.budget:
-        note = (
-            f"infeasible: depth*blocks*n = {scheme.packet_bits(code.n)}"
-            f" != budget {spec.budget}"
-        )
-    residuals, notes, stack = [], [], {}
-    for i, ((nacf, _), channel) in enumerate(zip(points, channels)):
-        if isinstance(channel, ValueError):
-            residuals.append(None)
-            notes.append(f"error: {channel}")
-            continue
-        residuals.append(residual_correlation(nacf, scheme.depth))
-        notes.append(note)
-        if note is None:
-            stack[i] = channel
+    entries, stack = [], {}  # stack: (pair, point) -> (channel, scheme)
+    for p, scheme in enumerate(spec.pairs):
+        note = None
+        if spec.budget is not None and scheme.packet_bits(code.n) != spec.budget:
+            note = (
+                f"infeasible: depth*blocks*n = {scheme.packet_bits(code.n)}"
+                f" != budget {spec.budget}"
+            )
+        group = []
+        for i, ((nacf, _), channel) in enumerate(zip(points, channels)):
+            if isinstance(channel, ValueError):
+                group.append([None, f"error: {channel}"])
+                continue
+            group.append([residual_correlation(nacf, scheme.depth), note])
+            if note is None:
+                stack[p, i] = (channel, scheme)
+        entries.append(group)
     results = {}
     if analytic and stack:
+        stacked, schemes = zip(*stack.values())
         try:
-            stacked = evaluate_models(list(stack.values()), code, scheme, analytic)
-            results = dict(zip(stack, stacked))
+            results = dict(zip(stack, evaluate_models(stacked, code, schemes, analytic)))
         except Exception as exc:  # surfaced per-row, sweep keeps going
-            notes = [f"error: {exc}" if i in stack else n for i, n in enumerate(notes)]
-    return [(residuals[i], notes[i], results.get(i, {})) for i in range(len(points))]
+            for p, i in stack:
+                entries[p][i][1] = f"error: {exc}"
+    return [
+        [(residual, note, results.get((p, i), {})) for i, (residual, note) in enumerate(group)]
+        for p, group in enumerate(entries)
+    ]
 
 
 def _grid_point_rows(spec, code, scheme, nacf, ber, residual, note, results, index, workers):
@@ -290,9 +298,10 @@ def optimize_depth(
     if not pairs:
         raise ValueError(f"no feasible (depth, blocks) pair: budget {budget}, n {code.n}")
     fsmc = ibp_from_stats(channel)
+    evaluated = evaluate_models([fsmc] * len(pairs), code, pairs, which=(model,))
     candidates = []
-    for scheme in pairs:
-        result = evaluate_models(fsmc, code, scheme, which=(model,))[model]
+    for scheme, results in zip(pairs, evaluated):
+        result = results[model]
         if result.error is not None:
             raise ValueError(result.error)
         residual = residual_correlation(channel.nacf, scheme.depth)
@@ -343,7 +352,40 @@ def emit_results(rows, csv_path, report_path=None, config=None):
             "sampler": SAMPLER,
         }
         with open(report_path, "w") as handle:
-            json.dump(report, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+            _write_report(handle, report)
         written.append(report_path)
     return written
+
+
+# the start of each row record line in the report: indent, key, separator
+_FIELD_LEADS = {
+    name: f"\n      {json.encoder.encode_basestring_ascii(name)}: "
+    for name in CSV_COLUMNS + ("note",)
+}
+
+
+def _write_report(handle, report):
+    """The bytes of ``json.dump(report, handle, indent=2, sort_keys=True)``
+    and a newline, with the "rows" streamed one record at a time.
+
+    The indented ``json.dump`` encodes in pure Python.  A row record maps
+    CSV column names and "note" to strings, so here each value goes
+    through the C encoder ``json.dump`` itself uses (``ensure_ascii``),
+    after its key's line start, encoded once.  The rest of the report goes
+    through ``json.dumps``, indented one level deeper.
+    """
+    encode = json.encoder.encode_basestring_ascii
+    handle.write("{")
+    for i, key in enumerate(sorted(report)):
+        handle.write(("," if i else "") + "\n  " + encode(key) + ": ")
+        if key == "rows" and report[key]:
+            handle.write("[")
+            for j, record in enumerate(report[key]):
+                fields = ",".join(
+                    [_FIELD_LEADS[name] + encode(value) for name, value in sorted(record.items())]
+                )
+                handle.write(("," if j else "") + "\n    {" + fields + "\n    }")
+            handle.write("\n  ]")
+        else:
+            handle.write(json.dumps(report[key], indent=2, sort_keys=True).replace("\n", "\n  "))
+    handle.write("\n}\n")

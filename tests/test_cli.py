@@ -223,6 +223,28 @@ def test_oracle_verb_runs_at_paper_scale(capsys):
     )
 
 
+def test_oracle_verb_runs_the_block_flow_once(monkeypatch, capsys):
+    flows = []  # the drop flag of each count flow: True for a block flow
+    original = burstfec.oracle._count_flow
+
+    def counting(model, owner, counters, cap, drop):
+        flows.append(drop)
+        return original(model, owner, counters, cap, drop)
+
+    monkeypatch.setattr(burstfec.oracle, "_count_flow", counting)
+    assert main([
+        "oracle", "--n", "5", "--l", "1", "--depth", "3",
+        "--blocks", "3", "--ber", "0.05", "--nacf", "0.7",
+    ]) == 0
+    assert flows.count(True) == 1
+    lines = capsys.readouterr().out.splitlines()
+    monkeypatch.undo()
+    model = ibp_from_stats(ChannelSpec(ber=0.05, nacf=0.7))
+    # the same bits as the two public calls, each of which runs its own flow
+    assert f"block error  : {exact_block_error(model, 5, 3, 1):.12g}" in lines
+    assert f"packet error : {exact_packet_error(model, 5, 3, 1, 3):.12g}  (blocks=3)" in lines
+
+
 SMALL_GRID = ["--ber", "0.01", "--nacf", "0.5", "--code", "6,3,1", "--pair", "2,2",
               "--budget", "0", "--packets", "200", "--quiet"]
 
@@ -293,6 +315,13 @@ SMALL_GRID = ["--ber", "0.01", "--nacf", "0.5", "--code", "6,3,1", "--pair", "2,
             ["simulate", *SMALL_GRID, "--report", "missing/o.json"], {},
             id="simulate-report-in-missing-directory",
         ),
+        # a sampling setting out of range is refused before any row, not on every mc row
+        pytest.param(
+            ["simulate", "--config", "c.json"], {"c.json": '{"gamma": 1e999}'},
+            id="simulate-config-gamma-overflow",
+        ),
+        pytest.param(["simulate", *SMALL_GRID, "--gamma", "1.5"], {}, id="simulate-gamma-flag"),
+        pytest.param(["compare", *SMALL_GRID, "--packets", "0"], {}, id="compare-packets-flag"),
     ],
 )
 def test_rejected_input_prints_one_error_line(argv, files, tmp_path, monkeypatch, capsys):
@@ -344,6 +373,14 @@ def test_rejected_input_prints_one_error_line(argv, files, tmp_path, monkeypatch
             id="pair-entry-bool",
         ),
         pytest.param({"gamma": True}, "gamma must be a number, got True", id="gamma-bool"),
+        pytest.param(
+            {"gamma": 1.5}, "confidence level must be in (0, 1), got 1.5", id="gamma-above-one",
+        ),
+        pytest.param(
+            {"gamma": 1e999}, "confidence level must be in (0, 1), got inf", id="gamma-infinite",
+        ),
+        pytest.param({"gamma": 0}, "confidence level must be in (0, 1), got 0.0", id="gamma-zero"),
+        pytest.param({"packets": 0}, "packet count must be >= 1, got 0", id="packets-zero"),
         pytest.param(
             {"channel": {"nacf": ["0.5"]}}, "channel.nacf must be a number, got '0.5'",
             id="nacf-entry-string",

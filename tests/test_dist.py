@@ -369,6 +369,42 @@ def test_stacked_laws_equal_per_channel_laws(stack, n, depth, cap):
         assert np.array_equal(joint.q, looped_q)
 
 
+@pytest.mark.parametrize("states", [2, 3])
+@pytest.mark.parametrize("n,cap", [(1, 2), (5, 0), (9, 4), (12, 6)])
+def test_mixed_depth_stack_equals_per_depth_calls(states, n, cap):
+    # one depth per channel: each channel gets its own gap power, and a
+    # depth-2 channel of a joint stack with deeper ones is multiplied by an
+    # identity gap, which must leave its buckets bit for bit as they were
+    rng = np.random.default_rng(100 * states + n)
+    stack = [random_fsmc(int(seed), states) for seed in rng.integers(0, 10**6, 7)]
+    for recursion, depths in [
+        (marginal_error_distribution, [1, 3, 1, 8, 2, 5, 3]),
+        (joint_error_distribution, [2, 3, 2, 8, 4, 2, 5]),
+    ]:
+        mixed = recursion(stack, n, depths, cap)
+        for depth in set(depths):
+            chosen = [i for i, d in enumerate(depths) if d == depth]
+            alone = recursion([stack[i] for i in chosen], n, depth, cap)
+            for i, result in zip(chosen, alone):
+                if recursion is marginal_error_distribution:
+                    (family, probs), (alone_family, alone_probs) = mixed[i], result
+                else:
+                    family, probs = mixed[i].family, mixed[i].q
+                    alone_family, alone_probs = result.family, result.q
+                assert np.array_equal(family.buckets, alone_family.buckets)
+                assert np.array_equal(probs, alone_probs)
+
+
+def test_depths_must_match_the_stack():
+    stack = STACKS["three-state"]
+    with pytest.raises(ValueError, match="got 2 depths for 5 channels"):
+        marginal_error_distribution(stack, 4, [1, 2], 2)
+    with pytest.raises(ValueError, match="depth must be >= 1, got 0"):
+        marginal_error_distribution(stack, 4, [1, 0, 2, 2, 2], 2)
+    with pytest.raises(ValueError, match="needs depth >= 2"):
+        joint_error_distribution(stack, 4, [2, 2, 1, 3, 3], 2)
+
+
 def test_single_channel_call_returns_one_result():
     model = STACKS["one-channel"][0]
     family, probs = marginal_error_distribution(model, 5, 3, 2)

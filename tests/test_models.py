@@ -374,6 +374,8 @@ def test_stacked_evaluation_equals_per_channel_evaluation():
     three_state = FsmcModel(np.full((3, 3), 1 / 3), [0.0, 0.5, 1.0])
     with pytest.raises(ValueError, match="common state count"):
         evaluate_models([PERIODIC, three_state], code, scheme)
+    with pytest.raises(ValueError, match="got 2 schemes for 5 channels"):
+        evaluate_models(stack, code, [scheme, scheme])
 
 
 def test_chain_stage_values_are_pinned_to_the_bit():
@@ -486,26 +488,41 @@ def channel_stacks(draw):
     return stack
 
 
+SCHEMES = st.builds(SchemeSpec, depth=st.integers(1, 4), blocks=st.integers(1, 3))
+
+
 @settings(max_examples=80, deadline=None, derandomize=True)
-@example(stack=[PERIODIC, FsmcModel([[0, 1], [1, 0]], [0, 1])], n=4, l=1, depth=2, blocks=2)
+@example(
+    stack=[PERIODIC, FsmcModel([[0, 1], [1, 0]], [0, 1])], n=4, l=1,
+    schemes=[SchemeSpec(2, 2)] * 4,
+)
 @example(
     stack=[FsmcModel([[0.5, 0.5], [0.5, 0.5]], [0.0, 0.0]),
            FsmcModel([[0.3, 0.7], [0.6, 0.4]], [1.0, 1.0])],
-    n=3, l=0, depth=1, blocks=3,
+    n=3, l=0, schemes=[SchemeSpec(1, 3)] * 4,
+)
+@example(  # models 1 and 2 fail on the periodic chain at depths 2, 4 and 8
+    stack=[PERIODIC] * 4, n=63, l=3,
+    schemes=[SchemeSpec(1, 16), SchemeSpec(2, 8), SchemeSpec(4, 4), SchemeSpec(8, 2)],
 )
 @given(
     stack=channel_stacks(),
     n=st.integers(2, 6),
     l=st.integers(0, 2),
-    depth=st.integers(1, 4),
-    blocks=st.integers(1, 3),
+    schemes=st.lists(SCHEMES, min_size=4, max_size=4),
 )
-def test_stacked_chain_stage_on_any_fsmc(stack, n, l, depth, blocks):
+def test_stacked_chain_stage_on_any_fsmc(stack, n, l, schemes):
     assume(l < n)
-    code, scheme = CodeSpec(n, 1, l), SchemeSpec(depth, blocks)
-    stacked = evaluate_models(stack, code, scheme)
+    code, schemes = CodeSpec(n, 1, l), schemes[: len(stack)]
+    stacked = evaluate_models(stack, code, schemes)
     assert len(stacked) == len(stack)
-    for channel, results in zip(stack, stacked):
+    # a stack of the channels sharing one scheme gives the same floats and
+    # the same error strings as the mixed-scheme stack
+    for scheme in set(schemes):
+        chosen = [i for i, s in enumerate(schemes) if s == scheme]
+        alike = evaluate_models([stack[i] for i in chosen], code, scheme)
+        assert alike == [stacked[i] for i in chosen]
+    for channel, scheme, results in zip(stack, schemes, stacked):
         # every model gives a probability or its own error
         for result in results.values():
             if result.error is None:
@@ -516,8 +533,8 @@ def test_stacked_chain_stage_on_any_fsmc(stack, n, l, depth, blocks):
         # a stack of one gives the same floats and the same error strings
         assert evaluate_models(channel, code, scheme) == results
         # at depth <= 2 models 1 and 3 are exact wherever they give a value
-        if depth <= 2:
-            exact = exact_block_error(channel, n, depth, l)
+        if scheme.depth <= 2:
+            exact = exact_block_error(channel, n, scheme.depth, l)
             for name in ("model1", "model3"):
                 if results[name].error is None:
                     assert results[name].block_error == pytest.approx(exact, abs=1e-12)

@@ -1,4 +1,5 @@
 import csv
+import io
 import itertools
 import json
 
@@ -8,7 +9,7 @@ import pytest
 import burstfec
 from burstfec.channel import ChannelSpec, CodeSpec, FsmcModel, SchemeSpec, ibp_from_stats
 from burstfec.cli import DEFAULT_CONFIG, main
-from burstfec.models import ANALYTIC_MODELS, evaluate_models
+from burstfec.models import ANALYTIC_MODELS, PacketErrorResult, evaluate_models
 from burstfec.sweep import (
     CSV_COLUMNS,
     DepthCandidate,
@@ -250,7 +251,8 @@ def test_back_to_back_analyze_calls_repeat_bytes_and_work(tmp_path, monkeypatch)
         done.append((csv_path.read_bytes(), report_path.read_bytes(), [len(c) for c in work]))
     assert done[0][:2] == done[1][:2]
     first, second = done[0][2], [b - a for a, b in zip(done[0][2], done[1][2])]
-    assert first == second == [15, 12, 3, 15]
+    # one point channel per (nacf, ber); one recursion of each kind per code
+    assert first == second == [15, 3, 3, 3]
 
 
 def test_spec_validation():
@@ -339,6 +341,23 @@ def test_optimizer_rejections():
         optimize_depth(1000, CODE_63_57, ChannelSpec(ber=0.01, nacf=0.5))
 
 
+def test_optimizer_raises_the_first_failing_pairs_error(monkeypatch):
+    # every pair is evaluated in one stack; of two failing pairs, the one
+    # that comes first in pair order names the error
+    original = burstfec.sweep.evaluate_models
+
+    def failing(stack, code, schemes, which):
+        results = original(stack, code, schemes, which)
+        for scheme, result in zip(schemes, results):
+            if scheme.depth in (8, 4):
+                result[which[0]] = PacketErrorResult(None, None, f"fails at I={scheme.depth}")
+        return results
+
+    monkeypatch.setattr(burstfec.sweep, "evaluate_models", failing)
+    with pytest.raises(ValueError, match="^fails at I=4$"):
+        optimize_depth(1008, CODE_63_57, ChannelSpec(ber=0.01, nacf=0.5), model="model2")
+
+
 # ----------------------------------------------------------------------
 # emission
 # ----------------------------------------------------------------------
@@ -398,6 +417,46 @@ def test_report_embeds_config_and_notes(tmp_path):
     assert report["rows"][0]["p"] == "0.125"
     assert "note" not in report["rows"][0]
     assert report["rows"][1]["note"].startswith("infeasible:")
+
+
+REPORT_NOTES = [
+    'quote " and backslash \\ in a note',
+    "two\nlines, a tab\t and a carriage return\r",
+    "non-ASCII: \u03c1 \u2265 0.9, \u65e5\u672c, \U0001f600",
+    "control characters \x00\x1f",
+    None,
+]
+
+
+@pytest.mark.parametrize(
+    "notes,config",
+    [
+        ([], None),
+        ([None], {"gamma": 0.95}),
+        (
+            REPORT_NOTES,
+            {**DEFAULT_CONFIG, "gamma": float("inf"), "output": {"csv": 'a "b" \\ \u00fc'}},
+        ),
+    ],
+    ids=["no-rows", "one-row", "awkward-notes"],
+)
+def test_streamed_report_equals_json_dump(notes, config, tmp_path):
+    rows = [
+        ResultRow(
+            model="model2", ber=0.01 * (i + 1), nacf=0.5, code=SMALL_CODE,
+            scheme=SchemeSpec(depth=2, blocks=2), p=1 / (i + 3), note=note,
+        )
+        for i, note in enumerate(notes)
+    ]
+    report_path = tmp_path / "r.json"
+    emit_results(rows, tmp_path / "r.csv", report_path, config=config)
+    text = report_path.read_bytes().decode("ascii")
+    report = json.loads(text)
+    assert [row.get("note") for row in report["rows"]] == notes
+    assert report["config"] == (config if config is not None else {})
+    expected = io.StringIO()
+    json.dump(report, expected, indent=2, sort_keys=True)
+    assert text == expected.getvalue() + "\n"
 
 
 def test_csv_uses_twelve_significant_digits(tmp_path):
