@@ -184,6 +184,14 @@ def _two_state_stationary(up, down):
     return pi / np.asarray(up + down)[..., None]
 
 
+def _two_state_rates(error_rate, nacf):
+    """The rates alpha = (1-nacf)*error_rate (error-free to error state)
+    and beta = (1-nacf)*(1-error_rate) (back) of the two-state chain with
+    this stationary error rate and lag-1 NACF; array inputs give arrays."""
+    scale = 1.0 - nacf
+    return scale * error_rate, scale * (1.0 - error_rate)
+
+
 def stationary_vector(transition):
     """Stationary row vector: pi @ transition = pi, entries sum to 1.
 
@@ -230,7 +238,6 @@ def ibp_from_stats(spec: ChannelSpec) -> FsmcModel:
     construction the stationary error probability equals ``ber`` and the
     lag-1 autocorrelation of the error indicator equals ``nacf``.
     """
-    alpha = (1.0 - spec.nacf) * spec.ber
-    beta = (1.0 - spec.nacf) * (1.0 - spec.ber)
+    alpha, beta = _two_state_rates(spec.ber, spec.nacf)
     transition = np.array([[1.0 - alpha, alpha], [beta, 1.0 - beta]])
     return FsmcModel(transition, np.array([0.0, 1.0]))

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelSpec, CodeSpec, SchemeSpec
+from .channel import ChannelSpec, CodeSpec, SchemeSpec, _two_state_rates
 
 BIT_GENERATOR = "philox"  # pinned counter-based generator, echoed in reports
 SAMPLER = "sojourn"  # error-stream construction, echoed in reports next to the generator
@@ -53,6 +53,12 @@ def _check_sampling(packets: int, gamma: float):
         raise ValueError(f"confidence level must be in (0, 1), got {gamma!r}")
 
 
+def _check_workers(workers: int):
+    """Refuse a worker count below 1."""
+    if workers < 1:
+        raise ValueError(f"worker count must be >= 1, got {workers}")
+
+
 @dataclass(frozen=True)
 class CiEstimate:
     """Loss-rate estimate with its two-sided normal confidence interval.
@@ -79,10 +85,7 @@ def confidence_interval(p_hat: float, packets: int, gamma: float):
     """
     if not 0.0 <= p_hat <= 1.0:
         raise ValueError(f"estimate must be in [0, 1], got {p_hat!r}")
-    if packets < 1:
-        raise ValueError(f"packet count must be >= 1, got {packets}")
-    if not 0.0 < gamma < 1.0:
-        raise ValueError(f"confidence level must be in (0, 1), got {gamma!r}")
+    _check_sampling(packets, gamma)
     quantile = statistics.NormalDist().inv_cdf((1.0 + gamma) / 2.0)
     half = quantile * math.sqrt(p_hat * (1.0 - p_hat) / packets)
     return max(0.0, p_hat - half), min(1.0, p_hat + half)
@@ -111,8 +114,7 @@ def _error_runs(rng, rows, bits, ber, nacf):
         return empty, empty, empty
     if ber == 1.0:
         return np.arange(rows), np.zeros(rows, dtype=np.int64), np.full(rows, bits)
-    alpha = (1.0 - nacf) * ber
-    beta = (1.0 - nacf) * (1.0 - ber)
+    alpha, beta = _two_state_rates(ber, nacf)
     mean_pair = 1.0 / alpha + 1.0 / beta
 
     row = np.arange(rows)
@@ -176,8 +178,7 @@ def simulate_packets(cfg: SimConfig, workers: int = 1) -> CiEstimate:
     deinterleaved error count exceeds code.l, and the packet is lost
     when any of its codewords fails.
     """
-    if workers < 1:
-        raise ValueError(f"worker count must be >= 1, got {workers}")
+    _check_workers(workers)
     code, scheme = cfg.code, cfg.scheme
     bits = scheme.packet_bits(code.n)
     block_bits = code.n * scheme.depth

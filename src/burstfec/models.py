@@ -26,6 +26,7 @@ from .channel import (
     CodeSpec,
     FsmcModel,
     SchemeSpec,
+    _two_state_rates,
     _two_state_stationary,
 )
 from .dist import (
@@ -106,15 +107,6 @@ def _model3_blocks(q, l: int, depths, errors):
 # ----------------------------------------------------------------------
 
 
-def _chain_rates(error_rate, nacf):
-    """The chains' rates alpha and beta, and where they leave [0, 1]."""
-    scale = 1.0 - nacf
-    alpha = scale * error_rate
-    beta = scale * (1.0 - error_rate)
-    outside = ~((np.minimum(alpha, beta) >= 0.0) & (np.maximum(alpha, beta) <= 1.0))  # NaN too
-    return alpha, beta, outside
-
-
 def _chains(error_rate, nacf, errors):
     """(alpha, beta) of the two-state codeword chains over outcomes (0
     decoded, 1 failed) with these error rates and lag-1 NACFs: alpha is
@@ -123,7 +115,8 @@ def _chains(error_rate, nacf, errors):
     as i.i.d."""
     degenerate = (error_rate == 0.0) | (error_rate == 1.0)
     nacf = np.where(degenerate, 0.0, nacf)
-    alpha, beta, outside = _chain_rates(error_rate, nacf)
+    alpha, beta = _two_state_rates(error_rate, nacf)
+    outside = ~((np.minimum(alpha, beta) >= 0.0) & (np.maximum(alpha, beta) <= 1.0))  # NaN too
     _fail(
         errors, outside,
         "(error_rate={!r}, nacf={!r}) is outside the two-state chain's parameter range",

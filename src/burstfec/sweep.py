@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from .channel import ChannelSpec, CodeSpec, SchemeSpec, ibp_from_stats
-from .mc import BIT_GENERATOR, SAMPLER, SimConfig, _check_sampling, simulate_packets
+from .mc import BIT_GENERATOR, SAMPLER, SimConfig, _check_sampling, _check_workers, simulate_packets
 from .models import ANALYTIC_MODELS, evaluate_models
 
 MODEL_NAMES = ANALYTIC_MODELS + ("mc",)
@@ -131,32 +131,29 @@ def _row_seed(root: int, index: int) -> int:
 def run_sweep(spec: SweepSpec, workers: int = 1, on_row=None) -> list[ResultRow]:
     """Evaluate the full grid, one row per (grid point, model).
 
-    Rows come out in a fixed nested order (code, pair, nacf, ber, model).
-    Each grid point's channel is built once and shared by every (code,
-    pair); the channels of all feasible pairs of a code go through the
-    analytic models as one stack, with one scheme per channel.
+    Rows come out in a fixed nested order (code, pair, nacf, ber, model),
+    and each code's grid is one flat list of (pair, nacf, ber, channel)
+    entries in that order.  Each grid point's channel is built once and
+    shared by every (code, pair); the feasible entries of a code go
+    through the analytic models as one stack, with one scheme per channel.
     When both analytic models and "mc" are requested,
     analytic rows get ``rel_err`` against the Monte Carlo estimate of the
     same grid point.  Infeasible or failing grid points, and single
     failing models, are reported on their rows instead of aborting the
     sweep.
     """
+    _check_workers(workers)  # before any row, not on every mc row
     analytic = tuple(m for m in spec.models if m != "mc")
-    points = [(nacf, ber) for nacf in spec.nacfs for ber in spec.bers]
-    channels = [_point_channel(nacf, ber) for nacf, ber in points]
+    points = [(nacf, ber, _point_channel(nacf, ber)) for nacf in spec.nacfs for ber in spec.bers]
     rows: list[ResultRow] = []
-    index = 0
     for code in spec.codes:
-        evaluated = _evaluate_code(spec, code, points, channels, analytic)
-        for scheme, group in zip(spec.pairs, evaluated):
-            for (nacf, ber), (residual, note, results) in zip(points, group):
-                point_rows, index = _grid_point_rows(
-                    spec, code, scheme, nacf, ber, residual, note, results, index, workers
-                )
-                rows.extend(point_rows)
-                if on_row is not None:
-                    for row in point_rows:
-                        on_row(row)
+        grid = [(scheme, *point) for scheme in spec.pairs for point in points]
+        for entry, record in zip(grid, _evaluate_code(spec, code, grid, analytic)):
+            point_rows = _grid_point_rows(spec, code, entry, record, len(rows), workers)
+            rows.extend(point_rows)
+            if on_row is not None:
+                for row in point_rows:
+                    on_row(row)
     return rows
 
 
@@ -169,49 +166,46 @@ def _point_channel(nacf, ber):
         return exc
 
 
-def _evaluate_code(spec, code, points, channels, analytic):
-    """For each pair, the (residual_corr, note, analytic results) of each
-    (nacf, ber) point of one code, with the valid channels of every
-    feasible pair evaluated as one stack.
+def _evaluate_code(spec, code, grid, analytic):
+    """One (note, analytic results) record per (pair, nacf, ber, channel)
+    entry of one code's grid; the entries without a note are evaluated as
+    one stack.
 
-    An infeasible pair notes every point; a point whose statistics no
-    channel can represent is an error with no residual correlation.
+    A point whose statistics no channel can represent, a pair that does
+    not fill the budget and, when the stack fails, every stacked entry
+    get a note and no results.
     """
-    entries, stack = [], {}  # stack: (pair, point) -> (channel, scheme)
-    for p, scheme in enumerate(spec.pairs):
-        note = None
-        if spec.budget is not None and scheme.packet_bits(code.n) != spec.budget:
-            note = (
-                f"infeasible: depth*blocks*n = {scheme.packet_bits(code.n)}"
-                f" != budget {spec.budget}"
-            )
-        group = []
-        for i, ((nacf, _), channel) in enumerate(zip(points, channels)):
-            if isinstance(channel, ValueError):
-                group.append([None, f"error: {channel}"])
-                continue
-            group.append([residual_correlation(nacf, scheme.depth), note])
-            if note is None:
-                stack[p, i] = (channel, scheme)
-        entries.append(group)
-    results = {}
-    if analytic and stack:
-        stacked, schemes = zip(*stack.values())
+    records = []
+    for scheme, _, _, channel in grid:
+        bits = scheme.packet_bits(code.n)
+        if isinstance(channel, ValueError):
+            note = f"error: {channel}"
+        elif spec.budget is not None and bits != spec.budget:
+            note = f"infeasible: depth*blocks*n = {bits} != budget {spec.budget}"
+        else:
+            note = None
+        records.append((note, {}))
+    live = [i for i, (note, _) in enumerate(records) if note is None]
+    if analytic and live:
+        schemes, channels = zip(*[(grid[i][0], grid[i][3]) for i in live])
         try:
-            results = dict(zip(stack, evaluate_models(stacked, code, schemes, analytic)))
+            for i, results in zip(live, evaluate_models(channels, code, schemes, analytic)):
+                records[i] = (None, results)
         except Exception as exc:  # surfaced per-row, sweep keeps going
-            for p, i in stack:
-                entries[p][i][1] = f"error: {exc}"
-    return [
-        [(residual, note, results.get((p, i), {})) for i, (residual, note) in enumerate(group)]
-        for p, group in enumerate(entries)
-    ]
+            for i in live:
+                records[i] = (f"error: {exc}", {})
+    return records
 
 
-def _grid_point_rows(spec, code, scheme, nacf, ber, residual, note, results, index, workers):
+def _grid_point_rows(spec, code, entry, record, first, workers):
+    """The rows of one grid entry with its (note, results) record, one per
+    model; ``first`` is the sweep's index of its first row."""
+    scheme, nacf, ber, channel = entry
+    note, results = record
+    residual = None if isinstance(channel, ValueError) else residual_correlation(nacf, scheme.depth)
     rows = []
     estimate = None
-    for model in spec.models:
+    for index, model in enumerate(spec.models, start=first):
         row = ResultRow(
             model=model, ber=ber, nacf=nacf, code=code, scheme=scheme,
             residual_corr=residual, note=note,
@@ -239,13 +233,12 @@ def _grid_point_rows(spec, code, scheme, nacf, ber, residual, note, results, ind
             row.p = results[model].packet_error
             row.throughput = throughput(code, scheme, row.p)
         rows.append(row)
-        index += 1
 
     if estimate is not None and estimate.p_hat > 0.0:
         for row in rows:
             if row.p is not None:
                 row.rel_err = (row.p - estimate.p_hat) / estimate.p_hat
-    return rows, index
+    return rows
 
 
 # ======================================================================

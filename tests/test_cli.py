@@ -199,7 +199,7 @@ def test_oracle_verb_prints_a_failing_model_as_its_error(monkeypatch, capsys):
     def reject(error_rate, nacf):
         raise ValueError("synthetic chain failure")
 
-    monkeypatch.setattr("burstfec.models._chain_rates", reject)
+    monkeypatch.setattr("burstfec.models._two_state_rates", reject)
     assert main([
         "oracle", "--n", "4", "--l", "1", "--depth", "2",
         "--blocks", "2", "--ber", "0.1", "--nacf", "0.6",
@@ -322,6 +322,8 @@ SMALL_GRID = ["--ber", "0.01", "--nacf", "0.5", "--code", "6,3,1", "--pair", "2,
         ),
         pytest.param(["simulate", *SMALL_GRID, "--gamma", "1.5"], {}, id="simulate-gamma-flag"),
         pytest.param(["compare", *SMALL_GRID, "--packets", "0"], {}, id="compare-packets-flag"),
+        pytest.param(["simulate", *SMALL_GRID, "--workers", "0"], {}, id="simulate-workers-flag"),
+        pytest.param(["compare", *SMALL_GRID, "--workers", "-3"], {}, id="compare-workers-flag"),
     ],
 )
 def test_rejected_input_prints_one_error_line(argv, files, tmp_path, monkeypatch, capsys):
@@ -381,6 +383,7 @@ def test_rejected_input_prints_one_error_line(argv, files, tmp_path, monkeypatch
         ),
         pytest.param({"gamma": 0}, "confidence level must be in (0, 1), got 0.0", id="gamma-zero"),
         pytest.param({"packets": 0}, "packet count must be >= 1, got 0", id="packets-zero"),
+        pytest.param({"workers": 0}, "worker count must be >= 1, got 0", id="workers-zero"),
         pytest.param(
             {"channel": {"nacf": ["0.5"]}}, "channel.nacf must be a number, got '0.5'",
             id="nacf-entry-string",

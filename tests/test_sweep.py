@@ -9,12 +9,14 @@ import pytest
 import burstfec
 from burstfec.channel import ChannelSpec, CodeSpec, FsmcModel, SchemeSpec, ibp_from_stats
 from burstfec.cli import DEFAULT_CONFIG, main
+from burstfec.mc import SimConfig, simulate_packets
 from burstfec.models import ANALYTIC_MODELS, PacketErrorResult, evaluate_models
 from burstfec.sweep import (
     CSV_COLUMNS,
     DepthCandidate,
     ResultRow,
     SweepSpec,
+    _row_seed,
     emit_results,
     feasible_pairs,
     optimize_depth,
@@ -123,6 +125,27 @@ def test_mc_row_seeds_differ_between_rows_and_reproduce():
     ]
     reseeded = run_sweep(small_spec(models=("mc",), seed=4))
     assert [r.seed for r in reseeded] != seeds
+
+
+def test_mc_seeds_follow_the_row_index_across_skipped_points_and_codes():
+    # the p_E = 1.5 point and the off-budget pair (3, 3) hold rows without
+    # seeds, and the second code's rows go on from the first code's index
+    spec = SweepSpec(
+        bers=(0.01, 1.5, 0.05), nacfs=(0.5,),
+        codes=(CodeSpec(6, 3, 1), CodeSpec(6, 2, 2)),
+        pairs=(SchemeSpec(2, 4), SchemeSpec(3, 3), SchemeSpec(8, 1)),
+        models=("model3", "mc", "baseline"), budget=48, packets=500, seed=11,
+    )
+    rows = run_sweep(spec)
+    seeded = [(i, row) for i, row in enumerate(rows) if row.seed is not None]
+    assert len(seeded) == 8  # 2 codes x 2 feasible pairs x 2 valid points
+    for i, row in seeded:
+        assert row.model == "mc" and row.seed == _row_seed(spec.seed, i)
+        estimate = simulate_packets(SimConfig(
+            channel=ChannelSpec(ber=row.ber, nacf=row.nacf), code=row.code,
+            scheme=row.scheme, packets=spec.packets, seed=row.seed, gamma=spec.gamma,
+        ))
+        assert (row.p_hat, row.ci_lo, row.ci_hi) == (estimate.p_hat, estimate.lo, estimate.hi)
 
 
 def test_budget_mismatch_marks_row_infeasible():
