@@ -9,9 +9,19 @@ beta = (1 - nacf) * (1 - ber), starting from the stationary law.  Only
 the bad runs are expanded into error slots, so the work and memory of a
 batch grow with its error count, not with its bit count.
 
+A batch of packets draws one stream, as long as all its packets end to
+end, and cuts it into packets.  Each packet draws its own stationary
+start state; where that differs from the stream's state at the packet's
+first slot, the packet opens with a fresh geometric run of its own state
+and then reads the stream, shifted by that run.  Given the stream's
+state at a cut, its future is independent of its past, and a two-state
+chain that leaves its start state enters the other one; so every packet
+is the chain from its own stationary start, independent of the packets
+before it, exactly as if each had its own stream.
+
 Packets are simulated in fixed-size batches whose RNG streams derive
 from (seed, batch index) only, so estimates are bit-for-bit reproducible
-for any worker count.
+for any worker count.  Confidence intervals are Wilson score intervals.
 """
 
 from __future__ import annotations
@@ -26,8 +36,9 @@ import numpy as np
 from .channel import ChannelSpec, CodeSpec, SchemeSpec, _two_state_rates
 
 BIT_GENERATOR = "philox"  # pinned counter-based generator, echoed in reports
-SAMPLER = "sojourn"  # error-stream construction, echoed in reports next to the generator
+SAMPLER = "sojourn-cut"  # error-stream construction, echoed in reports next to the generator
 _BATCH_PACKETS = 1024  # RNG partition size; independent of the worker count
+_COUNT_BINS = 2**20  # codeword counts held at once, so long packets stay bounded
 
 
 @dataclass(frozen=True)
@@ -61,10 +72,10 @@ def _check_workers(workers: int):
 
 @dataclass(frozen=True)
 class CiEstimate:
-    """Loss-rate estimate with its two-sided normal confidence interval.
+    """Loss-rate estimate with its two-sided Wilson confidence interval.
 
-    ``degenerate`` flags estimates of exactly 0 or 1, where the normal
-    interval collapses and says nothing useful.
+    ``degenerate`` flags estimates of exactly 0 or 1, where the estimate
+    itself says little and only the interval's far bound informs.
     """
 
     p_hat: float
@@ -77,18 +88,26 @@ class CiEstimate:
 
 
 def confidence_interval(p_hat: float, packets: int, gamma: float):
-    """Two-sided normal interval around a proportion estimate.
+    """Two-sided Wilson score interval around a proportion estimate.
 
-    Half width is t * sqrt(p_hat * (1 - p_hat) / packets) with t the
-    standard normal quantile at (1 + gamma) / 2; bounds are clamped to
-    [0, 1].
+    With t the standard normal quantile at (1 + gamma) / 2 and N the
+    packet count, the bounds are
+    (p_hat + t²/2N -+ t * sqrt(p_hat * (1 - p_hat) / N + t²/4N²)) / (1 + t²/N),
+    clamped to [0, 1].  Unlike the normal interval it keeps a width at
+    an estimate of 0 or 1 and covers close to gamma at a few losses.
     """
     if not 0.0 <= p_hat <= 1.0:
         raise ValueError(f"estimate must be in [0, 1], got {p_hat!r}")
     _check_sampling(packets, gamma)
     quantile = statistics.NormalDist().inv_cdf((1.0 + gamma) / 2.0)
-    half = quantile * math.sqrt(p_hat * (1.0 - p_hat) / packets)
-    return max(0.0, p_hat - half), min(1.0, p_hat + half)
+    spread = quantile * quantile / packets
+    centre = p_hat + spread / 2.0
+    half = quantile * math.sqrt(p_hat * (1.0 - p_hat) / packets + spread / packets / 4.0)
+    # at an estimate of 0 or 1 the near bound is that end exactly; the
+    # formula would leave a rounding residue there
+    lo = (centre - half) / (1.0 + spread) if p_hat > 0.0 else 0.0
+    hi = (centre + half) / (1.0 + spread) if p_hat < 1.0 else 1.0
+    return max(0.0, lo), min(1.0, hi)
 
 
 def _batch_rng(seed: int, index: int) -> np.random.Generator:
@@ -96,62 +115,82 @@ def _batch_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key))
 
 
-def _error_runs(rng, rows, bits, ber, nacf):
-    """Bad runs of ``rows`` independent channel streams of ``bits`` slots.
+def _error_runs(rng, slots, ber, alpha, beta):
+    """Bad runs of one stationary channel stream of ``slots`` slots.
 
-    Returns (row, begin, stop) arrays: stream ``row`` errs in slots
-    begin..stop-1, with stop clipped to ``bits``.  The first slot draws
-    its state from the stationary law, and by memorylessness the rest of
-    the opening run is geometric like any other.  Run lengths are drawn
-    in (bad, good) pairs, per round the mean pair count still to cover
-    plus three times its square root; only streams that have not yet
-    reached ``bits`` draw another round.  Lengths are clipped to
-    ``bits``, which changes nothing inside the window and keeps numpy's
+    Returns (begin, stop) arrays in stream order: the stream errs in
+    slots begin..stop-1, with stop clipped to ``slots``.  The first slot
+    draws its state from the stationary law, and by memorylessness the
+    rest of the opening run is geometric like any other.  Run lengths
+    are drawn in (bad, good) pairs, per round the mean pair count still
+    to cover plus three times its square root.  Lengths are clipped to
+    ``slots``, which changes nothing inside the window and keeps numpy's
     saturated draws at tiny rates from overflowing the running sums.
     """
-    empty = np.zeros(0, dtype=np.int64)
-    if ber == 0.0:
-        return empty, empty, empty
-    if ber == 1.0:
-        return np.arange(rows), np.zeros(rows, dtype=np.int64), np.full(rows, bits)
-    alpha, beta = _two_state_rates(ber, nacf)
+    # slot where the stream's next bad run begins
+    begin = 0 if rng.random() < ber else min(int(rng.geometric(alpha)), slots)
     mean_pair = 1.0 / alpha + 1.0 / beta
-
-    row = np.arange(rows)
-    # slot where each stream's next bad run begins
-    begin = np.where(
-        rng.random(rows) < ber, 0, np.minimum(rng.geometric(alpha, rows), bits)
-    )
-    runs = [(empty, empty, empty)]
-    while True:
-        live = begin < bits
-        row, begin = row[live], begin[live]
-        if not row.size:
-            break
-        expected = (bits - int(begin.min())) / mean_pair
+    runs = [(np.zeros(0, dtype=np.int64),) * 2]
+    while begin < slots:
+        expected = (slots - begin) / mean_pair
         pairs = int(expected + 3.0 * math.sqrt(expected)) + 1
-        bad = np.minimum(rng.geometric(beta, (row.size, pairs)), bits)
-        good = np.minimum(rng.geometric(alpha, (row.size, pairs)), bits)
-        ends = begin[:, np.newaxis] + np.cumsum(bad + good, axis=1)
+        bad = np.minimum(rng.geometric(beta, pairs), slots)
+        good = np.minimum(rng.geometric(alpha, pairs), slots)
+        ends = begin + np.cumsum(bad + good)
         stop = ends - good
         starts = stop - bad
-        hit = starts < bits
-        runs.append((
-            np.broadcast_to(row[:, np.newaxis], hit.shape)[hit],
-            starts[hit],
-            np.minimum(stop[hit], bits),
-        ))
-        begin = ends[:, -1]
+        inside = int(np.searchsorted(starts, slots))  # starts only grow
+        runs.append((starts[:inside], np.minimum(stop[:inside], slots)))
+        begin = int(ends[-1])
     return tuple(np.concatenate(parts) for parts in zip(*runs))
 
 
+def _expand(first, length):
+    """Every slot first..first+length-1 of each run, run after run."""
+    shift = np.repeat(first - (np.cumsum(length) - length), length)
+    return np.arange(shift.size) + shift
+
+
 def _error_slots(rng, rows, bits, ber, nacf):
-    """(row, slot) of every bit error in ``rows`` streams of ``bits`` slots."""
-    row, begin, stop = _error_runs(rng, rows, bits, ber, nacf)
-    length = stop - begin
-    # slot = position within the flattened runs + that run's begin - its offset
-    shift = np.repeat(begin - (np.cumsum(length) - length), length)
-    return np.repeat(row, length), np.arange(int(length.sum())) + shift
+    """(row, slot) of every bit error in ``rows`` packets of ``bits`` slots.
+
+    The packets are cut from one stationary stream of rows * bits
+    slots: packet r reads the stream from slot r * bits on.  It first
+    draws its own stationary start state; where that differs from the
+    stream's state at r * bits, the packet opens with a fresh geometric
+    run of its own state and then reads the stream, shifted by that
+    run's length, dropping what the shift pushes past ``bits``.  Given
+    the stream's state at r * bits, its future is independent of its
+    past, and in a two-state chain a run of the other state followed by
+    the stream is the chain started in that other state.  So each packet
+    is the chain from its own fresh stationary start, whatever came
+    before it, and the packets are independent and identically
+    distributed.
+    """
+    if ber == 0.0:
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    if ber == 1.0:
+        return divmod(np.arange(rows * bits), bits)
+    alpha, beta = _two_state_rates(ber, nacf)
+    begin, stop = _error_runs(rng, rows * bits, ber, alpha, beta)
+    first = np.arange(rows) * bits
+    # the stream is bad at a packet's first slot when the first run to
+    # stop after it has begun by then (the appended begin is never reached)
+    covering = np.searchsorted(stop, first, side="right")
+    stream_bad = np.append(begin, rows * bits)[covering] <= first
+    own_bad = rng.random(rows) < ber
+    flip = np.flatnonzero(own_bad != stream_bad)
+    shift = np.zeros(rows, dtype=np.int64)
+    shift[flip] = np.minimum(rng.geometric(np.where(own_bad[flip], beta, alpha)), bits)
+
+    row, slot = divmod(_expand(begin, stop - begin), bits)
+    slot += shift[row]
+    kept = slot < bits
+    opening = flip[own_bad[flip]]  # packets that open with their own bad run
+    return (
+        np.concatenate((np.repeat(opening, shift[opening]), row[kept])),
+        np.concatenate((_expand(np.zeros_like(opening), shift[opening]), slot[kept])),
+    )
 
 
 def dar1_stream(channel: ChannelSpec, length: int, seed: int) -> np.ndarray:
@@ -174,7 +213,8 @@ def simulate_packets(cfg: SimConfig, workers: int = 1) -> CiEstimate:
     """Estimate the packet loss probability by direct simulation.
 
     Each packet is one continuous channel stream (fresh stationary
-    start) of blocks * depth * n bits; a codeword fails when its
+    start) of blocks * depth * n bits, cut from its batch's stream as
+    ``_error_slots`` describes; a codeword fails when its
     deinterleaved error count exceeds code.l, and the packet is lost
     when any of its codewords fails.
     """
@@ -194,10 +234,22 @@ def simulate_packets(cfg: SimConfig, workers: int = 1) -> CiEstimate:
         row, slot = _error_slots(rng, count, bits, cfg.channel.ber, cfg.channel.nacf)
         # column-wise interleaving: slot u of a block carries its codeword u % depth
         codeword = slot // block_bits * scheme.depth + slot % scheme.depth
-        counts = np.bincount(
-            row * scheme.codewords + codeword, minlength=count * scheme.codewords
-        )
-        return int(np.count_nonzero((counts.reshape(count, -1) > code.l).any(axis=1)))
+        key = row * scheme.codewords + codeword
+        # one count per codeword, at most _COUNT_BINS of them at a time
+        step = max(1, _COUNT_BINS // scheme.codewords)
+        if count > step:
+            key = np.sort(key)  # so each chunk of rows is one slice
+        losses = 0
+        for first in range(0, count, step):
+            rows = min(step, count - first)
+            part = key
+            if rows < count:
+                low = first * scheme.codewords
+                bounds = np.searchsorted(key, (low, low + rows * scheme.codewords))
+                part = key[slice(*bounds)] - low
+            counts = np.bincount(part, minlength=rows * scheme.codewords)
+            losses += int(np.count_nonzero((counts.reshape(rows, -1) > code.l).any(axis=1)))
+        return losses
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:

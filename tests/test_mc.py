@@ -1,12 +1,17 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from burstfec.channel import ChannelSpec, CodeSpec, SchemeSpec, ibp_from_stats
 from burstfec.mc import (
     CiEstimate,
     SimConfig,
+    _batch_rng,
+    _error_slots,
     confidence_interval,
     dar1_stream,
     simulate_packets,
@@ -14,6 +19,7 @@ from burstfec.mc import (
 from reference_stats import lag1_autocorr, stat_standard_errors
 
 STREAM_BITS = 1_000_000
+Z95 = 1.9599639845400545  # standard normal quantile at 0.975
 
 
 def mean_se(ber, nacf, count):
@@ -97,7 +103,9 @@ def test_simulation_error_free_channel():
     estimate = simulate_packets(small_config(channel=ChannelSpec(ber=0.0, nacf=0.5)))
     assert estimate.p_hat == 0.0
     assert estimate.losses == 0
-    assert (estimate.lo, estimate.hi) == (0.0, 0.0)
+    # Wilson's interval keeps its upper bound t^2 / (N + t^2) at no loss
+    assert estimate.lo == 0.0
+    assert estimate.hi == pytest.approx(Z95**2 / (5_000 + Z95**2), rel=1e-12)
     assert estimate.degenerate
 
 
@@ -190,6 +198,103 @@ def test_first_slot_follows_the_stationary_law():
     assert np.unique(row * bits + slot).size == slot.size
 
 
+@pytest.mark.parametrize("bits", [5, 32])
+@pytest.mark.parametrize("nacf", [0.9, 0.99])
+def test_packets_cut_from_one_stream_are_independent(bits, nacf):
+    # a batch's packets are cut from one stream; packet r + 1 must not
+    # carry on from the end of packet r, and every slot keeps the law p_E
+    ber, rows = 0.05, 200_000
+    row, slot = _error_slots(_batch_rng(53, 0), rows, bits, ber, nacf)
+    errors = np.zeros((rows, bits), dtype=bool)
+    errors[row, slot] = True
+    se = math.sqrt(ber * (1 - ber) / rows)
+    freq = errors.mean(axis=0)
+    assert np.all(np.abs(freq - ber) <= 4 * se), freq
+    last, first = errors[:-1, -1], errors[1:, 0]
+    corr = np.corrcoef(last, first)[0, 1]
+    assert abs(corr) <= 4 / math.sqrt(rows - 1)
+
+
+@pytest.mark.parametrize(
+    "ber,nacf,code,depth,blocks,seed",
+    [
+        # packets of 36 and 45 bits whose runs outlast them
+        (0.01, 0.99, (6, 5, 0), 2, 3, 35),
+        (0.1, 0.95, (5, 3, 1), 3, 3, 36),
+    ],
+)
+def test_simulation_matches_exact_where_runs_cross_packets(ber, nacf, code, depth, blocks, seed):
+    assert_matches_exact(ber, nacf, code, depth, blocks, seed)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    rows=st.integers(1, 12),
+    bits=st.integers(1, 40),
+    ber=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(1e-6, 1 - 1e-6)),
+    nacf=st.floats(0.0, 0.999),
+    seed=st.integers(0, 2**32),
+)
+def test_error_slots_stay_in_their_packets(rows, bits, ber, nacf, seed):
+    row, slot = _error_slots(_batch_rng(seed, 0), rows, bits, ber, nacf)
+    assert row.size == slot.size
+    if row.size:
+        assert 0 <= row.min() and row.max() < rows
+        assert 0 <= slot.min() and slot.max() < bits
+    assert np.unique(row * bits + slot).size == slot.size
+    if ber in (0.0, 1.0):
+        assert slot.size == ber * rows * bits
+    # one packet is the dense stream of the same seed
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    _, alone = _error_slots(rng, 1, bits, ber, nacf)
+    stream = dar1_stream(ChannelSpec(ber=ber, nacf=nacf), bits, seed)
+    np.testing.assert_array_equal(np.sort(alone), np.flatnonzero(stream))
+
+
+@pytest.mark.parametrize(
+    "ber,nacf",
+    [(1e-300, 0.999999), (0.999999, 0.999999), (0.5, 0.0), (1.0, 0.5), (0.0, 0.3)],
+)
+@pytest.mark.parametrize("scheme", [SchemeSpec(depth=1, blocks=1), SchemeSpec(depth=4, blocks=8)])
+def test_simulation_is_warning_free_at_extreme_channels(ber, nacf, scheme):
+    cfg = SimConfig(
+        channel=ChannelSpec(ber=ber, nacf=nacf),
+        code=CodeSpec(3, 1, 1),
+        scheme=scheme,
+        packets=2_100,
+        seed=57,
+    )
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        estimate = simulate_packets(cfg)
+    assert 0 <= estimate.losses <= cfg.packets
+    assert 0.0 <= estimate.lo <= estimate.p_hat <= estimate.hi <= 1.0
+
+
+def test_full_batch_of_long_packets_counts_in_bounded_chunks():
+    # 1024 packets of 10**6 bits: 10**4 codewords each, so one count per
+    # codeword of the whole batch would need about 80 MB of bins
+    import tracemalloc
+
+    cfg = SimConfig(
+        channel=ChannelSpec(ber=1e-4, nacf=0.5),
+        code=CodeSpec(100, 80, 5),
+        scheme=SchemeSpec(depth=10, blocks=1_000),
+        packets=1_024,
+        seed=62,
+    )
+    assert cfg.scheme.packet_bits(cfg.code.n) == 1_000_000
+    tracemalloc.start()
+    try:
+        estimate = simulate_packets(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert estimate.packets == 1_024
+    assert 0 <= estimate.losses <= 1_024
+    assert peak < 24 * 2**20
+
+
 def test_long_packets_use_memory_in_proportion_to_errors():
     # 4 packets of 10**6 bits: a dense per-bit draw would need 32 MB of
     # float64 uniforms alone; about 4000 error slots need far less
@@ -212,6 +317,18 @@ def test_long_packets_use_memory_in_proportion_to_errors():
     assert estimate.packets == 4
     assert 0 <= estimate.losses <= 4
     assert peak < 8 * 2**20
+
+
+@pytest.mark.parametrize("bins", [1, 64, 100, 5_000])
+def test_counting_in_row_chunks_changes_no_loss(monkeypatch, bins):
+    # 16 codewords a packet: chunks of 1, 4 and 6 rows (the last one
+    # partial), and 312 rows for 5000 bins
+    import burstfec.mc
+
+    cfg = small_config(channel=ChannelSpec(ber=0.05, nacf=0.8), packets=2_100)
+    whole = simulate_packets(cfg)
+    monkeypatch.setattr(burstfec.mc, "_COUNT_BINS", bins)
+    assert simulate_packets(cfg) == whole
 
 
 def test_simulation_uncorrelated_matches_baseline():
@@ -242,22 +359,50 @@ def test_simulation_rejects_bad_parameters():
 
 
 def test_interval_quantile_value():
-    # two-sided 95%: quantile 1.959964...
-    lo, hi = confidence_interval(0.5, 10_000, 0.95)
-    half = 1.9599639845400545 * math.sqrt(0.25 / 10_000)
+    # two-sided 95%: quantile 1.959964...; Wilson's half width at p = 1/2
+    # is t * sqrt(1/4N + t^2/4N^2) / (1 + t^2/N), centred on 1/2
+    n = 10_000
+    lo, hi = confidence_interval(0.5, n, 0.95)
+    half = Z95 * math.sqrt(0.25 / n + Z95**2 / (4 * n * n)) / (1 + Z95**2 / n)
     assert hi - lo == pytest.approx(2 * half, rel=1e-12)
     assert (lo + hi) / 2 == pytest.approx(0.5, abs=1e-15)
 
 
 def test_interval_clamps_to_unit_range():
-    lo, hi = confidence_interval(0.999, 100, 0.99)
-    assert 0.0 <= lo <= hi <= 1.0
-    assert hi == 1.0
+    # the normal interval at (0.999, 100, 0.99) reached past 1; Wilson's
+    # stays inside [0, 1] and around the estimate at every estimate
+    for packets in (1, 100, 10**9):
+        for p_hat in (0.0, 1e-9, 0.001, 0.5, 0.999, 1 - 1e-9, 1.0):
+            lo, hi = confidence_interval(p_hat, packets, 0.99)
+            assert 0.0 <= lo <= p_hat <= hi <= 1.0
 
 
 def test_interval_degenerate_estimate_collapses():
-    assert confidence_interval(0.0, 1000, 0.95) == (0.0, 0.0)
-    assert confidence_interval(1.0, 1000, 0.95) == (1.0, 1.0)
+    # at 0 and 1 only the far bound moves off the estimate: t^2 / (N + t^2)
+    far = Z95**2 / (1000 + Z95**2)
+    lo, hi = confidence_interval(0.0, 1000, 0.95)
+    assert lo == 0.0 and hi == pytest.approx(far, rel=1e-12)
+    lo, hi = confidence_interval(1.0, 1000, 0.95)
+    assert hi == 1.0 and lo == pytest.approx(1 - far, rel=1e-12)
+
+
+def binomial_pmf(k, n, p):
+    log = math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+    return math.exp(log + k * math.log(p) + (n - k) * math.log1p(-p))
+
+
+@pytest.mark.parametrize("expected", [0.1, 0.3, 1.0, 3.0, 10.0])
+def test_interval_covers_at_a_few_expected_losses(expected):
+    # exact coverage, summed over the binomial law of the loss count; the
+    # normal interval covers 0.095 of it at 0.1 expected losses, 0.63 at 1
+    packets = 100_000
+    p = expected / packets
+    coverage = math.fsum(
+        binomial_pmf(k, packets, p)
+        for k in range(int(expected + 20 * math.sqrt(expected)) + 20)
+        if (bounds := confidence_interval(k / packets, packets, 0.95))[0] <= p <= bounds[1]
+    )
+    assert coverage >= 0.90
 
 
 def test_interval_width_shrinks_with_confidence():
