@@ -19,6 +19,14 @@ chain that leaves its start state enters the other one; so every packet
 is the chain from its own stationary start, independent of the packets
 before it, exactly as if each had its own stream.
 
+Each error is one position r * bits + slot in its batch's stream, and
+the stream's positions come out sorted, so only the errors of the few
+packets whose start state flips are found (by ``searchsorted``) and
+moved.  Column-wise interleaving then maps a position straight to its
+codeword key, packet * codewords + codeword, in a few floor divisions.
+A zero rate alpha, where (1 - nacf) * ber rounds to 0, is a good run
+that never ends.
+
 Packets are simulated in fixed-size batches whose RNG streams derive
 from (seed, batch index) only, so estimates are bit-for-bit reproducible
 for any worker count.  Confidence intervals are Wilson score intervals.
@@ -115,34 +123,55 @@ def _batch_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key))
 
 
+def _run_lengths(rng, rate, cap, size=None):
+    """Geometric run lengths at ``rate``, clipped to ``cap``; ``rate`` is
+    one float, or an array of one rate per run.
+
+    Clipping changes nothing inside a window of ``cap`` slots and keeps
+    numpy's saturated draws at tiny rates from overflowing running sums.
+    A run at rate 0 (alpha, where (1 - nacf) * ber rounds to 0) never
+    ends, so it lasts the whole window, ``cap``, and draws nothing.
+    """
+    if isinstance(rate, np.ndarray):
+        if not rate.all():
+            lengths = np.full(rate.shape, cap)
+            ends = rate > 0.0
+            lengths[ends] = _run_lengths(rng, rate[ends], cap)
+            return lengths
+    elif rate == 0.0:
+        return cap if size is None else np.full(size, cap)
+    return np.minimum(rng.geometric(rate, size), cap)
+
+
 def _error_runs(rng, slots, ber, alpha, beta):
     """Bad runs of one stationary channel stream of ``slots`` slots.
 
-    Returns (begin, stop) arrays in stream order: the stream errs in
-    slots begin..stop-1, with stop clipped to ``slots``.  The first slot
-    draws its state from the stationary law, and by memorylessness the
-    rest of the opening run is geometric like any other.  Run lengths
-    are drawn in (bad, good) pairs, per round the mean pair count still
-    to cover plus three times its square root.  Lengths are clipped to
-    ``slots``, which changes nothing inside the window and keeps numpy's
-    saturated draws at tiny rates from overflowing the running sums.
+    Returns (begin, length) arrays in stream order: the stream errs in
+    slots begin..begin+length-1, the last run clipped to ``slots``.  The
+    first slot draws its state from the stationary law, and by
+    memorylessness the rest of the opening run is geometric like any
+    other.  Run lengths are drawn in (bad, good) pairs, per round the
+    mean pair count still to cover plus three times its square root.
     """
     # slot where the stream's next bad run begins
-    begin = 0 if rng.random() < ber else min(int(rng.geometric(alpha)), slots)
-    mean_pair = 1.0 / alpha + 1.0 / beta
+    begin = 0 if rng.random() < ber else int(_run_lengths(rng, alpha, slots))
+    # at alpha = 0 a good run never ends, so one pair covers the window
+    mean_pair = (1.0 / alpha if alpha > 0.0 else math.inf) + 1.0 / beta
     runs = [(np.zeros(0, dtype=np.int64),) * 2]
     while begin < slots:
         expected = (slots - begin) / mean_pair
         pairs = int(expected + 3.0 * math.sqrt(expected)) + 1
-        bad = np.minimum(rng.geometric(beta, pairs), slots)
-        good = np.minimum(rng.geometric(alpha, pairs), slots)
+        bad = _run_lengths(rng, beta, slots, pairs)
+        good = _run_lengths(rng, alpha, slots, pairs)
         ends = begin + np.cumsum(bad + good)
-        stop = ends - good
-        starts = stop - bad
+        starts = ends - good - bad
         inside = int(np.searchsorted(starts, slots))  # starts only grow
-        runs.append((starts[:inside], np.minimum(stop[:inside], slots)))
+        runs.append((starts[:inside], bad[:inside]))
         begin = int(ends[-1])
-    return tuple(np.concatenate(parts) for parts in zip(*runs))
+    begin, length = (np.concatenate(parts) for parts in zip(*runs))
+    if begin.size:  # runs are disjoint, so only the last can cross the end
+        length[-1] = min(length[-1], slots - begin[-1])
+    return begin, length
 
 
 def _expand(first, length):
@@ -152,45 +181,52 @@ def _expand(first, length):
 
 
 def _error_slots(rng, rows, bits, ber, nacf):
-    """(row, slot) of every bit error in ``rows`` packets of ``bits`` slots.
+    """Position r * bits + slot of every error in ``rows`` packets of ``bits`` slots.
 
     The packets are cut from one stationary stream of rows * bits
-    slots: packet r reads the stream from slot r * bits on.  It first
-    draws its own stationary start state; where that differs from the
-    stream's state at r * bits, the packet opens with a fresh geometric
-    run of its own state and then reads the stream, shifted by that
-    run's length, dropping what the shift pushes past ``bits``.  Given
-    the stream's state at r * bits, its future is independent of its
-    past, and in a two-state chain a run of the other state followed by
-    the stream is the chain started in that other state.  So each packet
-    is the chain from its own fresh stationary start, whatever came
-    before it, and the packets are independent and identically
+    slots: packet r reads the stream from position r * bits on.  It
+    first draws its own stationary start state; where that differs from
+    the stream's state at r * bits, the packet opens with a fresh
+    geometric run of its own state and then reads the stream, shifted by
+    that run's length, dropping what the shift pushes past its end.
+    Given the stream's state at r * bits, its future is independent of
+    its past, and in a two-state chain a run of the other state followed
+    by the stream is the chain started in that other state.  So each
+    packet is the chain from its own fresh stationary start, whatever
+    came before it, and the packets are independent and identically
     distributed.
+
+    The stream's positions come out sorted, so one ``searchsorted`` on
+    them finds the errors of the few packets that flip their start
+    state, and only those errors move.  The opening bad runs of the
+    flipped packets come first in the result.
     """
     if ber == 0.0:
-        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+        return np.zeros(0, dtype=np.int64)
     if ber == 1.0:
-        return divmod(np.arange(rows * bits), bits)
+        return np.arange(rows * bits)
     alpha, beta = _two_state_rates(ber, nacf)
-    begin, stop = _error_runs(rng, rows * bits, ber, alpha, beta)
-    first = np.arange(rows) * bits
-    # the stream is bad at a packet's first slot when the first run to
-    # stop after it has begun by then (the appended begin is never reached)
-    covering = np.searchsorted(stop, first, side="right")
-    stream_bad = np.append(begin, rows * bits)[covering] <= first
+    begin, length = _error_runs(rng, rows * bits, ber, alpha, beta)
+    first = np.arange(0, rows * bits, bits)
+    stream_bad = np.zeros(rows, dtype=bool)
+    if begin.size:
+        # bad when the last run to begin by the packet's first slot lasts past it
+        last = np.searchsorted(begin, first, side="right") - 1
+        stream_bad = (last >= 0) & (begin[last] + length[last] > first)
     own_bad = rng.random(rows) < ber
     flip = np.flatnonzero(own_bad != stream_bad)
-    shift = np.zeros(rows, dtype=np.int64)
-    shift[flip] = np.minimum(rng.geometric(np.where(own_bad[flip], beta, alpha)), bits)
+    shift = _run_lengths(rng, np.where(own_bad[flip], beta, alpha), bits)
 
-    row, slot = divmod(_expand(begin, stop - begin), bits)
-    slot += shift[row]
-    kept = slot < bits
-    opening = flip[own_bad[flip]]  # packets that open with their own bad run
-    return (
-        np.concatenate((np.repeat(opening, shift[opening]), row[kept])),
-        np.concatenate((_expand(np.zeros_like(opening), shift[opening]), slot[kept])),
-    )
+    pos = _expand(begin, length)
+    # a flipped packet's errors before end - shift move on by shift, the
+    # ones from there to its end fall off
+    start = first[flip]
+    low, cut, stop = np.searchsorted(pos, (start, start + bits - shift, start + bits))
+    pos[_expand(low, cut - low)] += np.repeat(shift, cut - low)
+    kept = np.ones(pos.size, dtype=bool)
+    kept[_expand(cut, stop - cut)] = False
+    opening = own_bad[flip]
+    return np.concatenate((_expand(start[opening], shift[opening]), pos[kept]))
 
 
 def dar1_stream(channel: ChannelSpec, length: int, seed: int) -> np.ndarray:
@@ -203,9 +239,8 @@ def dar1_stream(channel: ChannelSpec, length: int, seed: int) -> np.ndarray:
     if length < 1:
         raise ValueError(f"stream length must be >= 1, got {length}")
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    _, slot = _error_slots(rng, 1, length, channel.ber, channel.nacf)
     stream = np.zeros(length, dtype=bool)
-    stream[slot] = True
+    stream[_error_slots(rng, 1, length, channel.ber, channel.nacf)] = True
     return stream
 
 
@@ -214,9 +249,13 @@ def simulate_packets(cfg: SimConfig, workers: int = 1) -> CiEstimate:
 
     Each packet is one continuous channel stream (fresh stationary
     start) of blocks * depth * n bits, cut from its batch's stream as
-    ``_error_slots`` describes; a codeword fails when its
-    deinterleaved error count exceeds code.l, and the packet is lost
-    when any of its codewords fails.
+    ``_error_slots`` describes.  Each error position goes straight to
+    its codeword key (pos // (n * depth)) * depth + pos % depth, which
+    is packet * codewords + codeword because a packet is a whole number
+    of blocks; one ``bincount`` over the keys gives every codeword's
+    error count.  A codeword fails when that count exceeds code.l, and
+    the packet is lost when any of its codewords fails: the lost
+    packets are the distinct failed keys // codewords.
     """
     _check_workers(workers)
     code, scheme = cfg.code, cfg.scheme
@@ -231,10 +270,14 @@ def simulate_packets(cfg: SimConfig, workers: int = 1) -> CiEstimate:
     def batch_losses(span):
         index, count = span
         rng = _batch_rng(cfg.seed, index)
-        row, slot = _error_slots(rng, count, bits, cfg.channel.ber, cfg.channel.nacf)
-        # column-wise interleaving: slot u of a block carries its codeword u % depth
-        codeword = slot // block_bits * scheme.depth + slot % scheme.depth
-        key = row * scheme.codewords + codeword
+        pos = _error_slots(rng, count, bits, cfg.channel.ber, cfg.channel.nacf)
+        # slot u of a block carries its codeword u % depth; the key
+        # (pos // block_bits) * depth + pos % depth, with the remainder
+        # taken as pos - (pos // depth) * depth
+        key = pos // block_bits
+        key -= pos // scheme.depth
+        key *= scheme.depth
+        key += pos
         # one count per codeword, at most _COUNT_BINS of them at a time
         step = max(1, _COUNT_BINS // scheme.codewords)
         if count > step:
@@ -248,7 +291,9 @@ def simulate_packets(cfg: SimConfig, workers: int = 1) -> CiEstimate:
                 bounds = np.searchsorted(key, (low, low + rows * scheme.codewords))
                 part = key[slice(*bounds)] - low
             counts = np.bincount(part, minlength=rows * scheme.codewords)
-            losses += int(np.count_nonzero((counts.reshape(rows, -1) > code.l).any(axis=1)))
+            failed = np.flatnonzero(counts > code.l) // scheme.codewords
+            # the packets of failed codewords, ascending: count the distinct ones
+            losses += failed.size - int(np.count_nonzero(failed[1:] == failed[:-1]))
         return losses
 
     if workers > 1:

@@ -110,6 +110,15 @@ def test_simulate_is_deterministic_across_runs_and_workers(tmp_path):
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
+@pytest.mark.parametrize("ber", ["1e-300", "5e-324"])
+def test_simulate_runs_at_the_tiniest_error_rates(tmp_path, capsys, ber):
+    # at 5e-324, alpha = (1 - c) * p_E rounds to 0: the good state never ends
+    assert main(grid_args(tmp_path, "simulate", ber=ber)) == 0
+    (row,) = read_rows(tmp_path / "out.csv")
+    assert row["p_hat"] == "0"
+    assert "error row" not in capsys.readouterr().err
+
+
 def test_compare_attaches_relative_errors(tmp_path):
     assert main(grid_args(tmp_path, "compare", packets="2000")) == 0
     rows = read_rows(tmp_path / "out.csv")

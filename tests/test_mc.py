@@ -188,7 +188,7 @@ def test_first_slot_follows_the_stationary_law():
     from burstfec.mc import _batch_rng, _error_slots
 
     ber, rows, bits = 0.05, 200_000, 8
-    row, slot = _error_slots(_batch_rng(51, 0), rows, bits, ber, 0.9)
+    row, slot = divmod(_error_slots(_batch_rng(51, 0), rows, bits, ber, 0.9), bits)
     se = math.sqrt(ber * (1 - ber) / rows)
     for position in (0, bits - 1):
         freq = np.count_nonzero(slot == position) / rows
@@ -204,7 +204,7 @@ def test_packets_cut_from_one_stream_are_independent(bits, nacf):
     # a batch's packets are cut from one stream; packet r + 1 must not
     # carry on from the end of packet r, and every slot keeps the law p_E
     ber, rows = 0.05, 200_000
-    row, slot = _error_slots(_batch_rng(53, 0), rows, bits, ber, nacf)
+    row, slot = divmod(_error_slots(_batch_rng(53, 0), rows, bits, ber, nacf), bits)
     errors = np.zeros((rows, bits), dtype=bool)
     errors[row, slot] = True
     se = math.sqrt(ber * (1 - ber) / rows)
@@ -236,7 +236,9 @@ def test_simulation_matches_exact_where_runs_cross_packets(ber, nacf, code, dept
     seed=st.integers(0, 2**32),
 )
 def test_error_slots_stay_in_their_packets(rows, bits, ber, nacf, seed):
-    row, slot = _error_slots(_batch_rng(seed, 0), rows, bits, ber, nacf)
+    position = _error_slots(_batch_rng(seed, 0), rows, bits, ber, nacf)
+    assert position.dtype == np.int64
+    row, slot = divmod(position, bits)
     assert row.size == slot.size
     if row.size:
         assert 0 <= row.min() and row.max() < rows
@@ -246,14 +248,60 @@ def test_error_slots_stay_in_their_packets(rows, bits, ber, nacf, seed):
         assert slot.size == ber * rows * bits
     # one packet is the dense stream of the same seed
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    _, alone = _error_slots(rng, 1, bits, ber, nacf)
+    alone = _error_slots(rng, 1, bits, ber, nacf)
     stream = dar1_stream(ChannelSpec(ber=ber, nacf=nacf), bits, seed)
     np.testing.assert_array_equal(np.sort(alone), np.flatnonzero(stream))
 
 
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    rows=st.integers(1, 30),
+    n=st.integers(2, 7),
+    depth=st.integers(1, 5),
+    blocks=st.integers(1, 4),
+    data=st.data(),
+    ber=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(1e-3, 1 - 1e-3)),
+    nacf=st.floats(0.0, 0.99),
+    seed=st.integers(0, 2**32),
+    bins=st.sampled_from([1, 7, 2**20]),
+)
+def test_losses_match_a_dense_recount_of_the_error_slots(
+    rows, n, depth, blocks, data, ber, nacf, seed, bins
+):
+    # the dense recount deinterleaves by reshaping, with no key formula:
+    # slot j * depth + i of block m is bit j of that block's codeword i
+    from unittest import mock
+
+    import burstfec.mc
+
+    l = data.draw(st.integers(0, n - 1), label="l")
+    bits = n * depth * blocks
+    errors = np.zeros(rows * bits, dtype=np.int64)
+    errors[_error_slots(_batch_rng(seed, 0), rows, bits, ber, nacf)] = 1
+    counts = errors.reshape(rows, blocks, n, depth).sum(axis=2)
+    expected = int(np.count_nonzero((counts > l).any(axis=(1, 2))))
+    cfg = SimConfig(
+        channel=ChannelSpec(ber=ber, nacf=nacf),
+        code=CodeSpec(n, n - 1, l),
+        scheme=SchemeSpec(depth=depth, blocks=blocks),
+        packets=rows,
+        seed=seed,
+    )
+    with mock.patch.object(burstfec.mc, "_COUNT_BINS", bins):
+        assert simulate_packets(cfg).losses == expected
+
+
 @pytest.mark.parametrize(
     "ber,nacf",
-    [(1e-300, 0.999999), (0.999999, 0.999999), (0.5, 0.0), (1.0, 0.5), (0.0, 0.3)],
+    [
+        (1e-300, 0.999999),
+        (0.999999, 0.999999),
+        (0.5, 0.0),
+        (1.0, 0.5),
+        (0.0, 0.3),
+        # alpha = (1 - c) * p_E rounds to 0: the good state never ends
+        (5e-324, 0.5),
+    ],
 )
 @pytest.mark.parametrize("scheme", [SchemeSpec(depth=1, blocks=1), SchemeSpec(depth=4, blocks=8)])
 def test_simulation_is_warning_free_at_extreme_channels(ber, nacf, scheme):
@@ -329,6 +377,41 @@ def test_counting_in_row_chunks_changes_no_loss(monkeypatch, bins):
     whole = simulate_packets(cfg)
     monkeypatch.setattr(burstfec.mc, "_COUNT_BINS", bins)
     assert simulate_packets(cfg) == whole
+
+
+# exact losses of simulate_packets: while the draws, their order and the
+# batch partition stay, no change to how errors are counted may move one
+PINNED_LOSSES = [
+    # ber, nacf, (n, k, l), depth, blocks, seed, count bins, losses
+    (0.002, 0.0, (63, 57, 1), 4, 4, 201, None, 279),
+    (0.02, 0.0, (63, 45, 3), 4, 4, 202, None, 1140),
+    (0.002, 0.9, (63, 45, 3), 16, 2, 203, None, 13),
+    (0.02, 0.9, (15, 11, 1), 1, 3, 204, None, 203),
+    (0.02, 0.99, (31, 21, 2), 4, 3, 205, None, 202),
+    (0.3, 0.0, (15, 7, 5), 1, 2, 206, None, 1161),
+    (0.3, 0.99, (7, 4, 1), 16, 2, 207, None, 1436),
+    # 12 codewords a packet in 64 bins: chunks of 5 rows
+    (0.3, 0.9, (5, 3, 1), 4, 3, 208, 64, 1914),
+]
+
+
+@pytest.mark.parametrize("ber,nacf,code,depth,blocks,seed,bins,losses", PINNED_LOSSES)
+def test_simulation_losses_are_pinned(
+    monkeypatch, ber, nacf, code, depth, blocks, seed, bins, losses
+):
+    # 2500 packets: two full batches and a partial third
+    import burstfec.mc
+
+    if bins is not None:
+        monkeypatch.setattr(burstfec.mc, "_COUNT_BINS", bins)
+    cfg = SimConfig(
+        channel=ChannelSpec(ber=ber, nacf=nacf),
+        code=CodeSpec(*code),
+        scheme=SchemeSpec(depth=depth, blocks=blocks),
+        packets=2_500,
+        seed=seed,
+    )
+    assert simulate_packets(cfg).losses == losses
 
 
 def test_simulation_uncorrelated_matches_baseline():
