@@ -54,7 +54,7 @@ class SweepSpec:
         unknown = set(self.models) - set(MODEL_NAMES)
         if unknown:
             raise ValueError(f"unknown models: {sorted(unknown)}")
-        _check_sampling(self.packets, self.gamma)  # before any row, not on every mc row
+        _check_sampling(self.packets, self.gamma, self.seed)  # before any row, not on every mc row
 
     @property
     def rows(self) -> int:

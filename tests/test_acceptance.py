@@ -181,7 +181,6 @@ def test_criterion_3_cross_validation():
                             channel=channel, code=code, scheme=scheme,
                             packets=packets, seed=_point_seed(index),
                         ),
-                        workers=4,
                     )
                     index += 1
                     p_hat = estimate.p_hat

@@ -119,6 +119,15 @@ def test_simulate_runs_at_the_tiniest_error_rates(tmp_path, capsys, ber):
     assert "error row" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("verb", ["analyze", "simulate", "compare"])
+def test_negative_seed_is_refused_before_any_row(tmp_path, capsys, verb):
+    assert main(grid_args(tmp_path, verb, seed="-1")) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: seed must be >= 0, got -1\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_compare_attaches_relative_errors(tmp_path):
     assert main(grid_args(tmp_path, "compare", packets="2000")) == 0
     rows = read_rows(tmp_path / "out.csv")

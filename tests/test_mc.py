@@ -12,6 +12,7 @@ from burstfec.mc import (
     SimConfig,
     _batch_rng,
     _error_slots,
+    _run_lengths,
     confidence_interval,
     dar1_stream,
     simulate_packets,
@@ -188,7 +189,7 @@ def test_first_slot_follows_the_stationary_law():
     from burstfec.mc import _batch_rng, _error_slots
 
     ber, rows, bits = 0.05, 200_000, 8
-    row, slot = divmod(_error_slots(_batch_rng(51, 0), rows, bits, ber, 0.9), bits)
+    row, slot = divmod(_error_slots([(_batch_rng(51, 0), rows)], bits, ber, 0.9), bits)
     se = math.sqrt(ber * (1 - ber) / rows)
     for position in (0, bits - 1):
         freq = np.count_nonzero(slot == position) / rows
@@ -204,7 +205,7 @@ def test_packets_cut_from_one_stream_are_independent(bits, nacf):
     # a batch's packets are cut from one stream; packet r + 1 must not
     # carry on from the end of packet r, and every slot keeps the law p_E
     ber, rows = 0.05, 200_000
-    row, slot = divmod(_error_slots(_batch_rng(53, 0), rows, bits, ber, nacf), bits)
+    row, slot = divmod(_error_slots([(_batch_rng(53, 0), rows)], bits, ber, nacf), bits)
     errors = np.zeros((rows, bits), dtype=bool)
     errors[row, slot] = True
     se = math.sqrt(ber * (1 - ber) / rows)
@@ -236,7 +237,7 @@ def test_simulation_matches_exact_where_runs_cross_packets(ber, nacf, code, dept
     seed=st.integers(0, 2**32),
 )
 def test_error_slots_stay_in_their_packets(rows, bits, ber, nacf, seed):
-    position = _error_slots(_batch_rng(seed, 0), rows, bits, ber, nacf)
+    position = _error_slots([(_batch_rng(seed, 0), rows)], bits, ber, nacf)
     assert position.dtype == np.int64
     row, slot = divmod(position, bits)
     assert row.size == slot.size
@@ -248,9 +249,77 @@ def test_error_slots_stay_in_their_packets(rows, bits, ber, nacf, seed):
         assert slot.size == ber * rows * bits
     # one packet is the dense stream of the same seed
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    alone = _error_slots(rng, 1, bits, ber, nacf)
+    alone = _error_slots([(rng, 1)], bits, ber, nacf)
     stream = dar1_stream(ChannelSpec(ber=ber, nacf=nacf), bits, seed)
     np.testing.assert_array_equal(np.sort(alone), np.flatnonzero(stream))
+
+
+@pytest.mark.parametrize(
+    "rate",
+    [
+        # numpy inverts below 1/3 and searches from there on
+        np.nextafter(1 / 3, 0.0), 1 / 3, np.nextafter(1 / 3, 1.0),
+        1e-300, 1e-12, 0.002, 0.0998, 0.98,
+    ],
+)
+@pytest.mark.parametrize("cap", [1, 7, 10**9])
+def test_run_lengths_are_numpys_geometric_draws(rate, cap):
+    # same integers as numpy's own draws, and the generator left in step
+    ours, theirs = _batch_rng(71, 0), _batch_rng(71, 0)
+    lengths = _run_lengths(ours, rate, cap, 5_000)
+    assert lengths.dtype == np.int64
+    np.testing.assert_array_equal(lengths, np.minimum(theirs.geometric(rate, 5_000), cap))
+    assert ours.random() == theirs.random()
+
+
+def test_run_lengths_at_rate_zero_last_the_window_and_draw_nothing():
+    ours, theirs = _batch_rng(72, 0), _batch_rng(72, 0)
+    np.testing.assert_array_equal(_run_lengths(ours, 0.0, 9, 4), np.full(4, 9))
+    assert _run_lengths(ours, 0.0, 9) == 9
+    np.testing.assert_array_equal(
+        _run_lengths(ours, np.array([0.0, 0.5, 0.0]), 9)[[0, 2]], [9, 9]
+    )
+    theirs.geometric(np.array([0.5]))
+    assert ours.random() == theirs.random()
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(
+    sizes=st.lists(st.integers(1, 9), min_size=1, max_size=5),
+    bits=st.integers(1, 40),
+    ber=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(1e-6, 1 - 1e-6)),
+    nacf=st.floats(0.0, 0.999),
+    seed=st.integers(0, 2**32),
+)
+def test_a_group_of_batches_is_each_batch_alone(sizes, bits, ber, nacf, seed):
+    # full batches of sizes[0] rows and a last one of at most that many:
+    # the group's positions are each batch's own, after the rows before it
+    rows = [sizes[0]] * (len(sizes) - 1) + [min(sizes[-1], sizes[0])]
+    group = _error_slots([(_batch_rng(seed, k), r) for k, r in enumerate(rows)], bits, ber, nacf)
+    assert group.dtype == np.int64
+    offsets = np.cumsum([0, *rows[:-1]]) * bits
+    alone = [
+        _error_slots([(_batch_rng(seed, k), r)], bits, ber, nacf) + offset
+        for k, (r, offset) in enumerate(zip(rows, offsets))
+    ]
+    np.testing.assert_array_equal(np.sort(group), np.sort(np.concatenate(alone)))
+
+
+def test_grouped_pass_memory_is_bounded():
+    # 100 000 packets at the paper's p_E 0.002: groups of 4 batches, about
+    # 8 000 errors and 65 536 codeword counters each
+    import tracemalloc
+
+    for nacf in (0.0, 0.9):
+        cfg = small_config(channel=ChannelSpec(ber=0.002, nacf=nacf), packets=100_000, seed=63)
+        tracemalloc.start()
+        try:
+            estimate = simulate_packets(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert 0 < estimate.losses < cfg.packets
+        assert peak < 2 * 2**20
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -277,7 +346,7 @@ def test_losses_match_a_dense_recount_of_the_error_slots(
     l = data.draw(st.integers(0, n - 1), label="l")
     bits = n * depth * blocks
     errors = np.zeros(rows * bits, dtype=np.int64)
-    errors[_error_slots(_batch_rng(seed, 0), rows, bits, ber, nacf)] = 1
+    errors[_error_slots([(_batch_rng(seed, 0), rows)], bits, ber, nacf)] = 1
     counts = errors.reshape(rows, blocks, n, depth).sum(axis=2)
     expected = int(np.count_nonzero((counts > l).any(axis=(1, 2))))
     cfg = SimConfig(
@@ -414,6 +483,40 @@ def test_simulation_losses_are_pinned(
     assert simulate_packets(cfg).losses == losses
 
 
+# the same where several batches share one array pass; recorded before
+# batches were grouped
+PINNED_GROUP_LOSSES = [
+    # ber, nacf, (n, k, l), depth, blocks, seed, packets, losses
+    (0.002, 0.0, (63, 57, 1), 4, 4, 211, 3_100, 329),
+    (0.002, 0.9, (63, 45, 3), 4, 4, 210, 3_100, 152),
+]
+
+
+@pytest.mark.parametrize("ber,nacf,code,depth,blocks,seed,packets,losses", PINNED_GROUP_LOSSES)
+def test_grouped_simulation_losses_are_pinned(
+    monkeypatch, ber, nacf, code, depth, blocks, seed, packets, losses
+):
+    # 3100 packets: one group of three full batches and a partial fourth
+    import burstfec.mc
+
+    groups = []
+
+    def recording(batches, *args):
+        groups.append([rows for _, rows in batches])
+        return _error_slots(batches, *args)
+
+    monkeypatch.setattr(burstfec.mc, "_error_slots", recording)
+    cfg = SimConfig(
+        channel=ChannelSpec(ber=ber, nacf=nacf),
+        code=CodeSpec(*code),
+        scheme=SchemeSpec(depth=depth, blocks=blocks),
+        packets=packets,
+        seed=seed,
+    )
+    assert simulate_packets(cfg).losses == losses
+    assert groups == [[1_024, 1_024, 1_024, 28]]
+
+
 def test_simulation_uncorrelated_matches_baseline():
     from burstfec.models import binomial_baseline
 
@@ -434,6 +537,8 @@ def test_simulation_rejects_bad_parameters():
         small_config(gamma=1.0)
     with pytest.raises(ValueError):
         simulate_packets(small_config(), workers=0)
+    with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+        small_config(seed=-1)
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,8 @@
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -58,3 +62,15 @@ def test_deleted_options_stay_deleted():
     assert "slot" not in DEFAULT_CONFIG["channel"]
     with pytest.raises(SystemExit):
         build_parser().parse_args(["analyze", "--slot", "1e-6"])
+
+
+def test_importing_the_cli_leaves_the_thread_pool_out():
+    # only simulate_packets with workers > 1 needs concurrent.futures
+    src = str(Path(burstfec.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    probe = "import sys, burstfec.cli; print('concurrent.futures' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"
