@@ -127,6 +127,9 @@ class FsmcModel:
         self.pi = stationary_vector(transition)
         for arr in (self.transition, self.error_profile, self.d0, self.d1, self.pi):
             arr.setflags(write=False)
+        # the statistics every model and sweep row reads, worked out once
+        self._ber = float(self.pi @ self.error_profile)
+        self._nacf = _lag1_nacf(self.pi, self.transition, self.error_profile, self._ber)
 
     @property
     def states(self) -> int:
@@ -135,7 +138,7 @@ class FsmcModel:
     @property
     def ber(self) -> float:
         """Stationary bit error probability."""
-        return float(self.pi @ self.error_profile)
+        return self._ber
 
     def lag1_nacf(self) -> float:
         """Lag-1 normalized autocorrelation of the stationary error indicator.
@@ -143,16 +146,20 @@ class FsmcModel:
         Zero when the indicator is degenerate (error probability 0 or 1),
         where correlation is undefined.
         """
-        profile = self.error_profile
-        p = float(self.pi @ profile)
-        var = p - p * p
-        if var <= 0.0:
-            return 0.0
-        joint = float(self.pi @ (profile[:, None] * self.transition) @ profile)
-        return (joint - p * p) / var
+        return self._nacf
 
     def __repr__(self):
         return f"FsmcModel(states={self.states}, ber={self.ber:.6g})"
+
+
+def _lag1_nacf(pi, transition, error_profile, ber):
+    """Lag-1 NACF of the error indicator of the chain with stationary law
+    ``pi`` and stationary error probability ``ber``; 0 when degenerate."""
+    var = ber - ber * ber
+    if var <= 0.0:
+        return 0.0
+    joint = float(pi @ (error_profile[:, None] * transition) @ error_profile)
+    return (joint - ber * ber) / var
 
 
 def split_transition_matrix(transition, error_profile):

@@ -12,13 +12,13 @@ alternate counted steps (split d0/d1 kernels) with marginalized gap
 powers of the full transition matrix: D**(I-1) between the bits of one
 codeword, D**(I-2) between the bit pairs of two adjacent codewords.
 
-Each recursion takes one FsmcModel, or a sequence of them with equal
-state counts run as one stack along a leading batch axis; a sequence
-gives a list with one result per channel.  The interleaved recursions
-take one depth for the whole stack or one depth per channel, so a whole
-sweep over depths is one stack.  Every product multiplies a channel's
-whole bucket stack, viewed as one (counts*S) x S matrix, so a counted
-bit costs one matrix product per channel and kernel.
+Each recursion takes one FsmcModel, or a non-empty sequence of them
+with equal state counts run as one stack along a leading batch axis; a
+sequence gives a list with one result per channel.  The interleaved
+recursions take one depth for the whole stack or one depth per channel,
+so a whole sweep over depths is one stack.  Every product multiplies a
+channel's whole bucket stack, viewed as one (counts*S) x S matrix, so a
+counted bit costs one matrix product per channel and kernel.
 """
 
 from __future__ import annotations
@@ -62,6 +62,14 @@ class JointErrorDistribution:
         return self.q.sum(axis=1)
 
 
+def _channels(model):
+    """The channels of one FsmcModel or a non-empty sequence of them."""
+    channels = [model] if isinstance(model, FsmcModel) else list(model)
+    if not channels:
+        raise ValueError("need at least one channel, got an empty sequence")
+    return channels
+
+
 def _stack(model, n: int, cap: int, counters: int):
     """Check a recursion's inputs; return its channels, the start buckets
     B x (cap+1)^counters x S x S, the transitions B x S x S and the
@@ -70,7 +78,7 @@ def _stack(model, n: int, cap: int, counters: int):
         raise ValueError(f"codeword length must be >= 1, got {n}")
     if cap < 0:
         raise ValueError(f"counter cap must be >= 0, got {cap}")
-    channels = [model] if isinstance(model, FsmcModel) else list(model)
+    channels = _channels(model)
     sizes = sorted({channel.states for channel in channels})
     if len(sizes) != 1:
         raise ValueError(f"stacked channels need one common state count, got {sizes}")

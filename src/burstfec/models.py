@@ -30,6 +30,7 @@ from .channel import (
     _two_state_stationary,
 )
 from .dist import (
+    _channels,
     _powers,
     joint_error_distribution,
     marginal_error_distribution,
@@ -266,16 +267,19 @@ def _joint_laws(channels, n: int, depths, cap: int):
 
 
 def _baseline_results(channels, code: CodeSpec, schemes):
-    """The baseline result of each channel, worked out once per distinct
-    (ber, depth, codewords)."""
+    """The baseline result of each channel: the codeword's binomial tail
+    worked out once per distinct ber, its block and packet lifts once per
+    distinct (ber, depth, codewords)."""
     keys = [(c.ber, s.depth, s.codewords) for c, s in zip(channels, schemes)]
-    memo = {}
+    tails, memo = {}, {}
     for key in keys:
         if key in memo:
             continue
         ber, depth, codewords = key
         try:
-            codeword_error = _binomial_tail_above(code.n, code.l, ber)
+            if ber not in tails:
+                tails[ber] = _binomial_tail_above(code.n, code.l, ber)
+            codeword_error = tails[ber]
             block = block_to_packet(codeword_error, depth)
             packet = block_to_packet(codeword_error, codewords)
             memo[key] = PacketErrorResult(block, packet)
@@ -310,11 +314,12 @@ def evaluate_models(model, code: CodeSpec, scheme, which=ANALYTIC_MODELS):
     """Evaluate the requested analytic models on one configuration.
 
     ``model`` is one FsmcModel, giving one dict of results by model name,
-    or a sequence of them with equal state counts, giving a list of such
-    dicts: the count recursions and each model's chain stage then run
-    once over the whole stack.  ``scheme`` is one SchemeSpec, or for a
-    stack one per channel, so a sweep over depths is one stack too; a
-    channel's results do not depend on the rest of its stack.
+    or a non-empty sequence of them with equal state counts, giving a
+    list of such dicts: the count recursions and each model's chain
+    stage then run once over the whole stack.  ``scheme`` is one
+    SchemeSpec, or for a stack one per channel, so a sweep over depths
+    is one stack too; a channel's results do not depend on the rest of
+    its stack.
 
     Models 1 and 3 consume the identical joint distribution object, so
     any disagreement between them isolates their second-stage
@@ -326,7 +331,7 @@ def evaluate_models(model, code: CodeSpec, scheme, which=ANALYTIC_MODELS):
     unknown = set(which) - set(ANALYTIC_MODELS)
     if unknown:
         raise ValueError(f"unknown models: {sorted(unknown)}")
-    channels = [model] if isinstance(model, FsmcModel) else list(model)
+    channels = _channels(model)
     schemes = [scheme] * len(channels) if isinstance(scheme, SchemeSpec) else list(scheme)
     if len(schemes) != len(channels):
         raise ValueError(f"got {len(schemes)} schemes for {len(channels)} channels")

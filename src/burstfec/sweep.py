@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,15 +85,7 @@ class ResultRow:
     note: str | None = None  # diagnostics; reported, not part of the CSV
 
     def csv_record(self) -> list[str]:
-        return [
-            self.model,
-            _fmt(self.ber), _fmt(self.nacf),
-            str(self.code.n), str(self.code.k), str(self.code.l),
-            str(self.scheme.depth), str(self.scheme.blocks),
-            _fmt(self.p), _fmt(self.p_hat), _fmt(self.ci_lo), _fmt(self.ci_hi),
-            _fmt(self.rel_err), _fmt(self.throughput), _fmt(self.residual_corr),
-            "" if self.seed is None else str(self.seed),
-        ]
+        return _csv_records([self])[0]
 
 
 def _fmt(value) -> str:
@@ -100,6 +93,39 @@ def _fmt(value) -> str:
     if value is None:
         return ""
     return f"{value:.12g}"
+
+
+class _Texts(dict):
+    """``render(key)`` by key, each distinct key rendered once; zeros are
+    rendered on every lookup, as 0.0 and -0.0 are one key but print as
+    "0" and "-0".  Made afresh by each caller, so no text outlives it."""
+
+    def __init__(self, render):
+        super().__init__()
+        self.render = render
+
+    def __missing__(self, key):
+        text = self.render(key)
+        if key != 0:
+            self[key] = text
+        return text
+
+
+def _csv_records(rows) -> list[list[str]]:
+    """The CSV fields of each row, each distinct number formatted once."""
+    text = _Texts(_fmt)
+    return [
+        [
+            row.model,
+            text[row.ber], text[row.nacf],
+            str(row.code.n), str(row.code.k), str(row.code.l),
+            str(row.scheme.depth), str(row.scheme.blocks),
+            text[row.p], text[row.p_hat], text[row.ci_lo], text[row.ci_hi],
+            text[row.rel_err], text[row.throughput], text[row.residual_corr],
+            "" if row.seed is None else str(row.seed),
+        ]
+        for row in rows
+    ]
 
 
 def residual_correlation(nacf: float, depth: int) -> float:
@@ -325,18 +351,15 @@ def emit_results(rows, csv_path, report_path=None, config=None):
     identical files.
     """
     written = []
-    # one record per row, formatted once: its values are the CSV line and,
-    # with the note added, it is the row's report entry
-    records = [dict(zip(CSV_COLUMNS, row.csv_record())) for row in rows]
+    # each row's fields, formatted once: the CSV line and, with the note
+    # added, the row's report entry
+    records = _csv_records(rows)
     with open(csv_path, "w", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
-        writer.writerows(record.values() for record in records)
+        writer.writerows(records)
     written.append(csv_path)
     if report_path is not None:
-        for record, row in zip(records, rows):
-            if row.note is not None:
-                record["note"] = row.note
         report = {
             "config": config if config is not None else {},
             "generator": BIT_GENERATOR,
@@ -345,40 +368,59 @@ def emit_results(rows, csv_path, report_path=None, config=None):
             "sampler": SAMPLER,
         }
         with open(report_path, "w") as handle:
-            _write_report(handle, report)
+            _write_report(handle, report, [row.note for row in rows])
         written.append(report_path)
     return written
 
 
-# the start of each row record line in the report: indent, key, separator
-_FIELD_LEADS = {
-    name: f"\n      {json.encoder.encode_basestring_ascii(name)}: "
-    for name in CSV_COLUMNS + ("note",)
-}
+def _row_layout(fields):
+    """How a record with these fields becomes a report row entry: a getter
+    of its values in sorted field order, and the entry's text with a %s
+    for each value after its field's line start."""
+    order = sorted(range(len(fields)), key=fields.__getitem__)
+    encode = json.encoder.encode_basestring_ascii
+    lines = ",".join(f"\n      {encode(fields[i])}: %s" for i in order)
+    return operator.itemgetter(*order), "\n    {" + lines + "\n    }"
 
 
-def _write_report(handle, report):
+# the layouts of a row entry without and with a note, sorted here once
+_ROW_LAYOUTS = _row_layout(CSV_COLUMNS), _row_layout(CSV_COLUMNS + ("note",))
+# report rows formatted per write: one format call over many rows, with
+# the text held at once bounded for long sweeps
+_ROWS_PER_WRITE = 256
+
+
+def _write_report(handle, report, notes):
     """The bytes of ``json.dump(report, handle, indent=2, sort_keys=True)``
-    and a newline, with the "rows" streamed one record at a time.
+    and a newline, with the "rows" streamed a few hundred at a time.
 
-    The indented ``json.dump`` encodes in pure Python.  A row record maps
-    CSV column names and "note" to strings, so here each value goes
-    through the C encoder ``json.dump`` itself uses (``ensure_ascii``),
-    after its key's line start, encoded once.  The rest of the report goes
-    through ``json.dumps``, indented one level deeper.
+    ``report["rows"]`` holds each row's CSV record, which the report has
+    as an object from CSV column names and, where the row's entry of
+    ``notes`` is not None, "note" to strings.  The indented ``json.dump``
+    encodes in pure Python; here each distinct value goes once through
+    the C encoder ``json.dump`` itself uses (``ensure_ascii``), and the
+    rows of one write fill their entries' layouts in one format call.
+    The rest of the report goes through ``json.dumps``, indented one
+    level deeper.
     """
     encode = json.encoder.encode_basestring_ascii
+    encoded = _Texts(encode)
     handle.write("{")
     for i, key in enumerate(sorted(report)):
         handle.write(("," if i else "") + "\n  " + encode(key) + ": ")
-        if key == "rows" and report[key]:
+        value = report[key]
+        if key == "rows" and value:
             handle.write("[")
-            for j, record in enumerate(report[key]):
-                fields = ",".join(
-                    [_FIELD_LEADS[name] + encode(value) for name, value in sorted(record.items())]
-                )
-                handle.write(("," if j else "") + "\n    {" + fields + "\n    }")
+            for start in range(0, len(value), _ROWS_PER_WRITE):
+                end = start + _ROWS_PER_WRITE
+                entries, values = [], []
+                for record, note in zip(value[start:end], notes[start:end]):
+                    pick, entry = _ROW_LAYOUTS[note is not None]
+                    entries.append(entry)
+                    values += pick(record if note is None else [*record, note])
+                text = ",".join(entries) % tuple(map(encoded.__getitem__, values))
+                handle.write(("," if start else "") + text)
             handle.write("\n  ]")
         else:
-            handle.write(json.dumps(report[key], indent=2, sort_keys=True).replace("\n", "\n  "))
+            handle.write(json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n  "))
     handle.write("\n}\n")

@@ -426,5 +426,5 @@ def test_stack_with_mixed_state_counts_is_rejected(recursion):
     mixed = [STACKS["one-channel"][0], random_fsmc(0)]
     with pytest.raises(ValueError, match="common state count, got \\[2, 3\\]"):
         recursion(mixed)
-    with pytest.raises(ValueError, match="common state count"):
+    with pytest.raises(ValueError, match="need at least one channel, got an empty sequence"):
         recursion([])

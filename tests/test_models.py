@@ -6,6 +6,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from burstfec import channel as channel_module
+from burstfec import models as models_module
 from burstfec.channel import ChannelSpec, CodeSpec, FsmcModel, SchemeSpec, ibp_from_stats
 from burstfec.dist import (
     joint_error_distribution,
@@ -376,6 +378,37 @@ def test_stacked_evaluation_equals_per_channel_evaluation():
         evaluate_models([PERIODIC, three_state], code, scheme)
     with pytest.raises(ValueError, match="got 2 schemes for 5 channels"):
         evaluate_models(stack, code, [scheme, scheme])
+
+
+@pytest.mark.parametrize("which", [("model1", "model2", "model3", "baseline"), ("baseline",)])
+def test_empty_stack_is_rejected(which):
+    with pytest.raises(ValueError, match="need at least one channel, got an empty sequence"):
+        evaluate_models([], CodeSpec(63, 45, 3), [], which)
+
+
+def test_stack_works_out_each_channel_statistic_once(monkeypatch):
+    # each channel's lag-1 NACF once, when it is built, and the baseline's
+    # binomial tail once per distinct (n, l, ber) of the stack
+    nacfs, tails = [], []
+    lag1_nacf, tail = channel_module._lag1_nacf, models_module._binomial_tail_above
+    monkeypatch.setattr(channel_module, "_lag1_nacf", lambda *a: nacfs.append(a) or lag1_nacf(*a))
+    monkeypatch.setattr(models_module, "_binomial_tail_above", lambda *a: tails.append(a) or tail(*a))
+    channels = [
+        ibp_from_stats(ChannelSpec(ber=ber, nacf=nacf))
+        for nacf in (0.3, 0.9)
+        for ber in (0.001, 0.02)
+    ]
+    assert len(nacfs) == len(channels)
+    code = CodeSpec(63, 45, 3)
+    stack = [*channels, PERIODIC] * len(BUDGET_PAIRS)
+    schemes = [scheme for scheme in BUDGET_PAIRS for _ in range(len(channels) + 1)]
+    stacked = evaluate_models(stack, code, schemes)
+    for c in channels:
+        c.lag1_nacf()
+    assert len(nacfs) == len(channels)
+    assert sorted(tails) == sorted({(63, 3, c.ber) for c in stack})
+    monkeypatch.undo()
+    assert stacked == [evaluate_models(c, code, s) for c, s in zip(stack, schemes)]
 
 
 def test_chain_stage_values_are_pinned_to_the_bit():

@@ -2,6 +2,10 @@ import csv
 import io
 import itertools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -451,35 +455,103 @@ REPORT_NOTES = [
 ]
 
 
-@pytest.mark.parametrize(
-    "notes,config",
-    [
-        ([], None),
-        ([None], {"gamma": 0.95}),
-        (
-            REPORT_NOTES,
-            {**DEFAULT_CONFIG, "gamma": float("inf"), "output": {"csv": 'a "b" \\ \u00fc'}},
-        ),
-    ],
-    ids=["no-rows", "one-row", "awkward-notes"],
-)
-def test_streamed_report_equals_json_dump(notes, config, tmp_path):
-    rows = [
+def note_rows(notes):
+    return [
         ResultRow(
             model="model2", ber=0.01 * (i + 1), nacf=0.5, code=SMALL_CODE,
             scheme=SchemeSpec(depth=2, blocks=2), p=1 / (i + 3), note=note,
         )
         for i, note in enumerate(notes)
     ]
+
+
+# every value repeats across rows: models, numbers (zeros of both signs
+# among them), absent numbers and notes
+REPEATED_ROWS = [
+    ResultRow(
+        model=model, ber=ber, nacf=nacf, code=SMALL_CODE, scheme=SchemeSpec(depth=2, blocks=2),
+        p=p, rel_err=nacf, throughput=p, residual_corr=0.25, note=note,
+    )
+    for model, ber, nacf, p, note in itertools.product(
+        ("model2", "mc"), (0.01, 0.5), (0.0, -0.0, 0.5), (None, 0.125),
+        (None, "repeated note", REPORT_NOTES[0]),
+    )
+]
+
+
+@pytest.mark.parametrize(
+    "rows,config",
+    [
+        ([], None),
+        (note_rows([None]), {"gamma": 0.95}),
+        (
+            note_rows(REPORT_NOTES),
+            {**DEFAULT_CONFIG, "gamma": float("inf"), "output": {"csv": 'a "b" \\ \u00fc'}},
+        ),
+        (REPEATED_ROWS, DEFAULT_CONFIG),
+    ],
+    ids=["no-rows", "one-row", "awkward-notes", "repeated-values"],
+)
+def test_streamed_report_equals_json_dump(rows, config, tmp_path):
     report_path = tmp_path / "r.json"
     emit_results(rows, tmp_path / "r.csv", report_path, config=config)
     text = report_path.read_bytes().decode("ascii")
     report = json.loads(text)
-    assert [row.get("note") for row in report["rows"]] == notes
+    notes = [{} if row.note is None else {"note": row.note} for row in rows]
+    assert report["rows"] == [
+        {**dict(zip(CSV_COLUMNS, row.csv_record())), **note} for row, note in zip(rows, notes)
+    ]
+    with open(tmp_path / "r.csv", newline="") as handle:
+        assert list(csv.reader(handle))[1:] == [row.csv_record() for row in rows]
     assert report["config"] == (config if config is not None else {})
     expected = io.StringIO()
     json.dump(report, expected, indent=2, sort_keys=True)
     assert text == expected.getvalue() + "\n"
+
+
+def test_emit_calls_in_one_process_write_what_fresh_processes_write(tmp_path, monkeypatch):
+    # no formatted or encoded text outlives an emit_results call: the
+    # second call of a process, on a grid sharing values (and zeros of the
+    # other sign) with the first, writes the bytes a fresh process writes,
+    # and a repeated call renders and encodes as much as the one before
+    grids = {
+        "a": ["--ber", "0.01,0.02", "--nacf", "0.0,0.5"],
+        "b": ["--ber", "0.02,0.03", "--nacf=-0.0,0.5"],
+    }
+    fresh, shared = tmp_path / "fresh", tmp_path / "shared"
+    fresh.mkdir()
+    shared.mkdir()
+    src = str(Path(burstfec.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+
+    def argv(name):  # relative outputs, as the report echoes them
+        return [
+            "analyze", "--quiet", "--code", "15,11,1", "--pair", "2,2", "--pair", "1,4",
+            "--budget", "0", *grids[name], "--csv", f"{name}.csv", "--report", f"{name}.json",
+        ]
+
+    for name in grids:
+        done = subprocess.run(
+            [sys.executable, "-m", "burstfec.cli", *argv(name)],
+            capture_output=True, text=True, env=env, timeout=120, cwd=fresh,
+        )
+        assert done.returncode == 0, done.stderr
+    work = [
+        counted(monkeypatch, burstfec.sweep, "_fmt"),
+        counted(monkeypatch, json.encoder, "encode_basestring_ascii"),
+        counted(monkeypatch, burstfec.sweep._Texts, "__missing__"),
+    ]
+    monkeypatch.chdir(shared)
+    tallies = []
+    for name in ("a", "b", "b"):
+        assert main(argv(name)) == 0
+        tallies.append([len(calls) for calls in work])
+        for suffix in (".csv", ".json"):
+            assert (shared / (name + suffix)).read_bytes() == (fresh / (name + suffix)).read_bytes()
+    assert b",-0," in (shared / "b.csv").read_bytes()
+    assert [b - a for a, b in zip(tallies[1], tallies[2])] == [
+        b - a for a, b in zip(tallies[0], tallies[1])
+    ]
 
 
 def test_csv_uses_twelve_significant_digits(tmp_path):
