@@ -114,6 +114,10 @@ class FsmcModel:
             raise ValueError("need at least two states")
         if error_profile.shape != (transition.shape[0],):
             raise ValueError("error profile length must match the state count")
+        for name, values in (("transition matrix", transition), ("error profile", error_profile)):
+            if not np.isfinite(values).all():
+                bad = float(values[~np.isfinite(values)][0])
+                raise ValueError(f"{name} entries must be finite, got {bad}")
         if np.any(transition < 0.0) or np.any(
             np.abs(transition.sum(axis=1) - 1.0) > STOCHASTIC_TOL
         ):

@@ -193,9 +193,9 @@ def _merge_flags(config, args):
 
 def _as(value, kind):
     """``value`` as an int or float (``kind``), or None where it is not a
-    JSON number of that kind: bools, strings and, for int, non-whole
+    JSON number of that kind: bools, strings, NaN and, for int, non-whole
     numbers are refused rather than cast."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or value != value:
         return None
     if kind is int and isinstance(value, float) and not value.is_integer():
         return None

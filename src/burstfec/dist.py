@@ -18,7 +18,11 @@ sequence gives a list with one result per channel.  The interleaved
 recursions take one depth for the whole stack or one depth per channel,
 so a whole sweep over depths is one stack.  Every product multiplies a
 channel's whole bucket stack, viewed as one (counts*S) x S matrix, so a
-counted bit costs one matrix product per channel and kernel.
+counted bit costs one matrix product per channel and kernel.  In the
+joint and sequential recursions it costs one product per channel, by
+the transition matrix, when each state of the stack is either error-free
+or always in error (as in every ibp_from_stats channel): the kernel
+terms it skips are exact zeros, so the bits are the same.
 """
 
 from __future__ import annotations
@@ -127,6 +131,58 @@ def _count_step(buckets, kernels, axis):
     return out
 
 
+def _erring_states(kernels):
+    """The erring states of a stack, when every state is clean (its d1
+    column is zero in every channel) or erring (its d0 column is); None
+    when some state errs with a probability strictly between 0 and 1."""
+    miss, hit = kernels.any(axis=(1, 2)).tolist()  # nonzero d0, d1 columns
+    if any(m and h for m, h in zip(miss, hit)):
+        return None
+    return [state for state, erring in enumerate(hit) if erring]
+
+
+def _walk(buckets, transition, kernels, path, gap=None):
+    """Advance a joint bucket stack along ``path``: each entry is the
+    counter axis (1 or 2) of a counted bit, or None for a product by ``gap``.
+
+    When every state is clean or erring (see :func:`_erring_states`), a
+    counted bit costs one product per channel by the transition matrix.
+    The flows then run as B x S_end x counts x counts x S_start, so each
+    end state's rows are contiguous: a clean state's rows are its no-error
+    flows as they stand, and an erring state's rows move up one count,
+    saturating at the top bucket.
+    The terms skipped are exact zeros, so every value is the dot product
+    :func:`_count_step` computes.  Other stacks take :func:`_count_step`.
+    """
+    erring = _erring_states(kernels)
+    if erring is None:
+        for axis in path:
+            buckets = _product(buckets, gap) if axis is None else _count_step(buckets, kernels, axis)
+        return buckets
+    flows = buckets.transpose(0, 4, 1, 2, 3).copy()
+    rows = flows.shape[:2] + (-1,)
+    # the flows are multiplied from the left, by the transposed matrices
+    full = transition.transpose(0, 2, 1)
+    gap = None if gap is None else gap.transpose(0, 2, 1)
+    # each product writes into the buffer it does not read; per buffer and
+    # counter, each erring state's flows with that counter's axis first
+    # (none at cap 0, where every count is the top bucket)
+    buffers = [
+        (buffer, {axis: [buffer[:, state].swapaxes(0, axis) for state in erring]
+                  for axis in (1, 2) if flows.shape[2] > 1})
+        for buffer in (flows, np.empty_like(flows))
+    ]
+    for axis in path:
+        (source, _), (target, erring_counts) = buffers
+        np.matmul(gap if axis is None else full, source.reshape(rows), out=target.reshape(rows))
+        for counts in erring_counts.get(axis, ()):
+            counts[-1] += counts[-2]
+            counts[1:-1] = counts[:-2]
+            counts[0] = 0.0
+        buffers.reverse()
+    return np.ascontiguousarray(buffers[0][0].transpose(0, 2, 3, 4, 1))
+
+
 def _laws(model, channels, buckets, cap):
     """Per channel (family, probs) for one counter, else the joint law;
     contracted channel by channel, as a batched einsum rounds differently."""
@@ -171,13 +227,10 @@ def joint_error_distribution(model, n: int, depth, cap: int):
         raise ValueError("joint pairing needs depth >= 2; use sequential_joint_distribution")
     channels, buckets, transition, kernels = _stack(model, n, cap, 2)
     gap = _powers(transition, np.subtract(depth, 2))
-    gapped = np.max(depth, initial=2) > 2
-    for i in range(n):
-        buckets = _count_step(buckets, kernels, 1)
-        buckets = _count_step(buckets, kernels, 2)
-        if i < n - 1 and gapped:
-            buckets = _product(buckets, gap)
-    return _laws(model, channels, buckets, cap)
+    path = [1, 2] * n
+    if np.max(depth, initial=2) > 2:  # a gap product between successive bit pairs
+        path = [1, 2, None] * (n - 1) + [1, 2]
+    return _laws(model, channels, _walk(buckets, transition, kernels, path, gap), cap)
 
 
 def sequential_joint_distribution(model, n: int, cap: int):
@@ -186,11 +239,8 @@ def sequential_joint_distribution(model, n: int, cap: int):
     This is the depth-1 layout: the two codewords occupy 2n consecutive
     transmission slots with no interleaving gaps at all.
     """
-    channels, buckets, _, kernels = _stack(model, n, cap, 2)
-    for axis in (1, 2):
-        for _ in range(n):
-            buckets = _count_step(buckets, kernels, axis)
-    return _laws(model, channels, buckets, cap)
+    channels, buckets, transition, kernels = _stack(model, n, cap, 2)
+    return _laws(model, channels, _walk(buckets, transition, kernels, [1] * n + [2] * n), cap)
 
 
 def marginal_consistency_check(joint: JointErrorDistribution, marginal_probs) -> float:

@@ -119,6 +119,22 @@ def test_fsmc_rejects_bad_matrices():
         FsmcModel(np.array([[0.9, 0.1], [0.5, 0.5]]), np.array([0.0, 1.5]))
 
 
+@pytest.mark.parametrize(
+    "transition,profile,message",
+    [
+        ([[0.9, 0.1], [0.1, 0.9]], [0.0, np.nan], "error profile entries must be finite, got nan"),
+        ([[0.9, 0.1], [0.1, 0.9]], [-np.inf, 1.0], "error profile entries must be finite, got -inf"),
+        ([[0.9, np.nan], [0.1, 0.9]], [0.0, 1.0], "transition matrix entries must be finite, got nan"),
+        ([[np.nan] * 2] * 2, [0.0, 1.0], "transition matrix entries must be finite, got nan"),
+        ([[0.9, 0.1], [np.inf, 0.9]], [0.0, 1.0], "transition matrix entries must be finite, got inf"),
+    ],
+)
+def test_fsmc_rejects_non_finite_entries(transition, profile, message):
+    # NaN passes every comparison-based range check, so it is refused by name
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        FsmcModel(transition, profile)
+
+
 def test_fsmc_three_state_stats():
     transition = np.array([[0.8, 0.15, 0.05], [0.2, 0.6, 0.2], [0.05, 0.15, 0.8]])
     profile = np.array([0.001, 0.05, 0.4])

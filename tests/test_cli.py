@@ -338,6 +338,12 @@ SMALL_GRID = ["--ber", "0.01", "--nacf", "0.5", "--code", "6,3,1", "--pair", "2,
             ["simulate", "--config", "c.json"], {"c.json": '{"gamma": 1e999}'},
             id="simulate-config-gamma-overflow",
         ),
+        # NaN is not a grid value: refused once, not as an error on every row
+        pytest.param(
+            ["compare", "--config", "c.json"], {"c.json": '{"channel": {"ber": [0.01, NaN]}}'},
+            id="compare-config-ber-nan",
+        ),
+        pytest.param(["analyze", *SMALL_GRID, "--nacf", "nan"], {}, id="analyze-nacf-flag-nan"),
         pytest.param(["simulate", *SMALL_GRID, "--gamma", "1.5"], {}, id="simulate-gamma-flag"),
         pytest.param(["compare", *SMALL_GRID, "--packets", "0"], {}, id="compare-packets-flag"),
         pytest.param(["simulate", *SMALL_GRID, "--workers", "0"], {}, id="simulate-workers-flag"),
@@ -401,6 +407,15 @@ def test_rejected_input_prints_one_error_line(argv, files, tmp_path, monkeypatch
         ),
         pytest.param({"gamma": 0}, "confidence level must be in (0, 1), got 0.0", id="gamma-zero"),
         pytest.param({"packets": 0}, "packet count must be >= 1, got 0", id="packets-zero"),
+        pytest.param(
+            {"channel": {"ber": [0.01, float("nan")]}}, "channel.ber must be a number, got nan",
+            id="ber-entry-nan",
+        ),
+        pytest.param(
+            {"channel": {"nacf": float("nan")}}, "channel.nacf must be a number, got nan",
+            id="nacf-nan",
+        ),
+        pytest.param({"gamma": float("nan")}, "gamma must be a number, got nan", id="gamma-nan"),
         pytest.param({"workers": 0}, "worker count must be >= 1, got 0", id="workers-zero"),
         pytest.param(
             {"channel": {"nacf": ["0.5"]}}, "channel.nacf must be a number, got '0.5'",

@@ -5,6 +5,7 @@ import time
 import numpy as np
 import pytest
 
+from burstfec import dist
 from burstfec.channel import ChannelSpec, FsmcModel, ibp_from_stats
 from burstfec.dist import (
     joint_error_distribution,
@@ -336,6 +337,16 @@ STACKS = {
     ],
     "three-state": [random_fsmc(seed) for seed in range(5)],
     "one-channel": [ibp_from_stats(ChannelSpec(ber=0.02, nacf=0.8))],
+    # two error-free states and one that always errs
+    "three-state-clean-erring": [
+        FsmcModel(random_fsmc(seed).transition, [0.0, 0.0, 1.0]) for seed in range(5, 9)
+    ],
+    # one channel whose second state errs now and then
+    "ibp-and-mixed-profile": [
+        ibp_from_stats(ChannelSpec(ber=0.01, nacf=0.6)),
+        FsmcModel([[0.95, 0.05], [0.3, 0.7]], [0.0, 0.4]),
+        ibp_from_stats(ChannelSpec(ber=0.2, nacf=0.9)),
+    ],
 }
 
 
@@ -367,6 +378,36 @@ def test_stacked_laws_equal_per_channel_laws(stack, n, depth, cap):
         looped_probs, looped_q = looped_laws(model, n, depth, cap)
         assert np.array_equal(probs, looped_probs)
         assert np.array_equal(joint.q, looped_q)
+
+
+@pytest.mark.parametrize(
+    "stack,takes_split_step",
+    [
+        ("ber-nacf-grid", False),
+        ("one-channel", False),
+        ("three-state-clean-erring", False),
+        ("ibp-and-mixed-profile", True),
+        ("three-state", True),
+    ],
+)
+def test_split_kernel_step_only_for_stacks_with_a_mixed_state(stack, takes_split_step, monkeypatch):
+    # stacks whose states are each error-free or always in error advance the
+    # joint and sequential recursions by one product per channel, without
+    # the split-kernel step; a stack with a mixed state must take that step
+    def refuse(*args):
+        raise RuntimeError("split-kernel step")
+
+    monkeypatch.setattr(dist, "_count_step", refuse)
+    for recursion in (
+        lambda: joint_error_distribution(STACKS[stack], 6, 3, 2),
+        lambda: joint_error_distribution(STACKS[stack], 6, 2, 0),
+        lambda: sequential_joint_distribution(STACKS[stack], 6, 2),
+    ):
+        if takes_split_step:
+            with pytest.raises(RuntimeError, match="split-kernel step"):
+                recursion()
+        else:
+            assert len(recursion()) == len(STACKS[stack])
 
 
 @pytest.mark.parametrize("states", [2, 3])
