@@ -22,7 +22,6 @@ from .channel import (
 )
 from .dist import (
     joint_error_distribution,
-    marginal_consistency_check,
     marginal_error_distribution,
     sequential_joint_distribution,
 )
@@ -42,10 +41,9 @@ from .models import (
     evaluate_models,
 )
 from .oracle import (
-    exact_block_error,
     exact_joint_law,
+    exact_loss,
     exact_marginal_law,
-    exact_packet_error,
 )
 from .sweep import (
     CSV_COLUMNS,
@@ -81,14 +79,12 @@ __all__ = [
     "dar1_stream",
     "emit_results",
     "evaluate_models",
-    "exact_block_error",
     "exact_joint_law",
+    "exact_loss",
     "exact_marginal_law",
-    "exact_packet_error",
     "feasible_pairs",
     "ibp_from_stats",
     "joint_error_distribution",
-    "marginal_consistency_check",
     "marginal_error_distribution",
     "optimize_depth",
     "residual_correlation",

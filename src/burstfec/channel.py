@@ -114,10 +114,7 @@ class FsmcModel:
             raise ValueError("need at least two states")
         if error_profile.shape != (transition.shape[0],):
             raise ValueError("error profile length must match the state count")
-        for name, values in (("transition matrix", transition), ("error profile", error_profile)):
-            if not np.isfinite(values).all():
-                bad = float(values[~np.isfinite(values)][0])
-                raise ValueError(f"{name} entries must be finite, got {bad}")
+        self.d0, self.d1 = split_transition_matrix(transition, error_profile)  # refuses NaN, inf
         if np.any(transition < 0.0) or np.any(
             np.abs(transition.sum(axis=1) - 1.0) > STOCHASTIC_TOL
         ):
@@ -127,7 +124,6 @@ class FsmcModel:
 
         self.transition = transition
         self.error_profile = error_profile
-        self.d0, self.d1 = split_transition_matrix(transition, error_profile)
         self.pi = stationary_vector(transition)
         for arr in (self.transition, self.error_profile, self.d0, self.d1, self.pi):
             arr.setflags(write=False)
@@ -166,6 +162,13 @@ def _lag1_nacf(pi, transition, error_profile, ber):
     return (joint - ber * ber) / var
 
 
+def _require_finite(name, values):
+    """Refuse an array with a NaN or infinite entry, naming the first one."""
+    if not np.isfinite(values).all():
+        bad = float(values[~np.isfinite(values)][0])
+        raise ValueError(f"{name} entries must be finite, got {bad}")
+
+
 def split_transition_matrix(transition, error_profile):
     """Split a transition matrix into (d0, d1) by reception outcome.
 
@@ -179,6 +182,8 @@ def split_transition_matrix(transition, error_profile):
         raise ValueError("transition matrix must be square")
     if error_profile.shape != (transition.shape[0],):
         raise ValueError("error profile length must match the state count")
+    _require_finite("transition matrix", transition)
+    _require_finite("error profile", error_profile)
     d1 = transition * error_profile[np.newaxis, :]
     return transition - d1, d1
 
@@ -213,6 +218,7 @@ def stationary_vector(transition):
     transition = np.asarray(transition, dtype=float)
     if transition.ndim != 2 or transition.shape[0] != transition.shape[1]:
         raise ValueError("transition matrix must be square")
+    _require_finite("transition matrix", transition)
     size = transition.shape[0]
     if size == 2:
         up, down = transition[0, 1], transition[1, 0]

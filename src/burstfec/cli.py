@@ -26,7 +26,7 @@ import sys
 
 from .channel import ChannelSpec, CodeSpec, SchemeSpec, ibp_from_stats
 from .models import ANALYTIC_MODELS, evaluate_models
-from .oracle import _loss, exact_joint_law, exact_marginal_law
+from .oracle import exact_joint_law, exact_loss, exact_marginal_law
 from .sweep import (
     DECORRELATION_THRESHOLD,
     SweepSpec,
@@ -240,7 +240,7 @@ def _sweep_spec(config, models):
         codes=tuple(CodeSpec(*code) for code in _int_entries(config["codes"], 3, "codes")),
         pairs=tuple(SchemeSpec(*pair) for pair in _int_entries(config["pairs"], 2, "pairs")),
         models=tuple(models),
-        budget=None if budget is None else _number(budget, int, "budget") or None,
+        budget=None if budget is None else _number(budget, int, "budget"),
         packets=_number(config["packets"], int, "packets"),
         seed=_number(config["seed"], int, "seed"),
         gamma=_number(config["gamma"], float, "gamma"),
@@ -327,7 +327,7 @@ def _run_oracle(args):
     # built before any output, so a code the models reject prints nothing
     code = CodeSpec(n=args.n, k=max(args.n - 1, 1), l=args.l) if args.n > 1 else None
     # one block flow gives the block error and the packet error
-    p_block, p_packet = _loss(model, args.n, args.depth, args.l, args.blocks)
+    p_block, p_packet = exact_loss(model, args.n, args.depth, args.l, args.blocks)
     print(f"exact count-vector recursion over {slots} slots per block")
     print(f"block error  : {p_block:.12g}")
     print(f"packet error : {p_packet:.12g}  (blocks={args.blocks})")

@@ -13,57 +13,29 @@ powers of the full transition matrix: D**(I-1) between the bits of one
 codeword, D**(I-2) between the bit pairs of two adjacent codewords.
 
 Each recursion takes one FsmcModel, or a non-empty sequence of them
-with equal state counts run as one stack along a leading batch axis; a
-sequence gives a list with one result per channel.  The interleaved
-recursions take one depth for the whole stack or one depth per channel,
-so a whole sweep over depths is one stack.  Every product multiplies a
-channel's whole bucket stack, viewed as one (counts*S) x S matrix, so a
-counted bit costs one matrix product per channel and kernel.  In the
-joint and sequential recursions it costs one product per channel, by
-the transition matrix, when each state of the stack is either error-free
-or always in error (as in every ibp_from_stats channel): the kernel
-terms it skips are exact zeros, so the bits are the same.
+with equal state counts run as one stack along a leading batch axis,
+and returns two plain arrays ``(buckets, law)``.  ``buckets`` holds one
+S x S flow matrix per counter value: (cap+1) of them for one codeword,
+(cap+1) x (cap+1) for two; summed over the counter values they give
+the plain transition power over the recursion's horizon.  ``law`` is
+the count law ``pi @ buckets[...] @ 1``.  A sequence gets both arrays
+stacked along a leading channel axis, one FsmcModel its own slices.
+The interleaved recursions take one depth for the whole stack or one
+depth per channel, so a whole sweep over depths is one stack.  Every
+product multiplies a channel's whole bucket stack, viewed as one
+(counts*S) x S matrix, so a counted bit costs one matrix product per
+channel and kernel.  In the joint and sequential recursions it costs
+one product per channel, by the transition matrix, when each state of
+the stack is either error-free or always in error (as in every
+ibp_from_stats channel): the kernel terms it skips are exact zeros, so
+the bits are the same.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .channel import FsmcModel
-
-
-@dataclass(frozen=True)
-class CountMatrixFamily:
-    """Bucketed probability-flow matrices over one recursion horizon.
-
-    ``buckets[j]`` (or ``buckets[i, j]`` for joint families) is the S x S
-    matrix of path probabilities reaching those counter values.  Summed
-    over all buckets the family reproduces the plain multi-slot transition
-    matrix of the chain, which is the main internal consistency check.
-    """
-
-    buckets: np.ndarray
-    cap: int
-
-    def total(self) -> np.ndarray:
-        """Sum over all buckets; row-stochastic over the full horizon."""
-        count_axes = tuple(range(self.buckets.ndim - 2))
-        return self.buckets.sum(axis=count_axes)
-
-
-@dataclass(frozen=True)
-class JointErrorDistribution:
-    """Joint law of the bucketed bit error counts in two adjacent codewords."""
-
-    q: np.ndarray  # (cap+1, cap+1); q[i, j] = P(first counts i, second counts j)
-    cap: int
-    family: CountMatrixFamily
-
-    @property
-    def first_marginal(self) -> np.ndarray:
-        return self.q.sum(axis=1)
 
 
 def _channels(model):
@@ -183,15 +155,14 @@ def _walk(buckets, transition, kernels, path, gap=None):
     return np.ascontiguousarray(buffers[0][0].transpose(0, 2, 3, 4, 1))
 
 
-def _laws(model, channels, buckets, cap):
-    """Per channel (family, probs) for one counter, else the joint law;
-    contracted channel by channel, as a batched einsum rounds differently."""
-    results = []
-    for channel, b in zip(channels, buckets):
-        family = CountMatrixFamily(buckets=b, cap=cap)
-        law = np.einsum("s,...st->...", channel.pi, b)
-        results.append((family, law) if b.ndim == 3 else JointErrorDistribution(law, cap, family))
-    return results[0] if isinstance(model, FsmcModel) else results
+def _laws(model, channels, buckets):
+    """(buckets, law): the law of each channel is its buckets contracted
+    with its stationary vector, one einsum per channel, as a batched
+    einsum rounds differently.  One FsmcModel gets its own slices."""
+    laws = np.empty(buckets.shape[:-2])
+    for i, channel in enumerate(channels):
+        laws[i] = np.einsum("s,...st->...", channel.pi, buckets[i])
+    return (buckets[0], laws[0]) if isinstance(model, FsmcModel) else (buckets, laws)
 
 
 def marginal_error_distribution(model, n: int, depth, cap: int):
@@ -199,9 +170,8 @@ def marginal_error_distribution(model, n: int, depth, cap: int):
 
     Every counted bit except the last is followed by a marginalized gap
     of depth-1 slots occupied by the other codewords of the block;
-    ``depth`` is one int or one per channel of the stack.  Returns the
-    bucket family and the probability vector
-    ``probs[j] = pi @ buckets[j] @ 1``.
+    ``depth`` is one int or one per channel of the stack.  Returns
+    ``(buckets, probs)`` with ``probs[j] = pi @ buckets[j] @ 1``.
     """
     if (least := np.min(depth, initial=1)) < 1:
         raise ValueError(f"interleaving depth must be >= 1, got {least}")
@@ -209,7 +179,7 @@ def marginal_error_distribution(model, n: int, depth, cap: int):
     gap = _powers(transition, np.subtract(depth, 1))
     for step in [kernels @ gap] * (n - 1) + [kernels]:
         buckets = _count_step(buckets, step, 1)
-    return _laws(model, channels, buckets, cap)
+    return _laws(model, channels, buckets)
 
 
 def joint_error_distribution(model, n: int, depth, cap: int):
@@ -221,7 +191,8 @@ def joint_error_distribution(model, n: int, depth, cap: int):
     channel of the stack; the gap product is skipped only when every
     depth is 2, and is the identity for the depth-2 channels of a mixed
     stack.  Requires depth >= 2 -- depth 1 has no column pairing (see
-    :func:`sequential_joint_distribution`).
+    :func:`sequential_joint_distribution`).  Returns ``(buckets, q)``
+    with ``q[i, j]`` = P(first counts i, second counts j).
     """
     if np.min(depth, initial=2) < 2:
         raise ValueError("joint pairing needs depth >= 2; use sequential_joint_distribution")
@@ -230,29 +201,15 @@ def joint_error_distribution(model, n: int, depth, cap: int):
     path = [1, 2] * n
     if np.max(depth, initial=2) > 2:  # a gap product between successive bit pairs
         path = [1, 2, None] * (n - 1) + [1, 2]
-    return _laws(model, channels, _walk(buckets, transition, kernels, path, gap), cap)
+    return _laws(model, channels, _walk(buckets, transition, kernels, path, gap))
 
 
 def sequential_joint_distribution(model, n: int, cap: int):
     """Joint error-count law of two codewords sent back to back.
 
     This is the depth-1 layout: the two codewords occupy 2n consecutive
-    transmission slots with no interleaving gaps at all.
+    transmission slots with no interleaving gaps at all.  Returns
+    ``(buckets, q)`` as :func:`joint_error_distribution` does.
     """
     channels, buckets, transition, kernels = _stack(model, n, cap, 2)
-    return _laws(model, channels, _walk(buckets, transition, kernels, [1] * n + [2] * n), cap)
-
-
-def marginal_consistency_check(joint: JointErrorDistribution, marginal_probs) -> float:
-    """Largest absolute gap between the joint's first marginal and the
-    one-codeword distribution computed for the same parameters.
-
-    Both recursions integrate the same path measure, so the gap is pure
-    floating-point noise; anything above ~1e-12 indicates a bug.
-    """
-    probs = np.asarray(marginal_probs, dtype=float)
-    if probs.shape != (joint.cap + 1,):
-        raise ValueError(
-            f"marginal has {probs.shape[0]} buckets, joint expects {joint.cap + 1}"
-        )
-    return float(np.max(np.abs(joint.first_marginal - probs)))
+    return _laws(model, channels, _walk(buckets, transition, kernels, [1] * n + [2] * n))

@@ -256,13 +256,11 @@ def _joint_laws(channels, n: int, depths, cap: int):
     sequential = [i for i, depth in enumerate(depths) if depth == 1]
     paired = [i for i, depth in enumerate(depths) if depth != 1]
     if sequential:
-        laws = sequential_joint_distribution([channels[i] for i in sequential], n, cap)
-        q[sequential] = [joint.q for joint in laws]
+        _, q[sequential] = sequential_joint_distribution([channels[i] for i in sequential], n, cap)
     if paired:
-        laws = joint_error_distribution(
+        _, q[paired] = joint_error_distribution(
             [channels[i] for i in paired], n, [depths[i] for i in paired], cap
         )
-        q[paired] = [joint.q for joint in laws]
     return q
 
 
@@ -321,7 +319,7 @@ def evaluate_models(model, code: CodeSpec, scheme, which=ANALYTIC_MODELS):
     is one stack too; a channel's results do not depend on the rest of
     its stack.
 
-    Models 1 and 3 consume the identical joint distribution object, so
+    Models 1 and 3 consume the identical joint law array, so
     any disagreement between them isolates their second-stage
     approximations rather than the shared first stage.  A model whose
     chain stage fails on a channel (e.g. a codeword NACF outside the
@@ -343,8 +341,7 @@ def evaluate_models(model, code: CodeSpec, scheme, which=ANALYTIC_MODELS):
         stages["model1"] = (_model1_blocks, q, l, depths)
         stages["model3"] = (_model3_blocks, q, l, depths)
     if "model2" in which:
-        laws = marginal_error_distribution(channels, code.n, depths, cap)
-        probs = np.array([law for _, law in laws])
+        _, probs = marginal_error_distribution(channels, code.n, depths, cap)
         nacf = np.array([channel.lag1_nacf() for channel in channels])
         stages["model2"] = (_model2_blocks, probs, nacf, l, depths)
     blocks = [s.blocks for s in schemes]

@@ -8,6 +8,10 @@ counter up on an error; any other slot multiplies by the transition matrix.
 With no gap powers and no codeword-level chain, the results check the
 production recursions and the analytic models independently.  Cost is
 linear in the slot count and grows as (l+1)**depth count vectors.
+
+:func:`exact_loss` gives the block and the packet loss probability from
+one block flow; :func:`exact_marginal_law` and :func:`exact_joint_law`
+give the bucketed count laws of one codeword and of two adjacent ones.
 """
 
 from __future__ import annotations
@@ -94,9 +98,9 @@ def exact_marginal_law(model: FsmcModel, n: int, depth: int, cap: int) -> np.nda
     return np.einsum("s,tsj->j", model.pi, flow)
 
 
-def _loss(model: FsmcModel, n: int, depth: int, l: int, blocks: int):
-    """P(the first block fails to decode) and P(some block among ``blocks``
-    consecutive ones fails), from one block flow.
+def exact_loss(model: FsmcModel, n: int, depth: int, l: int, blocks: int):
+    """Exact (block, packet) loss: P(the first block fails to decode) and
+    P(some block among ``blocks`` consecutive ones fails), from one block flow.
 
     The block flow tracks every codeword and drops the paths past l, whose
     probability is summed as they go, not taken as 1 - (decodable mass), so
@@ -112,13 +116,3 @@ def _loss(model: FsmcModel, n: int, depth: int, l: int, blocks: int):
         losses.append(losses[-1] + float(reach @ failed))
         reach = reach @ flow_ok
     return min(losses[1], 1.0), min(losses[-1], 1.0)
-
-
-def exact_block_error(model: FsmcModel, n: int, depth: int, l: int) -> float:
-    """P(any codeword of one interleaved block exceeds l errors), exactly."""
-    return _loss(model, n, depth, l, 1)[0]
-
-
-def exact_packet_error(model: FsmcModel, n: int, depth: int, l: int, blocks: int) -> float:
-    """Exact loss probability of ``blocks`` consecutive interleaved blocks."""
-    return _loss(model, n, depth, l, blocks)[1]

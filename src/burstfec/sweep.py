@@ -44,7 +44,7 @@ class SweepSpec:
     codes: tuple[CodeSpec, ...]
     pairs: tuple[SchemeSpec, ...]
     models: tuple[str, ...]
-    budget: int | None = 1008
+    budget: int | None = 1008  # 0 or None turns the budget check off
     packets: int = 100_000
     seed: int = 0
     gamma: float = 0.95
@@ -55,6 +55,8 @@ class SweepSpec:
         unknown = set(self.models) - set(MODEL_NAMES)
         if unknown:
             raise ValueError(f"unknown models: {sorted(unknown)}")
+        if self.budget is not None and self.budget < 0:
+            raise ValueError(f"packet bit budget must be >= 0, got {self.budget}")
         _check_sampling(self.packets, self.gamma, self.seed)  # before any row, not on every mc row
 
     @property
@@ -206,7 +208,7 @@ def _evaluate_code(spec, code, grid, analytic):
         bits = scheme.packet_bits(code.n)
         if isinstance(channel, ValueError):
             note = f"error: {channel}"
-        elif spec.budget is not None and bits != spec.budget:
+        elif spec.budget and bits != spec.budget:
             note = f"infeasible: depth*blocks*n = {bits} != budget {spec.budget}"
         else:
             note = None
@@ -313,6 +315,8 @@ def optimize_depth(
     """
     if model not in ANALYTIC_MODELS:
         raise ValueError(f"model must be one of {ANALYTIC_MODELS}, got {model!r}")
+    if not 0.0 <= threshold <= 1.0:  # NaN too
+        raise ValueError(f"threshold must be in [0, 1], got {threshold!r}")
     pairs = feasible_pairs(budget, code.n)
     if not pairs:
         raise ValueError(f"no feasible (depth, blocks) pair: budget {budget}, n {code.n}")

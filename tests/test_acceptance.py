@@ -22,12 +22,7 @@ from burstfec.dist import (
 )
 from burstfec.mc import SimConfig, dar1_stream, simulate_packets
 from burstfec.models import _model3_blocks, binomial_baseline, evaluate_models
-from burstfec.oracle import (
-    exact_block_error,
-    exact_joint_law,
-    exact_marginal_law,
-    exact_packet_error,
-)
+from burstfec.oracle import exact_joint_law, exact_loss, exact_marginal_law
 from burstfec.sweep import (
     SweepSpec,
     emit_results,
@@ -113,19 +108,19 @@ def test_criterion_2_oracle_equivalence():
                         gap = np.max(np.abs(probs - exact_marginal_law(fsmc, n, depth, cap)))
                         worst_dist = max(worst_dist, float(gap))
                         if depth >= 2:
-                            joint = joint_error_distribution(fsmc, n, depth, cap)
+                            _, q = joint_error_distribution(fsmc, n, depth, cap)
                         else:
-                            joint = sequential_joint_distribution(fsmc, n, cap)
-                        gap = np.max(np.abs(joint.q - exact_joint_law(fsmc, n, depth, cap)))
+                            _, q = sequential_joint_distribution(fsmc, n, cap)
+                        gap = np.max(np.abs(q - exact_joint_law(fsmc, n, depth, cap)))
                         worst_dist = max(worst_dist, float(gap))
 
-                        exact = exact_block_error(fsmc, n, depth, l)
+                        exact = exact_loss(fsmc, n, depth, l, 1)[0]
                         if 1 < n and l < n:  # a valid CodeSpec: the public entry point
                             predicted = evaluate_models(
                                 fsmc, CodeSpec(n, 1, l), SchemeSpec(depth, 1), ("model3",)
                             )["model3"].block_error
                         else:
-                            predicted = _model3_blocks(joint.q[None], l, depth, [None]).item(0)
+                            predicted = _model3_blocks(q[None], l, depth, [None]).item(0)
                         if exact <= zero_floor:
                             devs[nacf] = 0.0
                             assert predicted <= zero_floor, (
@@ -387,7 +382,7 @@ def test_criterion_9_models_against_exact():
             for nacf in (0.3, 0.6, 0.9):
                 for ber in (0.001, 0.005, 0.01, 0.02):
                     fsmc = ibp_from_stats(ChannelSpec(ber=ber, nacf=nacf))
-                    exact = exact_packet_error(fsmc, code.n, scheme.depth, code.l, scheme.blocks)
+                    exact = exact_loss(fsmc, code.n, scheme.depth, code.l, scheme.blocks)[1]
                     predictions = evaluate_models(fsmc, code, scheme, tuple(worst))
                     devs = {
                         name: abs(predictions[name].packet_error - exact) / exact

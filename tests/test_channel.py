@@ -135,6 +135,34 @@ def test_fsmc_rejects_non_finite_entries(transition, profile, message):
         FsmcModel(transition, profile)
 
 
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        pytest.param(
+            lambda: stationary_vector([[np.nan, np.nan], [np.nan, np.nan]]),
+            "transition matrix entries must be finite, got nan", id="stationary-two-state-nan",
+        ),
+        pytest.param(
+            lambda: stationary_vector([[0.5, 0.5, 0.0], [0.0, 0.5, np.inf], [0.3, 0.3, 0.4]]),
+            "transition matrix entries must be finite, got inf", id="stationary-three-state-inf",
+        ),
+        pytest.param(
+            lambda: split_transition_matrix([[0.9, 0.1], [0.1, 0.9]], [0.0, np.nan]),
+            "error profile entries must be finite, got nan", id="split-profile-nan",
+        ),
+        pytest.param(
+            lambda: split_transition_matrix([[0.9, -np.inf], [0.1, 0.9]], [0.0, 1.0]),
+            "transition matrix entries must be finite, got -inf", id="split-transition-inf",
+        ),
+    ],
+)
+def test_every_channel_entry_point_refuses_non_finite_entries(call, message):
+    # NaN passes the stationary residual test and the split's arithmetic, so it is
+    # refused by name, with FsmcModel's message
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
 def test_fsmc_three_state_stats():
     transition = np.array([[0.8, 0.15, 0.05], [0.2, 0.6, 0.2], [0.05, 0.15, 0.8]])
     profile = np.array([0.001, 0.05, 0.4])

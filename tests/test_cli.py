@@ -11,7 +11,7 @@ import pytest
 import burstfec
 from burstfec.channel import ChannelSpec, ibp_from_stats
 from burstfec.cli import DEFAULT_CONFIG, build_parser, main
-from burstfec.oracle import exact_block_error, exact_packet_error
+from burstfec.oracle import exact_loss
 
 
 def read_rows(path):
@@ -209,7 +209,7 @@ def test_oracle_verb_prints_reference(capsys):
     block_line = next(line for line in out.splitlines() if line.startswith("block error"))
     printed = float(block_line.split(":")[1])
     model = ibp_from_stats(ChannelSpec(ber=0.1, nacf=0.6))
-    assert printed == pytest.approx(exact_block_error(model, 4, 2, 1), rel=1e-11)
+    assert printed == pytest.approx(exact_loss(model, 4, 2, 1, 1)[0], rel=1e-11)
     assert "model predictions" in out
 
 
@@ -237,7 +237,7 @@ def test_oracle_verb_runs_at_paper_scale(capsys):
     packet_line = next(line for line in out.splitlines() if line.startswith("packet error"))
     model = ibp_from_stats(ChannelSpec(ber=0.01, nacf=0.9))
     assert float(packet_line.split(":")[1].split()[0]) == pytest.approx(
-        exact_packet_error(model, 63, 4, 3, 4), rel=1e-11
+        exact_loss(model, 63, 4, 3, 4)[1], rel=1e-11
     )
 
 
@@ -258,9 +258,9 @@ def test_oracle_verb_runs_the_block_flow_once(monkeypatch, capsys):
     lines = capsys.readouterr().out.splitlines()
     monkeypatch.undo()
     model = ibp_from_stats(ChannelSpec(ber=0.05, nacf=0.7))
-    # the same bits as the two public calls, each of which runs its own flow
-    assert f"block error  : {exact_block_error(model, 5, 3, 1):.12g}" in lines
-    assert f"packet error : {exact_packet_error(model, 5, 3, 1, 3):.12g}  (blocks=3)" in lines
+    # the same bits as a block-only call and a packet call, each with its own flow
+    assert f"block error  : {exact_loss(model, 5, 3, 1, 1)[0]:.12g}" in lines
+    assert f"packet error : {exact_loss(model, 5, 3, 1, 3)[1]:.12g}  (blocks=3)" in lines
 
 
 SMALL_GRID = ["--ber", "0.01", "--nacf", "0.5", "--code", "6,3,1", "--pair", "2,2",
@@ -284,6 +284,10 @@ SMALL_GRID = ["--ber", "0.01", "--nacf", "0.5", "--code", "6,3,1", "--pair", "2,
         pytest.param(
             ["optimize", "--budget", "1000", "--ber", "0.01", "--nacf", "0.5"], {},
             id="optimize-infeasible-budget",
+        ),
+        pytest.param(
+            ["optimize", "--threshold", "nan", "--ber", "0.01", "--nacf", "0.5"], {},
+            id="optimize-threshold-nan",
         ),
         pytest.param(["analyze", "--code", "63,63,1"], {}, id="analyze-code-k-equals-n"),
         pytest.param(["simulate", "--pair", "0,4"], {}, id="simulate-pair-depth-zero"),
@@ -348,6 +352,12 @@ SMALL_GRID = ["--ber", "0.01", "--nacf", "0.5", "--code", "6,3,1", "--pair", "2,
         pytest.param(["compare", *SMALL_GRID, "--packets", "0"], {}, id="compare-packets-flag"),
         pytest.param(["simulate", *SMALL_GRID, "--workers", "0"], {}, id="simulate-workers-flag"),
         pytest.param(["compare", *SMALL_GRID, "--workers", "-3"], {}, id="compare-workers-flag"),
+        # a negative budget is refused once, not as an infeasible note on every row
+        pytest.param(["analyze", *SMALL_GRID, "--budget", "-1"], {}, id="analyze-budget-flag-negative"),
+        pytest.param(
+            ["analyze", "--config", "c.json"], {"c.json": '{"budget": -1}'},
+            id="analyze-config-budget-negative",
+        ),
     ],
 )
 def test_rejected_input_prints_one_error_line(argv, files, tmp_path, monkeypatch, capsys):

@@ -9,7 +9,6 @@ from burstfec import dist
 from burstfec.channel import ChannelSpec, FsmcModel, ibp_from_stats
 from burstfec.dist import (
     joint_error_distribution,
-    marginal_consistency_check,
     marginal_error_distribution,
     sequential_joint_distribution,
 )
@@ -58,6 +57,12 @@ def sequential_by_paths(model, n, cap):
             vec = vec @ (model.d1 if err else model.d0)
         out[min(sum(pattern[:n]), cap), min(sum(pattern[n:]), cap)] += vec.sum()
     return out
+
+
+def marginal_gap(q, probs):
+    """Largest gap between a joint law's first marginal and a one-codeword
+    law; laws of different caps have different lengths and are refused."""
+    return float(np.max(np.abs(q.sum(axis=1) - probs)))
 
 
 def bucket(values, cap):
@@ -112,14 +117,14 @@ def test_marginal_frozen_reference():
 
 def test_joint_frozen_reference():
     model = ibp_from_stats(ChannelSpec(ber=0.2, nacf=0.7))
-    joint = joint_error_distribution(model, 3, 2, 3)
-    np.testing.assert_allclose(joint.q, JOINT_3_2, atol=1e-14)
+    _, q = joint_error_distribution(model, 3, 2, 3)
+    np.testing.assert_allclose(q, JOINT_3_2, atol=1e-14)
 
 
 def test_sequential_frozen_reference():
     model = ibp_from_stats(ChannelSpec(ber=0.2, nacf=0.7))
-    joint = sequential_joint_distribution(model, 2, 2)
-    np.testing.assert_allclose(joint.q, SEQUENTIAL_2, atol=1e-14)
+    _, q = sequential_joint_distribution(model, 2, 2)
+    np.testing.assert_allclose(q, SEQUENTIAL_2, atol=1e-14)
 
 
 @pytest.mark.parametrize("ber,nacf", MODEL_GRID)
@@ -134,41 +139,41 @@ def test_marginal_matches_path_enumeration(ber, nacf, n, depth):
 @pytest.mark.parametrize("n,depth", [(1, 2), (2, 3), (3, 2), (3, 4)])
 def test_joint_matches_path_enumeration(ber, nacf, n, depth):
     model = ibp_from_stats(ChannelSpec(ber=ber, nacf=nacf))
-    joint = joint_error_distribution(model, n, depth, n)
-    assert np.max(np.abs(joint.q - joint_by_paths(model, n, depth, n))) <= 1e-13
+    _, q = joint_error_distribution(model, n, depth, n)
+    assert np.max(np.abs(q - joint_by_paths(model, n, depth, n))) <= 1e-13
 
 
 @pytest.mark.parametrize("ber,nacf", MODEL_GRID)
 @pytest.mark.parametrize("n", [1, 2, 4])
 def test_sequential_matches_path_enumeration(ber, nacf, n):
     model = ibp_from_stats(ChannelSpec(ber=ber, nacf=nacf))
-    joint = sequential_joint_distribution(model, n, n)
-    assert np.max(np.abs(joint.q - sequential_by_paths(model, n, n))) <= 1e-13
+    _, q = sequential_joint_distribution(model, n, n)
+    assert np.max(np.abs(q - sequential_by_paths(model, n, n))) <= 1e-13
 
 
 def test_single_pair_back_to_back():
     # n=1 sequential law is exactly pi @ D(a) @ D(b) @ 1
     model = ibp_from_stats(ChannelSpec(ber=0.2, nacf=0.7))
-    joint = sequential_joint_distribution(model, 1, 1)
+    _, q = sequential_joint_distribution(model, 1, 1)
     ones = np.ones(2)
     kernels = (model.d0, model.d1)
     for a in (0, 1):
         for b in (0, 1):
             expect = float(model.pi @ kernels[a] @ kernels[b] @ ones)
-            assert joint.q[a, b] == pytest.approx(expect, abs=1e-15)
+            assert q[a, b] == pytest.approx(expect, abs=1e-15)
 
 
 def test_uncorrelated_joint_factorizes():
     # nacf=0 makes every bit i.i.d.: the joint is an outer product of
     # binomial laws and the quarter table shows up at n=1, ber=0.5
     model = ibp_from_stats(ChannelSpec(ber=0.5, nacf=0.0))
-    joint = joint_error_distribution(model, 1, 2, 1)
-    np.testing.assert_allclose(joint.q, np.full((2, 2), 0.25), atol=1e-14)
+    _, q = joint_error_distribution(model, 1, 2, 1)
+    np.testing.assert_allclose(q, np.full((2, 2), 0.25), atol=1e-14)
 
     model = ibp_from_stats(ChannelSpec(ber=0.3, nacf=0.0))
-    joint = joint_error_distribution(model, 4, 3, 4)
+    _, q = joint_error_distribution(model, 4, 3, 4)
     binom = np.array([math.comb(4, j) * 0.3**j * 0.7 ** (4 - j) for j in range(5)])
-    np.testing.assert_allclose(joint.q, np.outer(binom, binom), atol=1e-13)
+    np.testing.assert_allclose(q, np.outer(binom, binom), atol=1e-13)
 
 
 @pytest.mark.parametrize("ber", [0.05, 0.2, 0.5])
@@ -186,31 +191,30 @@ def test_laws_sum_to_one(ber, nacf, n, depth):
     model = ibp_from_stats(ChannelSpec(ber=ber, nacf=nacf))
     _, probs = marginal_error_distribution(model, n, depth, 2)
     assert probs.sum() == pytest.approx(1.0, abs=1e-12)
-    joint = (
+    _, q = (
         joint_error_distribution(model, n, depth, 2)
         if depth >= 2
         else sequential_joint_distribution(model, n, 2)
     )
-    assert joint.q.sum() == pytest.approx(1.0, abs=1e-12)
-    assert np.all(joint.q >= -1e-15)
+    assert q.sum() == pytest.approx(1.0, abs=1e-12)
+    assert np.all(q >= -1e-15)
 
 
 @pytest.mark.parametrize("n,depth", [(4, 1), (4, 2), (6, 5)])
 def test_bucket_sum_reproduces_gap_horizon(n, depth):
-    # summed over buckets the family must equal the plain transition
-    # matrix over the whole recursion horizon
+    # summed over buckets, the returned buckets of every recursion must equal
+    # the plain transition matrix over the whole recursion horizon
     model = ibp_from_stats(ChannelSpec(ber=0.02, nacf=0.8))
-    family, _ = marginal_error_distribution(model, n, depth, 2)
+    buckets, _ = marginal_error_distribution(model, n, depth, 2)
     horizon = np.linalg.matrix_power(model.transition, (n - 1) * depth + 1)
-    assert np.max(np.abs(family.total() - horizon)) <= 1e-12
+    assert np.max(np.abs(buckets.sum(axis=0) - horizon)) <= 1e-12
+    buckets, _ = sequential_joint_distribution(model, n, 2)
+    horizon = np.linalg.matrix_power(model.transition, 2 * n)
+    assert np.max(np.abs(buckets.sum(axis=(0, 1)) - horizon)) <= 1e-12
     if depth >= 2:
-        joint = joint_error_distribution(model, n, depth, 2)
+        buckets, _ = joint_error_distribution(model, n, depth, 2)
         horizon = np.linalg.matrix_power(model.transition, (n - 1) * depth + 2)
-        assert np.max(np.abs(joint.family.total() - horizon)) <= 1e-12
-    else:
-        joint = sequential_joint_distribution(model, n, 2)
-        horizon = np.linalg.matrix_power(model.transition, 2 * n)
-        assert np.max(np.abs(joint.family.total() - horizon)) <= 1e-12
+        assert np.max(np.abs(buckets.sum(axis=(0, 1)) - horizon)) <= 1e-12
 
 
 @pytest.mark.parametrize("cap", [0, 1, 3])
@@ -220,29 +224,33 @@ def test_saturation_equals_rebucketed_full_resolution(cap):
     _, full = marginal_error_distribution(model, n, depth, n)
     _, capped = marginal_error_distribution(model, n, depth, cap)
     np.testing.assert_allclose(capped, bucket(full, cap), atol=1e-13)
-    full_joint = joint_error_distribution(model, n, depth, n)
-    capped_joint = joint_error_distribution(model, n, depth, cap)
-    np.testing.assert_allclose(capped_joint.q, bucket(full_joint.q, cap), atol=1e-13)
+    _, full_q = joint_error_distribution(model, n, depth, n)
+    _, capped_q = joint_error_distribution(model, n, depth, cap)
+    np.testing.assert_allclose(capped_q, bucket(full_q, cap), atol=1e-13)
 
 
 @pytest.mark.parametrize("ber,nacf", [(0.01, 0.9), (0.2, 0.5)])
 @pytest.mark.parametrize("n,depth,cap", [(63, 16, 6), (31, 4, 4), (5, 1, 2)])
 def test_marginal_consistency(ber, nacf, n, depth, cap):
     model = ibp_from_stats(ChannelSpec(ber=ber, nacf=nacf))
-    joint = (
+    _, q = (
         joint_error_distribution(model, n, depth, cap)
         if depth >= 2
         else sequential_joint_distribution(model, n, cap)
     )
     _, probs = marginal_error_distribution(model, n, depth, cap)
-    assert marginal_consistency_check(joint, probs) <= 1e-12
+    assert marginal_gap(q, probs) <= 1e-12
 
 
 def test_marginal_consistency_rejects_shape_mismatch():
+    # a marginal of another cap has another length: compared with a joint's
+    # first marginal it is refused, not broadcast
     model = ibp_from_stats(ChannelSpec(ber=0.01, nacf=0.5))
-    joint = joint_error_distribution(model, 4, 2, 2)
+    _, q = joint_error_distribution(model, 4, 2, 2)
+    _, probs = marginal_error_distribution(model, 4, 2, 4)
+    assert q.shape == (3, 3) and probs.shape == (5,)
     with pytest.raises(ValueError):
-        marginal_consistency_check(joint, np.zeros(5))
+        marginal_gap(q, probs)
 
 
 def test_three_state_channel_supported():
@@ -251,10 +259,10 @@ def test_three_state_channel_supported():
 
     transition = np.array([[0.9, 0.08, 0.02], [0.25, 0.6, 0.15], [0.05, 0.25, 0.7]])
     model = FsmcModel(transition, np.array([0.001, 0.1, 0.6]))
-    joint = joint_error_distribution(model, 3, 2, 3)
-    assert np.max(np.abs(joint.q - joint_by_paths(model, 3, 2, 3))) <= 1e-13
+    _, q = joint_error_distribution(model, 3, 2, 3)
+    assert np.max(np.abs(q - joint_by_paths(model, 3, 2, 3))) <= 1e-13
     _, probs = marginal_error_distribution(model, 3, 2, 3)
-    assert marginal_consistency_check(joint, probs) <= 1e-12
+    assert marginal_gap(q, probs) <= 1e-12
 
 
 def test_joint_rejects_depth_one():
@@ -275,9 +283,9 @@ def test_long_codeword_joint_is_fast():
     # worst realistic size: (1023, k, t<=16)-style code at depth 16
     model = ibp_from_stats(ChannelSpec(ber=0.001, nacf=0.9))
     start = time.perf_counter()
-    joint = joint_error_distribution(model, 1023, 16, 16)
+    _, q = joint_error_distribution(model, 1023, 16, 16)
     elapsed = time.perf_counter() - start
-    assert joint.q.sum() == pytest.approx(1.0, abs=1e-11)
+    assert q.sum() == pytest.approx(1.0, abs=1e-11)
     assert elapsed < 1.0
 
 
@@ -361,23 +369,25 @@ def test_stacked_laws_equal_per_channel_laws(stack, n, depth, cap):
     joints = (
         joint_error_distribution(stack, n, depth, cap) if depth >= 2 else sequentials
     )
-    assert len(marginals) == len(joints) == len(sequentials) == len(stack)
-    for model, (family, probs), joint, sequential in zip(
-        stack, marginals, joints, sequentials
-    ):
-        alone_family, alone_probs = marginal_error_distribution(model, n, depth, cap)
-        assert np.array_equal(probs, alone_probs)
-        assert np.array_equal(family.buckets, alone_family.buckets)
-        alone_sequential = sequential_joint_distribution(model, n, cap)
-        assert np.array_equal(sequential.q, alone_sequential.q)
-        assert np.array_equal(sequential.family.buckets, alone_sequential.family.buckets)
-        alone_joint = (
-            joint_error_distribution(model, n, depth, cap) if depth >= 2 else alone_sequential
-        )
-        assert np.array_equal(joint.q, alone_joint.q)
+    size = stack[0].states
+    assert marginals[0].shape == (len(stack), cap + 1, size, size)
+    assert marginals[1].shape == (len(stack), cap + 1)
+    for buckets, law in (joints, sequentials):
+        assert buckets.shape == (len(stack), cap + 1, cap + 1, size, size)
+        assert law.shape == (len(stack), cap + 1, cap + 1)
+    for i, model in enumerate(stack):
+        pairs = [
+            (marginals, marginal_error_distribution(model, n, depth, cap)),
+            (sequentials, sequential_joint_distribution(model, n, cap)),
+        ]
+        if depth >= 2:
+            pairs.append((joints, joint_error_distribution(model, n, depth, cap)))
+        for (buckets, law), (alone_buckets, alone_law) in pairs:
+            assert np.array_equal(buckets[i], alone_buckets)
+            assert np.array_equal(law[i], alone_law)
         looped_probs, looped_q = looped_laws(model, n, depth, cap)
-        assert np.array_equal(probs, looped_probs)
-        assert np.array_equal(joint.q, looped_q)
+        assert np.array_equal(marginals[1][i], looped_probs)
+        assert np.array_equal(joints[1][i], looped_q)
 
 
 @pytest.mark.parametrize(
@@ -407,7 +417,7 @@ def test_split_kernel_step_only_for_stacks_with_a_mixed_state(stack, takes_split
             with pytest.raises(RuntimeError, match="split-kernel step"):
                 recursion()
         else:
-            assert len(recursion()) == len(STACKS[stack])
+            assert len(recursion()[1]) == len(STACKS[stack])
 
 
 @pytest.mark.parametrize("states", [2, 3])
@@ -426,14 +436,8 @@ def test_mixed_depth_stack_equals_per_depth_calls(states, n, cap):
         for depth in set(depths):
             chosen = [i for i, d in enumerate(depths) if d == depth]
             alone = recursion([stack[i] for i in chosen], n, depth, cap)
-            for i, result in zip(chosen, alone):
-                if recursion is marginal_error_distribution:
-                    (family, probs), (alone_family, alone_probs) = mixed[i], result
-                else:
-                    family, probs = mixed[i].family, mixed[i].q
-                    alone_family, alone_probs = result.family, result.q
-                assert np.array_equal(family.buckets, alone_family.buckets)
-                assert np.array_equal(probs, alone_probs)
+            assert np.array_equal(mixed[0][chosen], alone[0])
+            assert np.array_equal(mixed[1][chosen], alone[1])
 
 
 def test_depths_must_match_the_stack():
@@ -448,10 +452,12 @@ def test_depths_must_match_the_stack():
 
 def test_single_channel_call_returns_one_result():
     model = STACKS["one-channel"][0]
-    family, probs = marginal_error_distribution(model, 5, 3, 2)
-    assert family.buckets.shape == (3, 2, 2) and probs.shape == (3,)
-    assert joint_error_distribution(model, 5, 3, 2).q.shape == (3, 3)
-    assert len(joint_error_distribution(STACKS["one-channel"], 5, 3, 2)) == 1
+    buckets, probs = marginal_error_distribution(model, 5, 3, 2)
+    assert buckets.shape == (3, 2, 2) and probs.shape == (3,)
+    buckets, q = joint_error_distribution(model, 5, 3, 2)
+    assert buckets.shape == (3, 3, 2, 2) and q.shape == (3, 3)
+    buckets, q = joint_error_distribution(STACKS["one-channel"], 5, 3, 2)
+    assert buckets.shape == (1, 3, 3, 2, 2) and q.shape == (1, 3, 3)
 
 
 @pytest.mark.parametrize(

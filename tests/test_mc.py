@@ -126,11 +126,11 @@ def test_simulation_seed_changes_estimate():
 
 def assert_matches_exact(ber, nacf, code, depth, blocks, seed):
     # estimate must land within 4 binomial SEs of the exact packet error
-    from burstfec.oracle import exact_packet_error
+    from burstfec.oracle import exact_loss
 
     channel = ChannelSpec(ber=ber, nacf=nacf)
     n, k, l = code
-    exact = exact_packet_error(ibp_from_stats(channel), n, depth, l, blocks)
+    exact = exact_loss(ibp_from_stats(channel), n, depth, l, blocks)[1]
     cfg = SimConfig(
         channel=channel,
         code=CodeSpec(n, k, l),

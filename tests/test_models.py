@@ -25,13 +25,14 @@ from burstfec.models import (
     block_to_packet,
     evaluate_models,
 )
-from burstfec.oracle import exact_block_error, exact_packet_error
+from burstfec.oracle import exact_loss
 
 
 def make_joint(model, n, depth, cap):
+    """The joint law q of two adjacent codewords."""
     if depth >= 2:
-        return joint_error_distribution(model, n, depth, cap)
-    return sequential_joint_distribution(model, n, cap)
+        return joint_error_distribution(model, n, depth, cap)[1]
+    return sequential_joint_distribution(model, n, cap)[1]
 
 
 def codeword_error_rate(model, n, depth, l):
@@ -52,11 +53,11 @@ def rate_chain(error_rate, nacf):
     return alpha.item(0), beta.item(0), errors[0]
 
 
-def joint_chain(joint, l):
+def joint_chain(q, l):
     """The quadrants nu00..nu11 of one joint law, and alpha and beta of
     the model-1 chain fitted to them."""
     errors = [None]
-    quadrants = _quadrants(joint.q[None], l)
+    quadrants = _quadrants(q[None], l)
     alpha, beta = _joint_chains(quadrants, errors)
     assert errors == [None]
     return [nu.item(0) for nu in quadrants], alpha.item(0), beta.item(0)
@@ -130,11 +131,11 @@ def test_binomial_baseline_edge_rates():
 
 def test_absorbing_chain_rows_are_stochastic():
     model = ibp_from_stats(ChannelSpec(ber=0.1, nacf=0.6))
-    joint = make_joint(model, 5, 2, 2)
-    transient, start = (part[0] for part in _absorbing_chains(joint.q[None], 1))
-    absorb = joint.q[:2, 2] / start
+    q = make_joint(model, 5, 2, 2)
+    transient, start = (part[0] for part in _absorbing_chains(q[None], 1))
+    absorb = q[:2, 2] / start
     np.testing.assert_allclose(transient.sum(axis=1) + absorb, 1.0, atol=1e-12)
-    assert start.sum() + joint.q[2].sum() == pytest.approx(1.0, abs=1e-12)
+    assert start.sum() + q[2].sum() == pytest.approx(1.0, abs=1e-12)
     assert (start > 0.0).all()  # every count reachable: no dead rows
 
 
@@ -142,8 +143,8 @@ def test_absorbing_chain_flags_unreachable_counts():
     # a zero-error channel leaves every positive count unreachable; those
     # rows become certain absorption
     model = ibp_from_stats(ChannelSpec(ber=0.0, nacf=0.5))
-    joint = make_joint(model, 5, 2, 3)
-    transient, start = (part[0] for part in _absorbing_chains(joint.q[None], 2))
+    q = make_joint(model, 5, 2, 3)
+    transient, start = (part[0] for part in _absorbing_chains(q[None], 2))
     assert (start > 0.0).tolist() == [True, False, False]
     np.testing.assert_allclose(transient.sum(axis=1), [1.0, 0.0, 0.0], atol=1e-15)
     assert block_error("model3", model, 5, 2, 2) == pytest.approx(0.0, abs=1e-15)
@@ -151,7 +152,7 @@ def test_absorbing_chain_flags_unreachable_counts():
 
 def test_absorption_cdf_is_nondecreasing_cdf():
     model = ibp_from_stats(ChannelSpec(ber=0.2, nacf=0.8))
-    q = make_joint(model, 5, 2, 2).q[None]
+    q = make_joint(model, 5, 2, 2)[None]
     # depth k + 1: absorbed within k transitions after the first codeword
     values = [_model3_blocks(q, 1, k + 1, [None]).item(0) for k in range(12)]
     assert all(0.0 <= v <= 1.0 for v in values)
@@ -170,8 +171,8 @@ def test_model3_single_codeword_is_plain_tail():
 def test_model3_two_codewords_is_joint_quadrant():
     model = ibp_from_stats(ChannelSpec(ber=0.2, nacf=0.7))
     n, l = 5, 1
-    joint = make_joint(model, n, 2, l + 1)
-    both_ok = float(joint.q[: l + 1, : l + 1].sum())
+    q = make_joint(model, n, 2, l + 1)
+    both_ok = float(q[: l + 1, : l + 1].sum())
     assert block_error("model3", model, n, l, 2) == pytest.approx(1.0 - both_ok, abs=1e-14)
 
 
@@ -182,7 +183,7 @@ def test_model3_exact_through_depth_two(ber, nacf, n, l):
     for depth in (1, 2):
         predicted = block_error("model3", model, n, l, depth)
         assert predicted == pytest.approx(
-            exact_block_error(model, n, depth, l), abs=1e-12
+            exact_loss(model, n, depth, l, 1)[0], abs=1e-12
         )
 
 
@@ -192,7 +193,7 @@ def test_model3_depth_three_stays_close_to_oracle():
     model = ibp_from_stats(ChannelSpec(ber=0.1, nacf=0.5))
     n, l, depth = 5, 1, 3
     predicted = block_error("model3", model, n, l, depth)
-    exact = exact_block_error(model, n, depth, l)
+    exact = exact_loss(model, n, depth, l, 1)[0]
     assert predicted == pytest.approx(exact, rel=0.10)
     assert predicted != pytest.approx(exact, rel=1e-12)
 
@@ -219,8 +220,8 @@ def test_model3_uncorrelated_reduces_to_independent_codewords(nacf):
 def test_codeword_process_quadrants_from_joint():
     model = ibp_from_stats(ChannelSpec(ber=0.01, nacf=0.6))
     n, l, depth = 63, 3, 2
-    joint = make_joint(model, n, depth, l + 1)
-    (nu00, nu01, nu10, nu11), alpha, beta = joint_chain(joint, l)
+    q = make_joint(model, n, depth, l + 1)
+    (nu00, nu01, nu10, nu11), alpha, beta = joint_chain(q, l)
     assert nu00 + nu01 + nu10 + nu11 == pytest.approx(1.0, abs=1e-12)
     error_rate = nu10 + nu11
     assert error_rate == pytest.approx(codeword_error_rate(model, n, depth, l), abs=1e-12)
@@ -234,8 +235,8 @@ def test_codeword_process_quadrants_from_joint():
 def test_codeword_process_covariance_identity():
     # the chain's NACF (1 - alpha - beta) must equal cov/var of the quadrants
     model = ibp_from_stats(ChannelSpec(ber=0.1, nacf=0.5))
-    joint = make_joint(model, 3, 2, 1)
-    (_, _, nu10, nu11), alpha, beta = joint_chain(joint, 0)
+    q = make_joint(model, 3, 2, 1)
+    (_, _, nu10, nu11), alpha, beta = joint_chain(q, 0)
     p = nu10 + nu11
     cov = nu11 - p * p
     assert 1.0 - alpha - beta == pytest.approx(cov / (p - p * p), abs=1e-12)
@@ -243,16 +244,16 @@ def test_codeword_process_covariance_identity():
 
 def test_codeword_process_uncorrelated_channel():
     model = ibp_from_stats(ChannelSpec(ber=0.05, nacf=0.0))
-    joint = make_joint(model, 7, 3, 2)
-    _, alpha, beta = joint_chain(joint, 1)
+    q = make_joint(model, 7, 3, 2)
+    _, alpha, beta = joint_chain(q, 1)
     assert 1.0 - alpha - beta == pytest.approx(0.0, abs=1e-10)
 
 
 def test_codeword_process_degenerate_rates():
     # an error rate of exactly 0 or 1 gives the i.i.d. chain (nacf 0)
     model = ibp_from_stats(ChannelSpec(ber=0.0, nacf=0.6))
-    joint = make_joint(model, 5, 2, 2)
-    (_, _, nu10, nu11), alpha, beta = joint_chain(joint, 1)
+    q = make_joint(model, 5, 2, 2)
+    (_, _, nu10, nu11), alpha, beta = joint_chain(q, 1)
     assert nu10 + nu11 == 0.0 and (alpha, beta) == (0.0, 1.0)
     assert two_state_block(alpha, beta, 8) == 0.0
 
@@ -300,7 +301,7 @@ def test_model1_exact_through_depth_two(ber, nacf, n, l):
     for depth in (1, 2):
         predicted = block_error("model1", model, n, l, depth)
         assert predicted == pytest.approx(
-            exact_block_error(model, n, depth, l), abs=1e-12
+            exact_loss(model, n, depth, l, 1)[0], abs=1e-12
         )
 
 
@@ -442,7 +443,7 @@ def test_models_against_exhaustive_packet_reference(name):
     model = ibp_from_stats(ChannelSpec(ber=0.1, nacf=0.5))
     code = CodeSpec(5, 3, 1)
     scheme = SchemeSpec(depth=3, blocks=2)
-    exact = exact_packet_error(model, 5, 3, 1, 2)
+    exact = exact_loss(model, 5, 3, 1, 2)[1]
     predicted = evaluate_models(model, code, scheme, (name,))[name].packet_error
     assert exact / 10 <= predicted <= exact * 10
     assert predicted == pytest.approx(exact, rel=0.35)
@@ -567,7 +568,7 @@ def test_stacked_chain_stage_on_any_fsmc(stack, n, l, schemes):
         assert evaluate_models(channel, code, scheme) == results
         # at depth <= 2 models 1 and 3 are exact wherever they give a value
         if scheme.depth <= 2:
-            exact = exact_block_error(channel, n, scheme.depth, l)
+            exact = exact_loss(channel, n, scheme.depth, l, 1)[0]
             for name in ("model1", "model3"):
                 if results[name].error is None:
                     assert results[name].block_error == pytest.approx(exact, abs=1e-12)

@@ -8,12 +8,7 @@ from hypothesis import strategies as st
 
 from burstfec.channel import ChannelSpec, FsmcModel, ibp_from_stats
 from burstfec.dist import joint_error_distribution, marginal_error_distribution
-from burstfec.oracle import (
-    exact_block_error,
-    exact_joint_law,
-    exact_marginal_law,
-    exact_packet_error,
-)
+from burstfec.oracle import exact_joint_law, exact_loss, exact_marginal_law
 
 
 def chain_matrices(ber, nacf):
@@ -109,7 +104,7 @@ def test_block_error_against_slot_streams():
             counts[slot % depth] += err
         if max(counts) > l:
             failed += stream_probability(pi, kernels, pattern)
-    assert exact_block_error(model, n, depth, l) == pytest.approx(failed, abs=1e-14)
+    assert exact_loss(model, n, depth, l, 1)[0] == pytest.approx(failed, abs=1e-14)
 
 
 def test_packet_error_against_two_block_stream():
@@ -132,7 +127,7 @@ def test_packet_error_against_two_block_stream():
                 break
         if not ok:
             lost += stream_probability(pi, kernels, pattern)
-    assert exact_packet_error(model, n, depth, l, blocks) == pytest.approx(
+    assert exact_loss(model, n, depth, l, blocks)[1] == pytest.approx(
         lost, abs=1e-13
     )
 
@@ -150,7 +145,7 @@ def test_uncorrelated_block_error_closed_form(ber):
         math.comb(n, i) * ber**i * (1 - ber) ** (n - i) for i in range(l + 1, n + 1)
     )
     expected = 1.0 - (1.0 - single) ** depth
-    assert exact_block_error(model, n, depth, l) == pytest.approx(expected, abs=1e-13)
+    assert exact_loss(model, n, depth, l, 1)[0] == pytest.approx(expected, abs=1e-13)
 
 
 @pytest.mark.parametrize("ber,l,depth,blocks", [(1e-4, 5, 2, 3), (1e-5, 3, 2, 1)])
@@ -161,7 +156,7 @@ def test_tiny_losses_keep_relative_precision(ber, l, depth, blocks):
         math.comb(63, i) * ber**i * (1 - ber) ** (63 - i) for i in range(l + 1, 64)
     )
     expected = -math.expm1(depth * blocks * math.log1p(-tail))
-    assert exact_packet_error(model, 63, depth, l, blocks) == pytest.approx(
+    assert exact_loss(model, 63, depth, l, blocks)[1] == pytest.approx(
         expected, rel=1e-12, abs=0.0
     )
 
@@ -177,15 +172,16 @@ def test_laws_are_normalized():
 
 def test_single_block_packet_is_block_error():
     model = ibp_from_stats(ChannelSpec(ber=0.1, nacf=0.7))
-    assert exact_packet_error(model, 3, 2, 1, 1) == pytest.approx(
-        exact_block_error(model, 3, 2, 1), abs=1e-15
-    )
+    block, packet = exact_loss(model, 3, 2, 1, 1)
+    assert packet == pytest.approx(block, abs=1e-15)
+    # the first block's loss does not depend on how many blocks follow it
+    assert exact_loss(model, 3, 2, 1, 4)[0] == block
 
 
 def test_enumeration_size_is_bounded():
     model = ibp_from_stats(ChannelSpec(ber=0.1, nacf=0.7))
     with pytest.raises(ValueError, match="4194304"):
-        exact_block_error(model, 63, 11, 3)  # 2**2 * 4**11 count vectors: over the ceiling
+        exact_loss(model, 63, 11, 3, 1)[0]  # 2**2 * 4**11 count vectors: over the ceiling
 
 
 # ----------------------------------------------------------------------
@@ -199,12 +195,12 @@ def test_laws_match_dist_recursions_at_paper_scale(depth, l):
     model = ibp_from_stats(ChannelSpec(ber=0.01, nacf=0.9))
     n, cap = 63, l + 1
     _, probs = marginal_error_distribution(model, n, depth, cap)
-    joint = joint_error_distribution(model, n, depth, cap)
+    _, q = joint_error_distribution(model, n, depth, cap)
     np.testing.assert_allclose(
         exact_marginal_law(model, n, depth, cap), probs, rtol=0, atol=1e-12
     )
     np.testing.assert_allclose(
-        exact_joint_law(model, n, depth, cap), joint.q, rtol=0, atol=1e-12
+        exact_joint_law(model, n, depth, cap), q, rtol=0, atol=1e-12
     )
 
 
@@ -290,5 +286,5 @@ def test_engine_matches_pattern_enumeration_on_any_fsmc(model, n, depth, cap, l,
     np.testing.assert_allclose(
         exact_joint_law(model, n, depth, cap), joint, rtol=0, atol=1e-13
     )
-    assert exact_block_error(model, n, depth, l) == pytest.approx(block, abs=1e-13)
-    assert exact_packet_error(model, n, depth, l, blocks) == pytest.approx(packet, abs=1e-13)
+    assert exact_loss(model, n, depth, l, 1)[0] == pytest.approx(block, abs=1e-13)
+    assert exact_loss(model, n, depth, l, blocks)[1] == pytest.approx(packet, abs=1e-13)

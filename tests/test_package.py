@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import burstfec
-from burstfec import models
+from burstfec import dist, models, oracle
 from burstfec.channel import ChannelSpec, SchemeSpec
 from burstfec.cli import DEFAULT_CONFIG, build_parser
 from burstfec.sweep import SweepSpec
@@ -17,9 +17,9 @@ PUBLIC_NAMES = [
     "ChannelSpec", "CiEstimate", "CodeSpec", "DepthCandidate", "FsmcModel",
     "PacketErrorResult", "ResultRow", "SchemeSpec", "SimConfig", "SweepSpec",
     "binomial_baseline", "block_to_packet", "confidence_interval",
-    "dar1_stream", "emit_results", "evaluate_models", "exact_block_error",
-    "exact_joint_law", "exact_marginal_law", "exact_packet_error", "feasible_pairs",
-    "ibp_from_stats", "joint_error_distribution", "marginal_consistency_check",
+    "dar1_stream", "emit_results", "evaluate_models",
+    "exact_joint_law", "exact_loss", "exact_marginal_law", "feasible_pairs",
+    "ibp_from_stats", "joint_error_distribution",
     "marginal_error_distribution", "optimize_depth",
     "residual_correlation", "run_sweep", "sequential_joint_distribution",
     "simulate_packets", "split_transition_matrix", "stationary_vector", "throughput",
@@ -27,17 +27,21 @@ PUBLIC_NAMES = [
 
 
 def test_public_names_are_pinned_and_resolve():
-    assert len(PUBLIC_NAMES) == 37
+    assert len(PUBLIC_NAMES) == 35
     assert sorted(burstfec.__all__) == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         assert hasattr(burstfec, name), name
 
 
-def test_result_classes_stay_importable_from_their_modules():
-    from burstfec.dist import CountMatrixFamily, JointErrorDistribution
-
-    for cls in (CountMatrixFamily, JointErrorDistribution):
-        assert cls.__name__ not in burstfec.__all__
+@pytest.mark.parametrize("module,name", [
+    (dist, "CountMatrixFamily"), (dist, "JointErrorDistribution"),
+    (dist, "marginal_consistency_check"), (oracle, "exact_block_error"),
+    (oracle, "exact_packet_error"), (oracle, "_loss"),
+])
+def test_count_law_wrappers_stay_deleted(module, name):
+    # the count recursions return plain arrays and exact_loss both loss values
+    assert not hasattr(burstfec, name)
+    assert not hasattr(module, name)
 
 
 @pytest.mark.parametrize("name", [

@@ -287,6 +287,10 @@ def test_spec_validation():
         small_spec(bers=())
     with pytest.raises(ValueError, match="unknown models"):
         small_spec(models=("model3", "modelx"))
+    with pytest.raises(ValueError, match="budget must be >= 0, got -1"):
+        small_spec(budget=-1)
+    # a budget of 0, like None, turns the check off: no pair is infeasible
+    assert all(row.note is None for row in run_sweep(small_spec(budget=0)))
 
 
 # ----------------------------------------------------------------------
@@ -366,6 +370,9 @@ def test_optimizer_rejections():
         optimize_depth(1008, CODE_63_57, ChannelSpec(ber=0.01, nacf=0.5), model="mc")
     with pytest.raises(ValueError, match="feasible"):
         optimize_depth(1000, CODE_63_57, ChannelSpec(ber=0.01, nacf=0.5))
+    for threshold in (float("nan"), -0.1, 1.5):
+        with pytest.raises(ValueError, match="threshold must be in \\[0, 1\\]"):
+            optimize_depth(1008, CODE_63_57, ChannelSpec(ber=0.01, nacf=0.5), threshold=threshold)
 
 
 def test_optimizer_raises_the_first_failing_pairs_error(monkeypatch):
