@@ -26,7 +26,7 @@ import sys
 
 from .channel import ChannelSpec, CodeSpec, SchemeSpec, ibp_from_stats
 from .models import ANALYTIC_MODELS, evaluate_models
-from .oracle import exact_joint_law, exact_loss, exact_marginal_law
+from .oracle import exact_joint_law, exact_loss
 from .sweep import (
     DECORRELATION_THRESHOLD,
     SweepSpec,
@@ -324,19 +324,22 @@ def _run_oracle(args):
     model = ibp_from_stats(channel)
     slots = args.n * args.depth
     cap = args.l + 1
-    # built before any output, so a code the models reject prints nothing
-    code = CodeSpec(n=args.n, k=max(args.n - 1, 1), l=args.l) if args.n > 1 else None
-    # one block flow gives the block error and the packet error
+    # checked before any output, so an l the models reject prints nothing;
+    # n = 1 has no code for the model predictions (k must lie in (0, n))
+    if not 0 <= args.l < args.n:
+        raise ValueError(f"need 0 <= l < n, got n={args.n}, l={args.l}")
+    code = CodeSpec(n=args.n, k=args.n - 1, l=args.l) if args.n > 1 else None
+    # two flows: one block flow gives the block and the packet error, and
+    # the joint law's row sums give the codeword law
     p_block, p_packet = exact_loss(model, args.n, args.depth, args.l, args.blocks)
+    q = exact_joint_law(model, args.n, args.depth, cap)
     print(f"exact count-vector recursion over {slots} slots per block")
     print(f"block error  : {p_block:.12g}")
     print(f"packet error : {p_packet:.12g}  (blocks={args.blocks})")
-    marginal = exact_marginal_law(model, args.n, args.depth, cap)
     print("codeword error-count law (top bucket saturated at cap):")
-    for count, prob in enumerate(marginal):
+    for count, prob in enumerate(q.sum(axis=1)):
         label = f">={count}" if count == cap else f" ={count}"
         print(f"  {label}: {prob:.12g}")
-    q = exact_joint_law(model, args.n, args.depth, cap)
     print("joint law of two adjacent codewords:")
     for i in range(cap + 1):
         print("  " + "  ".join(f"{q[i, j]:.6e}" for j in range(cap + 1)))

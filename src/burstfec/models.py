@@ -49,7 +49,9 @@ ANALYTIC_MODELS = ("model1", "model2", "model3", "baseline")
 # None) per channel.  A channel the chain cannot represent gets the
 # message of the first check it fails and keeps computing along with the
 # rest; its numbers are never read.  evaluate_models is the only caller:
-# one channel is a stack of one.
+# one channel is a stack of one.  Models 1 and 2 fit their two-state
+# chains apart and then share one stack of both models' chains, so a
+# call runs one two-state chain stage, not one per model.
 
 
 def _fail(errors, rejected, message, *values):
@@ -175,15 +177,31 @@ def _two_state_blocks(alpha, beta, depths, errors):
         return _absorbed(_two_state_stationary(alpha, beta), decoded_flow, depths)
 
 
-def _model1_blocks(q, l: int, depths, errors):
-    alpha, beta = _joint_chains(_quadrants(q, l), errors)
-    return _two_state_blocks(alpha, beta, depths, errors)
+def _model1_chains(q, l: int, errors):
+    return _joint_chains(_quadrants(q, l), errors)
 
 
-def _model2_blocks(probs, nacf, l: int, depths, errors):
+def _model2_chains(probs, nacf, l: int, errors):
     error_rate = np.minimum(np.maximum(1.0 - probs[:, : l + 1].sum(axis=1), 0.0), 1.0)
-    alpha, beta = _rate_chains(error_rate, nacf, errors)
-    return _two_state_blocks(alpha, beta, depths, errors)
+    return _rate_chains(error_rate, nacf, errors)
+
+
+def _two_state_stage(fitted, depths):
+    """(block errors, errors) of each two-state model from one
+    _two_state_blocks stack over the chains of every model in ``fitted``
+    (name -> ((alpha, beta), errors), chains None for a model whose fit
+    raised), each model's chains one block of the stack."""
+    names = [name for name, (chains, _) in fitted.items() if chains is not None]
+    stages = {name: fit for name, fit in fitted.items() if fit[0] is None}
+    if names:
+        alpha, beta = (np.concatenate([fitted[name][0][i] for name in names]) for i in (0, 1))
+        errors = [error for name in names for error in fitted[name][1]]
+        blocks, errors = _staged(_two_state_blocks, alpha, beta, depths * len(names), errors=errors)
+        count = len(depths)
+        for k, name in enumerate(names):
+            part = slice(k * count, (k + 1) * count)
+            stages[name] = (None if blocks is None else blocks[part], errors[part])
+    return stages
 
 
 # ======================================================================
@@ -286,16 +304,20 @@ def _baseline_results(channels, code: CodeSpec, schemes):
     return [memo[key] for key in keys]
 
 
-def _chain_results(stage, *args, blocks):
-    """One model's result for each channel of a stack, from its stacked
-    chain stage and each channel's block count; a ValueError of the whole
-    stage is every channel's error."""
-    count = len(blocks)
-    errors = [None] * count
+def _staged(stage, *args, errors):
+    """(``stage(*args, errors)``, errors) over a stack; a ValueError of the
+    whole stage gives None and its message as every channel's error."""
     try:
-        block_errors = stage(*args, errors).tolist()
+        return stage(*args, errors), errors
     except ValueError as exc:
-        block_errors, errors = [None] * count, [str(exc)] * count
+        return None, [str(exc)] * len(errors)
+
+
+def _chain_results(block_errors, errors, blocks):
+    """One model's result for each channel of a stack, from its stacked
+    block errors (None when its stage raised), the channels' errors and
+    each channel's block count."""
+    block_errors = [None] * len(blocks) if block_errors is None else block_errors.tolist()
     results = []
     for block, error, packet_blocks in zip(block_errors, errors, blocks):
         if error is None:
@@ -335,19 +357,23 @@ def evaluate_models(model, code: CodeSpec, scheme, which=ANALYTIC_MODELS):
         raise ValueError(f"got {len(schemes)} schemes for {len(channels)} channels")
     cap, l = code.l + 1, code.l
     depths = [s.depth for s in schemes]
-    stages = {}
+    count = len(channels)
+    stages, fitted = {}, {}  # name -> (block errors, errors); name -> (chains, errors)
     if "model1" in which or "model3" in which:
         q = _joint_laws(channels, code.n, depths, cap)
-        stages["model1"] = (_model1_blocks, q, l, depths)
-        stages["model3"] = (_model3_blocks, q, l, depths)
+        if "model1" in which:
+            fitted["model1"] = _staged(_model1_chains, q, l, errors=[None] * count)
+        if "model3" in which:
+            stages["model3"] = _staged(_model3_blocks, q, l, depths, errors=[None] * count)
     if "model2" in which:
         _, probs = marginal_error_distribution(channels, code.n, depths, cap)
         nacf = np.array([channel.lag1_nacf() for channel in channels])
-        stages["model2"] = (_model2_blocks, probs, nacf, l, depths)
+        fitted["model2"] = _staged(_model2_chains, probs, nacf, l, errors=[None] * count)
+    stages.update(_two_state_stage(fitted, depths))
     blocks = [s.blocks for s in schemes]
     columns = {
         name: _baseline_results(channels, code, schemes) if name == "baseline"
-        else _chain_results(*stages[name], blocks=blocks)
+        else _chain_results(*stages[name], blocks)
         for name in ANALYTIC_MODELS
         if name in which
     }

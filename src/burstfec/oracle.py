@@ -5,9 +5,14 @@ channel start state, end state and vector of per-codeword error counts, the
 probability of the paths reaching it.  A slot of a tracked codeword
 multiplies by the no-error/error kernels d0/d1 and moves that codeword's
 counter up on an error; any other slot multiplies by the transition matrix.
-With no gap powers and no codeword-level chain, the results check the
-production recursions and the analytic models independently.  Cost is
-linear in the slot count and grows as (l+1)**depth count vectors.
+When every state is clean or erring (never or always in error, as in every
+ibp_from_stats channel), every slot is one product by the transition
+matrix, after which the erring end states' rows move up one count; chains
+with a state that errs with a probability strictly between 0 and 1 make two
+kernel products per tracked slot.  With no gap powers and no codeword-level
+chain, the results check the production recursions and the analytic models
+independently.  Cost is linear in the slot count and grows as
+(l+1)**depth count vectors.
 
 :func:`exact_loss` gives the block and the packet loss probability from
 one block flow; :func:`exact_marginal_law` and :func:`exact_joint_law`
@@ -21,15 +26,17 @@ import numpy as np
 from .channel import FsmcModel
 
 # Ceiling on flow entries, states**2 * (cap+1)**counters: 32 MiB of float64
-# per flow; up to three flows are live within a slot, so at most ~96 MiB.
+# per flow.  A clean/erring chain keeps two flow buffers, so at most ~64 MiB;
+# the kernel flow of a chain with a mixed state holds up to three flows
+# within a slot (~96 MiB).
 MAX_FLOW = 2**22
 
 
-def _codeword_of_slot(n: int, depth: int, slots: int) -> np.ndarray:
+def _codeword_of_slot(n: int, depth: int, slots: int) -> list:
     """Codeword of each slot: u % depth interleaved, or n slots apiece at depth 1."""
     if depth >= 2:
-        return np.arange(slots) % depth
-    return np.arange(slots) // n
+        return [u % depth for u in range(slots)]
+    return [u // n for u in range(slots)]
 
 
 def _count_flow(model: FsmcModel, owner, counters: int, cap: int, drop: bool):
@@ -41,7 +48,17 @@ def _count_flow(model: FsmcModel, owner, counters: int, cap: int, drop: bool):
     ``counters`` for an untracked slot.  A count past ``cap`` saturates at
     cap, or with ``drop`` its path is discarded and its probability added
     to dropped[s].  The flow is kept as one (S, S * count vectors) array,
-    so each slot is a single matrix product per kernel.
+    so each slot is a matrix product over all count vectors at once.
+
+    When every state is clean or erring (its d1 or its d0 column is
+    exactly zero, as in every ibp_from_stats channel), a slot costs one
+    product by the transition matrix, written into the other of two
+    buffers (:func:`_shift_flow`); a tracked slot then moves each erring
+    end state's rows up one count, with four more numpy calls per erring
+    state, so five in all on a two-state channel.  The terms this skips
+    are exact zeros.  A chain with a state that errs with a probability
+    strictly between 0 and 1 takes :func:`_kernel_flow`: a product per
+    kernel on each tracked slot.
     """
     states = model.states
     shape = (states, states) + (cap + 1,) * counters
@@ -50,11 +67,67 @@ def _count_flow(model: FsmcModel, owner, counters: int, cap: int, drop: bool):
             f"exact recursion needs {states}**2 * {cap + 1}**{counters} = {size}"
             f" flow entries, over the limit of {MAX_FLOW}"
         )
-    flow = np.zeros(shape)
-    flow[(slice(None), slice(None)) + (0,) * counters] = np.eye(states)
+    flow = np.zeros((states, states, (cap + 1) ** counters))
+    flow[:, :, 0] = np.eye(states)
     flow = flow.reshape(states, -1)
+    erring = model.d1.any(axis=0)
+    if (erring & model.d0.any(axis=0)).any():
+        flow, dropped = _kernel_flow(model, flow, owner, counters, cap, drop)
+    else:
+        flow, dropped = _shift_flow(model, np.flatnonzero(erring), flow, owner, counters, cap, drop)
+    return flow.reshape(shape), dropped
+
+
+def _shift_flow(model: FsmcModel, erring, flow, owner, counters: int, cap: int, drop: bool):
+    """:func:`_count_flow` on a chain whose states are clean or erring.
+
+    Each slot is one product by the transition matrix from one buffer into
+    the other.  On a slot of counter j, each erring end state's row, read
+    as (start state, counters before j, count j, counters after j), moves
+    up one count in place: its top count is first dropped or added to the
+    count below it, then the whole row moves by one count's stride (an
+    overlapping 1-D copy, which needs no temporary; each top count lands
+    on the next count 0) and count 0 is cleared.  The views are made once
+    per buffer, counter and erring state.
+    """
+    states = model.states
+    full = np.ascontiguousarray(model.transition.T)
+    dropped = np.zeros(states)
+    buffers = []
+    for buffer in (flow, np.empty_like(flow)):
+        views = []  # per counter, per erring state: top, below top, upper, lower, count 0
+        for j in range(counters):
+            after = (cap + 1) ** (counters - 1 - j)
+            rows = [(buffer[t], buffer[t].reshape(states, -1, cap + 1, after)) for t in erring]
+            views.append([
+                (counts[..., -1, :], None if drop else counts[..., -2, :],
+                 row[after:], row[:-after], counts[..., 0, :])
+                for row, counts in rows
+                if drop or cap > 0  # at cap 0 without drop an error keeps the only count
+            ])
+        buffers.append((buffer, views))
+    for j in owner:
+        (source, _), (target, views) = buffers
+        np.matmul(full, source, out=target)
+        for top, below, upper, lower, first in views[j] if j < counters else ():
+            if below is None:
+                dropped += top.sum(axis=(1, 2))
+            else:
+                below += top
+            upper[...] = lower
+            first.fill(0.0)
+        buffers.reverse()
+    return buffers[0][0], dropped
+
+
+def _kernel_flow(model: FsmcModel, flow, owner, counters: int, cap: int, drop: bool):
+    """:func:`_count_flow` on any chain: a tracked slot multiplies by the
+    no-error kernel over every end state and by the error kernel over the
+    end states an error can lead to, then moves the error terms up one
+    count."""
+    states = model.states
     miss, full = (np.ascontiguousarray(k.T) for k in (model.d0, model.transition))
-    # error terms only for end states an error can lead to (the bad state of an IBP chain)
+    # error terms only for end states an error can lead to
     live = np.flatnonzero(model.d1.any(axis=0))
     rows = slice(live[0], live[-1] + 1) if live.size else slice(0, 0)
     hit = np.ascontiguousarray(model.d1.T[rows])
@@ -73,7 +146,7 @@ def _count_flow(model: FsmcModel, owner, counters: int, cap: int, drop: bool):
             dropped += errors[:, :, :, -1].sum(axis=(0, 2, 3))
         else:
             moved[:, :, :, -1] += errors[:, :, :, -1]
-    return flow.reshape(shape), dropped
+    return flow, dropped
 
 
 def exact_joint_law(model: FsmcModel, n: int, depth: int, cap: int) -> np.ndarray:

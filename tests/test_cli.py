@@ -6,12 +6,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import burstfec
 from burstfec.channel import ChannelSpec, ibp_from_stats
 from burstfec.cli import DEFAULT_CONFIG, build_parser, main
-from burstfec.oracle import exact_loss
+from burstfec.oracle import exact_joint_law, exact_loss, exact_marginal_law
 
 
 def read_rows(path):
@@ -255,12 +256,41 @@ def test_oracle_verb_runs_the_block_flow_once(monkeypatch, capsys):
         "--blocks", "3", "--ber", "0.05", "--nacf", "0.7",
     ]) == 0
     assert flows.count(True) == 1
+    assert flows.count(False) == 1  # the joint law's flow gives the codeword law too
     lines = capsys.readouterr().out.splitlines()
     monkeypatch.undo()
     model = ibp_from_stats(ChannelSpec(ber=0.05, nacf=0.7))
     # the same bits as a block-only call and a packet call, each with its own flow
     assert f"block error  : {exact_loss(model, 5, 3, 1, 1)[0]:.12g}" in lines
     assert f"packet error : {exact_loss(model, 5, 3, 1, 3)[1]:.12g}  (blocks=3)" in lines
+
+
+@pytest.mark.parametrize("depth", [1, 2, 4])
+def test_oracle_verb_prints_the_joint_law_row_sums_as_the_codeword_law(depth, capsys):
+    n, l = 9, 2
+    assert main([
+        "oracle", "--n", str(n), "--l", str(l), "--depth", str(depth),
+        "--blocks", "2", "--ber", "0.05", "--nacf", "0.8",
+    ]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    model = ibp_from_stats(ChannelSpec(ber=0.05, nacf=0.8))
+    marginal = exact_joint_law(model, n, depth, l + 1).sum(axis=1)
+    start = lines.index("codeword error-count law (top bucket saturated at cap):") + 1
+    assert [float(line.split(":")[1]) for line in lines[start:start + l + 2]] == [
+        float(f"{prob:.12g}") for prob in marginal
+    ]
+    np.testing.assert_allclose(
+        marginal, exact_marginal_law(model, n, depth, l + 1), rtol=0, atol=1e-13
+    )
+
+
+def test_oracle_verb_with_one_slot_codewords_prints_no_model_predictions(capsys):
+    assert main([
+        "oracle", "--n", "1", "--l", "0", "--depth", "3",
+        "--blocks", "2", "--ber", "0.3", "--nacf", "0.5",
+    ]) == 0
+    out = capsys.readouterr().out
+    assert "packet error" in out and "model predictions" not in out
 
 
 SMALL_GRID = ["--ber", "0.01", "--nacf", "0.5", "--code", "6,3,1", "--pair", "2,2",
@@ -279,6 +309,11 @@ SMALL_GRID = ["--ber", "0.01", "--nacf", "0.5", "--code", "6,3,1", "--pair", "2,
         pytest.param(
             ["oracle", "--n", "3", "--l", "3", "--depth", "2", "--blocks", "1",
              "--ber", "0.1", "--nacf", "0.5"], {}, id="oracle-l-not-below-n",
+        ),
+        # n = 1 has no code for the model predictions, but l is checked all the same
+        pytest.param(
+            ["oracle", "--n", "1", "--l", "3", "--depth", "2", "--blocks", "1",
+             "--ber", "0.1", "--nacf", "0.5"], {}, id="oracle-one-slot-codeword-l-not-below-n",
         ),
         # 1000 is no multiple of n = 63, so no (depth, blocks) pair fills it
         pytest.param(

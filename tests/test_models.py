@@ -381,6 +381,51 @@ def test_stacked_evaluation_equals_per_channel_evaluation():
         evaluate_models(stack, code, [scheme, scheme])
 
 
+# On the (3, 1, 1) code at depth 2, model 2's chain rejects this channel:
+# beta = 1.1 * (1 - error rate) is above 1 at its bit NACF of -0.1.
+MODEL2_REJECTS = FsmcModel([[0.9, 0.1], [1.0, 0.0]], [0.0, 1.0])
+
+
+def test_models_1_and_2_share_one_stack_with_their_own_errors(monkeypatch):
+    # model 1's fit of a channel's joint law rejects only at its range's
+    # rounding edge, so its rejection of the first channel is injected
+    joint_chains = models_module._joint_chains
+
+    def reject_first(quadrants, errors):
+        errors[0] = "model 1 rejects the first channel"
+        return joint_chains(quadrants, errors)
+
+    monkeypatch.setattr(models_module, "_joint_chains", reject_first)
+    code, scheme = CodeSpec(3, 1, 1), SchemeSpec(depth=2, blocks=2)
+    stack = [ibp_from_stats(ChannelSpec(ber=ber, nacf=0.6)) for ber in (0.1, 0.02)]
+    stack.append(MODEL2_REJECTS)
+    both = evaluate_models(stack, code, scheme, ("model1", "model2"))
+    for name in ("model1", "model2"):
+        alone = evaluate_models(stack, code, scheme, (name,))
+        assert [results[name] for results in both] == [results[name] for results in alone]
+    assert [results["model1"].error is None for results in both] == [False, True, True]
+    assert [results["model2"].error is None for results in both] == [True, True, False]
+    assert both[0]["model1"].error == "model 1 rejects the first channel"
+    assert "outside the two-state chain's parameter range" in both[2]["model2"].error
+
+
+@pytest.mark.parametrize("failing,fit", [("model1", "_quadrants"), ("model2", "_rate_chains")])
+def test_a_model_whose_fit_raises_leaves_the_other_its_numbers(failing, fit, monkeypatch):
+    code, scheme = CodeSpec(63, 45, 3), SchemeSpec(depth=4, blocks=4)
+    stack = [ibp_from_stats(ChannelSpec(ber=ber, nacf=0.9)) for ber in (0.001, 0.02)] + [PERIODIC]
+    other = "model2" if failing == "model1" else "model1"
+    alone = evaluate_models(stack, code, scheme, (other,))
+
+    def reject(*args):
+        raise ValueError("synthetic fit failure")
+
+    monkeypatch.setattr(models_module, fit, reject)
+    for results, kept in zip(evaluate_models(stack, code, scheme), alone):
+        assert results[failing].error == "synthetic fit failure"
+        assert results[failing].block_error is None and results[failing].packet_error is None
+        assert results[other] == kept[other]
+
+
 @pytest.mark.parametrize("which", [("model1", "model2", "model3", "baseline"), ("baseline",)])
 def test_empty_stack_is_rejected(which):
     with pytest.raises(ValueError, match="need at least one channel, got an empty sequence"):

@@ -1,11 +1,13 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from burstfec import oracle
 from burstfec.channel import ChannelSpec, FsmcModel, ibp_from_stats
 from burstfec.dist import joint_error_distribution, marginal_error_distribution
 from burstfec.oracle import exact_joint_law, exact_loss, exact_marginal_law
@@ -202,6 +204,85 @@ def test_laws_match_dist_recursions_at_paper_scale(depth, l):
     np.testing.assert_allclose(
         exact_joint_law(model, n, depth, cap), q, rtol=0, atol=1e-12
     )
+
+
+# ----------------------------------------------------------------------
+# the one-product flow of clean/erring chains against the kernel flow
+# ----------------------------------------------------------------------
+
+
+def layout(n, depth, l, drop):
+    """(owner, counters, cap) of the flow a call makes: the block flow of
+    exact_loss with ``drop``, the joint law's flow without it."""
+    if drop:
+        return oracle._codeword_of_slot(n, depth, n * depth), depth, l
+    slots = n * depth if depth >= 2 else 2 * n
+    return oracle._codeword_of_slot(n, depth, slots), 2, l + 1
+
+
+def kernel_flow_only(monkeypatch):
+    """Send every flow down the kernel path, two products per tracked slot."""
+    monkeypatch.setattr(
+        oracle, "_shift_flow", lambda model, erring, *rest: oracle._kernel_flow(model, *rest)
+    )
+
+
+@pytest.mark.parametrize("drop", [True, False])
+@pytest.mark.parametrize("n,l,depth", [(63, 1, 16), (63, 3, 8), (63, 3, 4), (63, 3, 1)])
+def test_one_product_flow_equals_the_kernel_flow(n, l, depth, drop, monkeypatch):
+    model = ibp_from_stats(ChannelSpec(ber=0.01, nacf=0.9))
+    owner, counters, cap = layout(n, depth, l, drop)
+    flow, dropped = oracle._count_flow(model, owner, counters, cap, drop)
+    kernel_flow_only(monkeypatch)
+    want_flow, want_dropped = oracle._count_flow(model, owner, counters, cap, drop)
+    np.testing.assert_allclose(flow, want_flow, rtol=1e-13, atol=0)
+    np.testing.assert_allclose(dropped, want_dropped, rtol=1e-13, atol=0)
+    assert dropped.any() == drop
+
+
+@pytest.mark.parametrize("profile", [[0.0, 1.0, 0.0], [1.0, 0.0, 1.0]])
+@pytest.mark.parametrize("drop", [True, False])
+@pytest.mark.parametrize("depth", [1, 3])
+def test_one_product_flow_on_three_state_chains(profile, drop, depth, monkeypatch):
+    model = FsmcModel([[0.5, 0.3, 0.2], [0.1, 0.8, 0.1], [0.3, 0.3, 0.4]], profile)
+    owner, counters, _ = layout(6, depth, 0, drop)
+    for cap in (0, 1, 3):
+        flow, dropped = oracle._count_flow(model, owner, counters, cap, drop)
+        with monkeypatch.context() as patch:
+            kernel_flow_only(patch)
+            want_flow, want_dropped = oracle._count_flow(model, owner, counters, cap, drop)
+        np.testing.assert_allclose(flow, want_flow, rtol=1e-13, atol=0)
+        np.testing.assert_allclose(dropped, want_dropped, rtol=1e-13, atol=0)
+
+
+def test_only_mixed_state_chains_take_the_kernel_flow(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("kernel flow")
+
+    monkeypatch.setattr(oracle, "_kernel_flow", refuse)
+    for model in (
+        ibp_from_stats(ChannelSpec(ber=0.05, nacf=0.7)),
+        FsmcModel([[0.5, 0.3, 0.2], [0.1, 0.8, 0.1], [0.3, 0.3, 0.4]], [0.0, 1.0, 0.0]),
+    ):
+        exact_loss(model, 5, 3, 1, 2)
+        exact_joint_law(model, 5, 1, 2)
+        exact_marginal_law(model, 5, 3, 2)
+    mixed = FsmcModel([[0.9, 0.1], [0.2, 0.8]], [0.0, 0.6])
+    with pytest.raises(AssertionError, match="kernel flow"):
+        exact_loss(mixed, 5, 3, 1, 2)
+
+
+def test_one_product_flow_keeps_two_buffers():
+    # (63, l = 3, I = 8) block flow: 2**2 * 4**8 entries, 2 MiB
+    model = ibp_from_stats(ChannelSpec(ber=0.01, nacf=0.9))
+    owner, counters, cap = layout(63, 8, 3, True)
+    tracemalloc.start()
+    try:
+        flow, _ = oracle._count_flow(model, owner, counters, cap, True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.25 * flow.nbytes
 
 
 # ----------------------------------------------------------------------
