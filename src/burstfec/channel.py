@@ -115,16 +115,16 @@ class FsmcModel:
         if error_profile.shape != (transition.shape[0],):
             raise ValueError("error profile length must match the state count")
         self.d0, self.d1 = split_transition_matrix(transition, error_profile)  # refuses NaN, inf
-        if np.any(transition < 0.0) or np.any(
+        if (transition < 0.0).any() or (
             np.abs(transition.sum(axis=1) - 1.0) > STOCHASTIC_TOL
-        ):
+        ).any():
             raise ValueError("transition matrix must be row-stochastic")
-        if np.any(error_profile < 0.0) or np.any(error_profile > 1.0):
+        if (error_profile < 0.0).any() or (error_profile > 1.0).any():
             raise ValueError("per-state error probabilities must be in [0, 1]")
 
         self.transition = transition
         self.error_profile = error_profile
-        self.pi = stationary_vector(transition)
+        self.pi = _stationary(transition)  # finite: split_transition_matrix checked it
         for arr in (self.transition, self.error_profile, self.d0, self.d1, self.pi):
             arr.setflags(write=False)
         # the statistics every model and sweep row reads, worked out once
@@ -219,6 +219,11 @@ def stationary_vector(transition):
     if transition.ndim != 2 or transition.shape[0] != transition.shape[1]:
         raise ValueError("transition matrix must be square")
     _require_finite("transition matrix", transition)
+    return _stationary(transition)
+
+
+def _stationary(transition):
+    """:func:`stationary_vector` of a square matrix with finite entries."""
     size = transition.shape[0]
     if size == 2:
         up, down = transition[0, 1], transition[1, 0]
@@ -239,7 +244,7 @@ def stationary_vector(transition):
             raise ValueError("stationary solve produced negative probabilities")
         pi = np.clip(pi, 0.0, None)
         pi = pi / pi.sum()
-    residual = float(np.max(np.abs(pi @ transition - pi)))
+    residual = float(np.abs(pi @ transition - pi).max())
     if residual > STOCHASTIC_TOL:
         raise ValueError(
             f"stationary residual {residual:g} exceeds tolerance {STOCHASTIC_TOL:g}"

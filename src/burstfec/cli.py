@@ -333,27 +333,28 @@ def _run_oracle(args):
     # the joint law's row sums give the codeword law
     p_block, p_packet = exact_loss(model, args.n, args.depth, args.l, args.blocks)
     q = exact_joint_law(model, args.n, args.depth, cap)
-    print(f"exact count-vector recursion over {slots} slots per block")
-    print(f"block error  : {p_block:.12g}")
-    print(f"packet error : {p_packet:.12g}  (blocks={args.blocks})")
-    print("codeword error-count law (top bucket saturated at cap):")
+    lines = [
+        f"exact count-vector recursion over {slots} slots per block",
+        f"block error  : {p_block:.12g}",
+        f"packet error : {p_packet:.12g}  (blocks={args.blocks})",
+        "codeword error-count law (top bucket saturated at cap):",
+    ]
     for count, prob in enumerate(q.sum(axis=1)):
         label = f">={count}" if count == cap else f" ={count}"
-        print(f"  {label}: {prob:.12g}")
-    print("joint law of two adjacent codewords:")
-    for i in range(cap + 1):
-        print("  " + "  ".join(f"{q[i, j]:.6e}" for j in range(cap + 1)))
+        lines.append(f"  {label}: {prob:.12g}")
+    lines.append("joint law of two adjacent codewords:")
+    lines += ["  " + "  ".join(f"{value:.6e}" for value in row) for row in q.tolist()]
     if code is not None:
-        scheme = SchemeSpec(depth=args.depth, blocks=args.blocks)
-        results = evaluate_models(model, code, scheme)
-        print("model predictions for the same instance:")
+        results = evaluate_models(model, code, SchemeSpec(depth=args.depth, blocks=args.blocks))
+        lines.append("model predictions for the same instance:")
         for name in ANALYTIC_MODELS:
             result = results[name]
             shown = (
                 f"{result.packet_error:.12g}" if result.error is None
                 else f"error: {result.error}"
             )
-            print(f"  {name:<9s}: {shown}")
+            lines.append(f"  {name:<9s}: {shown}")
+    print("\n".join(lines))
     return 0
 
 

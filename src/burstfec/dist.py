@@ -24,14 +24,16 @@ The interleaved recursions take one depth for the whole stack or one
 depth per channel, so a whole sweep over depths is one stack.  Every
 product multiplies a channel's whole bucket stack, viewed as one
 (counts*S) x S matrix, so a counted bit costs one matrix product per
-channel and kernel.  In the joint and sequential recursions it costs
-one product per channel, by the transition matrix, when each state of
-the stack is either error-free or always in error (as in every
-ibp_from_stats channel): the kernel terms it skips are exact zeros, so
-the bits are the same.
+channel and kernel, written into one of two reused buffers.  In the
+joint and sequential recursions it costs one product per channel, by
+the transition matrix, when each state of the stack is either
+error-free or always in error (as in every ibp_from_stats channel): the
+kernel terms it skips are exact zeros, so the bits are the same.
 """
 
 from __future__ import annotations
+
+import operator
 
 import numpy as np
 
@@ -60,26 +62,58 @@ def _stack(model, n: int, cap: int, counters: int):
         raise ValueError(f"stacked channels need one common state count, got {sizes}")
     buckets = np.zeros((len(channels),) + (cap + 1,) * counters + (sizes[0],) * 2)
     buckets[(slice(None),) + (0,) * counters] = np.eye(sizes[0])
-    names = ("transition", "d0", "d1")
-    stacked = np.array([[getattr(c, name) for c in channels] for name in names])
+    stacked = np.array([
+        [c.transition for c in channels], [c.d0 for c in channels], [c.d1 for c in channels]
+    ])
     return channels, buckets, stacked[0], stacked[1:]
 
 
-def _powers(matrices, exponents):
-    """``matrices[i] ** exponents[i]`` over a stack, for one exponent or
-    one per matrix (from each channel's depth); one matrix_power per
-    distinct exponent, so no matrix's power depends on the rest of the
-    stack."""
-    if np.ndim(exponents) and len(exponents) != len(matrices):
-        raise ValueError(f"got {len(exponents)} depths for {len(matrices)} channels")
-    exponents = np.ravel(exponents).tolist()
-    distinct = set(exponents)
-    if len(distinct) == 1:  # no copies for a stack of one depth
-        return np.linalg.matrix_power(matrices, exponents[0])
+def _depths(depth, channels, least: int, message: str):
+    """One Python int depth per channel, from one depth for the whole stack
+    or one per channel; a depth below ``least`` is refused with ``message``,
+    formatted with the least depth."""
+    if isinstance(depth, list) or np.ndim(depth):
+        depths = [operator.index(d) for d in depth]
+    else:
+        depths = [operator.index(depth)] * len(channels)
+    if (low := min(depths, default=least)) < least:
+        raise ValueError(message.format(low))
+    if len(depths) != len(channels):
+        raise ValueError(f"got {len(depths)} depths for {len(channels)} channels")
+    return depths
+
+
+def _power(matrices, exponent: int):
+    """``numpy.linalg.matrix_power(matrices, exponent)`` for an exponent >= 0:
+    the same products in the same order, without its checks."""
+    if exponent == 0:
+        power = np.empty_like(matrices)
+        power[...] = np.eye(matrices.shape[-1])
+        return power
+    if exponent == 3:
+        return matrices @ matrices @ matrices
+    power = square = None
+    while exponent:
+        square = matrices if square is None else square @ square
+        exponent, bit = divmod(exponent, 2)
+        if bit:
+            power = square if power is None else power @ square
+    return power
+
+
+def _powers(matrices, depths, offset: int):
+    """``matrices[i] ** (depths[i] - offset)`` over a stack, for one int
+    depth or a list with one per matrix: one :func:`_power` per distinct
+    depth, so no matrix's power depends on the rest of the stack."""
+    if not isinstance(depths, list):
+        return _power(matrices, depths - offset)
+    distinct = set(depths)
+    if len(distinct) == 1:
+        return _power(matrices, depths[0] - offset)
     powers = np.empty_like(matrices)
-    for exponent in distinct:
-        chosen = [i for i, e in enumerate(exponents) if e == exponent]
-        powers[chosen] = np.linalg.matrix_power(matrices[chosen], exponent)
+    for depth in distinct:
+        chosen = [i for i, d in enumerate(depths) if d == depth]
+        powers[chosen] = _power(matrices[chosen], depth - offset)
     return powers
 
 
@@ -132,25 +166,34 @@ def _walk(buckets, transition, kernels, path, gap=None):
             buckets = _product(buckets, gap) if axis is None else _count_step(buckets, kernels, axis)
         return buckets
     flows = buckets.transpose(0, 4, 1, 2, 3).copy()
-    rows = flows.shape[:2] + (-1,)
+    count, states, size = flows.shape[:3]  # size: the cap + 1 counts of a counter
     # the flows are multiplied from the left, by the transposed matrices
     full = transition.transpose(0, 2, 1)
     gap = None if gap is None else gap.transpose(0, 2, 1)
-    # each product writes into the buffer it does not read; per buffer and
-    # counter, each erring state's flows with that counter's axis first
-    # (none at cap 0, where every count is the top bucket)
-    buffers = [
-        (buffer, {axis: [buffer[:, state].swapaxes(0, axis) for state in erring]
-                  for axis in (1, 2) if flows.shape[2] > 1})
-        for buffer in (flows, np.empty_like(flows))
-    ]
+    # each product writes into the buffer it does not read.  Per buffer and
+    # counter, each erring state's count move: its top count is added to
+    # the count below, its rows shift up by one count's stride (the top
+    # count falls off or lands on a count 0) and count 0 is cleared; none
+    # at cap 0, where every count is the top bucket
+    stride = size * states  # one count of the first counter, in a flat row
+    buffers = []
+    for buffer in (flows, np.empty_like(flows)):
+        moves = {None: [], 1: [], 2: []}
+        for state in erring if size > 1 else ():
+            counts = buffer[:, state]
+            rows = counts.reshape(count, -1)
+            moves[1].append((counts[:, -2], counts[:, -1], rows[:, stride:], rows[:, :-stride],
+                             counts[:, 0]))
+            moves[2].append((counts[:, :, -2], counts[:, :, -1], rows[:, states:],
+                             rows[:, :-states], counts[:, :, 0]))
+        buffers.append((buffer, buffer.reshape(count, states, -1), moves))
     for axis in path:
-        (source, _), (target, erring_counts) = buffers
-        np.matmul(gap if axis is None else full, source.reshape(rows), out=target.reshape(rows))
-        for counts in erring_counts.get(axis, ()):
-            counts[-1] += counts[-2]
-            counts[1:-1] = counts[:-2]
-            counts[0] = 0.0
+        (_, source, _), (_, target, moves) = buffers
+        np.matmul(gap if axis is None else full, source, out=target)
+        for below, top, upper, lower, first in moves[axis]:
+            below += top
+            upper[...] = lower
+            first.fill(0.0)
         buffers.reverse()
     return np.ascontiguousarray(buffers[0][0].transpose(0, 2, 3, 4, 1))
 
@@ -159,10 +202,12 @@ def _laws(model, channels, buckets):
     """(buckets, law): the law of each channel is its buckets contracted
     with its stationary vector, one einsum per channel, as a batched
     einsum rounds differently.  One FsmcModel gets its own slices."""
+    if isinstance(model, FsmcModel):
+        return buckets[0], np.einsum("s,...st->...", model.pi, buckets[0])
     laws = np.empty(buckets.shape[:-2])
     for i, channel in enumerate(channels):
         laws[i] = np.einsum("s,...st->...", channel.pi, buckets[i])
-    return (buckets[0], laws[0]) if isinstance(model, FsmcModel) else (buckets, laws)
+    return buckets, laws
 
 
 def marginal_error_distribution(model, n: int, depth, cap: int):
@@ -173,13 +218,26 @@ def marginal_error_distribution(model, n: int, depth, cap: int):
     ``depth`` is one int or one per channel of the stack.  Returns
     ``(buckets, probs)`` with ``probs[j] = pi @ buckets[j] @ 1``.
     """
-    if (least := np.min(depth, initial=1)) < 1:
-        raise ValueError(f"interleaving depth must be >= 1, got {least}")
     channels, buckets, transition, kernels = _stack(model, n, cap, 1)
-    gap = _powers(transition, np.subtract(depth, 1))
-    for step in [kernels @ gap] * (n - 1) + [kernels]:
-        buckets = _count_step(buckets, step, 1)
-    return _laws(model, channels, buckets)
+    depths = _depths(depth, channels, 1, "interleaving depth must be >= 1, got {}")
+    steps = kernels @ _powers(transition, depths, 1)
+    count, states = transition.shape[:2]
+    # each counted bit multiplies into the product buffer it does not read;
+    # a product's no-error half, its error half moved up one count added
+    # in place, is the next bit's buckets
+    views = [
+        (product[0].reshape(count, -1, states), product.reshape(2, count, -1, states),
+         product[0, :, 1:], product[1, :, :-1], product[0, :, -1], product[1, :, -1])
+        for product in np.empty((2, 2, count, cap + 1, states, states))
+    ]
+    buckets = buckets.reshape(count, -1, states)
+    for bit in range(n):
+        rows, out, upper, lower, top, hit = views[bit % 2]
+        np.matmul(buckets, steps if bit < n - 1 else kernels, out=out)
+        upper += lower
+        top += hit
+        buckets = rows
+    return _laws(model, channels, buckets.reshape(count, cap + 1, states, states))
 
 
 def joint_error_distribution(model, n: int, depth, cap: int):
@@ -188,19 +246,20 @@ def joint_error_distribution(model, n: int, depth, cap: int):
     The matching bits of the two codewords are transmitted back to back;
     successive bit pairs are separated by depth-2 marginalized slots, and
     the final pair has no trailing gap.  ``depth`` is one int or one per
-    channel of the stack; the gap product is skipped only when every
-    depth is 2, and is the identity for the depth-2 channels of a mixed
-    stack.  Requires depth >= 2 -- depth 1 has no column pairing (see
-    :func:`sequential_joint_distribution`).  Returns ``(buckets, q)``
-    with ``q[i, j]`` = P(first counts i, second counts j).
+    channel of the stack; the gap product is skipped, and its power not
+    computed, only when every depth is 2, and is the identity for the
+    depth-2 channels of a mixed stack.  Requires depth >= 2 -- depth 1 has
+    no column pairing (see :func:`sequential_joint_distribution`).
+    Returns ``(buckets, q)`` with ``q[i, j]`` = P(first counts i, second
+    counts j).
     """
-    if np.min(depth, initial=2) < 2:
-        raise ValueError("joint pairing needs depth >= 2; use sequential_joint_distribution")
     channels, buckets, transition, kernels = _stack(model, n, cap, 2)
-    gap = _powers(transition, np.subtract(depth, 2))
-    path = [1, 2] * n
-    if np.max(depth, initial=2) > 2:  # a gap product between successive bit pairs
-        path = [1, 2, None] * (n - 1) + [1, 2]
+    depths = _depths(
+        depth, channels, 2, "joint pairing needs depth >= 2; use sequential_joint_distribution"
+    )
+    path, gap = [1, 2] * n, None
+    if max(depths) > 2:  # a gap product between successive bit pairs
+        path, gap = [1, 2, None] * (n - 1) + [1, 2], _powers(transition, depths, 2)
     return _laws(model, channels, _walk(buckets, transition, kernels, path, gap))
 
 

@@ -27,7 +27,6 @@ from .channel import (
     FsmcModel,
     SchemeSpec,
     _two_state_rates,
-    _two_state_stationary,
 )
 from .dist import (
     _channels,
@@ -49,9 +48,10 @@ ANALYTIC_MODELS = ("model1", "model2", "model3", "baseline")
 # None) per channel.  A channel the chain cannot represent gets the
 # message of the first check it fails and keeps computing along with the
 # rest; its numbers are never read.  evaluate_models is the only caller:
-# one channel is a stack of one.  Models 1 and 2 fit their two-state
-# chains apart and then share one stack of both models' chains, so a
-# call runs one two-state chain stage, not one per model.
+# one channel is a stack of one.  Models 1 and 2 fit only the (error
+# rate, NACF) of their two-state chains, apart; the chains of both then
+# come from one _chains and one _two_state_blocks stack, so a call runs
+# one two-state chain stage, not one per model.
 
 
 def _fail(errors, rejected, message, *values):
@@ -62,12 +62,12 @@ def _fail(errors, rejected, message, *values):
             errors[i] = message.format(*(value.item(i) for value in values))
 
 
-def _absorbed(start, transient, steps):
-    """P(absorbed within ``steps`` transitions, one count for the stack or
-    one per chain) of each chain of a stack: one minus the mass that
-    ``start`` (B x k) keeps in the transient states ``transient``
+def _absorbed(start, transient, depths, offset: int):
+    """P(absorbed within depth - ``offset`` transitions, one depth for the
+    stack or one per chain) of each chain of a stack: one minus the mass
+    that ``start`` (B x k) keeps in the transient states ``transient``
     (B x k x k), clipped to [0, 1]."""
-    flow = start[:, None, :] @ _powers(transient, steps)
+    flow = start[:, None, :] @ _powers(transient, depths, offset)
     return np.minimum(np.maximum(1.0 - flow[:, 0].sum(axis=1), 0.0), 1.0)
 
 
@@ -85,14 +85,13 @@ def _absorbing_chains(q, l: int):
     codeword; absorption means "some codeword was undecodable".  Each row
     of a joint is conditioned on the first codeword's count, so it is
     normalized by its marginal mass; a count with no mass (not ``live``)
-    gets a zero row, i.e. certain absorption.  The first codeword itself
-    is consumed by the start vector.
+    has a row of zeros, which is divided by 1 and stays a zero row, i.e.
+    certain absorption.  The first codeword itself is consumed by the
+    start vector.
     """
-    mass = q.sum(axis=2)
-    live = mass[:, : l + 1] > 0.0
-    scale = np.where(live, mass[:, : l + 1], 1.0)
-    transient = np.where(live[..., None], q[:, : l + 1, : l + 1] / scale[..., None], 0.0)
-    return transient, mass[:, : l + 1]
+    start = q.sum(axis=2)[:, : l + 1]
+    live = start > 0.0
+    return q[:, : l + 1, : l + 1] / np.where(live, start, 1.0)[..., None], start
 
 
 def _model3_blocks(q, l: int, depths, errors):
@@ -102,7 +101,7 @@ def _model3_blocks(q, l: int, depths, errors):
     first consumed by the start vector and the remaining depth-1 by chain
     transitions."""
     transient, start = _absorbing_chains(q, l)
-    return _absorbed(start, transient, np.subtract(depths, 1))
+    return _absorbed(start, transient, depths, 1)
 
 
 # ----------------------------------------------------------------------
@@ -129,13 +128,13 @@ def _chains(error_rate, nacf, errors):
 
 
 def _rate_chains(error_rate, nacf, errors):
-    """_chains after range checks of the error rates and NACFs themselves:
-    the model 2 parameterization, which reuses the bit-level correlation
-    at the codeword level."""
+    """Model 2's fit: the error rates and NACFs themselves, after their
+    range checks; the bit-level correlation is reused at the codeword
+    level."""
     _fail(errors, ~((0.0 <= error_rate) & (error_rate <= 1.0)),
           "error rate must be in [0, 1], got {!r}", error_rate)
     _fail(errors, ~((-1.0 < nacf) & (nacf < 1.0)), "lag-1 NACF must be in (-1, 1), got {!r}", nacf)
-    return _chains(error_rate, nacf, errors)
+    return error_rate, nacf
 
 
 def _quadrants(q, l: int):
@@ -149,54 +148,59 @@ def _quadrants(q, l: int):
 
 
 def _joint_chains(quadrants, errors):
-    """_chains fitted to the quadrants of joint laws: the error rate is
-    a codeword's failure probability and the lag-1 NACF is the quadrant
+    """Model 1's fit to the quadrants of joint laws: the error rate is a
+    codeword's failure probability and the lag-1 NACF is the quadrant
     covariance normalized by the binary variance."""
     nu00, nu01, nu10, nu11 = quadrants
     error_rate = np.minimum(np.maximum(nu10 + nu11, 0.0), 1.0)
-    variance = error_rate - error_rate * error_rate
+    square = error_rate * error_rate
+    variance = error_rate - square
     ok = 1.0 - error_rate
-    covariance = (
-        error_rate * error_rate * nu00
-        - error_rate * ok * (nu01 + nu10)
-        + ok * ok * nu11
-    )
+    covariance = square * nu00 - error_rate * ok * (nu01 + nu10) + ok * ok * nu11
     nacf = covariance / np.where(variance <= 0.0, 1.0, variance)  # 0 variance is degenerate
-    return _chains(error_rate, nacf, errors)
+    return error_rate, nacf
 
 
 def _two_state_blocks(alpha, beta, depths, errors):
     """P(at least one of ``depths`` consecutive codewords fails, one depth
     for the stack or one per chain) under each two-state codeword chain
     of a stack, started from stationarity."""
-    _fail(errors, alpha + beta <= 0.0, _TWO_ABSORBING_STATES)
+    total = alpha + beta
+    _fail(errors, total <= 0.0, _TWO_ABSORBING_STATES)
     decoded_flow = np.zeros((len(alpha), 2, 2))
     decoded_flow[:, 0, 0] = 1.0 - alpha
     decoded_flow[:, 1, 0] = beta
+    stationary = np.empty((len(alpha), 2))  # [beta, alpha] / (alpha + beta)
+    stationary[:, 0], stationary[:, 1] = beta, alpha
     with np.errstate(invalid="ignore", over="ignore"):  # rejected chains only
-        return _absorbed(_two_state_stationary(alpha, beta), decoded_flow, depths)
+        stationary /= total[:, None]
+        return _absorbed(stationary, decoded_flow, depths, 0)
 
 
-def _model1_chains(q, l: int, errors):
+def _model1_rates(q, l: int, errors):
     return _joint_chains(_quadrants(q, l), errors)
 
 
-def _model2_chains(probs, nacf, l: int, errors):
+def _model2_rates(probs, nacf, l: int, errors):
     error_rate = np.minimum(np.maximum(1.0 - probs[:, : l + 1].sum(axis=1), 0.0), 1.0)
     return _rate_chains(error_rate, nacf, errors)
 
 
-def _two_state_stage(fitted, depths):
+def _chain_blocks(error_rate, nacf, depths, errors):
+    return _two_state_blocks(*_chains(error_rate, nacf, errors), depths, errors)
+
+
+def _two_state_stage(fits, depths):
     """(block errors, errors) of each two-state model from one
-    _two_state_blocks stack over the chains of every model in ``fitted``
-    (name -> ((alpha, beta), errors), chains None for a model whose fit
-    raised), each model's chains one block of the stack."""
-    names = [name for name, (chains, _) in fitted.items() if chains is not None]
-    stages = {name: fit for name, fit in fitted.items() if fit[0] is None}
+    _chain_blocks stack over the fits of every model in ``fits`` (name ->
+    ((error rate, NACF), errors), rates None for a model whose fit
+    raised), each model's channels one block of the stack."""
+    names = [name for name, (rates, _) in fits.items() if rates is not None]
+    stages = {name: fit for name, fit in fits.items() if fit[0] is None}
     if names:
-        alpha, beta = (np.concatenate([fitted[name][0][i] for name in names]) for i in (0, 1))
-        errors = [error for name in names for error in fitted[name][1]]
-        blocks, errors = _staged(_two_state_blocks, alpha, beta, depths * len(names), errors=errors)
+        error_rate, nacf = (np.concatenate([fits[name][0][i] for name in names]) for i in (0, 1))
+        errors = [error for name in names for error in fits[name][1]]
+        blocks, errors = _staged(_chain_blocks, error_rate, nacf, depths * len(names), errors=errors)
         count = len(depths)
         for k, name in enumerate(names):
             part = slice(k * count, (k + 1) * count)
@@ -269,16 +273,19 @@ def binomial_baseline(ber: float, code: CodeSpec, codewords: int) -> float:
 
 def _joint_laws(channels, n: int, depths, cap: int):
     """The joint law q of each channel of a stack: the depth-1 channels
-    from one sequential recursion, all others from one joint recursion."""
-    q = np.empty((len(channels), cap + 1, cap + 1))
+    from one sequential recursion, all others from one joint recursion;
+    a stack of one kind takes its recursion's law as it is."""
     sequential = [i for i, depth in enumerate(depths) if depth == 1]
+    if not sequential:
+        return joint_error_distribution(channels, n, depths, cap)[1]
+    if len(sequential) == len(channels):
+        return sequential_joint_distribution(channels, n, cap)[1]
+    q = np.empty((len(channels), cap + 1, cap + 1))
     paired = [i for i, depth in enumerate(depths) if depth != 1]
-    if sequential:
-        _, q[sequential] = sequential_joint_distribution([channels[i] for i in sequential], n, cap)
-    if paired:
-        _, q[paired] = joint_error_distribution(
-            [channels[i] for i in paired], n, [depths[i] for i in paired], cap
-        )
+    _, q[sequential] = sequential_joint_distribution([channels[i] for i in sequential], n, cap)
+    _, q[paired] = joint_error_distribution(
+        [channels[i] for i in paired], n, [depths[i] for i in paired], cap
+    )
     return q
 
 
@@ -358,18 +365,18 @@ def evaluate_models(model, code: CodeSpec, scheme, which=ANALYTIC_MODELS):
     cap, l = code.l + 1, code.l
     depths = [s.depth for s in schemes]
     count = len(channels)
-    stages, fitted = {}, {}  # name -> (block errors, errors); name -> (chains, errors)
+    stages, fits = {}, {}  # name -> (block errors, errors); name -> (rates, errors)
     if "model1" in which or "model3" in which:
         q = _joint_laws(channels, code.n, depths, cap)
         if "model1" in which:
-            fitted["model1"] = _staged(_model1_chains, q, l, errors=[None] * count)
+            fits["model1"] = _staged(_model1_rates, q, l, errors=[None] * count)
         if "model3" in which:
             stages["model3"] = _staged(_model3_blocks, q, l, depths, errors=[None] * count)
     if "model2" in which:
         _, probs = marginal_error_distribution(channels, code.n, depths, cap)
         nacf = np.array([channel.lag1_nacf() for channel in channels])
-        fitted["model2"] = _staged(_model2_chains, probs, nacf, l, errors=[None] * count)
-    stages.update(_two_state_stage(fitted, depths))
+        fits["model2"] = _staged(_model2_rates, probs, nacf, l, errors=[None] * count)
+    stages.update(_two_state_stage(fits, depths))
     blocks = [s.blocks for s in schemes]
     columns = {
         name: _baseline_results(channels, code, schemes) if name == "baseline"

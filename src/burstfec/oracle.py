@@ -74,7 +74,7 @@ def _count_flow(model: FsmcModel, owner, counters: int, cap: int, drop: bool):
     if (erring & model.d0.any(axis=0)).any():
         flow, dropped = _kernel_flow(model, flow, owner, counters, cap, drop)
     else:
-        flow, dropped = _shift_flow(model, np.flatnonzero(erring), flow, owner, counters, cap, drop)
+        flow, dropped = _shift_flow(model, erring.nonzero()[0], flow, owner, counters, cap, drop)
     return flow.reshape(shape), dropped
 
 
@@ -95,23 +95,25 @@ def _shift_flow(model: FsmcModel, erring, flow, owner, counters: int, cap: int, 
     dropped = np.zeros(states)
     buffers = []
     for buffer in (flow, np.empty_like(flow)):
+        # at cap 0 without drop an error keeps the only count: nothing moves
+        rows = [buffer[t] for t in erring] if drop or cap > 0 else []
         views = []  # per counter, per erring state: top, below top, upper, lower, count 0
         for j in range(counters):
             after = (cap + 1) ** (counters - 1 - j)
-            rows = [(buffer[t], buffer[t].reshape(states, -1, cap + 1, after)) for t in erring]
-            views.append([
-                (counts[..., -1, :], None if drop else counts[..., -2, :],
-                 row[after:], row[:-after], counts[..., 0, :])
-                for row, counts in rows
-                if drop or cap > 0  # at cap 0 without drop an error keeps the only count
-            ])
+            views.append([])
+            for row in rows:
+                counts = row.reshape(states, -1, cap + 1, after)
+                views[-1].append((
+                    counts[:, :, -1], None if drop else counts[:, :, -2],
+                    row[after:], row[:-after], counts[:, :, 0],
+                ))
         buffers.append((buffer, views))
     for j in owner:
         (source, _), (target, views) = buffers
         np.matmul(full, source, out=target)
         for top, below, upper, lower, first in views[j] if j < counters else ():
-            if below is None:
-                dropped += top.sum(axis=(1, 2))
+            if below is None:  # top.sum(axis=(1, 2)) without its Python wrapper
+                dropped += np.add.reduce(top, axis=(1, 2))
             else:
                 below += top
             upper[...] = lower

@@ -238,7 +238,13 @@ def _grid_point_rows(spec, code, entry, record, first, workers):
             model=model, ber=ber, nacf=nacf, code=code, scheme=scheme,
             residual_corr=residual, note=note,
         )
-        if note is None and model == "mc":
+        result = results.get(model)  # looked up once; None for "mc" and for a noted entry
+        if result is not None and result.error is None:
+            row.p = result.packet_error
+            row.throughput = throughput(code, scheme, row.p)
+        elif result is not None:
+            row.note = f"error: {result.error}"
+        elif note is None and model == "mc":
             row.seed = _row_seed(spec.seed, index)
             try:
                 estimate = simulate_packets(
@@ -255,11 +261,6 @@ def _grid_point_rows(spec, code, entry, record, first, workers):
                     row.note = "degenerate: loss rate estimate is 0 or 1"
             except Exception as exc:
                 row.note = f"error: {exc}"
-        elif note is None and results[model].error is not None:
-            row.note = f"error: {results[model].error}"
-        elif note is None:
-            row.p = results[model].packet_error
-            row.throughput = throughput(code, scheme, row.p)
         rows.append(row)
 
     if estimate is not None and estimate.p_hat > 0.0:

@@ -214,6 +214,30 @@ def test_oracle_verb_prints_reference(capsys):
     assert "model predictions" in out
 
 
+# sha256 of the oracle verb's whole stdout at p_E 0.02, c 0.9, by
+# (n, l, depth, blocks): the benchmark's instances A and B, a depth-1
+# instance and CI's paper-scale instance; every printed digit is pinned
+ORACLE_STDOUT_SHA256 = {
+    (5, 1, 4, 4): "c01ffbf6632eabcd692077c2c177dae5462afafe4f71d901c322466a81d65c07",
+    (10, 2, 2, 1): "a02d2ef1fd09bf13a8592569fc2dcebd38e3ad682ad4567de07b457594e81d91",
+    (8, 2, 1, 3): "2fb07bb0175bf3d2e37ee6fd64d3fb09b6de9c834a5f27b029b8ee8c7e4f0391",
+    (63, 3, 8, 2): "973fd703701e64e47eaef3bddac7b041b7b873c08623fce6eaa6cd49455a43ec",
+}
+
+
+@pytest.mark.parametrize(
+    "instance", ORACLE_STDOUT_SHA256, ids=["A", "B", "depth-1", "paper-scale"]
+)
+def test_oracle_verb_stdout_is_pinned(instance, capsys):
+    n, l, depth, blocks = instance
+    assert main([
+        "oracle", "--n", str(n), "--l", str(l), "--depth", str(depth),
+        "--blocks", str(blocks), "--ber", "0.02", "--nacf", "0.9",
+    ]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == ORACLE_STDOUT_SHA256[instance]
+
+
 def test_oracle_verb_prints_a_failing_model_as_its_error(monkeypatch, capsys):
     def reject(error_rate, nacf):
         raise ValueError("synthetic chain failure")

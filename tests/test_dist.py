@@ -12,6 +12,7 @@ from burstfec.dist import (
     marginal_error_distribution,
     sequential_joint_distribution,
 )
+from burstfec.models import _absorbing_chains
 
 # ----------------------------------------------------------------------
 # Independent references: explicit path-by-path enumeration written
@@ -448,6 +449,37 @@ def test_depths_must_match_the_stack():
         marginal_error_distribution(stack, 4, [1, 0, 2, 2, 2], 2)
     with pytest.raises(ValueError, match="needs depth >= 2"):
         joint_error_distribution(stack, 4, [2, 2, 1, 3, 3], 2)
+
+
+def power_stacks():
+    """Stacks of 2 x 2 transitions and of (l+1) x (l+1) absorbing-chain
+    transient matrices (l = 3), the two kinds of matrix the gap powers
+    and the chain stage raise to a power."""
+    transitions = np.array([model.transition for model in STACKS["ber-nacf-grid"]])
+    q = joint_error_distribution(STACKS["ber-nacf-grid"][:-4], 7, 3, 4)[1]
+    transient, _ = _absorbing_chains(q, 3)
+    return {"transitions": transitions, "transient": transient}
+
+
+@pytest.mark.parametrize("exponent", range(18))
+def test_one_gap_power_per_stack_is_matrix_power_bit_for_bit(exponent):
+    for matrices in power_stacks().values():
+        expected = np.linalg.matrix_power(matrices, exponent)
+        assert np.array_equal(dist._power(matrices, exponent), expected)
+        for depths in (exponent + 1, [exponent + 1] * len(matrices)):
+            assert np.array_equal(dist._powers(matrices, depths, 1), expected)
+
+
+def test_mixed_gap_powers_are_matrix_power_bit_for_bit():
+    rng = np.random.default_rng(17)
+    for matrices in power_stacks().values():
+        for offset in (0, 1, 2):
+            depths = [int(e) + offset for e in rng.integers(0, 18, len(matrices))]
+            powers = dist._powers(matrices, depths, offset)
+            for depth in set(depths):
+                chosen = [i for i, d in enumerate(depths) if d == depth]
+                expected = np.linalg.matrix_power(matrices[chosen], depth - offset)
+                assert np.array_equal(powers[chosen], expected)
 
 
 def test_single_channel_call_returns_one_result():

@@ -16,6 +16,7 @@ from burstfec.dist import (
 )
 from burstfec.models import (
     _absorbing_chains,
+    _chains,
     _joint_chains,
     _model3_blocks,
     _quadrants,
@@ -49,7 +50,7 @@ def block_error(name, model, n, l, depth):
 def rate_chain(error_rate, nacf):
     """alpha, beta and the error (or None) of the model-2 chain with these rates."""
     errors = [None]
-    alpha, beta = _rate_chains(np.array([error_rate]), np.array([nacf]), errors)
+    alpha, beta = _chains(*_rate_chains(np.array([error_rate]), np.array([nacf]), errors), errors)
     return alpha.item(0), beta.item(0), errors[0]
 
 
@@ -58,7 +59,7 @@ def joint_chain(q, l):
     the model-1 chain fitted to them."""
     errors = [None]
     quadrants = _quadrants(q[None], l)
-    alpha, beta = _joint_chains(quadrants, errors)
+    alpha, beta = _chains(*_joint_chains(quadrants, errors), errors)
     assert errors == [None]
     return [nu.item(0) for nu in quadrants], alpha.item(0), beta.item(0)
 
