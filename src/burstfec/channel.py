@@ -108,13 +108,10 @@ class FsmcModel:
     def __init__(self, transition, error_profile):
         transition = np.array(transition, dtype=float)
         error_profile = np.array(error_profile, dtype=float)
-        if transition.ndim != 2 or transition.shape[0] != transition.shape[1]:
-            raise ValueError("transition matrix must be square")
+        # refuses a non-square matrix, a profile of the wrong length, NaN and inf
+        self.d0, self.d1 = split_transition_matrix(transition, error_profile)
         if transition.shape[0] < 2:
             raise ValueError("need at least two states")
-        if error_profile.shape != (transition.shape[0],):
-            raise ValueError("error profile length must match the state count")
-        self.d0, self.d1 = split_transition_matrix(transition, error_profile)  # refuses NaN, inf
         if (transition < 0.0).any() or (
             np.abs(transition.sum(axis=1) - 1.0) > STOCHASTIC_TOL
         ).any():
@@ -191,15 +188,6 @@ def split_transition_matrix(transition, error_profile):
 _TWO_ABSORBING_STATES = "no unique stationary distribution: both states absorbing"
 
 
-def _two_state_stationary(up, down):
-    """Stationary law [down, up] / (up + down) of the two-state chain that
-    leaves state 0 with probability ``up`` and state 1 with ``down``;
-    array rates give one law per entry along a new last axis."""
-    pi = np.empty(np.shape(up) + (2,))
-    pi[..., 0], pi[..., 1] = down, up
-    return pi / np.asarray(up + down)[..., None]
-
-
 def _two_state_rates(error_rate, nacf):
     """The rates alpha = (1-nacf)*error_rate (error-free to error state)
     and beta = (1-nacf)*(1-error_rate) (back) of the two-state chain with
@@ -229,7 +217,7 @@ def _stationary(transition):
         up, down = transition[0, 1], transition[1, 0]
         if up + down <= 0.0:
             raise ValueError(_TWO_ABSORBING_STATES)
-        pi = _two_state_stationary(up, down)
+        pi = np.array([down, up]) / (up + down)
     else:
         balance = transition.T - np.eye(size)
         svals = np.linalg.svd(balance, compute_uv=False)

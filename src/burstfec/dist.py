@@ -102,11 +102,9 @@ def _power(matrices, exponent: int):
 
 
 def _powers(matrices, depths, offset: int):
-    """``matrices[i] ** (depths[i] - offset)`` over a stack, for one int
-    depth or a list with one per matrix: one :func:`_power` per distinct
-    depth, so no matrix's power depends on the rest of the stack."""
-    if not isinstance(depths, list):
-        return _power(matrices, depths - offset)
+    """``matrices[i] ** (depths[i] - offset)`` over a stack, for a list of
+    int depths with one per matrix: one :func:`_power` per distinct depth,
+    so no matrix's power depends on the rest of the stack."""
     distinct = set(depths)
     if len(distinct) == 1:
         return _power(matrices, depths[0] - offset)

@@ -47,11 +47,8 @@ ANALYTIC_MODELS = ("model1", "model2", "model3", "baseline")
 # per channel along a leading axis, and ``errors`` holds one message (or
 # None) per channel.  A channel the chain cannot represent gets the
 # message of the first check it fails and keeps computing along with the
-# rest; its numbers are never read.  evaluate_models is the only caller:
-# one channel is a stack of one.  Models 1 and 2 fit only the (error
-# rate, NACF) of their two-state chains, apart; the chains of both then
-# come from one _chains and one _two_state_blocks stack, so a call runs
-# one two-state chain stage, not one per model.
+# rest; its numbers are never read.  evaluate_models is the only caller,
+# and one channel is a stack of one.
 
 
 def _fail(errors, rejected, message, *values):
@@ -63,10 +60,10 @@ def _fail(errors, rejected, message, *values):
 
 
 def _absorbed(start, transient, depths, offset: int):
-    """P(absorbed within depth - ``offset`` transitions, one depth for the
-    stack or one per chain) of each chain of a stack: one minus the mass
-    that ``start`` (B x k) keeps in the transient states ``transient``
-    (B x k x k), clipped to [0, 1]."""
+    """P(absorbed within depth - ``offset`` transitions, one depth per
+    chain) of each chain of a stack: one minus the mass that ``start``
+    (B x k) keeps in the transient states ``transient`` (B x k x k),
+    clipped to [0, 1]."""
     flow = start[:, None, :] @ _powers(transient, depths, offset)
     return np.minimum(np.maximum(1.0 - flow[:, 0].sum(axis=1), 0.0), 1.0)
 
@@ -87,21 +84,12 @@ def _absorbing_chains(q, l: int):
     normalized by its marginal mass; a count with no mass (not ``live``)
     has a row of zeros, which is divided by 1 and stays a zero row, i.e.
     certain absorption.  The first codeword itself is consumed by the
-    start vector.
+    start vector, and the block fails unless the chain survives the
+    remaining depth-1 codewords.
     """
     start = q.sum(axis=2)[:, : l + 1]
     live = start > 0.0
     return q[:, : l + 1, : l + 1] / np.where(live, start, 1.0)[..., None], start
-
-
-def _model3_blocks(q, l: int, depths, errors):
-    """Codeblock error probability of each joint law of a stack via the
-    absorbing count chain: the block fails unless the chain survives all
-    ``depths`` codewords (one depth for the stack or one per law), the
-    first consumed by the start vector and the remaining depth-1 by chain
-    transitions."""
-    transient, start = _absorbing_chains(q, l)
-    return _absorbed(start, transient, depths, 1)
 
 
 # ----------------------------------------------------------------------
@@ -127,16 +115,6 @@ def _chains(error_rate, nacf, errors):
     return alpha, beta
 
 
-def _rate_chains(error_rate, nacf, errors):
-    """Model 2's fit: the error rates and NACFs themselves, after their
-    range checks; the bit-level correlation is reused at the codeword
-    level."""
-    _fail(errors, ~((0.0 <= error_rate) & (error_rate <= 1.0)),
-          "error rate must be in [0, 1], got {!r}", error_rate)
-    _fail(errors, ~((-1.0 < nacf) & (nacf < 1.0)), "lag-1 NACF must be in (-1, 1), got {!r}", nacf)
-    return error_rate, nacf
-
-
 def _quadrants(q, l: int):
     """nu00, nu01, nu10, nu11 of a stack of joint laws: the probabilities
     that the first and the second codeword decode (0) or fail (1)."""
@@ -147,7 +125,7 @@ def _quadrants(q, l: int):
     ]
 
 
-def _joint_chains(quadrants, errors):
+def _joint_chains(quadrants):
     """Model 1's fit to the quadrants of joint laws: the error rate is a
     codeword's failure probability and the lag-1 NACF is the quadrant
     covariance normalized by the binary variance."""
@@ -163,8 +141,8 @@ def _joint_chains(quadrants, errors):
 
 def _two_state_blocks(alpha, beta, depths, errors):
     """P(at least one of ``depths`` consecutive codewords fails, one depth
-    for the stack or one per chain) under each two-state codeword chain
-    of a stack, started from stationarity."""
+    per chain) under each two-state codeword chain of a stack, started
+    from stationarity."""
     total = alpha + beta
     _fail(errors, total <= 0.0, _TWO_ABSORBING_STATES)
     decoded_flow = np.zeros((len(alpha), 2, 2))
@@ -175,37 +153,6 @@ def _two_state_blocks(alpha, beta, depths, errors):
     with np.errstate(invalid="ignore", over="ignore"):  # rejected chains only
         stationary /= total[:, None]
         return _absorbed(stationary, decoded_flow, depths, 0)
-
-
-def _model1_rates(q, l: int, errors):
-    return _joint_chains(_quadrants(q, l), errors)
-
-
-def _model2_rates(probs, nacf, l: int, errors):
-    error_rate = np.minimum(np.maximum(1.0 - probs[:, : l + 1].sum(axis=1), 0.0), 1.0)
-    return _rate_chains(error_rate, nacf, errors)
-
-
-def _chain_blocks(error_rate, nacf, depths, errors):
-    return _two_state_blocks(*_chains(error_rate, nacf, errors), depths, errors)
-
-
-def _two_state_stage(fits, depths):
-    """(block errors, errors) of each two-state model from one
-    _chain_blocks stack over the fits of every model in ``fits`` (name ->
-    ((error rate, NACF), errors), rates None for a model whose fit
-    raised), each model's channels one block of the stack."""
-    names = [name for name, (rates, _) in fits.items() if rates is not None]
-    stages = {name: fit for name, fit in fits.items() if fit[0] is None}
-    if names:
-        error_rate, nacf = (np.concatenate([fits[name][0][i] for name in names]) for i in (0, 1))
-        errors = [error for name in names for error in fits[name][1]]
-        blocks, errors = _staged(_chain_blocks, error_rate, nacf, depths * len(names), errors=errors)
-        count = len(depths)
-        for k, name in enumerate(names):
-            part = slice(k * count, (k + 1) * count)
-            stages[name] = (None if blocks is None else blocks[part], errors[part])
-    return stages
 
 
 # ======================================================================
@@ -299,42 +246,13 @@ def _baseline_results(channels, code: CodeSpec, schemes):
         if key in memo:
             continue
         ber, depth, codewords = key
-        try:
-            if ber not in tails:
-                tails[ber] = _binomial_tail_above(code.n, code.l, ber)
-            codeword_error = tails[ber]
-            block = block_to_packet(codeword_error, depth)
-            packet = block_to_packet(codeword_error, codewords)
-            memo[key] = PacketErrorResult(block, packet)
-        except ValueError as exc:
-            memo[key] = PacketErrorResult(None, None, error=str(exc))
+        if ber not in tails:
+            tails[ber] = _binomial_tail_above(code.n, code.l, ber)
+        codeword_error = tails[ber]
+        memo[key] = PacketErrorResult(
+            block_to_packet(codeword_error, depth), block_to_packet(codeword_error, codewords)
+        )
     return [memo[key] for key in keys]
-
-
-def _staged(stage, *args, errors):
-    """(``stage(*args, errors)``, errors) over a stack; a ValueError of the
-    whole stage gives None and its message as every channel's error."""
-    try:
-        return stage(*args, errors), errors
-    except ValueError as exc:
-        return None, [str(exc)] * len(errors)
-
-
-def _chain_results(block_errors, errors, blocks):
-    """One model's result for each channel of a stack, from its stacked
-    block errors (None when its stage raised), the channels' errors and
-    each channel's block count."""
-    block_errors = [None] * len(blocks) if block_errors is None else block_errors.tolist()
-    results = []
-    for block, error, packet_blocks in zip(block_errors, errors, blocks):
-        if error is None:
-            try:
-                results.append(PacketErrorResult(block, block_to_packet(block, packet_blocks)))
-                continue
-            except ValueError as exc:
-                error = str(exc)
-        results.append(PacketErrorResult(None, None, error=error))
-    return results
 
 
 def evaluate_models(model, code: CodeSpec, scheme, which=ANALYTIC_MODELS):
@@ -351,7 +269,7 @@ def evaluate_models(model, code: CodeSpec, scheme, which=ANALYTIC_MODELS):
     Models 1 and 3 consume the identical joint law array, so
     any disagreement between them isolates their second-stage
     approximations rather than the shared first stage.  A model whose
-    chain stage fails on a channel (e.g. a codeword NACF outside the
+    chain stage rejects a channel (e.g. a codeword NACF outside the
     two-state chain's range) gets a result with ``error`` set; the other
     models and channels keep their numbers.
     """
@@ -365,26 +283,46 @@ def evaluate_models(model, code: CodeSpec, scheme, which=ANALYTIC_MODELS):
     cap, l = code.l + 1, code.l
     depths = [s.depth for s in schemes]
     count = len(channels)
-    stages, fits = {}, {}  # name -> (block errors, errors); name -> (rates, errors)
+    stages = {}  # name -> (block errors, one error or None per channel)
+    # models 1 and 2 differ only in their (error rate, NACF) fits: their
+    # chains are one stack, model 1's channels first
+    fits = {}  # name -> ((error rate, NACF), one error or None per channel)
     if "model1" in which or "model3" in which:
         q = _joint_laws(channels, code.n, depths, cap)
         if "model1" in which:
-            fits["model1"] = _staged(_model1_rates, q, l, errors=[None] * count)
+            fits["model1"] = (_joint_chains(_quadrants(q, l)), [None] * count)
         if "model3" in which:
-            stages["model3"] = _staged(_model3_blocks, q, l, depths, errors=[None] * count)
+            transient, start = _absorbing_chains(q, l)
+            stages["model3"] = (_absorbed(start, transient, depths, 1), [None] * count)
     if "model2" in which:
+        # model 2 reuses the bit-level correlation at the codeword level
         _, probs = marginal_error_distribution(channels, code.n, depths, cap)
         nacf = np.array([channel.lag1_nacf() for channel in channels])
-        fits["model2"] = _staged(_model2_rates, probs, nacf, l, errors=[None] * count)
-    stages.update(_two_state_stage(fits, depths))
-    blocks = [s.blocks for s in schemes]
-    columns = {
-        name: _baseline_results(channels, code, schemes) if name == "baseline"
-        else _chain_results(*stages[name], blocks)
-        for name in ANALYTIC_MODELS
-        if name in which
-    }
-    results = [
-        {name: column[i] for name, column in columns.items()} for i in range(len(channels))
-    ]
+        error_rate = np.minimum(np.maximum(1.0 - probs[:, : l + 1].sum(axis=1), 0.0), 1.0)
+        errors = [None] * count
+        _fail(errors, ~((0.0 <= error_rate) & (error_rate <= 1.0)),
+              "error rate must be in [0, 1], got {!r}", error_rate)
+        _fail(errors, ~((-1.0 < nacf) & (nacf < 1.0)),
+              "lag-1 NACF must be in (-1, 1), got {!r}", nacf)
+        fits["model2"] = ((error_rate, nacf), errors)
+    if fits:
+        error_rate, nacf = map(np.concatenate, zip(*(rates for rates, _ in fits.values())))
+        errors = [error for _, model_errors in fits.values() for error in model_errors]
+        alpha, beta = _chains(error_rate, nacf, errors)
+        block_errors = _two_state_blocks(alpha, beta, depths * len(fits), errors)
+        for k, name in enumerate(fits):
+            part = slice(k * count, (k + 1) * count)
+            stages[name] = (block_errors[part], errors[part])
+    columns = {}
+    for name in ANALYTIC_MODELS:
+        if name == "baseline" and name in which:
+            columns[name] = _baseline_results(channels, code, schemes)
+        elif name in stages:
+            block_errors, errors = stages[name]
+            columns[name] = [
+                PacketErrorResult(block, block_to_packet(block, s.blocks)) if error is None
+                else PacketErrorResult(None, None, error=error)
+                for block, error, s in zip(block_errors.tolist(), errors, schemes)
+            ]
+    results = [{name: column[i] for name, column in columns.items()} for i in range(count)]
     return results[0] if isinstance(model, FsmcModel) else results

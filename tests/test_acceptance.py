@@ -21,7 +21,7 @@ from burstfec.dist import (
     sequential_joint_distribution,
 )
 from burstfec.mc import SimConfig, dar1_stream, simulate_packets
-from burstfec.models import _model3_blocks, binomial_baseline, evaluate_models
+from burstfec.models import _absorbed, _absorbing_chains, binomial_baseline, evaluate_models
 from burstfec.oracle import exact_joint_law, exact_loss, exact_marginal_law
 from burstfec.sweep import (
     SweepSpec,
@@ -120,7 +120,8 @@ def test_criterion_2_oracle_equivalence():
                                 fsmc, CodeSpec(n, 1, l), SchemeSpec(depth, 1), ("model3",)
                             )["model3"].block_error
                         else:
-                            predicted = _model3_blocks(q[None], l, depth, [None]).item(0)
+                            transient, start = _absorbing_chains(q[None], l)
+                            predicted = _absorbed(start, transient, [depth], 1).item(0)
                         if exact <= zero_floor:
                             devs[nacf] = 0.0
                             assert predicted <= zero_floor, (

@@ -113,10 +113,31 @@ def test_channel_spec_rejects_bad_stats(ber, nacf):
 def test_fsmc_rejects_bad_matrices():
     with pytest.raises(ValueError):
         FsmcModel(np.array([[0.9, 0.2], [0.5, 0.5]]), np.array([0.0, 1.0]))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^need at least two states$"):
         FsmcModel(np.array([[1.0]]), np.array([1.0]))
     with pytest.raises(ValueError):
         FsmcModel(np.array([[0.9, 0.1], [0.5, 0.5]]), np.array([0.0, 1.5]))
+
+
+@pytest.mark.parametrize(
+    "transition,profile,message",
+    [
+        ([[0.9, 0.1]], [0.0, 1.0], "transition matrix must be square"),
+        ([0.5, 0.5], [0.0, 1.0], "transition matrix must be square"),
+        ([[0.9, 0.1], [0.1, 0.9]], [0.0, 1.0, 1.0], "error profile length must match the state count"),
+        ([[0.9, 0.1], [0.1, 0.9]], [[0.0, 1.0]], "error profile length must match the state count"),
+    ],
+)
+def test_fsmc_and_split_refuse_mismatched_shapes(transition, profile, message):
+    for call in (FsmcModel, split_transition_matrix):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call(transition, profile)
+
+
+@pytest.mark.parametrize("transition", [[[0.9, 0.1]], [0.5, 0.5], np.full((2, 2, 2), 0.5)])
+def test_stationary_refuses_a_non_square_matrix(transition):
+    with pytest.raises(ValueError, match="^transition matrix must be square$"):
+        stationary_vector(transition)
 
 
 @pytest.mark.parametrize(

@@ -96,6 +96,17 @@ def test_config_file_drives_grid_and_flags_override(tmp_path):
     assert report["config"]["packets"] == 500
 
 
+def test_config_models_null_runs_the_default_models(tmp_path):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({"models": None}))
+    args = grid_args(tmp_path, "analyze")
+    assert main([args[0], "--config", str(cfg_path), *args[1:]]) == 0
+    rows = read_rows(tmp_path / "out.csv")
+    assert [r["model"] for r in rows] == ["model1", "model2", "model3", "baseline"]
+    report = json.loads((tmp_path / "out.json").read_text())
+    assert report["config"]["models"] == ["model1", "model2", "model3", "baseline"]
+
+
 def test_simulate_emits_only_mc_rows(tmp_path):
     assert main(grid_args(tmp_path, "simulate")) == 0
     rows = read_rows(tmp_path / "out.csv")
@@ -239,17 +250,19 @@ def test_oracle_verb_stdout_is_pinned(instance, capsys):
 
 
 def test_oracle_verb_prints_a_failing_model_as_its_error(monkeypatch, capsys):
-    def reject(error_rate, nacf):
-        raise ValueError("synthetic chain failure")
-
-    monkeypatch.setattr("burstfec.models._two_state_rates", reject)
+    # NaN chain rates, which the two-state chain stage rejects for both models
+    monkeypatch.setattr(
+        "burstfec.models._two_state_rates", lambda error_rate, nacf: (error_rate * np.nan,) * 2
+    )
     assert main([
         "oracle", "--n", "4", "--l", "1", "--depth", "2",
         "--blocks", "2", "--ber", "0.1", "--nacf", "0.6",
     ]) == 0
     out = capsys.readouterr().out
-    assert "  model1   : error: synthetic chain failure" in out
-    assert "  model2   : error: synthetic chain failure" in out
+    for name in ("model1", "model2"):
+        line = next(line for line in out.splitlines() if line.startswith(f"  {name}   :"))
+        assert line.startswith(f"  {name}   : error: (error_rate=")
+        assert line.endswith("is outside the two-state chain's parameter range")
     float(next(line for line in out.splitlines() if "model3" in line).split(":")[1])
 
 

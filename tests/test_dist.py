@@ -466,8 +466,8 @@ def test_one_gap_power_per_stack_is_matrix_power_bit_for_bit(exponent):
     for matrices in power_stacks().values():
         expected = np.linalg.matrix_power(matrices, exponent)
         assert np.array_equal(dist._power(matrices, exponent), expected)
-        for depths in (exponent + 1, [exponent + 1] * len(matrices)):
-            assert np.array_equal(dist._powers(matrices, depths, 1), expected)
+        depths = [exponent + 1] * len(matrices)
+        assert np.array_equal(dist._powers(matrices, depths, 1), expected)
 
 
 def test_mixed_gap_powers_are_matrix_power_bit_for_bit():

@@ -15,12 +15,11 @@ from burstfec.dist import (
     sequential_joint_distribution,
 )
 from burstfec.models import (
+    _absorbed,
     _absorbing_chains,
     _chains,
     _joint_chains,
-    _model3_blocks,
     _quadrants,
-    _rate_chains,
     _two_state_blocks,
     binomial_baseline,
     block_to_packet,
@@ -48,10 +47,12 @@ def block_error(name, model, n, l, depth):
 
 
 def rate_chain(error_rate, nacf):
-    """alpha, beta and the error (or None) of the model-2 chain with these rates."""
+    """alpha and beta of the two-state chain with these rates: model 2's
+    chain, whose fit is the rates themselves."""
     errors = [None]
-    alpha, beta = _chains(*_rate_chains(np.array([error_rate]), np.array([nacf]), errors), errors)
-    return alpha.item(0), beta.item(0), errors[0]
+    alpha, beta = _chains(np.array([error_rate]), np.array([nacf]), errors)
+    assert errors == [None]
+    return alpha.item(0), beta.item(0)
 
 
 def joint_chain(q, l):
@@ -59,7 +60,7 @@ def joint_chain(q, l):
     the model-1 chain fitted to them."""
     errors = [None]
     quadrants = _quadrants(q[None], l)
-    alpha, beta = _chains(*_joint_chains(quadrants, errors), errors)
+    alpha, beta = _chains(*_joint_chains(quadrants), errors)
     assert errors == [None]
     return [nu.item(0) for nu in quadrants], alpha.item(0), beta.item(0)
 
@@ -67,7 +68,7 @@ def joint_chain(q, l):
 def two_state_block(alpha, beta, depth):
     """P(a block of ``depth`` codewords fails) under one two-state chain."""
     errors = [None]
-    block = _two_state_blocks(np.array([alpha]), np.array([beta]), depth, errors)
+    block = _two_state_blocks(np.array([alpha]), np.array([beta]), [depth], errors)
     assert errors == [None]
     return block.item(0)
 
@@ -153,9 +154,9 @@ def test_absorbing_chain_flags_unreachable_counts():
 
 def test_absorption_cdf_is_nondecreasing_cdf():
     model = ibp_from_stats(ChannelSpec(ber=0.2, nacf=0.8))
-    q = make_joint(model, 5, 2, 2)[None]
+    transient, start = _absorbing_chains(make_joint(model, 5, 2, 2)[None], 1)
     # depth k + 1: absorbed within k transitions after the first codeword
-    values = [_model3_blocks(q, 1, k + 1, [None]).item(0) for k in range(12)]
+    values = [_absorbed(start, transient, [k + 1], 1).item(0) for k in range(12)]
     assert all(0.0 <= v <= 1.0 for v in values)
     assert all(b >= a - 1e-15 for a, b in zip(values, values[1:]))
 
@@ -258,19 +259,30 @@ def test_codeword_process_degenerate_rates():
     assert nu10 + nu11 == 0.0 and (alpha, beta) == (0.0, 1.0)
     assert two_state_block(alpha, beta, 8) == 0.0
 
-    alpha, beta, error = rate_chain(1.0, 0.0)
-    assert error is None and (alpha, beta) == (1.0, 0.0)
+    alpha, beta = rate_chain(1.0, 0.0)
+    assert (alpha, beta) == (1.0, 0.0)
     assert two_state_block(alpha, beta, 8) == 1.0
 
 
-def test_codeword_process_rejects_bad_rates():
-    assert rate_chain(1.2, 0.0)[2] == "error rate must be in [0, 1], got 1.2"
-    assert rate_chain(0.1, 1.0)[2] == "lag-1 NACF must be in (-1, 1), got 1.0"
+def test_codeword_process_rejects_bad_rates(monkeypatch):
+    # model 2's range checks on its (error rate, NACF): an alternating
+    # channel has a bit NACF of exactly -1
+    code, scheme = CodeSpec(3, 1, 1), SchemeSpec(depth=2, blocks=2)
+    alternating = FsmcModel([[0.0, 1.0], [1.0, 0.0]], [0.0, 1.0])
+    result = evaluate_models(alternating, code, scheme, ("model2",))["model2"]
+    assert result.error == "lag-1 NACF must be in (-1, 1), got -1.0"
+    assert result.block_error is None and result.packet_error is None
+    # the error rate is clipped to [0, 1], so only a NaN law reaches its check
+    monkeypatch.setattr(
+        models_module, "marginal_error_distribution", lambda *args: (None, np.full((1, 3), np.nan))
+    )
+    result = evaluate_models(alternating, code, scheme, ("model2",))["model2"]
+    assert result.error == "error rate must be in [0, 1], got nan"
 
 
 def test_two_state_block_error_by_hand_paths():
     # depth 2: enumerate the chain's four two-codeword paths directly
-    alpha, beta, _ = rate_chain(0.1, 0.5)
+    alpha, beta = rate_chain(0.1, 0.5)
     pi0, pi1 = 1.0 - 0.1, 0.1
     paths = {
         (0, 0): pi0 * (1.0 - alpha),
@@ -284,12 +296,12 @@ def test_two_state_block_error_by_hand_paths():
 
 
 def test_two_state_block_error_depth_one_is_error_rate():
-    alpha, beta, _ = rate_chain(0.23, 0.6)
+    alpha, beta = rate_chain(0.23, 0.6)
     assert two_state_block(alpha, beta, 1) == pytest.approx(0.23, abs=1e-14)
 
 
 def test_two_state_block_error_uncorrelated_closed_form():
-    alpha, beta, _ = rate_chain(0.23, 0.0)
+    alpha, beta = rate_chain(0.23, 0.0)
     for depth in (1, 2, 8, 16):
         expected = 1.0 - (1.0 - 0.23) ** depth
         assert two_state_block(alpha, beta, depth) == pytest.approx(expected, abs=1e-12)
@@ -389,12 +401,14 @@ MODEL2_REJECTS = FsmcModel([[0.9, 0.1], [1.0, 0.0]], [0.0, 1.0])
 
 def test_models_1_and_2_share_one_stack_with_their_own_errors(monkeypatch):
     # model 1's fit of a channel's joint law rejects only at its range's
-    # rounding edge, so its rejection of the first channel is injected
+    # rounding edge, so its rejection of the first channel is injected as
+    # a NaN NACF, which the shared chain stage rejects
     joint_chains = models_module._joint_chains
 
-    def reject_first(quadrants, errors):
-        errors[0] = "model 1 rejects the first channel"
-        return joint_chains(quadrants, errors)
+    def reject_first(quadrants):
+        error_rate, nacf = joint_chains(quadrants)
+        nacf[0] = np.nan
+        return error_rate, nacf
 
     monkeypatch.setattr(models_module, "_joint_chains", reject_first)
     code, scheme = CodeSpec(3, 1, 1), SchemeSpec(depth=2, blocks=2)
@@ -406,25 +420,10 @@ def test_models_1_and_2_share_one_stack_with_their_own_errors(monkeypatch):
         assert [results[name] for results in both] == [results[name] for results in alone]
     assert [results["model1"].error is None for results in both] == [False, True, True]
     assert [results["model2"].error is None for results in both] == [True, True, False]
-    assert both[0]["model1"].error == "model 1 rejects the first channel"
+    assert both[0]["model1"].error.endswith(
+        "nacf=nan) is outside the two-state chain's parameter range"
+    )
     assert "outside the two-state chain's parameter range" in both[2]["model2"].error
-
-
-@pytest.mark.parametrize("failing,fit", [("model1", "_quadrants"), ("model2", "_rate_chains")])
-def test_a_model_whose_fit_raises_leaves_the_other_its_numbers(failing, fit, monkeypatch):
-    code, scheme = CodeSpec(63, 45, 3), SchemeSpec(depth=4, blocks=4)
-    stack = [ibp_from_stats(ChannelSpec(ber=ber, nacf=0.9)) for ber in (0.001, 0.02)] + [PERIODIC]
-    other = "model2" if failing == "model1" else "model1"
-    alone = evaluate_models(stack, code, scheme, (other,))
-
-    def reject(*args):
-        raise ValueError("synthetic fit failure")
-
-    monkeypatch.setattr(models_module, fit, reject)
-    for results, kept in zip(evaluate_models(stack, code, scheme), alone):
-        assert results[failing].error == "synthetic fit failure"
-        assert results[failing].block_error is None and results[failing].packet_error is None
-        assert results[other] == kept[other]
 
 
 @pytest.mark.parametrize("which", [("model1", "model2", "model3", "baseline"), ("baseline",)])
