@@ -20,6 +20,9 @@ S x S flow matrix per counter value: (cap+1) of them for one codeword,
 the plain transition power over the recursion's horizon.  ``law`` is
 the count law ``pi @ buckets[...] @ 1``.  A sequence gets both arrays
 stacked along a leading channel axis, one FsmcModel its own slices.
+The two-codeword recursions take a sequence of caps too, for one walk
+whose counters hold the largest cap's counts and an extra top slot per
+smaller cap; each cap's ``(buckets, law)`` is a call's at that cap, bit for bit.
 The interleaved recursions take one depth for the whole stack or one
 depth per channel, so a whole sweep over depths is one stack.  Every
 product multiplies a channel's whole bucket stack, viewed as one
@@ -33,6 +36,7 @@ kernel terms it skips are exact zeros, so the bits are the same.
 
 from __future__ import annotations
 
+import itertools
 import operator
 
 import numpy as np
@@ -48,24 +52,30 @@ def _channels(model):
     return channels
 
 
-def _stack(model, n: int, cap: int, counters: int):
+def _stack(model, n: int, cap, counters: int):
     """Check a recursion's inputs; return its channels, the start buckets
-    B x (cap+1)^counters x S x S, the transitions B x S x S and the
-    no-error/error kernels d0, d1 stacked once as 2 x B x S x S."""
+    B x counts^counters x S x S, the transitions B x S x S, the
+    no-error/error kernels d0, d1 stacked once as 2 x B x S x S, the caps
+    of a cap sequence (None for one cap) and their top slots (cap, slot):
+    one per distinct cap below the largest, after its counts 0..cap."""
     if n < 1:
         raise ValueError(f"codeword length must be >= 1, got {n}")
-    if cap < 0:
+    sequence = isinstance(cap, list) or np.ndim(cap) > 0
+    caps = [operator.index(c) for c in (cap if sequence else [cap])]
+    if not caps or min(caps) < 0:
         raise ValueError(f"counter cap must be >= 0, got {cap}")
     channels = _channels(model)
     sizes = sorted({channel.states for channel in channels})
     if len(sizes) != 1:
         raise ValueError(f"stacked channels need one common state count, got {sizes}")
-    buckets = np.zeros((len(channels),) + (cap + 1,) * counters + (sizes[0],) * 2)
-    buckets[(slice(None),) + (0,) * counters] = np.eye(sizes[0])
+    tops = [(c, max(caps) + 1 + i) for i, c in enumerate(sorted(set(caps) - {max(caps)}))]
+    buckets = np.zeros((len(channels),) + (max(caps) + 1 + len(tops),) * counters + (sizes[0],) * 2)
+    for start in [0] + [slot for c, slot in tops if c == 0]:  # count 0 is cap 0's top too
+        buckets[(slice(None),) + (start,) * counters] = np.eye(sizes[0])
     stacked = np.array([
         [c.transition for c in channels], [c.d0 for c in channels], [c.d1 for c in channels]
     ])
-    return channels, buckets, stacked[0], stacked[1:]
+    return channels, buckets, stacked[0], stacked[1:], caps if sequence else None, tops
 
 
 def _depths(depth, channels, least: int, message: str):
@@ -123,15 +133,20 @@ def _product(buckets, kernels):
     return (rows @ kernels).reshape(kernels.shape[:-3] + buckets.shape)
 
 
-def _count_step(buckets, kernels, axis):
+def _count_step(buckets, kernels, axis, tops=()):
     """Advance every bucket matrix by one counted bit: multiply by the
     no-error/error kernels and move the counter on array axis ``axis`` up
     by one on an error, saturating at the top bucket."""
     product = _product(buckets, kernels)
     out, hit = product[0], product[1]  # cheaper than unpacking the array
     head = (slice(None),) * axis
-    out[head + (slice(1, None),)] += hit[head + (slice(None, -1),)]
-    out[head + (-1,)] += hit[head + (-1,)]
+    for cap, slot in tops:  # a top slot gains the error flows of count cap-1 and its own
+        if cap:
+            out[head + (slot,)] += hit[head + (cap - 1,)]
+        out[head + (slot,)] += hit[head + (slot,)]
+    size = buckets.shape[axis] - len(tops)  # the largest cap's counts
+    out[head + (slice(1, size),)] += hit[head + (slice(None, size - 1),)]
+    out[head + (size - 1,)] += hit[head + (size - 1,)]
     return out
 
 
@@ -145,7 +160,7 @@ def _erring_states(kernels):
     return [state for state, erring in enumerate(hit) if erring]
 
 
-def _walk(buckets, transition, kernels, path, gap=None):
+def _walk(buckets, transition, kernels, path, gap=None, tops=()):
     """Advance a joint bucket stack along ``path``: each entry is the
     counter axis (1 or 2) of a counted bit, or None for a product by ``gap``.
 
@@ -154,52 +169,62 @@ def _walk(buckets, transition, kernels, path, gap=None):
     The flows then run as B x S_end x counts x counts x S_start, so each
     end state's rows are contiguous: a clean state's rows are its no-error
     flows as they stand, and an erring state's rows move up one count,
-    saturating at the top bucket.
+    saturating at the top bucket and at each smaller cap's top slot.
     The terms skipped are exact zeros, so every value is the dot product
     :func:`_count_step` computes.  Other stacks take :func:`_count_step`.
     """
     erring = _erring_states(kernels)
     if erring is None:
         for axis in path:
-            buckets = _product(buckets, gap) if axis is None else _count_step(buckets, kernels, axis)
+            buckets = (_product(buckets, gap) if axis is None
+                       else _count_step(buckets, kernels, axis, tops))
         return buckets
     flows = buckets.transpose(0, 4, 1, 2, 3).copy()
-    count, states, size = flows.shape[:3]  # size: the cap + 1 counts of a counter
+    count, states, slots = flows.shape[:3]
+    size = slots - len(tops)  # the largest cap + 1 counts of a counter
     # the flows are multiplied from the left, by the transposed matrices
     full = transition.transpose(0, 2, 1)
     gap = None if gap is None else gap.transpose(0, 2, 1)
-    # each product writes into the buffer it does not read.  Per buffer and
-    # counter, each erring state's count move: its top count is added to
-    # the count below, its rows shift up by one count's stride (the top
-    # count falls off or lands on a count 0) and count 0 is cleared; none
-    # at cap 0, where every count is the top bucket
-    stride = size * states  # one count of the first counter, in a flat row
-    buffers = []
+    # per buffer, path entry and erring state, the product, written into the
+    # buffer it does not read, and the count move (none when the cap is 0):
+    # adds to each top slot and of the top count to the count below, a shift
+    # up one count (the top count falls off or lands on count 0), a cleared 0
+    stride = slots * states  # one count of the first counter, in a flat row
+    steps = []
     for buffer in (flows, np.empty_like(flows)):
-        moves = {None: [], 1: [], 2: []}
+        moves = {None: (gap, [], []), 1: (full, [], []), 2: (full, [], [])}
         for state in erring if size > 1 else ():
             counts = buffer[:, state]
             rows = counts.reshape(count, -1)
-            moves[1].append((counts[:, -2], counts[:, -1], rows[:, stride:], rows[:, :-stride],
-                             counts[:, 0]))
-            moves[2].append((counts[:, :, -2], counts[:, :, -1], rows[:, states:],
-                             rows[:, :-states], counts[:, :, 0]))
-        buffers.append((buffer, buffer.reshape(count, states, -1), moves))
-    for axis in path:
-        (_, source, _), (_, target, moves) = buffers
-        np.matmul(gap if axis is None else full, source, out=target)
-        for below, top, upper, lower, first in moves[axis]:
-            below += top
+            # a flat shift of the second counter would run into the top slots
+            runs = counts.reshape(count, slots, -1)[..., : size * states] if tops else rows
+            for axis, lead, step in (1, rows[:, : size * stride], stride), (2, runs, states):
+                head = (slice(None),) * axis
+                _, adds, shifts = moves[axis]
+                adds += [(counts[head + (slot,)], counts[head + (c - 1,)]) for c, slot in tops if c]
+                adds.append((counts[head + (size - 2,)], counts[head + (size - 1,)]))
+                shifts.append((lead[..., step:], lead[..., :-step], counts[head + (0,)]))
+        steps.append((buffer.reshape(count, states, -1), moves))
+    for ((source, _), (target, moves)), axis in zip(itertools.cycle((steps, steps[::-1])), path):
+        matrix, adds, shifts = moves[axis]
+        np.matmul(matrix, source, out=target)
+        for total, part in adds:
+            total += part
+        for upper, lower, first in shifts:
             upper[...] = lower
             first.fill(0.0)
-        buffers.reverse()
-    return np.ascontiguousarray(buffers[0][0].transpose(0, 2, 3, 4, 1))
+    flows = steps[len(path) % 2][0].reshape(flows.shape)
+    return np.ascontiguousarray(flows.transpose(0, 2, 3, 4, 1))
 
 
-def _laws(model, channels, buckets):
+def _laws(model, channels, buckets, caps=None, tops=()):
     """(buckets, law): the law of each channel is its buckets contracted
     with its stationary vector, one einsum per channel, as a batched
-    einsum rounds differently.  One FsmcModel gets its own slices."""
+    einsum rounds differently.  One FsmcModel gets its own slices.  A list
+    of ``caps`` gets one pair per cap: its counts below the cap and top slot."""
+    if caps is not None:
+        cuts = [[*range(c), dict(tops).get(c, c)] for c in caps]
+        return [_laws(model, channels, buckets[:, i][:, :, i] if tops else buckets) for i in cuts]
     if isinstance(model, FsmcModel):
         return buckets[0], np.einsum("s,...st->...", model.pi, buckets[0])
     laws = np.empty(buckets.shape[:-2])
@@ -216,7 +241,7 @@ def marginal_error_distribution(model, n: int, depth, cap: int):
     ``depth`` is one int or one per channel of the stack.  Returns
     ``(buckets, probs)`` with ``probs[j] = pi @ buckets[j] @ 1``.
     """
-    channels, buckets, transition, kernels = _stack(model, n, cap, 1)
+    channels, buckets, transition, kernels, _, _ = _stack(model, n, [operator.index(cap)], 1)
     depths = _depths(depth, channels, 1, "interleaving depth must be >= 1, got {}")
     steps = kernels @ _powers(transition, depths, 1)
     count, states = transition.shape[:2]
@@ -251,14 +276,14 @@ def joint_error_distribution(model, n: int, depth, cap: int):
     Returns ``(buckets, q)`` with ``q[i, j]`` = P(first counts i, second
     counts j).
     """
-    channels, buckets, transition, kernels = _stack(model, n, cap, 2)
+    channels, buckets, transition, kernels, caps, tops = _stack(model, n, cap, 2)
     depths = _depths(
         depth, channels, 2, "joint pairing needs depth >= 2; use sequential_joint_distribution"
     )
     path, gap = [1, 2] * n, None
     if max(depths) > 2:  # a gap product between successive bit pairs
         path, gap = [1, 2, None] * (n - 1) + [1, 2], _powers(transition, depths, 2)
-    return _laws(model, channels, _walk(buckets, transition, kernels, path, gap))
+    return _laws(model, channels, _walk(buckets, transition, kernels, path, gap, tops), caps, tops)
 
 
 def sequential_joint_distribution(model, n: int, cap: int):
@@ -268,5 +293,6 @@ def sequential_joint_distribution(model, n: int, cap: int):
     transmission slots with no interleaving gaps at all.  Returns
     ``(buckets, q)`` as :func:`joint_error_distribution` does.
     """
-    channels, buckets, transition, kernels = _stack(model, n, cap, 2)
-    return _laws(model, channels, _walk(buckets, transition, kernels, [1] * n + [2] * n))
+    channels, buckets, transition, kernels, caps, tops = _stack(model, n, cap, 2)
+    path = [1] * n + [2] * n
+    return _laws(model, channels, _walk(buckets, transition, kernels, path, None, tops), caps, tops)

@@ -218,22 +218,26 @@ def binomial_baseline(ber: float, code: CodeSpec, codewords: int) -> float:
     return block_to_packet(_binomial_tail_above(code.n, code.l, ber), codewords)
 
 
-def _joint_laws(channels, n: int, depths, cap: int):
-    """The joint law q of each channel of a stack: the depth-1 channels
-    from one sequential recursion, all others from one joint recursion;
-    a stack of one kind takes its recursion's law as it is."""
+def _joint_laws(channels, n: int, depths, caps):
+    """The joint law q of each channel of a stack, one stack per cap: the
+    depth-1 channels from one sequential recursion, all others from one
+    joint recursion; a stack of one kind takes its recursion's laws."""
     sequential = [i for i, depth in enumerate(depths) if depth == 1]
     if not sequential:
-        return joint_error_distribution(channels, n, depths, cap)[1]
+        return [q for _, q in joint_error_distribution(channels, n, depths, caps)]
     if len(sequential) == len(channels):
-        return sequential_joint_distribution(channels, n, cap)[1]
-    q = np.empty((len(channels), cap + 1, cap + 1))
+        return [q for _, q in sequential_joint_distribution(channels, n, caps)]
+    laws = [np.empty((len(channels), cap + 1, cap + 1)) for cap in caps]
     paired = [i for i, depth in enumerate(depths) if depth != 1]
-    _, q[sequential] = sequential_joint_distribution([channels[i] for i in sequential], n, cap)
-    _, q[paired] = joint_error_distribution(
-        [channels[i] for i in paired], n, [depths[i] for i in paired], cap
-    )
-    return q
+    for q, (_, first), (_, second) in zip(
+        laws,
+        sequential_joint_distribution([channels[i] for i in sequential], n, caps),
+        joint_error_distribution(
+            [channels[i] for i in paired], n, [depths[i] for i in paired], caps
+        ),
+    ):
+        q[sequential], q[paired] = first, second
+    return laws
 
 
 def _baseline_results(channels, code: CodeSpec, schemes):
@@ -255,7 +259,7 @@ def _baseline_results(channels, code: CodeSpec, schemes):
     return [memo[key] for key in keys]
 
 
-def evaluate_models(model, code: CodeSpec, scheme, which=ANALYTIC_MODELS):
+def evaluate_models(model, code, scheme, which=ANALYTIC_MODELS):
     """Evaluate the requested analytic models on one configuration.
 
     ``model`` is one FsmcModel, giving one dict of results by model name,
@@ -264,65 +268,74 @@ def evaluate_models(model, code: CodeSpec, scheme, which=ANALYTIC_MODELS):
     stage then run once over the whole stack.  ``scheme`` is one
     SchemeSpec, or for a stack one per channel, so a sweep over depths
     is one stack too; a channel's results do not depend on the rest of
-    its stack.
+    its stack.  ``code`` is one CodeSpec, or a sequence of codes with one
+    n, giving a list of one such result per code: each count recursion
+    runs once for all the codes, each code's chain stages on its laws.
 
     Models 1 and 3 consume the identical joint law array, so
     any disagreement between them isolates their second-stage
-    approximations rather than the shared first stage.  A model whose
-    chain stage rejects a channel (e.g. a codeword NACF outside the
+    approximations rather than the shared first stage.  Model 2 reads
+    only the buckets 0..l of a marginal law whose cap may be larger.  A
+    model whose chain stage rejects a channel (e.g. a codeword NACF outside the
     two-state chain's range) gets a result with ``error`` set; the other
     models and channels keep their numbers.
     """
     unknown = set(which) - set(ANALYTIC_MODELS)
     if unknown:
         raise ValueError(f"unknown models: {sorted(unknown)}")
+    codes = [code] if isinstance(code, CodeSpec) else list(code)
+    if len({c.n for c in codes}) != 1:
+        raise ValueError(f"need codes of one length n, got {sorted({c.n for c in codes})}")
     channels = _channels(model)
     schemes = [scheme] * len(channels) if isinstance(scheme, SchemeSpec) else list(scheme)
     if len(schemes) != len(channels):
         raise ValueError(f"got {len(schemes)} schemes for {len(channels)} channels")
-    cap, l = code.l + 1, code.l
+    n, caps = codes[0].n, [c.l + 1 for c in codes]
     depths = [s.depth for s in schemes]
     count = len(channels)
-    stages = {}  # name -> (block errors, one error or None per channel)
-    # models 1 and 2 differ only in their (error rate, NACF) fits: their
-    # chains are one stack, model 1's channels first
-    fits = {}  # name -> ((error rate, NACF), one error or None per channel)
     if "model1" in which or "model3" in which:
-        q = _joint_laws(channels, code.n, depths, cap)
-        if "model1" in which:
-            fits["model1"] = (_joint_chains(_quadrants(q, l)), [None] * count)
-        if "model3" in which:
-            transient, start = _absorbing_chains(q, l)
-            stages["model3"] = (_absorbed(start, transient, depths, 1), [None] * count)
+        laws = _joint_laws(channels, n, depths, caps)
     if "model2" in which:
         # model 2 reuses the bit-level correlation at the codeword level
-        _, probs = marginal_error_distribution(channels, code.n, depths, cap)
+        _, probs = marginal_error_distribution(channels, n, depths, max(caps))
         nacf = np.array([channel.lag1_nacf() for channel in channels])
-        error_rate = np.minimum(np.maximum(1.0 - probs[:, : l + 1].sum(axis=1), 0.0), 1.0)
-        errors = [None] * count
-        _fail(errors, ~((0.0 <= error_rate) & (error_rate <= 1.0)),
-              "error rate must be in [0, 1], got {!r}", error_rate)
-        _fail(errors, ~((-1.0 < nacf) & (nacf < 1.0)),
-              "lag-1 NACF must be in (-1, 1), got {!r}", nacf)
-        fits["model2"] = ((error_rate, nacf), errors)
-    if fits:
-        error_rate, nacf = map(np.concatenate, zip(*(rates for rates, _ in fits.values())))
-        errors = [error for _, model_errors in fits.values() for error in model_errors]
-        alpha, beta = _chains(error_rate, nacf, errors)
-        block_errors = _two_state_blocks(alpha, beta, depths * len(fits), errors)
-        for k, name in enumerate(fits):
-            part = slice(k * count, (k + 1) * count)
-            stages[name] = (block_errors[part], errors[part])
-    columns = {}
-    for name in ANALYTIC_MODELS:
-        if name == "baseline" and name in which:
-            columns[name] = _baseline_results(channels, code, schemes)
-        elif name in stages:
-            block_errors, errors = stages[name]
-            columns[name] = [
-                PacketErrorResult(block, block_to_packet(block, s.blocks)) if error is None
-                else PacketErrorResult(None, None, error=error)
-                for block, error, s in zip(block_errors.tolist(), errors, schemes)
-            ]
-    results = [{name: column[i] for name, column in columns.items()} for i in range(count)]
-    return results[0] if isinstance(model, FsmcModel) else results
+    coded = []
+    for k, l in enumerate(c.l for c in codes):
+        stages = {}  # name -> (block errors, one error or None per channel)
+        # models 1 and 2 differ only in their (error rate, NACF) fits: their
+        # chains are one stack, model 1's channels first
+        fits = {}  # name -> ((error rate, NACF), one error or None per channel)
+        if "model1" in which:
+            fits["model1"] = (_joint_chains(_quadrants(laws[k], l)), [None] * count)
+        if "model3" in which:
+            transient, start = _absorbing_chains(laws[k], l)
+            stages["model3"] = (_absorbed(start, transient, depths, 1), [None] * count)
+        if "model2" in which:
+            error_rate = np.minimum(np.maximum(1.0 - probs[:, : l + 1].sum(axis=1), 0.0), 1.0)
+            errors = [None] * count
+            _fail(errors, np.isnan(error_rate), "error rate must be in [0, 1], got {!r}", error_rate)
+            _fail(errors, ~((-1.0 < nacf) & (nacf < 1.0)),
+                  "lag-1 NACF must be in (-1, 1), got {!r}", nacf)
+            fits["model2"] = ((error_rate, nacf), errors)
+        if fits:
+            error_rate, nacf_fits = map(np.concatenate, zip(*(rates for rates, _ in fits.values())))
+            errors = [error for _, model_errors in fits.values() for error in model_errors]
+            alpha, beta = _chains(error_rate, nacf_fits, errors)
+            block_errors = _two_state_blocks(alpha, beta, depths * len(fits), errors)
+            for i, name in enumerate(fits):
+                part = slice(i * count, (i + 1) * count)
+                stages[name] = (block_errors[part], errors[part])
+        columns = {}
+        for name in ANALYTIC_MODELS:
+            if name == "baseline" and name in which:
+                columns[name] = _baseline_results(channels, codes[k], schemes)
+            elif name in stages:
+                block_errors, errors = stages[name]
+                columns[name] = [
+                    PacketErrorResult(block, block_to_packet(block, s.blocks)) if error is None
+                    else PacketErrorResult(None, None, error=error)
+                    for block, error, s in zip(block_errors.tolist(), errors, schemes)
+                ]
+        results = [{name: column[i] for name, column in columns.items()} for i in range(count)]
+        coded.append(results[0] if isinstance(model, FsmcModel) else results)
+    return coded[0] if isinstance(code, CodeSpec) else coded

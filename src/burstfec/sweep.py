@@ -10,7 +10,6 @@ configuration echo next to the rows.
 
 from __future__ import annotations
 
-import csv
 import json
 import operator
 from dataclasses import dataclass
@@ -160,10 +159,10 @@ def run_sweep(spec: SweepSpec, workers: int = 1, on_row=None) -> list[ResultRow]
     """Evaluate the full grid, one row per (grid point, model).
 
     Rows come out in a fixed nested order (code, pair, nacf, ber, model),
-    and each code's grid is one flat list of (pair, nacf, ber, channel)
-    entries in that order.  Each grid point's channel is built once and
-    shared by every (code, pair); the feasible entries of a code go
-    through the analytic models as one stack, with one scheme per channel.
+    and the grid is one flat list of (pair, nacf, ber, channel) entries
+    in that order.  Each grid point's channel is built once and shared
+    by every (code, pair); the feasible entries of all the codes of one n
+    go through the analytic models as one stack, with one scheme per channel.
     When both analytic models and "mc" are requested,
     analytic rows get ``rel_err`` against the Monte Carlo estimate of the
     same grid point.  Infeasible or failing grid points, and single
@@ -173,10 +172,14 @@ def run_sweep(spec: SweepSpec, workers: int = 1, on_row=None) -> list[ResultRow]
     _check_workers(workers)  # before any row, not on every mc row
     analytic = tuple(m for m in spec.models if m != "mc")
     points = [(nacf, ber, _point_channel(nacf, ber)) for nacf in spec.nacfs for ber in spec.bers]
+    grid = [(scheme, *point) for scheme in spec.pairs for point in points]
+    records = {}  # code -> its records; the codes of one n from one stack
     rows: list[ResultRow] = []
     for code in spec.codes:
-        grid = [(scheme, *point) for scheme in spec.pairs for point in points]
-        for entry, record in zip(grid, _evaluate_code(spec, code, grid, analytic)):
+        if code not in records:
+            group = [c for c in spec.codes if c.n == code.n]
+            records.update(zip(group, _evaluate_codes(spec, group, grid, analytic)))
+        for entry, record in zip(grid, records[code]):
             point_rows = _grid_point_rows(spec, code, entry, record, len(rows), workers)
             rows.extend(point_rows)
             if on_row is not None:
@@ -194,34 +197,33 @@ def _point_channel(nacf, ber):
         return exc
 
 
-def _evaluate_code(spec, code, grid, analytic):
+def _evaluate_codes(spec, codes, grid, analytic):
     """One (note, analytic results) record per (pair, nacf, ber, channel)
-    entry of one code's grid; the entries without a note are evaluated as
-    one stack.
+    entry of the grid, for each code of ``codes``, all of one n; the
+    entries without a note are evaluated as one stack for all the codes.
 
     A point whose statistics no channel can represent, a pair that does
     not fill the budget and, when the stack fails, every stacked entry
     get a note and no results.
     """
-    records = []
-    for scheme, _, _, channel in grid:
-        bits = scheme.packet_bits(code.n)
-        if isinstance(channel, ValueError):
-            note = f"error: {channel}"
-        elif spec.budget and bits != spec.budget:
-            note = f"infeasible: depth*blocks*n = {bits} != budget {spec.budget}"
-        else:
-            note = None
-        records.append((note, {}))
-    live = [i for i, (note, _) in enumerate(records) if note is None]
+    notes = [
+        f"error: {channel}" if isinstance(channel, ValueError)
+        else f"infeasible: depth*blocks*n = {bits} != budget {spec.budget}"
+        if spec.budget and (bits := scheme.packet_bits(codes[0].n)) != spec.budget else None
+        for scheme, _, _, channel in grid
+    ]
+    records = [[(note, {}) for note in notes] for _ in codes]
+    live = [i for i, note in enumerate(notes) if note is None]
     if analytic and live:
         schemes, channels = zip(*[(grid[i][0], grid[i][3]) for i in live])
         try:
-            for i, results in zip(live, evaluate_models(channels, code, schemes, analytic)):
-                records[i] = (None, results)
+            evaluated = evaluate_models(channels, codes, schemes, analytic)
         except Exception as exc:  # surfaced per-row, sweep keeps going
-            for i in live:
-                records[i] = (f"error: {exc}", {})
+            evaluated = [[{}] * len(live)] * len(codes)
+            notes = [f"error: {exc}"] * len(grid)
+        for code_records, results in zip(records, evaluated):
+            for i, result in zip(live, results):
+                code_records[i] = (notes[i], result)
     return records
 
 
@@ -356,13 +358,11 @@ def emit_results(rows, csv_path, report_path=None, config=None):
     identical files.
     """
     written = []
-    # each row's fields, formatted once: the CSV line and, with the note
-    # added, the row's report entry
+    # each row's fields, formatted once: the CSV line (no field holds a comma,
+    # a quote or a line break) and, with the note added, the row's report entry
     records = _csv_records(rows)
     with open(csv_path, "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
-        writer.writerows(records)
+        handle.write("".join(",".join(fields) + "\n" for fields in [CSV_COLUMNS, *records]))
     written.append(csv_path)
     if report_path is not None:
         report = {

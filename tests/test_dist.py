@@ -4,6 +4,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from burstfec import dist
 from burstfec.channel import ChannelSpec, FsmcModel, ibp_from_stats
@@ -507,3 +509,83 @@ def test_stack_with_mixed_state_counts_is_rejected(recursion):
         recursion(mixed)
     with pytest.raises(ValueError, match="need at least one channel, got an empty sequence"):
         recursion([])
+
+
+# ----------------------------------------------------------------------
+# several caps in one recursion: one walk, every cap's law bit for bit
+# ----------------------------------------------------------------------
+
+
+@st.composite
+def fsmc_stacks(draw):
+    """1-4 random channels with one common state count (2 or 3): either
+    every state clean or erring (error probability 0 or 1), which walks
+    by one product per counted bit, or profiles drawn from [0, 1], which
+    give mixed states and the split-kernel step."""
+    states = draw(st.integers(2, 3))
+    errs = st.sampled_from([0.0, 1.0]) if draw(st.booleans()) else st.floats(0.0, 1.0)
+    stack = []
+    for _ in range(draw(st.integers(1, 4))):
+        rows = [
+            draw(st.lists(st.floats(0.0, 1.0), min_size=states, max_size=states))
+            for _ in range(states)
+        ]
+        assume(all(sum(row) > 0.05 for row in rows))
+        transition = np.array([np.array(row) / sum(row) for row in rows])
+        profile = draw(st.lists(errs, min_size=states, max_size=states))
+        try:
+            stack.append(FsmcModel(transition, profile))
+        except ValueError:  # no unique stationary law
+            assume(False)
+    return stack
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@example(stack=STACKS["ber-nacf-grid"], n=63, depths=[1, 2, 4, 8] * 4, caps=[2, 4, 6])
+@example(stack=STACKS["ibp-and-mixed-profile"], n=7, depths=[3, 1, 2], caps=[0, 3, 0])
+@given(
+    stack=fsmc_stacks(),
+    n=st.integers(1, 9),
+    depths=st.lists(st.integers(1, 5), min_size=4, max_size=4),
+    caps=st.lists(st.integers(0, 7), min_size=1, max_size=3),
+)
+def test_cap_sequence_equals_one_call_per_cap(stack, n, depths, caps):
+    # the joint and sequential walks carry one top slot per smaller cap;
+    # each cap's buckets and law come out as a call at that cap gives them
+    depths = depths[: len(stack)]
+    paired = [max(depth, 2) for depth in depths]
+    for recursion, args in [
+        (joint_error_distribution, (paired,)), (sequential_joint_distribution, ()),
+    ]:
+        laws = recursion(stack, n, *args, caps)
+        assert len(laws) == len(caps)
+        for cap, (buckets, law) in zip(caps, laws):
+            alone_buckets, alone_law = recursion(stack, n, *args, cap)
+            assert np.array_equal(buckets, alone_buckets)
+            assert np.array_equal(law, alone_law)
+    # below its cap a saturating count evolves the same whatever the cap:
+    # the marginal at the largest cap holds each cap's counts 0..cap-1
+    top_buckets, top_probs = marginal_error_distribution(stack, n, depths, max(caps))
+    for cap in caps:
+        buckets, probs = marginal_error_distribution(stack, n, depths, cap)
+        assert np.array_equal(top_buckets[:, :cap], buckets[:, :cap])
+        assert np.array_equal(top_probs[:, :cap], probs[:, :cap])
+
+
+def test_cap_sequence_of_one_channel_gives_its_own_slices():
+    model = STACKS["one-channel"][0]
+    for recursion, args in [(joint_error_distribution, (3,)), (sequential_joint_distribution, ())]:
+        laws = recursion(model, 5, *args, np.array([2, 0]))
+        shapes = [(buckets.shape, q.shape) for buckets, q in laws]
+        assert shapes == [((3, 3, 2, 2), (3, 3)), ((1, 1, 2, 2), (1, 1))]
+        assert np.array_equal(laws[0][1], recursion(model, 5, *args, 2)[1])
+        assert laws[1][1][0, 0] == recursion(model, 5, *args, 0)[1][0, 0]
+
+
+@pytest.mark.parametrize("caps", [[], [3, -1]])
+def test_cap_sequence_rejects_no_cap_and_negative_caps(caps):
+    model = STACKS["one-channel"][0]
+    with pytest.raises(ValueError, match="counter cap must be >= 0"):
+        joint_error_distribution(model, 4, 2, caps)
+    with pytest.raises(ValueError, match="counter cap must be >= 0"):
+        sequential_joint_distribution(model, 4, caps)

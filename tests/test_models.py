@@ -617,3 +617,34 @@ def test_stacked_chain_stage_on_any_fsmc(stack, n, l, schemes):
             for name in ("model1", "model3"):
                 if results[name].error is None:
                     assert results[name].block_error == pytest.approx(exact, abs=1e-12)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@example(  # the default grid's codes: one walk at cap 6 gives caps 2, 4 and 6
+    stack=[ibp_from_stats(ChannelSpec(ber=0.01, nacf=0.9))] * 4, n=63, ls=[1, 3, 5],
+    schemes=[SchemeSpec(1, 16), SchemeSpec(2, 8), SchemeSpec(4, 4), SchemeSpec(8, 2)],
+)
+@given(
+    stack=channel_stacks(),
+    n=st.integers(2, 7),
+    ls=st.lists(st.integers(0, 4), min_size=1, max_size=3),
+    schemes=st.lists(SCHEMES, min_size=4, max_size=4),
+)
+def test_code_sequence_equals_one_call_per_code(stack, n, ls, schemes):
+    # the count recursions run once at the largest cap; every code's
+    # results are the floats and error strings of a call for that code
+    codes, schemes = [CodeSpec(n, 1, l) for l in ls if l < n], schemes[: len(stack)]
+    assume(codes)
+    grouped = evaluate_models(stack, codes, schemes)
+    assert grouped == [evaluate_models(stack, code, schemes) for code in codes]
+    alone = evaluate_models(stack[0], codes, schemes[0])
+    assert alone == [evaluate_models(stack[0], code, schemes[0]) for code in codes]
+
+
+def test_code_sequence_needs_one_codeword_length():
+    channel = ibp_from_stats(ChannelSpec(ber=0.01, nacf=0.5))
+    scheme = SchemeSpec(depth=2, blocks=2)
+    with pytest.raises(ValueError, match=r"codes of one length n, got \[7, 15\]"):
+        evaluate_models(channel, [CodeSpec(15, 7, 2), CodeSpec(7, 4, 1)], scheme)
+    with pytest.raises(ValueError, match=r"codes of one length n, got \[\]"):
+        evaluate_models(channel, [], scheme)

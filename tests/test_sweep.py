@@ -278,8 +278,35 @@ def test_back_to_back_analyze_calls_repeat_bytes_and_work(tmp_path, monkeypatch)
         done.append((csv_path.read_bytes(), report_path.read_bytes(), [len(c) for c in work]))
     assert done[0][:2] == done[1][:2]
     first, second = done[0][2], [b - a for a, b in zip(done[0][2], done[1][2])]
-    # one point channel per (nacf, ber); one recursion of each kind per code
-    assert first == second == [15, 3, 3, 3]
+    # one point channel per (nacf, ber); one recursion of each kind per
+    # codeword length, and the default grid's three codes share n = 63
+    assert first == second == [15, 1, 1, 1]
+
+
+def test_codes_of_one_length_share_one_recursion_of_each_kind(tmp_path, monkeypatch):
+    # the codes are grouped by n: one stack per length for all its codes,
+    # and the rows and bytes are those of one run per code
+    codes = (CodeSpec(63, 57, 1), CodeSpec(31, 21, 2), CodeSpec(63, 36, 5))
+    spec = small_spec(
+        codes=codes, budget=0, models=ANALYTIC_MODELS,
+        pairs=(SchemeSpec(depth=1, blocks=2), SchemeSpec(depth=3, blocks=1)),
+    )
+    work = [
+        counted(monkeypatch, burstfec.models, name)
+        for name in (
+            "joint_error_distribution", "sequential_joint_distribution",
+            "marginal_error_distribution",
+        )
+    ]
+    rows = run_sweep(spec)
+    assert [len(calls) for calls in work] == [2, 2, 2]  # n = 63 and n = 31
+    emit_results(rows, tmp_path / "all.csv")
+    lines = [",".join(CSV_COLUMNS) + "\n"]
+    for code in codes:
+        alone = run_sweep(small_spec(**{**vars(spec), "codes": (code,)}))
+        emit_results(alone, tmp_path / "one.csv")
+        lines += (tmp_path / "one.csv").read_text().splitlines(keepends=True)[1:]
+    assert (tmp_path / "all.csv").read_text() == "".join(lines)
 
 
 def test_spec_validation():
@@ -559,6 +586,26 @@ def test_emit_calls_in_one_process_write_what_fresh_processes_write(tmp_path, mo
     assert [b - a for a, b in zip(tallies[1], tallies[2])] == [
         b - a for a, b in zip(tallies[0], tallies[1])
     ]
+
+
+def test_csv_lines_are_the_bytes_csv_writer_writes(tmp_path):
+    # the fields are joined with commas, unquoted: no model name or number
+    # holds a comma, a quote or a line break, so the bytes are those of
+    # csv.writer, on error, infeasible and mc rows with their empty fields
+    spec = small_spec(
+        bers=(0.01, 1.5), nacfs=(0.5,), budget=12, packets=500,
+        pairs=(SchemeSpec(depth=2, blocks=1), SchemeSpec(depth=2, blocks=2)),
+        models=("model1", "model2", "model3", "baseline", "mc"),
+    )
+    rows = run_sweep(spec)
+    notes = {(row.note or "").split(":")[0] for row in rows}
+    assert {"", "error", "infeasible"} <= notes and any(row.seed is not None for row in rows)
+    emit_results(rows, tmp_path / "r.csv")
+    expected = io.StringIO(newline="")
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow(CSV_COLUMNS)
+    writer.writerows(row.csv_record() for row in rows)
+    assert (tmp_path / "r.csv").read_bytes() == expected.getvalue().encode()
 
 
 def test_csv_uses_twelve_significant_digits(tmp_path):
