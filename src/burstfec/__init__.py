@@ -43,7 +43,6 @@ from .models import (
 from .oracle import (
     exact_joint_law,
     exact_loss,
-    exact_marginal_law,
 )
 from .sweep import (
     CSV_COLUMNS,
@@ -81,7 +80,6 @@ __all__ = [
     "evaluate_models",
     "exact_joint_law",
     "exact_loss",
-    "exact_marginal_law",
     "feasible_pairs",
     "ibp_from_stats",
     "joint_error_distribution",

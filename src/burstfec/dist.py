@@ -8,9 +8,9 @@ per counter value.  Counters saturate at ``cap``, so the top bucket reads
 Under column-wise interleaving of depth I, consecutive bits of one
 codeword are I transmission slots apart, and the matching bits of two
 adjacent codewords go out back to back.  The recursions therefore
-alternate counted steps (split d0/d1 kernels) with marginalized gap
-powers of the full transition matrix: D**(I-1) between the bits of one
-codeword, D**(I-2) between the bit pairs of two adjacent codewords.
+alternate counted steps with marginalized gap powers of the full
+transition matrix: D**(I-1) between the bits of one codeword, D**(I-2)
+between the bit pairs of two adjacent codewords.
 
 Each recursion takes one FsmcModel, or a non-empty sequence of them
 with equal state counts run as one stack along a leading batch axis,
@@ -26,12 +26,14 @@ smaller cap; each cap's ``(buckets, law)`` is a call's at that cap, bit for bit.
 The interleaved recursions take one depth for the whole stack or one
 depth per channel, so a whole sweep over depths is one stack.  Every
 product multiplies a channel's whole bucket stack, viewed as one
-(counts*S) x S matrix, so a counted bit costs one matrix product per
-channel and kernel, written into one of two reused buffers.  In the
-joint and sequential recursions it costs one product per channel, by
-the transition matrix, when each state of the stack is either
-error-free or always in error (as in every ibp_from_stats channel): the
-kernel terms it skips are exact zeros, so the bits are the same.
+(counts*S) x S matrix, written into one of two reused buffers.  In the
+one-codeword recursion a counted bit costs one product per channel and
+kernel (d0, d1, each times the gap power).  In the joint and sequential
+recursions it costs one product per channel by the transition matrix,
+after which each end state's flow moves by that state's error
+probability e: it stands for e = 0, moves up one count for e = 1 (as
+every state of an ibp_from_stats channel does one or the other), and
+otherwise keeps (1 - e) of itself and moves e up one count.
 """
 
 from __future__ import annotations
@@ -54,10 +56,10 @@ def _channels(model):
 
 def _stack(model, n: int, cap, counters: int):
     """Check a recursion's inputs; return its channels, the start buckets
-    B x counts^counters x S x S, the transitions B x S x S, the
-    no-error/error kernels d0, d1 stacked once as 2 x B x S x S, the caps
-    of a cap sequence (None for one cap) and their top slots (cap, slot):
-    one per distinct cap below the largest, after its counts 0..cap."""
+    B x counts^counters x S x S, the transitions B x S x S, the error
+    profiles B x S, the caps of a cap sequence (None for one cap) and
+    their top slots (cap, slot): one per distinct cap below the largest,
+    after its counts 0..cap."""
     if n < 1:
         raise ValueError(f"codeword length must be >= 1, got {n}")
     sequence = isinstance(cap, list) or np.ndim(cap) > 0
@@ -72,10 +74,9 @@ def _stack(model, n: int, cap, counters: int):
     buckets = np.zeros((len(channels),) + (max(caps) + 1 + len(tops),) * counters + (sizes[0],) * 2)
     for start in [0] + [slot for c, slot in tops if c == 0]:  # count 0 is cap 0's top too
         buckets[(slice(None),) + (start,) * counters] = np.eye(sizes[0])
-    stacked = np.array([
-        [c.transition for c in channels], [c.d0 for c in channels], [c.d1 for c in channels]
-    ])
-    return channels, buckets, stacked[0], stacked[1:], caps if sequence else None, tops
+    transition = np.array([c.transition for c in channels])
+    errors = np.array([c.error_profile for c in channels])
+    return channels, buckets, transition, errors, caps if sequence else None, tops
 
 
 def _depths(depth, channels, least: int, message: str):
@@ -125,96 +126,85 @@ def _powers(matrices, depths, offset: int):
     return powers
 
 
-def _product(buckets, kernels):
-    """``buckets @ kernels`` for kernels B x S x S or 2 x B x S x S, with
-    each channel's bucket matrices viewed as one (counts*S) x S matrix:
-    one BLAS product per channel and kernel, not one per bucket."""
-    rows = buckets.reshape(len(buckets), -1, buckets.shape[-1])
-    return (rows @ kernels).reshape(kernels.shape[:-3] + buckets.shape)
-
-
-def _count_step(buckets, kernels, axis, tops=()):
-    """Advance every bucket matrix by one counted bit: multiply by the
-    no-error/error kernels and move the counter on array axis ``axis`` up
-    by one on an error, saturating at the top bucket."""
-    product = _product(buckets, kernels)
-    out, hit = product[0], product[1]  # cheaper than unpacking the array
-    head = (slice(None),) * axis
-    for cap, slot in tops:  # a top slot gains the error flows of count cap-1 and its own
-        if cap:
-            out[head + (slot,)] += hit[head + (cap - 1,)]
-        out[head + (slot,)] += hit[head + (slot,)]
-    size = buckets.shape[axis] - len(tops)  # the largest cap's counts
-    out[head + (slice(1, size),)] += hit[head + (slice(None, size - 1),)]
-    out[head + (size - 1,)] += hit[head + (size - 1,)]
-    return out
-
-
-def _erring_states(kernels):
-    """The erring states of a stack, when every state is clean (its d1
-    column is zero in every channel) or erring (its d0 column is); None
-    when some state errs with a probability strictly between 0 and 1."""
-    miss, hit = kernels.any(axis=(1, 2)).tolist()  # nonzero d0, d1 columns
-    if any(m and h for m, h in zip(miss, hit)):
-        return None
-    return [state for state, erring in enumerate(hit) if erring]
-
-
-def _walk(buckets, transition, kernels, path, gap=None, tops=()):
+def _walk(buckets, transition, errors, path, gap=None, tops=()):
     """Advance a joint bucket stack along ``path``: each entry is the
     counter axis (1 or 2) of a counted bit, or None for a product by ``gap``.
 
-    When every state is clean or erring (see :func:`_erring_states`), a
-    counted bit costs one product per channel by the transition matrix.
-    The flows then run as B x S_end x counts x counts x S_start, so each
-    end state's rows are contiguous: a clean state's rows are its no-error
-    flows as they stand, and an erring state's rows move up one count,
-    saturating at the top bucket and at each smaller cap's top slot.
-    The terms skipped are exact zeros, so every value is the dot product
-    :func:`_count_step` computes.  Other stacks take :func:`_count_step`.
+    A counted bit costs one product per channel by the transition matrix,
+    written into the buffer it does not read.  The flows run as
+    B x S_end x counts x counts x S_start, so each end state's rows are
+    contiguous; each end state t then moves by its error probability,
+    ``errors[b, t]`` for channel b.  A state is clean, erring or mixed
+    over the whole stack.  A clean state's rows (e = 0) stand.  An erring
+    state's rows (e = 1) move up one count in place, saturating at the
+    top bucket and at each smaller cap's top slot.  A mixed state keeps
+    (1 - e) * rows and adds e * rows, made in a spare buffer, one count
+    up with the same saturation; a cap-0 slot keeps its flows.  For a
+    channel whose e is 0 or 1 the mixed move gives the clean or erring
+    bits, so no channel's results depend on the rest of the stack.
     """
-    erring = _erring_states(kernels)
-    if erring is None:
-        for axis in path:
-            buckets = (_product(buckets, gap) if axis is None
-                       else _count_step(buckets, kernels, axis, tops))
-        return buckets
     flows = buckets.transpose(0, 4, 1, 2, 3).copy()
     count, states, slots = flows.shape[:3]
     size = slots - len(tops)  # the largest cap + 1 counts of a counter
+    moving = errors.any(axis=0).nonzero()[0].tolist() if size > 1 else []
+    erring = (errors == 1.0).all(axis=0).tolist()
+    spare = None if all(erring[t] for t in moving) else np.empty_like(flows[:, 0])
     # the flows are multiplied from the left, by the transposed matrices
     full = transition.transpose(0, 2, 1)
     gap = None if gap is None else gap.transpose(0, 2, 1)
-    # per buffer, path entry and erring state, the product, written into the
-    # buffer it does not read, and the count move (none when the cap is 0):
-    # adds to each top slot and of the top count to the count below, a shift
-    # up one count (the top count falls off or lands on count 0), a cleared 0
+    # a cap-0 top slot, the first after the counts, keeps its flows
+    kept = [slice(size), slice(size + 1, None)] if tops and tops[0][0] == 0 else [slice(None)]
+    # per buffer and path entry, the product, written into the buffer it
+    # does not read, and the numpy calls of the count move of each state
     stride = slots * states  # one count of the first counter, in a flat row
     steps = []
     for buffer in (flows, np.empty_like(flows)):
-        moves = {None: (gap, [], []), 1: (full, [], []), 2: (full, [], [])}
-        for state in erring if size > 1 else ():
+        moves = {None: (gap, []), 1: (full, []), 2: (full, [])}
+        for state in moving:
             counts = buffer[:, state]
             rows = counts.reshape(count, -1)
             # a flat shift of the second counter would run into the top slots
             runs = counts.reshape(count, slots, -1)[..., : size * states] if tops else rows
             for axis, lead, step in (1, rows[:, : size * stride], stride), (2, runs, states):
                 head = (slice(None),) * axis
-                _, adds, shifts = moves[axis]
-                adds += [(counts[head + (slot,)], counts[head + (c - 1,)]) for c, slot in tops if c]
-                adds.append((counts[head + (size - 2,)], counts[head + (size - 1,)]))
-                shifts.append((lead[..., step:], lead[..., :-step], counts[head + (0,)]))
+                top, calls = counts[head + (size - 1,)], moves[axis][1]
+                if erring[state]:
+                    # adds of the top count to the count below and of each
+                    # top slot's count below, a shift up one count (the top
+                    # count falls off or lands on count 0), a cleared count 0
+                    calls.append(_add(counts[head + (size - 2,)], top))
+                    calls += [
+                        _add(counts[head + (slot,)], counts[head + (c - 1,)]) for c, slot in tops if c
+                    ]
+                    calls += [(operator.setitem, (lead[..., step:], ..., lead[..., :-step])),
+                              (counts[head + (0,)].fill, (0.0,))]
+                    continue
+                # e * rows into the spare buffer and (1 - e) * rows in place,
+                # then the spare buffer added one count up, saturating alike
+                error = errors[:, state].reshape(count, 1, 1, 1)
+                calls.append((np.multiply, (counts, error, spare)))
+                for part in kept:
+                    if (rest := counts[head + (part,)]).size:
+                        calls.append((np.multiply, (rest, 1.0 - error, rest)))
+                for c, slot in tops:
+                    if c:
+                        calls.append(_add(counts[head + (slot,)], spare[head + (c - 1,)]))
+                        calls.append(_add(counts[head + (slot,)], spare[head + (slot,)]))
+                calls.append(_add(counts[head + (slice(1, size),)], spare[head + (slice(size - 1),)]))
+                calls.append(_add(top, spare[head + (size - 1,)]))
         steps.append((buffer.reshape(count, states, -1), moves))
     for ((source, _), (target, moves)), axis in zip(itertools.cycle((steps, steps[::-1])), path):
-        matrix, adds, shifts = moves[axis]
+        matrix, calls = moves[axis]
         np.matmul(matrix, source, out=target)
-        for total, part in adds:
-            total += part
-        for upper, lower, first in shifts:
-            upper[...] = lower
-            first.fill(0.0)
+        for call, args in calls:
+            call(*args)
     flows = steps[len(path) % 2][0].reshape(flows.shape)
     return np.ascontiguousarray(flows.transpose(0, 2, 3, 4, 1))
+
+
+def _add(total, part):
+    """The numpy call ``total += part``, for a list of calls to run later."""
+    return np.add, (total, part, total)
 
 
 def _laws(model, channels, buckets, caps=None, tops=()):
@@ -241,7 +231,8 @@ def marginal_error_distribution(model, n: int, depth, cap: int):
     ``depth`` is one int or one per channel of the stack.  Returns
     ``(buckets, probs)`` with ``probs[j] = pi @ buckets[j] @ 1``.
     """
-    channels, buckets, transition, kernels, _, _ = _stack(model, n, [operator.index(cap)], 1)
+    channels, buckets, transition, _, _, _ = _stack(model, n, [operator.index(cap)], 1)
+    kernels = np.array([[c.d0 for c in channels], [c.d1 for c in channels]])
     depths = _depths(depth, channels, 1, "interleaving depth must be >= 1, got {}")
     steps = kernels @ _powers(transition, depths, 1)
     count, states = transition.shape[:2]
@@ -276,14 +267,14 @@ def joint_error_distribution(model, n: int, depth, cap: int):
     Returns ``(buckets, q)`` with ``q[i, j]`` = P(first counts i, second
     counts j).
     """
-    channels, buckets, transition, kernels, caps, tops = _stack(model, n, cap, 2)
+    channels, buckets, transition, errors, caps, tops = _stack(model, n, cap, 2)
     depths = _depths(
         depth, channels, 2, "joint pairing needs depth >= 2; use sequential_joint_distribution"
     )
     path, gap = [1, 2] * n, None
     if max(depths) > 2:  # a gap product between successive bit pairs
         path, gap = [1, 2, None] * (n - 1) + [1, 2], _powers(transition, depths, 2)
-    return _laws(model, channels, _walk(buckets, transition, kernels, path, gap, tops), caps, tops)
+    return _laws(model, channels, _walk(buckets, transition, errors, path, gap, tops), caps, tops)
 
 
 def sequential_joint_distribution(model, n: int, cap: int):
@@ -293,6 +284,6 @@ def sequential_joint_distribution(model, n: int, cap: int):
     transmission slots with no interleaving gaps at all.  Returns
     ``(buckets, q)`` as :func:`joint_error_distribution` does.
     """
-    channels, buckets, transition, kernels, caps, tops = _stack(model, n, cap, 2)
+    channels, buckets, transition, errors, caps, tops = _stack(model, n, cap, 2)
     path = [1] * n + [2] * n
-    return _laws(model, channels, _walk(buckets, transition, kernels, path, None, tops), caps, tops)
+    return _laws(model, channels, _walk(buckets, transition, errors, path, None, tops), caps, tops)

@@ -2,21 +2,18 @@
 
 The recursion walks the slots of a block one at a time and keeps, for every
 channel start state, end state and vector of per-codeword error counts, the
-probability of the paths reaching it.  A slot of a tracked codeword
-multiplies by the no-error/error kernels d0/d1 and moves that codeword's
-counter up on an error; any other slot multiplies by the transition matrix.
-When every state is clean or erring (never or always in error, as in every
-ibp_from_stats channel), every slot is one product by the transition
-matrix, after which the erring end states' rows move up one count; chains
-with a state that errs with a probability strictly between 0 and 1 make two
-kernel products per tracked slot.  With no gap powers and no codeword-level
-chain, the results check the production recursions and the analytic models
-independently.  Cost is linear in the slot count and grows as
-(l+1)**depth count vectors.
+probability of the paths reaching it.  Every slot is one product by the
+transition matrix.  On a slot of a tracked codeword each end state then
+moves that codeword's counter by its error probability e, which belongs to
+the end state: nothing moves for e = 0, everything moves up one count for
+e = 1, and a fraction e moves for any other e.  With no gap powers and no
+codeword-level chain, the results check the production recursions and the
+analytic models independently.  Cost is linear in the slot count and
+grows as (l+1)**depth count vectors.
 
 :func:`exact_loss` gives the block and the packet loss probability from
-one block flow; :func:`exact_marginal_law` and :func:`exact_joint_law`
-give the bucketed count laws of one codeword and of two adjacent ones.
+one block flow; :func:`exact_joint_law` gives the bucketed joint count
+law of two adjacent codewords, whose row sums are one codeword's law.
 """
 
 from __future__ import annotations
@@ -26,10 +23,13 @@ import numpy as np
 from .channel import FsmcModel
 
 # Ceiling on flow entries, states**2 * (cap+1)**counters: 32 MiB of float64
-# per flow.  A clean/erring chain keeps two flow buffers, so at most ~64 MiB;
-# the kernel flow of a chain with a mixed state holds up to three flows
-# within a slot (~96 MiB).
+# per flow.  A flow keeps two buffers, so at most 64 MiB, and a chain with
+# a state that errs with a probability strictly between 0 and 1 one spare
+# row more, 1/states of a flow.
 MAX_FLOW = 2**22
+# Ceiling on the blocks of exact_loss, which walks them one at a time in
+# Python (about 3 us a block).
+MAX_BLOCKS = 10**6
 
 
 def _codeword_of_slot(n: int, depth: int, slots: int) -> list:
@@ -50,15 +50,20 @@ def _count_flow(model: FsmcModel, owner, counters: int, cap: int, drop: bool):
     to dropped[s].  The flow is kept as one (S, S * count vectors) array,
     so each slot is a matrix product over all count vectors at once.
 
-    When every state is clean or erring (its d1 or its d0 column is
-    exactly zero, as in every ibp_from_stats channel), a slot costs one
-    product by the transition matrix, written into the other of two
-    buffers (:func:`_shift_flow`); a tracked slot then moves each erring
-    end state's rows up one count, with four more numpy calls per erring
-    state, so five in all on a two-state channel.  The terms this skips
-    are exact zeros.  A chain with a state that errs with a probability
-    strictly between 0 and 1 takes :func:`_kernel_flow`: a product per
-    kernel on each tracked slot.
+    Each slot is one product by the transition matrix from one buffer into
+    the other.  On a slot of counter j, each end state t's row, read as
+    (start state, counters before j, count j, counters after j), then
+    moves by t's error probability e.  A clean state's row (e = 0) stands.
+    An erring state's row (e = 1) moves up one count in place: its top
+    count is first dropped or added to the count below it, then the whole
+    row moves by one count's stride (an overlapping 1-D copy, which needs
+    no temporary; each top count lands on the next count 0) and count 0
+    is cleared.  A mixed state keeps (1 - e) * row and adds e * row, made
+    in a spare row, one count up: the spare row's top count is dropped or
+    added to the count below it, then cleared, and the spare row is added
+    one count's stride on (a 1-D add).  The views are made once per
+    buffer, counter and moving state, and the spare row only for a chain
+    with a mixed state.
     """
     states = model.states
     shape = (states, states) + (cap + 1,) * counters
@@ -70,85 +75,56 @@ def _count_flow(model: FsmcModel, owner, counters: int, cap: int, drop: bool):
     flow = np.zeros((states, states, (cap + 1) ** counters))
     flow[:, :, 0] = np.eye(states)
     flow = flow.reshape(states, -1)
-    erring = model.d1.any(axis=0)
-    if (erring & model.d0.any(axis=0)).any():
-        flow, dropped = _kernel_flow(model, flow, owner, counters, cap, drop)
-    else:
-        flow, dropped = _shift_flow(model, erring.nonzero()[0], flow, owner, counters, cap, drop)
-    return flow.reshape(shape), dropped
-
-
-def _shift_flow(model: FsmcModel, erring, flow, owner, counters: int, cap: int, drop: bool):
-    """:func:`_count_flow` on a chain whose states are clean or erring.
-
-    Each slot is one product by the transition matrix from one buffer into
-    the other.  On a slot of counter j, each erring end state's row, read
-    as (start state, counters before j, count j, counters after j), moves
-    up one count in place: its top count is first dropped or added to the
-    count below it, then the whole row moves by one count's stride (an
-    overlapping 1-D copy, which needs no temporary; each top count lands
-    on the next count 0) and count 0 is cleared.  The views are made once
-    per buffer, counter and erring state.
-    """
-    states = model.states
     full = np.ascontiguousarray(model.transition.T)
+    errors = model.error_profile.tolist()
+    # at cap 0 without drop an error keeps the only count: nothing moves
+    moving = [t for t, e in enumerate(errors) if e > 0.0] if drop or cap > 0 else []
+    spare = np.empty_like(flow[0]) if any(errors[t] < 1.0 for t in moving) else None
     dropped = np.zeros(states)
     buffers = []
     for buffer in (flow, np.empty_like(flow)):
-        # at cap 0 without drop an error keeps the only count: nothing moves
-        rows = [buffer[t] for t in erring] if drop or cap > 0 else []
-        views = []  # per counter, per erring state: top, below top, upper, lower, count 0
+        moves = []  # per counter: the views of the erring rows, of the mixed rows
         for j in range(counters):
             after = (cap + 1) ** (counters - 1 - j)
-            views.append([])
-            for row in rows:
+            shifts, splits = [], []
+            for t in moving:
+                row = buffer[t]
                 counts = row.reshape(states, -1, cap + 1, after)
-                views[-1].append((
-                    counts[:, :, -1], None if drop else counts[:, :, -2],
-                    row[after:], row[:-after], counts[:, :, 0],
-                ))
-        buffers.append((buffer, views))
+                if errors[t] == 1.0:  # top, below top, upper, lower, count 0
+                    shifts.append((
+                        counts[:, :, -1], None if drop else counts[:, :, -2],
+                        row[after:], row[:-after], counts[:, :, 0],
+                    ))
+                else:  # row, e, 1 - e, the spare row's top and below top, upper, lower
+                    hits = spare.reshape(counts.shape)
+                    splits.append((
+                        row, errors[t], 1.0 - errors[t], hits[:, :, -1],
+                        None if drop else hits[:, :, -2], row[after:], spare[:-after],
+                    ))
+            moves.append((shifts, splits))
+        buffers.append((buffer, moves))
     for j in owner:
-        (source, _), (target, views) = buffers
+        (source, _), (target, moves) = buffers
         np.matmul(full, source, out=target)
-        for top, below, upper, lower, first in views[j] if j < counters else ():
+        shifts, splits = moves[j] if j < counters else ((), ())
+        for top, below, upper, lower, first in shifts:
             if below is None:  # top.sum(axis=(1, 2)) without its Python wrapper
                 dropped += np.add.reduce(top, axis=(1, 2))
             else:
                 below += top
             upper[...] = lower
             first.fill(0.0)
+        for row, error, keep, top, below, upper, lower in splits:
+            np.multiply(row, error, out=spare)
+            np.multiply(row, keep, out=row)
+            if below is None:
+                dropped += np.add.reduce(top, axis=(1, 2))
+            else:
+                below += top
+            top.fill(0.0)  # so that no top count lands on the next count 0
+            upper += lower
         buffers.reverse()
-    return buffers[0][0], dropped
-
-
-def _kernel_flow(model: FsmcModel, flow, owner, counters: int, cap: int, drop: bool):
-    """:func:`_count_flow` on any chain: a tracked slot multiplies by the
-    no-error kernel over every end state and by the error kernel over the
-    end states an error can lead to, then moves the error terms up one
-    count."""
-    states = model.states
-    miss, full = (np.ascontiguousarray(k.T) for k in (model.d0, model.transition))
-    # error terms only for end states an error can lead to
-    live = np.flatnonzero(model.d1.any(axis=0))
-    rows = slice(live[0], live[-1] + 1) if live.size else slice(0, 0)
-    hit = np.ascontiguousarray(model.d1.T[rows])
-    dropped = np.zeros(states)
-    for j in owner:
-        if j >= counters:
-            flow = full @ flow
-            continue
-        # start state, counters before j, counter j, counters after j
-        grid = (states, (cap + 1) ** j, cap + 1, (cap + 1) ** (counters - 1 - j))
-        errors = (hit @ flow).reshape(hit.shape[:1] + grid)
-        flow = miss @ flow
-        moved = flow.reshape((states,) + grid)[rows]  # a view into flow
-        moved[:, :, :, 1:] += errors[:, :, :, :-1]
-        if drop:
-            dropped += errors[:, :, :, -1].sum(axis=(0, 2, 3))
-        else:
-            moved[:, :, :, -1] += errors[:, :, :, -1]
-    return flow, dropped
+    return buffers[0][0].reshape(shape), dropped
 
 
 def exact_joint_law(model: FsmcModel, n: int, depth: int, cap: int) -> np.ndarray:
@@ -164,15 +140,6 @@ def exact_joint_law(model: FsmcModel, n: int, depth: int, cap: int) -> np.ndarra
     return np.einsum("s,tsij->ij", model.pi, flow)
 
 
-def exact_marginal_law(model: FsmcModel, n: int, depth: int, cap: int) -> np.ndarray:
-    """Exact bucketed error-count law of the first codeword of a block."""
-    if n < 1 or depth < 1 or cap < 0:
-        raise ValueError("need n >= 1, depth >= 1, cap >= 0")
-    slots = n * depth if depth >= 2 else n
-    flow, _ = _count_flow(model, _codeword_of_slot(n, depth, slots), 1, cap, drop=False)
-    return np.einsum("s,tsj->j", model.pi, flow)
-
-
 def exact_loss(model: FsmcModel, n: int, depth: int, l: int, blocks: int):
     """Exact (block, packet) loss: P(the first block fails to decode) and
     P(some block among ``blocks`` consecutive ones fails), from one block flow.
@@ -184,10 +151,13 @@ def exact_loss(model: FsmcModel, n: int, depth: int, l: int, blocks: int):
     """
     if n < 1 or depth < 1 or l < 0 or blocks < 1:
         raise ValueError("need n >= 1, depth >= 1, l >= 0, blocks >= 1")
+    if blocks > MAX_BLOCKS:
+        raise ValueError(f"exact loss over {blocks} blocks, over the limit of {MAX_BLOCKS}")
     flow, failed = _count_flow(model, _codeword_of_slot(n, depth, n * depth), depth, l, True)
     flow_ok = flow.reshape(model.states, model.states, -1).sum(axis=2).T
-    reach, losses = model.pi, [0.0]
-    for _ in range(blocks):
-        losses.append(losses[-1] + float(reach @ failed))
+    first = total = float(model.pi @ failed)
+    reach = model.pi @ flow_ok
+    for _ in range(blocks - 1):
+        total += float(reach @ failed)
         reach = reach @ flow_ok
-    return min(losses[1], 1.0), min(losses[-1], 1.0)
+    return min(first, 1.0), min(total, 1.0)

@@ -12,7 +12,8 @@ import pytest
 import burstfec
 from burstfec.channel import ChannelSpec, ibp_from_stats
 from burstfec.cli import DEFAULT_CONFIG, build_parser, main
-from burstfec.oracle import exact_joint_law, exact_loss, exact_marginal_law
+from burstfec.dist import marginal_error_distribution
+from burstfec.oracle import exact_joint_law, exact_loss
 
 
 def read_rows(path):
@@ -317,7 +318,7 @@ def test_oracle_verb_prints_the_joint_law_row_sums_as_the_codeword_law(depth, ca
         float(f"{prob:.12g}") for prob in marginal
     ]
     np.testing.assert_allclose(
-        marginal, exact_marginal_law(model, n, depth, l + 1), rtol=0, atol=1e-13
+        marginal, marginal_error_distribution(model, n, depth, l + 1)[1], rtol=0, atol=1e-13
     )
 
 
@@ -429,6 +430,12 @@ SMALL_GRID = ["--ber", "0.01", "--nacf", "0.5", "--code", "6,3,1", "--pair", "2,
         pytest.param(
             ["analyze", "--config", "c.json"], {"c.json": '{"budget": -1}'},
             id="analyze-config-budget-negative",
+        ),
+        # one Python pass per block: refused, not run for days
+        pytest.param(
+            ["oracle", "--n", "5", "--l", "1", "--depth", "2", "--blocks", "100000000000",
+             "--ber", "0.1", "--nacf", "0.5"], {},
+            id="oracle-blocks-over-the-limit",
         ),
     ],
 )

@@ -298,15 +298,26 @@ def test_long_codeword_joint_is_fast():
 
 
 def looped_laws(model, n, depth, cap):
-    """One channel's marginal probs and joint q, by the per-channel
-    recursion the stacked one replaced: same float operations in the same
-    order, so the results must agree bit for bit."""
+    """One channel's marginal probs and joint q, by per-channel recursions
+    written with the same float operations in the same order as the
+    stacked ones, so the results must agree bit for bit: the marginal
+    multiplies by the split kernels, the joint by the transition matrix,
+    then keeps (1 - e) of each end state t's flow and moves e of it up one
+    count (one count keeps its flow)."""
 
-    def step(buckets, miss, hit, axis):
-        moved = np.moveaxis(buckets, axis, 0)
-        out, up = moved @ miss, moved @ hit
+    def kernel_step(buckets, miss, hit):
+        out, up = buckets @ miss, buckets @ hit
         out[1:] += up[:-1]
         out[-1] += up[-1]
+        return out
+
+    def step(buckets, axis):
+        product = np.moveaxis(buckets @ model.transition, axis, 0)
+        if len(product) == 1:
+            return buckets @ model.transition
+        hit, out = model.error_profile * product, (1.0 - model.error_profile) * product
+        out[1:] += hit[:-1]
+        out[-1] += hit[-1]
         return np.moveaxis(out, 0, axis)
 
     size = model.states
@@ -314,18 +325,18 @@ def looped_laws(model, n, depth, cap):
     marginal = np.zeros((cap + 1, size, size))
     marginal[0] = np.eye(size)
     for _ in range(n - 1):
-        marginal = step(marginal, model.d0 @ gap, model.d1 @ gap, 0)
-    marginal = step(marginal, model.d0, model.d1, 0)
+        marginal = kernel_step(marginal, model.d0 @ gap, model.d1 @ gap)
+    marginal = kernel_step(marginal, model.d0, model.d1)
     joint = np.zeros((cap + 1, cap + 1, size, size))
     joint[0, 0] = np.eye(size)
     if depth == 1:
         for axis in (0, 1):
             for _ in range(n):
-                joint = step(joint, model.d0, model.d1, axis)
+                joint = step(joint, axis)
     else:
         gap = np.linalg.matrix_power(model.transition, depth - 2)
         for i in range(n):
-            joint = step(step(joint, model.d0, model.d1, 0), model.d0, model.d1, 1)
+            joint = step(step(joint, 0), 1)
             if i < n - 1 and depth > 2:
                 joint = joint @ gap
     return (
@@ -391,36 +402,6 @@ def test_stacked_laws_equal_per_channel_laws(stack, n, depth, cap):
         looped_probs, looped_q = looped_laws(model, n, depth, cap)
         assert np.array_equal(marginals[1][i], looped_probs)
         assert np.array_equal(joints[1][i], looped_q)
-
-
-@pytest.mark.parametrize(
-    "stack,takes_split_step",
-    [
-        ("ber-nacf-grid", False),
-        ("one-channel", False),
-        ("three-state-clean-erring", False),
-        ("ibp-and-mixed-profile", True),
-        ("three-state", True),
-    ],
-)
-def test_split_kernel_step_only_for_stacks_with_a_mixed_state(stack, takes_split_step, monkeypatch):
-    # stacks whose states are each error-free or always in error advance the
-    # joint and sequential recursions by one product per channel, without
-    # the split-kernel step; a stack with a mixed state must take that step
-    def refuse(*args):
-        raise RuntimeError("split-kernel step")
-
-    monkeypatch.setattr(dist, "_count_step", refuse)
-    for recursion in (
-        lambda: joint_error_distribution(STACKS[stack], 6, 3, 2),
-        lambda: joint_error_distribution(STACKS[stack], 6, 2, 0),
-        lambda: sequential_joint_distribution(STACKS[stack], 6, 2),
-    ):
-        if takes_split_step:
-            with pytest.raises(RuntimeError, match="split-kernel step"):
-                recursion()
-        else:
-            assert len(recursion()[1]) == len(STACKS[stack])
 
 
 @pytest.mark.parametrize("states", [2, 3])
@@ -519,9 +500,9 @@ def test_stack_with_mixed_state_counts_is_rejected(recursion):
 @st.composite
 def fsmc_stacks(draw):
     """1-4 random channels with one common state count (2 or 3): either
-    every state clean or erring (error probability 0 or 1), which walks
-    by one product per counted bit, or profiles drawn from [0, 1], which
-    give mixed states and the split-kernel step."""
+    every state clean or erring (error probability 0 or 1), whose rows
+    stand or shift, or profiles drawn from [0, 1], which give mixed
+    states and their split into a kept and a moved part."""
     states = draw(st.integers(2, 3))
     errs = st.sampled_from([0.0, 1.0]) if draw(st.booleans()) else st.floats(0.0, 1.0)
     stack = []

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from burstfec import oracle
 from burstfec.channel import ChannelSpec, FsmcModel, ibp_from_stats
 from burstfec.dist import joint_error_distribution, marginal_error_distribution
-from burstfec.oracle import exact_joint_law, exact_loss, exact_marginal_law
+from burstfec.oracle import exact_joint_law, exact_loss
 
 
 def chain_matrices(ber, nacf):
@@ -90,7 +90,7 @@ def test_marginal_law_against_slot_streams():
         count = sum(err for slot, err in enumerate(pattern) if slot % depth == 0)
         expected[count] += stream_probability(pi, kernels, pattern)
     np.testing.assert_allclose(
-        exact_marginal_law(model, n, depth, n), expected, atol=1e-14
+        exact_joint_law(model, n, depth, n).sum(axis=1), expected, atol=1e-14
     )
 
 
@@ -168,7 +168,7 @@ def test_laws_are_normalized():
     q = exact_joint_law(model, 3, 3, 2)
     assert q.sum() == pytest.approx(1.0, abs=1e-12)
     assert np.all(q >= 0.0)
-    probs = exact_marginal_law(model, 3, 3, 3)
+    probs = exact_joint_law(model, 3, 3, 3).sum(axis=1)
     assert probs.sum() == pytest.approx(1.0, abs=1e-12)
 
 
@@ -186,6 +186,20 @@ def test_enumeration_size_is_bounded():
         exact_loss(model, 63, 11, 3, 1)[0]  # 2**2 * 4**11 count vectors: over the ceiling
 
 
+def test_block_count_is_bounded(monkeypatch):
+    # one Python pass per block: more blocks than the ceiling are refused
+    # before any flow is made
+    def refuse(*args):
+        raise AssertionError("a flow was made")
+
+    monkeypatch.setattr(oracle, "_count_flow", refuse)
+    model = ibp_from_stats(ChannelSpec(ber=0.1, nacf=0.5))
+    assert oracle.MAX_BLOCKS == 10**6
+    for blocks in (10**6 + 1, 10**11):
+        with pytest.raises(ValueError, match=f"over the limit of {10**6}"):
+            exact_loss(model, 5, 2, 1, blocks)
+
+
 # ----------------------------------------------------------------------
 # paper scale: the count-vector engine against the gap-power recursions
 # ----------------------------------------------------------------------
@@ -199,7 +213,7 @@ def test_laws_match_dist_recursions_at_paper_scale(depth, l):
     _, probs = marginal_error_distribution(model, n, depth, cap)
     _, q = joint_error_distribution(model, n, depth, cap)
     np.testing.assert_allclose(
-        exact_marginal_law(model, n, depth, cap), probs, rtol=0, atol=1e-12
+        exact_joint_law(model, n, depth, cap).sum(axis=1), probs, rtol=0, atol=1e-12
     )
     np.testing.assert_allclose(
         exact_joint_law(model, n, depth, cap), q, rtol=0, atol=1e-12
@@ -207,7 +221,7 @@ def test_laws_match_dist_recursions_at_paper_scale(depth, l):
 
 
 # ----------------------------------------------------------------------
-# the one-product flow of clean/erring chains against the kernel flow
+# the one-product flow against two kernel products per tracked slot
 # ----------------------------------------------------------------------
 
 
@@ -220,69 +234,92 @@ def layout(n, depth, l, drop):
     return oracle._codeword_of_slot(n, depth, slots), 2, l + 1
 
 
-def kernel_flow_only(monkeypatch):
-    """Send every flow down the kernel path, two products per tracked slot."""
-    monkeypatch.setattr(
-        oracle, "_shift_flow", lambda model, erring, *rest: oracle._kernel_flow(model, *rest)
-    )
+def kernel_flow(model, owner, counters, cap, drop):
+    """Reference for oracle._count_flow on any chain: a tracked slot
+    multiplies by the no-error kernel d0 and by the error kernel d1, and
+    moves the error terms up one count, dropping or saturating the top."""
+    states = model.states
+    flow = np.zeros((states, states, (cap + 1) ** counters))
+    flow[:, :, 0] = np.eye(states)
+    flow = flow.reshape(states, -1)
+    miss, hit, full = model.d0.T, model.d1.T, model.transition.T
+    dropped = np.zeros(states)
+    for j in owner:
+        if j >= counters:
+            flow = full @ flow
+            continue
+        # end state, start state, counters before j, counter j, counters after j
+        grid = (states, states, (cap + 1) ** j, cap + 1, (cap + 1) ** (counters - 1 - j))
+        errors = (hit @ flow).reshape(grid)
+        flow = miss @ flow
+        moved = flow.reshape(grid)  # a view into flow
+        moved[:, :, :, 1:] += errors[:, :, :, :-1]
+        if drop:
+            dropped += errors[:, :, :, -1].sum(axis=(0, 2, 3))
+        else:
+            moved[:, :, :, -1] += errors[:, :, :, -1]
+    return flow.reshape((states, states) + (cap + 1,) * counters), dropped
+
+
+MIXED_CHAINS = {
+    # Gilbert-Elliott: a good state that errs now and then, a bad one often
+    "two-state": FsmcModel([[0.99, 0.01], [0.1, 0.9]], [0.001, 0.3]),
+    # one clean, one mixed and one erring state
+    "three-state": FsmcModel(
+        [[0.98, 0.015, 0.005], [0.05, 0.9, 0.05], [0.02, 0.08, 0.9]], [0.0, 0.05, 1.0]
+    ),
+}
 
 
 @pytest.mark.parametrize("drop", [True, False])
 @pytest.mark.parametrize("n,l,depth", [(63, 1, 16), (63, 3, 8), (63, 3, 4), (63, 3, 1)])
-def test_one_product_flow_equals_the_kernel_flow(n, l, depth, drop, monkeypatch):
-    model = ibp_from_stats(ChannelSpec(ber=0.01, nacf=0.9))
+def test_one_product_flow_equals_the_kernel_flow(n, l, depth, drop):
     owner, counters, cap = layout(n, depth, l, drop)
-    flow, dropped = oracle._count_flow(model, owner, counters, cap, drop)
-    kernel_flow_only(monkeypatch)
-    want_flow, want_dropped = oracle._count_flow(model, owner, counters, cap, drop)
-    np.testing.assert_allclose(flow, want_flow, rtol=1e-13, atol=0)
-    np.testing.assert_allclose(dropped, want_dropped, rtol=1e-13, atol=0)
-    assert dropped.any() == drop
+    for model in (ibp_from_stats(ChannelSpec(ber=0.01, nacf=0.9)), MIXED_CHAINS["two-state"]):
+        flow, dropped = oracle._count_flow(model, owner, counters, cap, drop)
+        want_flow, want_dropped = kernel_flow(model, owner, counters, cap, drop)
+        np.testing.assert_allclose(flow, want_flow, rtol=1e-13, atol=0)
+        np.testing.assert_allclose(dropped, want_dropped, rtol=1e-13, atol=0)
+        assert dropped.any() == drop
 
 
-@pytest.mark.parametrize("profile", [[0.0, 1.0, 0.0], [1.0, 0.0, 1.0]])
+@pytest.mark.parametrize(
+    "profile", [[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 0.3, 1.0], [0.2, 0.5, 0.9]]
+)
 @pytest.mark.parametrize("drop", [True, False])
 @pytest.mark.parametrize("depth", [1, 3])
-def test_one_product_flow_on_three_state_chains(profile, drop, depth, monkeypatch):
+def test_one_product_flow_on_three_state_chains(profile, drop, depth):
     model = FsmcModel([[0.5, 0.3, 0.2], [0.1, 0.8, 0.1], [0.3, 0.3, 0.4]], profile)
     owner, counters, _ = layout(6, depth, 0, drop)
     for cap in (0, 1, 3):
         flow, dropped = oracle._count_flow(model, owner, counters, cap, drop)
-        with monkeypatch.context() as patch:
-            kernel_flow_only(patch)
-            want_flow, want_dropped = oracle._count_flow(model, owner, counters, cap, drop)
+        want_flow, want_dropped = kernel_flow(model, owner, counters, cap, drop)
         np.testing.assert_allclose(flow, want_flow, rtol=1e-13, atol=0)
         np.testing.assert_allclose(dropped, want_dropped, rtol=1e-13, atol=0)
 
 
-def test_only_mixed_state_chains_take_the_kernel_flow(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("kernel flow")
-
-    monkeypatch.setattr(oracle, "_kernel_flow", refuse)
-    for model in (
-        ibp_from_stats(ChannelSpec(ber=0.05, nacf=0.7)),
-        FsmcModel([[0.5, 0.3, 0.2], [0.1, 0.8, 0.1], [0.3, 0.3, 0.4]], [0.0, 1.0, 0.0]),
-    ):
-        exact_loss(model, 5, 3, 1, 2)
-        exact_joint_law(model, 5, 1, 2)
-        exact_marginal_law(model, 5, 3, 2)
-    mixed = FsmcModel([[0.9, 0.1], [0.2, 0.8]], [0.0, 0.6])
-    with pytest.raises(AssertionError, match="kernel flow"):
-        exact_loss(mixed, 5, 3, 1, 2)
-
-
-def test_one_product_flow_keeps_two_buffers():
-    # (63, l = 3, I = 8) block flow: 2**2 * 4**8 entries, 2 MiB
-    model = ibp_from_stats(ChannelSpec(ber=0.01, nacf=0.9))
-    owner, counters, cap = layout(63, 8, 3, True)
+def peak_flows(model, n, depth, l):
+    """Peak traced memory of a block flow, in flows."""
+    owner, counters, cap = layout(n, depth, l, True)
     tracemalloc.start()
     try:
         flow, _ = oracle._count_flow(model, owner, counters, cap, True)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 2.25 * flow.nbytes
+    return peak / flow.nbytes
+
+
+def test_one_product_flow_keeps_two_buffers():
+    # (63, l = 3, I = 8) block flow: 2**2 * 4**8 entries, 2 MiB
+    assert peak_flows(ibp_from_stats(ChannelSpec(ber=0.01, nacf=0.9)), 63, 8, 3) < 2.25
+
+
+@pytest.mark.parametrize("model", MIXED_CHAINS.values(), ids=MIXED_CHAINS.keys())
+def test_mixed_chain_flow_keeps_one_spare_row_more(model):
+    # a chain with a mixed state adds one end state's row, 1/S of a flow,
+    # with the allowance of the two-buffer bound above
+    assert peak_flows(model, 63, 8, 3) < 2.25 + 1 / model.states
 
 
 # ----------------------------------------------------------------------
@@ -362,7 +399,7 @@ def test_engine_matches_pattern_enumeration_on_any_fsmc(model, n, depth, cap, l,
     assume(n * depth * blocks <= 10)
     marginal, joint, block, packet = pattern_laws(model, n, depth, cap, l, blocks)
     np.testing.assert_allclose(
-        exact_marginal_law(model, n, depth, cap), marginal, rtol=0, atol=1e-13
+        exact_joint_law(model, n, depth, cap).sum(axis=1), marginal, rtol=0, atol=1e-13
     )
     np.testing.assert_allclose(
         exact_joint_law(model, n, depth, cap), joint, rtol=0, atol=1e-13

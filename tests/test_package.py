@@ -18,7 +18,7 @@ PUBLIC_NAMES = [
     "PacketErrorResult", "ResultRow", "SchemeSpec", "SimConfig", "SweepSpec",
     "binomial_baseline", "block_to_packet", "confidence_interval",
     "dar1_stream", "emit_results", "evaluate_models",
-    "exact_joint_law", "exact_loss", "exact_marginal_law", "feasible_pairs",
+    "exact_joint_law", "exact_loss", "feasible_pairs",
     "ibp_from_stats", "joint_error_distribution",
     "marginal_error_distribution", "optimize_depth",
     "residual_correlation", "run_sweep", "sequential_joint_distribution",
@@ -27,7 +27,7 @@ PUBLIC_NAMES = [
 
 
 def test_public_names_are_pinned_and_resolve():
-    assert len(PUBLIC_NAMES) == 35
+    assert len(PUBLIC_NAMES) == 34
     assert sorted(burstfec.__all__) == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         assert hasattr(burstfec, name), name
