@@ -21,8 +21,9 @@ the plain transition power over the recursion's horizon.  ``law`` is
 the count law ``pi @ buckets[...] @ 1``.  A sequence gets both arrays
 stacked along a leading channel axis, one FsmcModel its own slices.
 The two-codeword recursions take a sequence of caps too, for one walk
-whose counters hold the largest cap's counts and an extra top slot per
-smaller cap; each cap's ``(buckets, law)`` is a call's at that cap, bit for bit.
+whose counters hold the counts below the largest cap and one top slot
+per distinct cap; each cap's ``(buckets, law)`` is a call's at that cap,
+bit for bit.
 The interleaved recursions take one depth for the whole stack or one
 depth per channel, so a whole sweep over depths is one stack.  Every
 product multiplies a channel's whole bucket stack, viewed as one
@@ -56,10 +57,11 @@ def _channels(model):
 
 def _stack(model, n: int, cap, counters: int):
     """Check a recursion's inputs; return its channels, the start buckets
-    B x counts^counters x S x S, the transitions B x S x S, the error
-    profiles B x S, the caps of a cap sequence (None for one cap) and
-    their top slots (cap, slot): one per distinct cap below the largest,
-    after its counts 0..cap."""
+    B x slots^counters x S x S, the transitions B x S x S, the error
+    profiles B x S, the caps of a cap sequence (None for one cap) and the
+    top slot of each distinct cap, by cap.  A counter's slots are the
+    counts 0..L-1 below the largest cap L, then one top slot per distinct
+    cap in increasing order, so one cap L has its top at count L."""
     if n < 1:
         raise ValueError(f"codeword length must be >= 1, got {n}")
     sequence = isinstance(cap, list) or np.ndim(cap) > 0
@@ -70,13 +72,31 @@ def _stack(model, n: int, cap, counters: int):
     sizes = sorted({channel.states for channel in channels})
     if len(sizes) != 1:
         raise ValueError(f"stacked channels need one common state count, got {sizes}")
-    tops = [(c, max(caps) + 1 + i) for i, c in enumerate(sorted(set(caps) - {max(caps)}))]
-    buckets = np.zeros((len(channels),) + (max(caps) + 1 + len(tops),) * counters + (sizes[0],) * 2)
-    for start in [0] + [slot for c, slot in tops if c == 0]:  # count 0 is cap 0's top too
+    distinct = sorted(set(caps))
+    tops = {c: distinct[-1] + i for i, c in enumerate(distinct)}
+    buckets = np.zeros((len(channels),) + (distinct[-1] + len(tops),) * counters + (sizes[0],) * 2)
+    for start in {0, tops.get(0, 0)}:  # count 0 is cap 0's top too
         buckets[(slice(None),) + (start,) * counters] = np.eye(sizes[0])
     transition = np.array([c.transition for c in channels])
     errors = np.array([c.error_profile for c in channels])
     return channels, buckets, transition, errors, caps if sequence else None, tops
+
+
+def _runs(tops):
+    """The top slots of the nonzero caps as (counts, slots) slice pairs, one
+    per run of evenly spaced caps: count c-1 feeds the top slot of cap c,
+    and a run's slots are consecutive, so one add feeds the whole run."""
+    caps = [c for c in tops if c]  # increasing, as their slots are
+    runs, start = [], 0
+    while start < len(caps):
+        end = start + 1
+        step = caps[end] - caps[start] if end < len(caps) else 1
+        while end < len(caps) and caps[end] - caps[end - 1] == step:
+            end += 1
+        first, last = caps[start], caps[end - 1]
+        runs.append((slice(first - 1, last, step), slice(tops[first], tops[last] + 1)))
+        start = end
+    return runs
 
 
 def _depths(depth, channels, least: int, message: str):
@@ -126,56 +146,81 @@ def _powers(matrices, depths, offset: int):
     return powers
 
 
-def _walk(buckets, transition, errors, path, gap=None, tops=()):
+def _walk(buckets, transition, errors, path, gap, tops, swap=False):
     """Advance a joint bucket stack along ``path``: each entry is the
-    counter axis (1 or 2) of a counted bit, or None for a product by ``gap``.
+    counter axis (1 or 2) of a counted bit, or None for a product by
+    ``gap``, or with ``swap`` for a copy with the two counter axes swapped,
+    after which axis 1 is the second counter.
 
     A counted bit costs one product per channel by the transition matrix,
     written into the buffer it does not read.  The flows run as
-    B x S_end x counts x counts x S_start, so each end state's rows are
+    B x S_end x slots x slots x S_start, so each end state's rows are
     contiguous; each end state t then moves by its error probability,
     ``errors[b, t]`` for channel b.  A state is clean, erring or mixed
     over the whole stack.  A clean state's rows (e = 0) stand.  An erring
-    state's rows (e = 1) move up one count in place, saturating at the
-    top bucket and at each smaller cap's top slot.  A mixed state keeps
-    (1 - e) * rows and adds e * rows, made in a spare buffer, one count
-    up with the same saturation; a cap-0 slot keeps its flows.  For a
+    state's rows (e = 1) feed each top slot from its cap's count c-1, one
+    add per run of evenly spaced caps, then its counts below the largest
+    cap move up one count in place; a single top, which follows the
+    counts, is added to the count below instead and moves up with them,
+    the same sums in one flat shift.  A mixed state keeps (1 - e) * rows
+    and adds e * rows, made in a spare buffer, one count up, each top slot
+    from its own and its count c-1; a cap-0 slot keeps its flows.  For a
     channel whose e is 0 or 1 the mixed move gives the clean or erring
     bits, so no channel's results depend on the rest of the stack.
     """
     flows = buckets.transpose(0, 4, 1, 2, 3).copy()
     count, states, slots = flows.shape[:3]
-    size = slots - len(tops)  # the largest cap + 1 counts of a counter
-    moving = errors.any(axis=0).nonzero()[0].tolist() if size > 1 else []
+    size = slots - len(tops)  # the counts 0..L-1 of a counter below the largest cap L
+    moving = errors.any(axis=0).nonzero()[0].tolist() if size else []
     erring = (errors == 1.0).all(axis=0).tolist()
     spare = None if all(erring[t] for t in moving) else np.empty_like(flows[:, 0])
     # the flows are multiplied from the left, by the transposed matrices
     full = transition.transpose(0, 2, 1)
     gap = None if gap is None else gap.transpose(0, 2, 1)
+    runs = _runs(tops)
     # a cap-0 top slot, the first after the counts, keeps its flows
-    kept = [slice(size), slice(size + 1, None)] if tops and tops[0][0] == 0 else [slice(None)]
+    kept = [slice(size), slice(size + 1, None)] if 0 in tops else [slice(None)]
+    own = slice(size + (0 in tops), None)  # the top slots of the nonzero caps
     # per buffer and path entry, the product, written into the buffer it
     # does not read, and the numpy calls of the count move of each state
     stride = slots * states  # one count of the first counter, in a flat row
     steps = []
-    for buffer in (flows, np.empty_like(flows)):
+    buffers = flows, np.empty_like(flows)
+    for buffer, other in zip(buffers, buffers[::-1]):
         moves = {None: (gap, []), 1: (full, []), 2: (full, [])}
+        if swap:
+            moves[None] = None, [(np.copyto, (buffer, other.transpose(0, 1, 3, 2, 4)))]
         for state in moving:
             counts = buffer[:, state]
-            rows = counts.reshape(count, -1)
-            # a flat shift of the second counter would run into the top slots
-            runs = counts.reshape(count, slots, -1)[..., : size * states] if tops else rows
-            for axis, lead, step in (1, rows[:, : size * stride], stride), (2, runs, states):
+            flat = counts.reshape(count, -1)  # each channel's rows as one
+            # the counts below the largest cap: a flat row of the first
+            # counter's, and a row of the second counter's per first slot
+            # (not needed with one top, whose shift is flat)
+            rows = None if len(tops) == 1 else counts.reshape(count, slots, -1)[..., : size * states]
+            for axis, lead, step in (1, flat[:, : size * stride], stride), (2, rows, states):
                 head = (slice(None),) * axis
-                top, calls = counts[head + (size - 1,)], moves[axis][1]
+                calls = moves[axis][1]
+                if erring[state] and len(tops) == 1:
+                    # one top, right after the counts: added to the count
+                    # below, it moves up with them in one flat shift, the
+                    # second counter's top of one first slot landing on the
+                    # next one's count 0, which is then cleared
+                    calls += [_add(counts[head + (size - 1,)], counts[head + (size,)]),
+                              (operator.setitem, (flat[:, step:], ..., flat[:, :-step])),
+                              (counts[head + (0,)].fill, (0.0,))]
+                    continue
                 if erring[state]:
-                    # adds of the top count to the count below and of each
-                    # top slot's count below, a shift up one count (the top
-                    # count falls off or lands on count 0), a cleared count 0
-                    calls.append(_add(counts[head + (size - 2,)], top))
-                    calls += [
-                        _add(counts[head + (slot,)], counts[head + (c - 1,)]) for c, slot in tops if c
-                    ]
+                    # each run's top slots fed from their counts c-1, a shift up
+                    # one count below the largest cap, a cleared count 0
+                    for below, top in runs:
+                        part = counts[head + (below,)]
+                        if axis == 2 and below.step > 1 and part.shape[2] > 1:
+                            # spaced counts of the second counter are S-wide runs:
+                            # gathered into one block first, they add faster
+                            indices = np.arange(below.start, below.stop, below.step)
+                            part = np.empty_like(part)
+                            calls.append((np.take, (counts, indices, 2, part, "clip")))
+                        calls.append(_add(counts[head + (top,)], part))
                     calls += [(operator.setitem, (lead[..., step:], ..., lead[..., :-step])),
                               (counts[head + (0,)].fill, (0.0,))]
                     continue
@@ -186,20 +231,18 @@ def _walk(buckets, transition, errors, path, gap=None, tops=()):
                 for part in kept:
                     if (rest := counts[head + (part,)]).size:
                         calls.append((np.multiply, (rest, 1.0 - error, rest)))
-                for c, slot in tops:
-                    if c:
-                        calls.append(_add(counts[head + (slot,)], spare[head + (c - 1,)]))
-                        calls.append(_add(counts[head + (slot,)], spare[head + (slot,)]))
                 calls.append(_add(counts[head + (slice(1, size),)], spare[head + (slice(size - 1),)]))
-                calls.append(_add(top, spare[head + (size - 1,)]))
+                calls += [_add(counts[head + (top,)], spare[head + (below,)]) for below, top in runs]
+                calls.append(_add(counts[head + (own,)], spare[head + (own,)]))
         steps.append((buffer.reshape(count, states, -1), moves))
     for ((source, _), (target, moves)), axis in zip(itertools.cycle((steps, steps[::-1])), path):
         matrix, calls = moves[axis]
-        np.matmul(matrix, source, out=target)
+        if matrix is not None:
+            np.matmul(matrix, source, out=target)
         for call, args in calls:
             call(*args)
     flows = steps[len(path) % 2][0].reshape(flows.shape)
-    return np.ascontiguousarray(flows.transpose(0, 2, 3, 4, 1))
+    return np.ascontiguousarray(flows.transpose(0, 2 + swap, 3 - swap, 4, 1))
 
 
 def _add(total, part):
@@ -207,20 +250,35 @@ def _add(total, part):
     return np.add, (total, part, total)
 
 
-def _laws(model, channels, buckets, caps=None, tops=()):
+def _laws(model, channels, buckets, caps=None, tops=None):
     """(buckets, law): the law of each channel is its buckets contracted
-    with its stationary vector, one einsum per channel, as a batched
-    einsum rounds differently.  One FsmcModel gets its own slices.  A list
-    of ``caps`` gets one pair per cap: its counts below the cap and top slot."""
-    if caps is not None:
-        cuts = [[*range(c), dict(tops).get(c, c)] for c in caps]
-        return [_laws(model, channels, buckets[:, i][:, :, i] if tops else buckets) for i in cuts]
+    with its stationary vector, one einsum per channel.  A batched form,
+    the row sums of each bucket matrix and then their pi-weighted sum,
+    matched it bit for bit on 2-state chains but not on 3-state ones, so
+    the per-channel einsum stays.  One FsmcModel gets its own slices.
+
+    A list of ``caps`` gets one pair per cap: a walk's law is contracted
+    once over all its slots, then each cap's counts below it and its top
+    slot are cut from the buckets and the law, as C-contiguous arrays,
+    since the models' sums round by memory layout.  With one distinct cap
+    the walk's slots are that cap's buckets, returned uncut."""
     if isinstance(model, FsmcModel):
-        return buckets[0], np.einsum("s,...st->...", model.pi, buckets[0])
-    laws = np.empty(buckets.shape[:-2])
-    for i, channel in enumerate(channels):
-        laws[i] = np.einsum("s,...st->...", channel.pi, buckets[i])
-    return buckets, laws
+        buckets, laws = buckets[0], np.einsum("s,...st->...", model.pi, buckets[0])
+    else:
+        laws = np.empty(buckets.shape[:-2])
+        for i, channel in enumerate(channels):
+            laws[i] = np.einsum("s,...st->...", channel.pi, buckets[i])
+    if caps is None:
+        return buckets, laws
+    if len(tops) == 1:
+        return [(buckets, laws)] * len(caps)
+    head = (slice(None),) * (laws.ndim - 2)
+    cuts = {c: [*range(c), top] for c, top in tops.items()}
+    return [
+        tuple(np.ascontiguousarray(a[head + (cuts[c],)][head + (slice(None), cuts[c])])
+              for a in (buckets, laws))
+        for c in caps
+    ]
 
 
 def marginal_error_distribution(model, n: int, depth, cap: int):
@@ -285,5 +343,6 @@ def sequential_joint_distribution(model, n: int, cap: int):
     ``(buckets, q)`` as :func:`joint_error_distribution` does.
     """
     channels, buckets, transition, errors, caps, tops = _stack(model, n, cap, 2)
-    path = [1] * n + [2] * n
-    return _laws(model, channels, _walk(buckets, transition, errors, path, None, tops), caps, tops)
+    path = [1] * n + [None] + [1] * n  # the second codeword's bits on swapped axes
+    flows = _walk(buckets, transition, errors, path, None, tops, swap=True)
+    return _laws(model, channels, flows, caps, tops)

@@ -86,7 +86,7 @@ class ResultRow:
     note: str | None = None  # diagnostics; reported, not part of the CSV
 
     def csv_record(self) -> list[str]:
-        return _csv_records([self])[0]
+        return list(_csv_records([self])[0])
 
 
 def _fmt(value) -> str:
@@ -112,19 +112,19 @@ class _Texts(dict):
         return text
 
 
-def _csv_records(rows) -> list[list[str]]:
+def _csv_records(rows) -> list[tuple[str, ...]]:
     """The CSV fields of each row, each distinct number formatted once."""
-    text = _Texts(_fmt)
+    text, integer = _Texts(_fmt), _Texts(str)
     return [
-        [
+        (
             row.model,
             text[row.ber], text[row.nacf],
-            str(row.code.n), str(row.code.k), str(row.code.l),
-            str(row.scheme.depth), str(row.scheme.blocks),
+            integer[row.code.n], integer[row.code.k], integer[row.code.l],
+            integer[row.scheme.depth], integer[row.scheme.blocks],
             text[row.p], text[row.p_hat], text[row.ci_lo], text[row.ci_hi],
             text[row.rel_err], text[row.throughput], text[row.residual_corr],
             "" if row.seed is None else str(row.seed),
-        ]
+        )
         for row in rows
     ]
 
@@ -359,10 +359,11 @@ def emit_results(rows, csv_path, report_path=None, config=None):
     """
     written = []
     # each row's fields, formatted once: the CSV line (no field holds a comma,
-    # a quote or a line break) and, with the note added, the row's report entry
+    # a quote or a line break) and, with the model encoded and the note
+    # added, the row's report entry
     records = _csv_records(rows)
     with open(csv_path, "w", newline="") as handle:
-        handle.write("".join(",".join(fields) + "\n" for fields in [CSV_COLUMNS, *records]))
+        handle.write("\n".join(map(",".join, [CSV_COLUMNS, *records])) + "\n")
     written.append(csv_path)
     if report_path is not None:
         report = {
@@ -380,11 +381,17 @@ def emit_results(rows, csv_path, report_path=None, config=None):
 
 def _row_layout(fields):
     """How a record with these fields becomes a report row entry: a getter
-    of its values in sorted field order, and the entry's text with a %s
-    for each value after its field's line start."""
+    of its values in sorted field order, and the entry's text with a
+    placeholder for each value after its field's line start.  The model
+    and the note are placed as encoded JSON strings; every other field is
+    a formatted number or empty, which needs no escaping, so its quotes
+    are part of the text."""
     order = sorted(range(len(fields)), key=fields.__getitem__)
     encode = json.encoder.encode_basestring_ascii
-    lines = ",".join(f"\n      {encode(fields[i])}: %s" for i in order)
+    lines = ",".join(
+        f"\n      {encode(fields[i])}: " + ("%s" if fields[i] in ("model", "note") else '"%s"')
+        for i in order
+    )
     return operator.itemgetter(*order), "\n    {" + lines + "\n    }"
 
 
@@ -402,11 +409,11 @@ def _write_report(handle, report, notes):
     ``report["rows"]`` holds each row's CSV record, which the report has
     as an object from CSV column names and, where the row's entry of
     ``notes`` is not None, "note" to strings.  The indented ``json.dump``
-    encodes in pure Python; here each distinct value goes once through
-    the C encoder ``json.dump`` itself uses (``ensure_ascii``), and the
-    rows of one write fill their entries' layouts in one format call.
-    The rest of the report goes through ``json.dumps``, indented one
-    level deeper.
+    encodes in pure Python; here each distinct model name and note goes
+    once through the C encoder ``json.dump`` itself uses
+    (``ensure_ascii``), and the rows of one write fill their entries'
+    layouts in one format call.  The rest of the report goes through
+    ``json.dumps``, indented one level deeper.
     """
     encode = json.encoder.encode_basestring_ascii
     encoded = _Texts(encode)
@@ -422,9 +429,9 @@ def _write_report(handle, report, notes):
                 for record, note in zip(value[start:end], notes[start:end]):
                     pick, entry = _ROW_LAYOUTS[note is not None]
                     entries.append(entry)
-                    values += pick(record if note is None else [*record, note])
-                text = ",".join(entries) % tuple(map(encoded.__getitem__, values))
-                handle.write(("," if start else "") + text)
+                    fields = (encoded[record[0]], *record[1:])  # the model encoded
+                    values += pick(fields if note is None else (*fields, encoded[note]))
+                handle.write(("," if start else "") + ",".join(entries) % tuple(values))
             handle.write("\n  ]")
         else:
             handle.write(json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n  "))

@@ -524,6 +524,13 @@ def fsmc_stacks(draw):
 @settings(max_examples=80, deadline=None, derandomize=True)
 @example(stack=STACKS["ber-nacf-grid"], n=63, depths=[1, 2, 4, 8] * 4, caps=[2, 4, 6])
 @example(stack=STACKS["ibp-and-mixed-profile"], n=7, depths=[3, 1, 2], caps=[0, 3, 0])
+# unevenly spaced, unsorted and repeated caps, on clean/erring and mixed stacks
+@example(stack=STACKS["three-state-clean-erring"], n=9, depths=[1, 3, 2, 5], caps=[0, 1, 3])
+@example(stack=STACKS["ibp-and-mixed-profile"], n=8, depths=[2, 1, 4], caps=[0, 1, 3])
+@example(stack=STACKS["ber-nacf-grid"], n=20, depths=[1, 2, 4, 8] * 4, caps=[6, 2, 4])
+@example(stack=STACKS["ibp-and-mixed-profile"], n=9, depths=[3, 1, 2], caps=[6, 2, 4])
+@example(stack=STACKS["three-state-clean-erring"], n=7, depths=[2, 1, 3, 4], caps=[5, 5, 1])
+@example(stack=STACKS["ibp-and-mixed-profile"], n=7, depths=[4, 2, 1], caps=[5, 5, 1])
 @given(
     stack=fsmc_stacks(),
     n=st.integers(1, 9),
@@ -531,8 +538,11 @@ def fsmc_stacks(draw):
     caps=st.lists(st.integers(0, 7), min_size=1, max_size=3),
 )
 def test_cap_sequence_equals_one_call_per_cap(stack, n, depths, caps):
-    # the joint and sequential walks carry one top slot per smaller cap;
-    # each cap's buckets and law come out as a call at that cap gives them
+    # the joint and sequential walks carry one top slot per distinct cap;
+    # each cap's buckets and law come out as a call at that cap gives them.
+    # They must also be C-contiguous: models reduces the laws with sum,
+    # whose rounding follows the memory layout, so a strided cut of the
+    # same numbers could move a model's last bits
     depths = depths[: len(stack)]
     paired = [max(depth, 2) for depth in depths]
     for recursion, args in [
@@ -544,6 +554,7 @@ def test_cap_sequence_equals_one_call_per_cap(stack, n, depths, caps):
             alone_buckets, alone_law = recursion(stack, n, *args, cap)
             assert np.array_equal(buckets, alone_buckets)
             assert np.array_equal(law, alone_law)
+            assert buckets.flags.c_contiguous and law.flags.c_contiguous
     # below its cap a saturating count evolves the same whatever the cap:
     # the marginal at the largest cap holds each cap's counts 0..cap-1
     top_buckets, top_probs = marginal_error_distribution(stack, n, depths, max(caps))
@@ -551,6 +562,18 @@ def test_cap_sequence_equals_one_call_per_cap(stack, n, depths, caps):
         buckets, probs = marginal_error_distribution(stack, n, depths, cap)
         assert np.array_equal(top_buckets[:, :cap], buckets[:, :cap])
         assert np.array_equal(top_probs[:, :cap], probs[:, :cap])
+
+
+def test_one_distinct_cap_is_the_walk_uncut():
+    # a cap sequence with one distinct cap walks that cap's slots alone, so
+    # every entry is the walk's own arrays, with no cut and no copy
+    stack = STACKS["ber-nacf-grid"]
+    for recursion, args in [(joint_error_distribution, (3,)), (sequential_joint_distribution, ())]:
+        laws = recursion(stack, 6, *args, [4, 4])
+        assert laws[0][0] is laws[1][0] and laws[0][1] is laws[1][1]
+        alone_buckets, alone_law = recursion(stack, 6, *args, 4)
+        assert np.array_equal(laws[0][0], alone_buckets)
+        assert np.array_equal(laws[0][1], alone_law)
 
 
 def test_cap_sequence_of_one_channel_gives_its_own_slices():

@@ -513,6 +513,33 @@ REPEATED_ROWS = [
 ]
 
 
+def default_analyze_rows():
+    return run_sweep(SweepSpec(
+        bers=tuple(DEFAULT_CONFIG["channel"]["ber"]),
+        nacfs=tuple(DEFAULT_CONFIG["channel"]["nacf"]),
+        codes=tuple(CodeSpec(*code) for code in DEFAULT_CONFIG["codes"]),
+        pairs=tuple(SchemeSpec(*pair) for pair in DEFAULT_CONFIG["pairs"]),
+        models=tuple(DEFAULT_CONFIG["models"]),
+        budget=DEFAULT_CONFIG["budget"],
+    ))
+
+
+def compare_rows():
+    # Monte Carlo columns (p_hat, ci_lo, ci_hi, seed, rel_err), with
+    # degenerate estimates at the lowest and highest ber, and a pair off
+    # the budget, whose rows are infeasible
+    rows = run_sweep(small_spec(
+        bers=(0.0001, 0.02, 0.3), nacfs=(0.0, 0.9), budget=24, packets=500, seed=5,
+        pairs=(SchemeSpec(depth=2, blocks=2), SchemeSpec(depth=3, blocks=1)),
+        models=("model1", "model2", "model3", "baseline", "mc"),
+    ))
+    notes = {(row.note or "").split(":")[0] for row in rows}
+    assert notes == {"", "degenerate", "infeasible"}
+    assert all(any(getattr(row, name) is not None for row in rows)
+               for name in ("p_hat", "ci_lo", "ci_hi", "seed", "rel_err"))
+    return rows
+
+
 @pytest.mark.parametrize(
     "rows,config",
     [
@@ -523,10 +550,25 @@ REPEATED_ROWS = [
             {**DEFAULT_CONFIG, "gamma": float("inf"), "output": {"csv": 'a "b" \\ \u00fc'}},
         ),
         (REPEATED_ROWS, DEFAULT_CONFIG),
+        (default_analyze_rows, DEFAULT_CONFIG),
+        (compare_rows, {"packets": 500}),
+        # a model name that JSON escapes, with no comma, quote or line
+        # break, which the unquoted CSV does not allow
+        ([ResultRow(
+            model="back\\slash tab\t \u00e9", ber=0.01, nacf=0.5, code=SMALL_CODE,
+            scheme=SchemeSpec(depth=2, blocks=2), p=0.25, seed=7, note="n",
+        )], None),
     ],
-    ids=["no-rows", "one-row", "awkward-notes", "repeated-values"],
+    ids=[
+        "no-rows", "one-row", "awkward-notes", "repeated-values", "default-analyze",
+        "compare-grid", "escaped-model-name",
+    ],
 )
 def test_streamed_report_equals_json_dump(rows, config, tmp_path):
+    # model names and notes are encoded, every other field is placed
+    # between quotes as it is
+    if callable(rows):
+        rows = rows()
     report_path = tmp_path / "r.json"
     emit_results(rows, tmp_path / "r.csv", report_path, config=config)
     text = report_path.read_bytes().decode("ascii")
