@@ -160,9 +160,7 @@ def _walk(buckets, transition, errors, path, gap, tops, swap=False):
     over the whole stack.  A clean state's rows (e = 0) stand.  An erring
     state's rows (e = 1) feed each top slot from its cap's count c-1, one
     add per run of evenly spaced caps, then its counts below the largest
-    cap move up one count in place; a single top, which follows the
-    counts, is added to the count below instead and moves up with them,
-    the same sums in one flat shift.  A mixed state keeps (1 - e) * rows
+    cap move up one count in place.  A mixed state keeps (1 - e) * rows
     and adds e * rows, made in a spare buffer, one count up, each top slot
     from its own and its count c-1; a cap-0 slot keeps its flows.  For a
     channel whose e is 0 or 1 the mixed move gives the clean or erring
@@ -195,20 +193,10 @@ def _walk(buckets, transition, errors, path, gap, tops, swap=False):
             flat = counts.reshape(count, -1)  # each channel's rows as one
             # the counts below the largest cap: a flat row of the first
             # counter's, and a row of the second counter's per first slot
-            # (not needed with one top, whose shift is flat)
-            rows = None if len(tops) == 1 else counts.reshape(count, slots, -1)[..., : size * states]
+            rows = counts.reshape(count, slots, -1)[..., : size * states]
             for axis, lead, step in (1, flat[:, : size * stride], stride), (2, rows, states):
                 head = (slice(None),) * axis
                 calls = moves[axis][1]
-                if erring[state] and len(tops) == 1:
-                    # one top, right after the counts: added to the count
-                    # below, it moves up with them in one flat shift, the
-                    # second counter's top of one first slot landing on the
-                    # next one's count 0, which is then cleared
-                    calls += [_add(counts[head + (size - 1,)], counts[head + (size,)]),
-                              (operator.setitem, (flat[:, step:], ..., flat[:, :-step])),
-                              (counts[head + (0,)].fill, (0.0,))]
-                    continue
                 if erring[state]:
                     # each run's top slots fed from their counts c-1, a shift up
                     # one count below the largest cap, a cleared count 0
@@ -323,7 +311,10 @@ def joint_error_distribution(model, n: int, depth, cap: int):
     depth-2 channels of a mixed stack.  Requires depth >= 2 -- depth 1 has
     no column pairing (see :func:`sequential_joint_distribution`).
     Returns ``(buckets, q)`` with ``q[i, j]`` = P(first counts i, second
-    counts j).
+    counts j), or for a sequence of caps a list of one such pair per cap.
+    When the caps are all one value, every entry of that list is the same
+    pair of arrays, the walk's own, so an entry edited in place edits the
+    others too.
     """
     channels, buckets, transition, errors, caps, tops = _stack(model, n, cap, 2)
     depths = _depths(
@@ -340,7 +331,9 @@ def sequential_joint_distribution(model, n: int, cap: int):
 
     This is the depth-1 layout: the two codewords occupy 2n consecutive
     transmission slots with no interleaving gaps at all.  Returns
-    ``(buckets, q)`` as :func:`joint_error_distribution` does.
+    ``(buckets, q)`` as :func:`joint_error_distribution` does, or one such
+    pair per cap for a sequence of caps; caps that are all one value share
+    one pair of arrays, as they do there.
     """
     channels, buckets, transition, errors, caps, tops = _stack(model, n, cap, 2)
     path = [1] * n + [None] + [1] * n  # the second codeword's bits on swapped axes
