@@ -36,7 +36,6 @@ from .mc import (
 from .models import (
     ANALYTIC_MODELS,
     PacketErrorResult,
-    binomial_baseline,
     block_to_packet,
     evaluate_models,
 )
@@ -72,7 +71,6 @@ __all__ = [
     "SchemeSpec",
     "SimConfig",
     "SweepSpec",
-    "binomial_baseline",
     "block_to_packet",
     "confidence_interval",
     "dar1_stream",

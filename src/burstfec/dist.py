@@ -12,29 +12,29 @@ alternate counted steps with marginalized gap powers of the full
 transition matrix: D**(I-1) between the bits of one codeword, D**(I-2)
 between the bit pairs of two adjacent codewords.
 
-Each recursion takes one FsmcModel, or a non-empty sequence of them
-with equal state counts run as one stack along a leading batch axis,
-and returns two plain arrays ``(buckets, law)``.  ``buckets`` holds one
-S x S flow matrix per counter value: (cap+1) of them for one codeword,
-(cap+1) x (cap+1) for two; summed over the counter values they give
-the plain transition power over the recursion's horizon.  ``law`` is
-the count law ``pi @ buckets[...] @ 1``.  A sequence gets both arrays
-stacked along a leading channel axis, one FsmcModel its own slices.
-The two-codeword recursions take a sequence of caps too, for one walk
-whose counters hold the counts below the largest cap and one top slot
-per distinct cap; each cap's ``(buckets, law)`` is a call's at that cap,
-bit for bit.
-The interleaved recursions take one depth for the whole stack or one
-depth per channel, so a whole sweep over depths is one stack.  Every
-product multiplies a channel's whole bucket stack, viewed as one
-(counts*S) x S matrix, written into one of two reused buffers.  In the
-one-codeword recursion a counted bit costs one product per channel and
-kernel (d0, d1, each times the gap power).  In the joint and sequential
-recursions it costs one product per channel by the transition matrix,
-after which each end state's flow moves by that state's error
-probability e: it stands for e = 0, moves up one count for e = 1 (as
-every state of an ibp_from_stats channel does one or the other), and
-otherwise keeps (1 - e) of itself and moves e up one count.
+Each recursion takes a non-empty sequence of FsmcModels with equal
+state counts, run as one stack along a leading batch axis, and returns
+two plain arrays ``(buckets, law)``, each with a leading channel axis.
+``buckets`` holds one S x S flow matrix per counter value: (cap+1) of
+them for one codeword, (cap+1) x (cap+1) for two; summed over the
+counter values they give the plain transition power over the
+recursion's horizon.  ``law`` is the count law ``pi @ buckets[...] @ 1``.
+Every cap is at least 1.  The two-codeword recursions take a sequence
+of caps, for one walk whose counters hold the counts below the largest
+cap and one top slot per distinct cap; each cap's ``(buckets, law)`` is
+a one-cap walk's, bit for bit.  One channel or many is decided by
+:func:`burstfec.models.evaluate_models`, the recursions' one caller.
+The interleaved recursions take one depth per channel, so a whole sweep
+over depths is one stack.  Every product multiplies a channel's whole
+bucket stack, viewed as one (counts*S) x S matrix, written into one of
+two reused buffers.  In the one-codeword recursion a counted bit costs
+one product per channel and kernel (d0, d1, each times the gap power).
+In the joint and sequential recursions it costs one product per
+channel by the transition matrix, after which each end state's flow
+moves by that state's error probability e: it stands for e = 0, moves
+up one count for e = 1 (as every state of an ibp_from_stats channel
+does one or the other), and otherwise keeps (1 - e) of itself and moves
+e up one count.
 """
 
 from __future__ import annotations
@@ -44,49 +44,35 @@ import operator
 
 import numpy as np
 
-from .channel import FsmcModel
 
-
-def _channels(model):
-    """The channels of one FsmcModel or a non-empty sequence of them."""
-    channels = [model] if isinstance(model, FsmcModel) else list(model)
-    if not channels:
-        raise ValueError("need at least one channel, got an empty sequence")
-    return channels
-
-
-def _stack(model, n: int, cap, counters: int):
-    """Check a recursion's inputs; return its channels, the start buckets
+def _stack(channels, n: int, caps, counters: int):
+    """Check a recursion's inputs; return the start buckets
     B x slots^counters x S x S, the transitions B x S x S, the error
-    profiles B x S, the caps of a cap sequence (None for one cap) and the
-    top slot of each distinct cap, by cap.  A counter's slots are the
-    counts 0..L-1 below the largest cap L, then one top slot per distinct
-    cap in increasing order, so one cap L has its top at count L."""
+    profiles B x S and the top slot of each distinct cap, by cap.  A
+    counter's slots are the counts 0..L-1 below the largest cap L, then
+    one top slot per distinct cap in increasing order, so one cap L has
+    its top at count L."""
     if n < 1:
         raise ValueError(f"codeword length must be >= 1, got {n}")
-    sequence = isinstance(cap, list) or np.ndim(cap) > 0
-    caps = [operator.index(c) for c in (cap if sequence else [cap])]
-    if not caps or min(caps) < 0:
-        raise ValueError(f"counter cap must be >= 0, got {cap}")
-    channels = _channels(model)
+    if min(caps, default=0) < 1:
+        raise ValueError(f"counter cap must be >= 1, got {caps}")
     sizes = sorted({channel.states for channel in channels})
     if len(sizes) != 1:
         raise ValueError(f"stacked channels need one common state count, got {sizes}")
     distinct = sorted(set(caps))
     tops = {c: distinct[-1] + i for i, c in enumerate(distinct)}
     buckets = np.zeros((len(channels),) + (distinct[-1] + len(tops),) * counters + (sizes[0],) * 2)
-    for start in {0, tops.get(0, 0)}:  # count 0 is cap 0's top too
-        buckets[(slice(None),) + (start,) * counters] = np.eye(sizes[0])
+    buckets[(slice(None),) + (0,) * counters] = np.eye(sizes[0])
     transition = np.array([c.transition for c in channels])
     errors = np.array([c.error_profile for c in channels])
-    return channels, buckets, transition, errors, caps if sequence else None, tops
+    return buckets, transition, errors, tops
 
 
 def _runs(tops):
-    """The top slots of the nonzero caps as (counts, slots) slice pairs, one
-    per run of evenly spaced caps: count c-1 feeds the top slot of cap c,
-    and a run's slots are consecutive, so one add feeds the whole run."""
-    caps = [c for c in tops if c]  # increasing, as their slots are
+    """The top slots as (counts, slots) slice pairs, one per run of evenly
+    spaced caps: count c-1 feeds the top slot of cap c, and a run's slots
+    are consecutive, so one add feeds the whole run."""
+    caps = list(tops)  # increasing, as their slots are
     runs, start = [], 0
     while start < len(caps):
         end = start + 1
@@ -99,14 +85,10 @@ def _runs(tops):
     return runs
 
 
-def _depths(depth, channels, least: int, message: str):
-    """One Python int depth per channel, from one depth for the whole stack
-    or one per channel; a depth below ``least`` is refused with ``message``,
-    formatted with the least depth."""
-    if isinstance(depth, list) or np.ndim(depth):
-        depths = [operator.index(d) for d in depth]
-    else:
-        depths = [operator.index(depth)] * len(channels)
+def _depths(depths, channels, least: int, message: str):
+    """One Python int depth per channel; a depth below ``least`` is refused
+    with ``message``, formatted with the least depth."""
+    depths = [operator.index(d) for d in depths]
     if (low := min(depths, default=least)) < least:
         raise ValueError(message.format(low))
     if len(depths) != len(channels):
@@ -162,23 +144,20 @@ def _walk(buckets, transition, errors, path, gap, tops, swap=False):
     add per run of evenly spaced caps, then its counts below the largest
     cap move up one count in place.  A mixed state keeps (1 - e) * rows
     and adds e * rows, made in a spare buffer, one count up, each top slot
-    from its own and its count c-1; a cap-0 slot keeps its flows.  For a
-    channel whose e is 0 or 1 the mixed move gives the clean or erring
-    bits, so no channel's results depend on the rest of the stack.
+    from its own and its count c-1.  For a channel whose e is 0 or 1 the
+    mixed move gives the clean or erring bits, so no channel's results
+    depend on the rest of the stack.
     """
     flows = buckets.transpose(0, 4, 1, 2, 3).copy()
     count, states, slots = flows.shape[:3]
     size = slots - len(tops)  # the counts 0..L-1 of a counter below the largest cap L
-    moving = errors.any(axis=0).nonzero()[0].tolist() if size else []
+    moving = errors.any(axis=0).nonzero()[0].tolist()
     erring = (errors == 1.0).all(axis=0).tolist()
     spare = None if all(erring[t] for t in moving) else np.empty_like(flows[:, 0])
     # the flows are multiplied from the left, by the transposed matrices
     full = transition.transpose(0, 2, 1)
     gap = None if gap is None else gap.transpose(0, 2, 1)
     runs = _runs(tops)
-    # a cap-0 top slot, the first after the counts, keeps its flows
-    kept = [slice(size), slice(size + 1, None)] if 0 in tops else [slice(None)]
-    own = slice(size + (0 in tops), None)  # the top slots of the nonzero caps
     # per buffer and path entry, the product, written into the buffer it
     # does not read, and the numpy calls of the count move of each state
     stride = slots * states  # one count of the first counter, in a flat row
@@ -215,13 +194,12 @@ def _walk(buckets, transition, errors, path, gap, tops, swap=False):
                 # e * rows into the spare buffer and (1 - e) * rows in place,
                 # then the spare buffer added one count up, saturating alike
                 error = errors[:, state].reshape(count, 1, 1, 1)
-                calls.append((np.multiply, (counts, error, spare)))
-                for part in kept:
-                    if (rest := counts[head + (part,)]).size:
-                        calls.append((np.multiply, (rest, 1.0 - error, rest)))
+                calls += [(np.multiply, (counts, error, spare)),
+                          (np.multiply, (counts, 1.0 - error, counts))]
                 calls.append(_add(counts[head + (slice(1, size),)], spare[head + (slice(size - 1),)]))
                 calls += [_add(counts[head + (top,)], spare[head + (below,)]) for below, top in runs]
-                calls.append(_add(counts[head + (own,)], spare[head + (own,)]))
+                top_slots = head + (slice(size, None),)  # each gets e of its own back
+                calls.append(_add(counts[top_slots], spare[top_slots]))
         steps.append((buffer.reshape(count, states, -1), moves))
     for ((source, _), (target, moves)), axis in zip(itertools.cycle((steps, steps[::-1])), path):
         matrix, calls = moves[axis]
@@ -238,48 +216,43 @@ def _add(total, part):
     return np.add, (total, part, total)
 
 
-def _laws(model, channels, buckets, caps=None, tops=None):
+def _laws(channels, buckets, caps=None, tops=None):
     """(buckets, law): the law of each channel is its buckets contracted
     with its stationary vector, one einsum per channel.  A batched form,
     the row sums of each bucket matrix and then their pi-weighted sum,
     matched it bit for bit on 2-state chains but not on 3-state ones, so
-    the per-channel einsum stays.  One FsmcModel gets its own slices.
+    the per-channel einsum stays.
 
     A list of ``caps`` gets one pair per cap: a walk's law is contracted
     once over all its slots, then each cap's counts below it and its top
     slot are cut from the buckets and the law, as C-contiguous arrays,
     since the models' sums round by memory layout.  With one distinct cap
     the walk's slots are that cap's buckets, returned uncut."""
-    if isinstance(model, FsmcModel):
-        buckets, laws = buckets[0], np.einsum("s,...st->...", model.pi, buckets[0])
-    else:
-        laws = np.empty(buckets.shape[:-2])
-        for i, channel in enumerate(channels):
-            laws[i] = np.einsum("s,...st->...", channel.pi, buckets[i])
+    laws = np.empty(buckets.shape[:-2])
+    for i, channel in enumerate(channels):
+        laws[i] = np.einsum("s,...st->...", channel.pi, buckets[i])
     if caps is None:
         return buckets, laws
     if len(tops) == 1:
         return [(buckets, laws)] * len(caps)
-    head = (slice(None),) * (laws.ndim - 2)
     cuts = {c: [*range(c), top] for c, top in tops.items()}
     return [
-        tuple(np.ascontiguousarray(a[head + (cuts[c],)][head + (slice(None), cuts[c])])
-              for a in (buckets, laws))
+        tuple(np.ascontiguousarray(a[:, cuts[c]][:, :, cuts[c]]) for a in (buckets, laws))
         for c in caps
     ]
 
 
-def marginal_error_distribution(model, n: int, depth, cap: int):
+def marginal_error_distribution(channels, n: int, depths, cap: int):
     """Distribution of the bucketed error count in one interleaved codeword.
 
     Every counted bit except the last is followed by a marginalized gap
-    of depth-1 slots occupied by the other codewords of the block;
-    ``depth`` is one int or one per channel of the stack.  Returns
-    ``(buckets, probs)`` with ``probs[j] = pi @ buckets[j] @ 1``.
+    of depth-1 slots occupied by the other codewords of the block, with
+    one depth per channel of the stack.  Returns ``(buckets, probs)``
+    with ``probs[b, j] = pi_b @ buckets[b, j] @ 1``.
     """
-    channels, buckets, transition, _, _, _ = _stack(model, n, [operator.index(cap)], 1)
+    buckets, transition, _, _ = _stack(channels, n, [cap], 1)
     kernels = np.array([[c.d0 for c in channels], [c.d1 for c in channels]])
-    depths = _depths(depth, channels, 1, "interleaving depth must be >= 1, got {}")
+    depths = _depths(depths, channels, 1, "interleaving depth must be >= 1, got {}")
     steps = kernels @ _powers(transition, depths, 1)
     count, states = transition.shape[:2]
     # each counted bit multiplies into the product buffer it does not read;
@@ -297,45 +270,43 @@ def marginal_error_distribution(model, n: int, depth, cap: int):
         upper += lower
         top += hit
         buckets = rows
-    return _laws(model, channels, buckets.reshape(count, cap + 1, states, states))
+    return _laws(channels, buckets.reshape(count, cap + 1, states, states))
 
 
-def joint_error_distribution(model, n: int, depth, cap: int):
+def joint_error_distribution(channels, n: int, depths, caps):
     """Joint law of the bucketed error counts in two adjacent codewords.
 
     The matching bits of the two codewords are transmitted back to back;
     successive bit pairs are separated by depth-2 marginalized slots, and
-    the final pair has no trailing gap.  ``depth`` is one int or one per
+    the final pair has no trailing gap.  ``depths`` holds one depth per
     channel of the stack; the gap product is skipped, and its power not
     computed, only when every depth is 2, and is the identity for the
     depth-2 channels of a mixed stack.  Requires depth >= 2 -- depth 1 has
     no column pairing (see :func:`sequential_joint_distribution`).
-    Returns ``(buckets, q)`` with ``q[i, j]`` = P(first counts i, second
-    counts j), or for a sequence of caps a list of one such pair per cap.
-    When the caps are all one value, every entry of that list is the same
-    pair of arrays, the walk's own, so an entry edited in place edits the
-    others too.
+    Returns one ``(buckets, q)`` per cap, with ``q[b, i, j]`` = P(first
+    counts i, second counts j) on channel b.  When the caps are all one
+    value, every entry of that list is the same pair of arrays, the
+    walk's own, so an entry edited in place edits the others too.
     """
-    channels, buckets, transition, errors, caps, tops = _stack(model, n, cap, 2)
+    buckets, transition, errors, tops = _stack(channels, n, caps, 2)
     depths = _depths(
-        depth, channels, 2, "joint pairing needs depth >= 2; use sequential_joint_distribution"
+        depths, channels, 2, "joint pairing needs depth >= 2; use sequential_joint_distribution"
     )
     path, gap = [1, 2] * n, None
     if max(depths) > 2:  # a gap product between successive bit pairs
         path, gap = [1, 2, None] * (n - 1) + [1, 2], _powers(transition, depths, 2)
-    return _laws(model, channels, _walk(buckets, transition, errors, path, gap, tops), caps, tops)
+    return _laws(channels, _walk(buckets, transition, errors, path, gap, tops), caps, tops)
 
 
-def sequential_joint_distribution(model, n: int, cap: int):
+def sequential_joint_distribution(channels, n: int, caps):
     """Joint error-count law of two codewords sent back to back.
 
     This is the depth-1 layout: the two codewords occupy 2n consecutive
-    transmission slots with no interleaving gaps at all.  Returns
-    ``(buckets, q)`` as :func:`joint_error_distribution` does, or one such
-    pair per cap for a sequence of caps; caps that are all one value share
-    one pair of arrays, as they do there.
+    transmission slots with no interleaving gaps at all.  Returns one
+    ``(buckets, q)`` per cap as :func:`joint_error_distribution` does;
+    caps that are all one value share one pair of arrays, as they do there.
     """
-    channels, buckets, transition, errors, caps, tops = _stack(model, n, cap, 2)
+    buckets, transition, errors, tops = _stack(channels, n, caps, 2)
     path = [1] * n + [None] + [1] * n  # the second codeword's bits on swapped axes
     flows = _walk(buckets, transition, errors, path, None, tops, swap=True)
-    return _laws(model, channels, flows, caps, tops)
+    return _laws(channels, flows, caps, tops)

@@ -29,7 +29,6 @@ from .channel import (
     _two_state_rates,
 )
 from .dist import (
-    _channels,
     _powers,
     joint_error_distribution,
     marginal_error_distribution,
@@ -193,8 +192,6 @@ def block_to_packet(block_error: float, blocks: int) -> float:
 
 def _binomial_tail_above(n: int, l: int, p: float) -> float:
     """P(X > l) for X ~ Binomial(n, p), via exact combinatorics and fsum."""
-    if l >= n:
-        return 0.0
     if p <= 0.0:
         return 0.0
     if p >= 1.0:
@@ -209,10 +206,9 @@ def binomial_baseline(ber: float, code: CodeSpec, codewords: int) -> float:
     """Packet error probability over a memoryless channel.
 
     Every one of ``codewords`` i.i.d. codewords must stay within the
-    correction budget; interleaving is irrelevant without memory.
+    correction budget; interleaving is irrelevant without memory.  Only
+    perfbench's binomial check calls it; it is not a package export.
     """
-    if codewords < 1:
-        raise ValueError(f"codeword count must be >= 1, got {codewords}")
     if not 0.0 <= ber <= 1.0:
         raise ValueError(f"ber must be in [0, 1], got {ber!r}")
     return block_to_packet(_binomial_tail_above(code.n, code.l, ber), codewords)
@@ -286,7 +282,9 @@ def evaluate_models(model, code, scheme, which=ANALYTIC_MODELS):
     codes = [code] if isinstance(code, CodeSpec) else list(code)
     if len({c.n for c in codes}) != 1:
         raise ValueError(f"need codes of one length n, got {sorted({c.n for c in codes})}")
-    channels = _channels(model)
+    channels = [model] if isinstance(model, FsmcModel) else list(model)
+    if not channels:
+        raise ValueError("need at least one channel, got an empty sequence")
     schemes = [scheme] * len(channels) if isinstance(scheme, SchemeSpec) else list(scheme)
     if len(schemes) != len(channels):
         raise ValueError(f"got {len(schemes)} schemes for {len(channels)} channels")

@@ -46,9 +46,10 @@ def _count_flow(model: FsmcModel, owner, counters: int, cap: int, drop: bool):
     from start state s to end state t whose tracked codewords saw c_0, c_1,
     ... errors; ``owner[u]`` is the counter slot u advances, or >=
     ``counters`` for an untracked slot.  A count past ``cap`` saturates at
-    cap, or with ``drop`` its path is discarded and its probability added
-    to dropped[s].  The flow is kept as one (S, S * count vectors) array,
-    so each slot is a matrix product over all count vectors at once.
+    cap, which is then at least 1, or with ``drop`` its path is discarded
+    and its probability added to dropped[s].  The flow is kept as one
+    (S, S * count vectors) array, so each slot is a matrix product over
+    all count vectors at once.
 
     Each slot is one product by the transition matrix from one buffer into
     the other.  On a slot of counter j, each end state t's row, read as
@@ -77,8 +78,7 @@ def _count_flow(model: FsmcModel, owner, counters: int, cap: int, drop: bool):
     flow = flow.reshape(states, -1)
     full = np.ascontiguousarray(model.transition.T)
     errors = model.error_profile.tolist()
-    # at cap 0 without drop an error keeps the only count: nothing moves
-    moving = [t for t, e in enumerate(errors) if e > 0.0] if drop or cap > 0 else []
+    moving = [t for t, e in enumerate(errors) if e > 0.0]
     spare = np.empty_like(flow[0]) if any(errors[t] < 1.0 for t in moving) else None
     dropped = np.zeros(states)
     buffers = []
@@ -133,8 +133,10 @@ def exact_joint_law(model: FsmcModel, n: int, depth: int, cap: int) -> np.ndarra
     For depth >= 2 the recursion covers the whole interleaved block of
     n * depth slots; for depth 1 it covers two back-to-back codewords.
     """
-    if n < 1 or depth < 1 or cap < 0:
-        raise ValueError("need n >= 1, depth >= 1, cap >= 0")
+    if n < 1 or depth < 1:
+        raise ValueError("need n >= 1, depth >= 1")
+    if cap < 1:
+        raise ValueError(f"counter cap must be >= 1, got {cap}")
     slots = n * depth if depth >= 2 else 2 * n
     flow, _ = _count_flow(model, _codeword_of_slot(n, depth, slots), 2, cap, drop=False)
     return np.einsum("s,tsij->ij", model.pi, flow)

@@ -58,13 +58,6 @@ class SweepSpec:
             raise ValueError(f"packet bit budget must be >= 0, got {self.budget}")
         _check_sampling(self.packets, self.gamma, self.seed)  # before any row, not on every mc row
 
-    @property
-    def rows(self) -> int:
-        return (
-            len(self.bers) * len(self.nacfs) * len(self.codes)
-            * len(self.pairs) * len(self.models)
-        )
-
 
 @dataclass
 class ResultRow:
@@ -84,9 +77,6 @@ class ResultRow:
     residual_corr: float | None = None
     seed: int | None = None
     note: str | None = None  # diagnostics; reported, not part of the CSV
-
-    def csv_record(self) -> list[str]:
-        return list(_csv_records([self])[0])
 
 
 def _fmt(value) -> str:

@@ -1,4 +1,5 @@
-"""Shared statistical references for the stream-fidelity tests.
+"""Shared statistical references for the stream-fidelity tests, and the
+memoryless packet loss that the Monte Carlo checks take as truth.
 
 The sample mean and sample lag-1 autocorrelation of a binary Markov
 chain have asymptotic variances given by the Markov-chain CLT; Gaussian
@@ -52,3 +53,11 @@ def stat_standard_errors(ber: float, nacf: float, count: int):
 def lag1_autocorr(bits) -> float:
     centered = np.asarray(bits, dtype=float) - np.mean(bits)
     return float(centered[:-1] @ centered[1:]) / float(centered @ centered)
+
+
+def binomial_packet_error(ber: float, n: int, l: int, codewords: int) -> float:
+    """P(some codeword of ``codewords`` i.i.d. ones of length n has more
+    than l errors) at bit error rate ``ber``, from the binomial tail summed
+    by math.fsum; written here, apart from the package's baseline."""
+    tail = math.fsum(math.comb(n, i) * ber**i * (1.0 - ber) ** (n - i) for i in range(l + 1, n + 1))
+    return -math.expm1(codewords * math.log1p(-tail))

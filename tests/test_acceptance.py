@@ -21,7 +21,7 @@ from burstfec.dist import (
     sequential_joint_distribution,
 )
 from burstfec.mc import SimConfig, dar1_stream, simulate_packets
-from burstfec.models import _absorbed, _absorbing_chains, binomial_baseline, evaluate_models
+from burstfec.models import _absorbed, _absorbing_chains, evaluate_models
 from burstfec.oracle import exact_joint_law, exact_loss
 from burstfec.sweep import (
     SweepSpec,
@@ -30,7 +30,7 @@ from burstfec.sweep import (
     residual_correlation,
     run_sweep,
 )
-from reference_stats import lag1_autocorr, stat_standard_errors
+from reference_stats import binomial_packet_error, lag1_autocorr, stat_standard_errors
 
 CODES = (CodeSpec(63, 57, 1), CodeSpec(63, 45, 3), CodeSpec(63, 36, 5))
 ALL_PAIRS = tuple(
@@ -105,14 +105,14 @@ def test_criterion_2_oracle_equivalence():
                         fsmc = ibp_from_stats(ChannelSpec(ber=ber, nacf=nacf))
 
                         exact_q = exact_joint_law(fsmc, n, depth, cap)
-                        _, probs = marginal_error_distribution(fsmc, n, depth, cap)
-                        gap = np.max(np.abs(probs - exact_q.sum(axis=1)))
+                        _, probs = marginal_error_distribution([fsmc], n, [depth], cap)
+                        gap = np.max(np.abs(probs[0] - exact_q.sum(axis=1)))
                         worst_dist = max(worst_dist, float(gap))
                         if depth >= 2:
-                            _, q = joint_error_distribution(fsmc, n, depth, cap)
+                            [(_, q)] = joint_error_distribution([fsmc], n, [depth], [cap])
                         else:
-                            _, q = sequential_joint_distribution(fsmc, n, cap)
-                        gap = np.max(np.abs(q - exact_q))
+                            [(_, q)] = sequential_joint_distribution([fsmc], n, [cap])
+                        gap = np.max(np.abs(q[0] - exact_q))
                         worst_dist = max(worst_dist, float(gap))
 
                         exact = exact_loss(fsmc, n, depth, l, 1)[0]
@@ -121,7 +121,7 @@ def test_criterion_2_oracle_equivalence():
                                 fsmc, CodeSpec(n, 1, l), SchemeSpec(depth, 1), ("model3",)
                             )["model3"].block_error
                         else:
-                            transient, start = _absorbing_chains(q[None], l)
+                            transient, start = _absorbing_chains(q, l)
                             predicted = _absorbed(start, transient, [depth], 1).item(0)
                         if exact <= zero_floor:
                             devs[nacf] = 0.0
@@ -283,7 +283,7 @@ def test_criterion_6_interval_coverage():
     code = CodeSpec(15, 11, 1)
     scheme = SchemeSpec(depth=2, blocks=2)
     ber = 0.02
-    truth = binomial_baseline(ber, code, scheme.codewords)
+    truth = binomial_packet_error(ber, code.n, code.l, scheme.codewords)
     covered = 0
     for rep in range(replications):
         seed = int(

@@ -15,6 +15,7 @@ from burstfec.dist import (
     sequential_joint_distribution,
 )
 from burstfec.models import _absorbing_chains
+from burstfec.oracle import exact_joint_law
 
 # ----------------------------------------------------------------------
 # Independent references: explicit path-by-path enumeration written
@@ -60,6 +61,24 @@ def sequential_by_paths(model, n, cap):
             vec = vec @ (model.d1 if err else model.d0)
         out[min(sum(pattern[:n]), cap), min(sum(pattern[n:]), cap)] += vec.sum()
     return out
+
+
+def one_marginal(model, n, depth, cap):
+    """One channel's (buckets, probs), from a stack of one."""
+    buckets, probs = marginal_error_distribution([model], n, [depth], cap)
+    return buckets[0], probs[0]
+
+
+def one_joint(model, n, depth, cap):
+    """One channel's (buckets, q) at one cap, from a stack of one."""
+    [(buckets, q)] = joint_error_distribution([model], n, [depth], [cap])
+    return buckets[0], q[0]
+
+
+def one_sequential(model, n, cap):
+    """One channel's back-to-back (buckets, q) at one cap, from a stack of one."""
+    [(buckets, q)] = sequential_joint_distribution([model], n, [cap])
+    return buckets[0], q[0]
 
 
 def marginal_gap(q, probs):
@@ -108,25 +127,25 @@ SEQUENTIAL_2 = np.array(
 
 def test_single_bit_error_probability():
     model = ibp_from_stats(ChannelSpec(ber=0.01, nacf=0.6))
-    _, probs = marginal_error_distribution(model, 1, 1, 1)
+    _, probs = one_marginal(model, 1, 1, 1)
     np.testing.assert_allclose(probs, [0.99, 0.01], atol=1e-15)
 
 
 def test_marginal_frozen_reference():
     model = ibp_from_stats(ChannelSpec(ber=0.1, nacf=0.5))
-    _, probs = marginal_error_distribution(model, 4, 3, 4)
+    _, probs = one_marginal(model, 4, 3, 4)
     np.testing.assert_allclose(probs, MARGINAL_4_3, atol=1e-14)
 
 
 def test_joint_frozen_reference():
     model = ibp_from_stats(ChannelSpec(ber=0.2, nacf=0.7))
-    _, q = joint_error_distribution(model, 3, 2, 3)
+    _, q = one_joint(model, 3, 2, 3)
     np.testing.assert_allclose(q, JOINT_3_2, atol=1e-14)
 
 
 def test_sequential_frozen_reference():
     model = ibp_from_stats(ChannelSpec(ber=0.2, nacf=0.7))
-    _, q = sequential_joint_distribution(model, 2, 2)
+    _, q = one_sequential(model, 2, 2)
     np.testing.assert_allclose(q, SEQUENTIAL_2, atol=1e-14)
 
 
@@ -134,7 +153,7 @@ def test_sequential_frozen_reference():
 @pytest.mark.parametrize("n,depth", [(1, 1), (2, 3), (4, 2), (5, 3)])
 def test_marginal_matches_path_enumeration(ber, nacf, n, depth):
     model = ibp_from_stats(ChannelSpec(ber=ber, nacf=nacf))
-    _, probs = marginal_error_distribution(model, n, depth, n)
+    _, probs = one_marginal(model, n, depth, n)
     assert np.max(np.abs(probs - marginal_by_paths(model, n, depth, n))) <= 1e-13
 
 
@@ -142,7 +161,7 @@ def test_marginal_matches_path_enumeration(ber, nacf, n, depth):
 @pytest.mark.parametrize("n,depth", [(1, 2), (2, 3), (3, 2), (3, 4)])
 def test_joint_matches_path_enumeration(ber, nacf, n, depth):
     model = ibp_from_stats(ChannelSpec(ber=ber, nacf=nacf))
-    _, q = joint_error_distribution(model, n, depth, n)
+    _, q = one_joint(model, n, depth, n)
     assert np.max(np.abs(q - joint_by_paths(model, n, depth, n))) <= 1e-13
 
 
@@ -150,14 +169,14 @@ def test_joint_matches_path_enumeration(ber, nacf, n, depth):
 @pytest.mark.parametrize("n", [1, 2, 4])
 def test_sequential_matches_path_enumeration(ber, nacf, n):
     model = ibp_from_stats(ChannelSpec(ber=ber, nacf=nacf))
-    _, q = sequential_joint_distribution(model, n, n)
+    _, q = one_sequential(model, n, n)
     assert np.max(np.abs(q - sequential_by_paths(model, n, n))) <= 1e-13
 
 
 def test_single_pair_back_to_back():
     # n=1 sequential law is exactly pi @ D(a) @ D(b) @ 1
     model = ibp_from_stats(ChannelSpec(ber=0.2, nacf=0.7))
-    _, q = sequential_joint_distribution(model, 1, 1)
+    _, q = one_sequential(model, 1, 1)
     ones = np.ones(2)
     kernels = (model.d0, model.d1)
     for a in (0, 1):
@@ -170,11 +189,11 @@ def test_uncorrelated_joint_factorizes():
     # nacf=0 makes every bit i.i.d.: the joint is an outer product of
     # binomial laws and the quarter table shows up at n=1, ber=0.5
     model = ibp_from_stats(ChannelSpec(ber=0.5, nacf=0.0))
-    _, q = joint_error_distribution(model, 1, 2, 1)
+    _, q = one_joint(model, 1, 2, 1)
     np.testing.assert_allclose(q, np.full((2, 2), 0.25), atol=1e-14)
 
     model = ibp_from_stats(ChannelSpec(ber=0.3, nacf=0.0))
-    _, q = joint_error_distribution(model, 4, 3, 4)
+    _, q = one_joint(model, 4, 3, 4)
     binom = np.array([math.comb(4, j) * 0.3**j * 0.7 ** (4 - j) for j in range(5)])
     np.testing.assert_allclose(q, np.outer(binom, binom), atol=1e-13)
 
@@ -183,7 +202,7 @@ def test_uncorrelated_joint_factorizes():
 def test_uncapped_marginal_is_binomial_at_nacf_zero(ber):
     model = ibp_from_stats(ChannelSpec(ber=ber, nacf=0.0))
     n = 6
-    _, probs = marginal_error_distribution(model, n, 4, n)
+    _, probs = one_marginal(model, n, 4, n)
     binom = [math.comb(n, j) * ber**j * (1 - ber) ** (n - j) for j in range(n + 1)]
     np.testing.assert_allclose(probs, binom, atol=1e-13)
 
@@ -192,12 +211,12 @@ def test_uncapped_marginal_is_binomial_at_nacf_zero(ber):
 @pytest.mark.parametrize("n,depth", [(3, 1), (3, 2), (5, 3)])
 def test_laws_sum_to_one(ber, nacf, n, depth):
     model = ibp_from_stats(ChannelSpec(ber=ber, nacf=nacf))
-    _, probs = marginal_error_distribution(model, n, depth, 2)
+    _, probs = one_marginal(model, n, depth, 2)
     assert probs.sum() == pytest.approx(1.0, abs=1e-12)
     _, q = (
-        joint_error_distribution(model, n, depth, 2)
+        one_joint(model, n, depth, 2)
         if depth >= 2
-        else sequential_joint_distribution(model, n, 2)
+        else one_sequential(model, n, 2)
     )
     assert q.sum() == pytest.approx(1.0, abs=1e-12)
     assert np.all(q >= -1e-15)
@@ -208,27 +227,27 @@ def test_bucket_sum_reproduces_gap_horizon(n, depth):
     # summed over buckets, the returned buckets of every recursion must equal
     # the plain transition matrix over the whole recursion horizon
     model = ibp_from_stats(ChannelSpec(ber=0.02, nacf=0.8))
-    buckets, _ = marginal_error_distribution(model, n, depth, 2)
+    buckets, _ = one_marginal(model, n, depth, 2)
     horizon = np.linalg.matrix_power(model.transition, (n - 1) * depth + 1)
     assert np.max(np.abs(buckets.sum(axis=0) - horizon)) <= 1e-12
-    buckets, _ = sequential_joint_distribution(model, n, 2)
+    buckets, _ = one_sequential(model, n, 2)
     horizon = np.linalg.matrix_power(model.transition, 2 * n)
     assert np.max(np.abs(buckets.sum(axis=(0, 1)) - horizon)) <= 1e-12
     if depth >= 2:
-        buckets, _ = joint_error_distribution(model, n, depth, 2)
+        buckets, _ = one_joint(model, n, depth, 2)
         horizon = np.linalg.matrix_power(model.transition, (n - 1) * depth + 2)
         assert np.max(np.abs(buckets.sum(axis=(0, 1)) - horizon)) <= 1e-12
 
 
-@pytest.mark.parametrize("cap", [0, 1, 3])
+@pytest.mark.parametrize("cap", [1, 3])
 def test_saturation_equals_rebucketed_full_resolution(cap):
     model = ibp_from_stats(ChannelSpec(ber=0.15, nacf=0.6))
     n, depth = 5, 2
-    _, full = marginal_error_distribution(model, n, depth, n)
-    _, capped = marginal_error_distribution(model, n, depth, cap)
+    _, full = one_marginal(model, n, depth, n)
+    _, capped = one_marginal(model, n, depth, cap)
     np.testing.assert_allclose(capped, bucket(full, cap), atol=1e-13)
-    _, full_q = joint_error_distribution(model, n, depth, n)
-    _, capped_q = joint_error_distribution(model, n, depth, cap)
+    _, full_q = one_joint(model, n, depth, n)
+    _, capped_q = one_joint(model, n, depth, cap)
     np.testing.assert_allclose(capped_q, bucket(full_q, cap), atol=1e-13)
 
 
@@ -237,11 +256,11 @@ def test_saturation_equals_rebucketed_full_resolution(cap):
 def test_marginal_consistency(ber, nacf, n, depth, cap):
     model = ibp_from_stats(ChannelSpec(ber=ber, nacf=nacf))
     _, q = (
-        joint_error_distribution(model, n, depth, cap)
+        one_joint(model, n, depth, cap)
         if depth >= 2
-        else sequential_joint_distribution(model, n, cap)
+        else one_sequential(model, n, cap)
     )
-    _, probs = marginal_error_distribution(model, n, depth, cap)
+    _, probs = one_marginal(model, n, depth, cap)
     assert marginal_gap(q, probs) <= 1e-12
 
 
@@ -249,8 +268,8 @@ def test_marginal_consistency_rejects_shape_mismatch():
     # a marginal of another cap has another length: compared with a joint's
     # first marginal it is refused, not broadcast
     model = ibp_from_stats(ChannelSpec(ber=0.01, nacf=0.5))
-    _, q = joint_error_distribution(model, 4, 2, 2)
-    _, probs = marginal_error_distribution(model, 4, 2, 4)
+    _, q = one_joint(model, 4, 2, 2)
+    _, probs = one_marginal(model, 4, 2, 4)
     assert q.shape == (3, 3) and probs.shape == (5,)
     with pytest.raises(ValueError):
         marginal_gap(q, probs)
@@ -262,16 +281,16 @@ def test_three_state_channel_supported():
 
     transition = np.array([[0.9, 0.08, 0.02], [0.25, 0.6, 0.15], [0.05, 0.25, 0.7]])
     model = FsmcModel(transition, np.array([0.001, 0.1, 0.6]))
-    _, q = joint_error_distribution(model, 3, 2, 3)
+    _, q = one_joint(model, 3, 2, 3)
     assert np.max(np.abs(q - joint_by_paths(model, 3, 2, 3))) <= 1e-13
-    _, probs = marginal_error_distribution(model, 3, 2, 3)
+    _, probs = one_marginal(model, 3, 2, 3)
     assert marginal_gap(q, probs) <= 1e-12
 
 
 def test_joint_rejects_depth_one():
     model = ibp_from_stats(ChannelSpec(ber=0.01, nacf=0.5))
     with pytest.raises(ValueError):
-        joint_error_distribution(model, 4, 1, 2)
+        one_joint(model, 4, 1, 2)
 
 
 @pytest.mark.parametrize("args", [(0, 2, 2), (3, 2, -1)])
@@ -279,14 +298,14 @@ def test_joint_rejects_bad_sizes(args):
     model = ibp_from_stats(ChannelSpec(ber=0.01, nacf=0.5))
     n, depth, cap = args
     with pytest.raises(ValueError):
-        joint_error_distribution(model, n, depth, cap)
+        one_joint(model, n, depth, cap)
 
 
 def test_long_codeword_joint_is_fast():
     # worst realistic size: (1023, k, t<=16)-style code at depth 16
     model = ibp_from_stats(ChannelSpec(ber=0.001, nacf=0.9))
     start = time.perf_counter()
-    _, q = joint_error_distribution(model, 1023, 16, 16)
+    _, q = one_joint(model, 1023, 16, 16)
     elapsed = time.perf_counter() - start
     assert q.sum() == pytest.approx(1.0, abs=1e-11)
     assert elapsed < 1.0
@@ -375,13 +394,14 @@ STACKS = {
 @pytest.mark.parametrize("stack", STACKS.values(), ids=STACKS.keys())
 @pytest.mark.parametrize(
     "n,depth,cap",
-    [(63, 1, 2), (63, 2, 2), (63, 4, 4), (63, 8, 4), (63, 16, 6), (9, 2, 9), (5, 7, 0)],
+    [(63, 1, 2), (63, 2, 2), (63, 4, 4), (63, 8, 4), (63, 16, 6), (9, 2, 9), (5, 7, 1)],
 )
 def test_stacked_laws_equal_per_channel_laws(stack, n, depth, cap):
-    marginals = marginal_error_distribution(stack, n, depth, cap)
-    sequentials = sequential_joint_distribution(stack, n, cap)
+    depths = [depth] * len(stack)
+    marginals = marginal_error_distribution(stack, n, depths, cap)
+    [sequentials] = sequential_joint_distribution(stack, n, [cap])
     joints = (
-        joint_error_distribution(stack, n, depth, cap) if depth >= 2 else sequentials
+        joint_error_distribution(stack, n, depths, [cap])[0] if depth >= 2 else sequentials
     )
     size = stack[0].states
     assert marginals[0].shape == (len(stack), cap + 1, size, size)
@@ -391,11 +411,11 @@ def test_stacked_laws_equal_per_channel_laws(stack, n, depth, cap):
         assert law.shape == (len(stack), cap + 1, cap + 1)
     for i, model in enumerate(stack):
         pairs = [
-            (marginals, marginal_error_distribution(model, n, depth, cap)),
-            (sequentials, sequential_joint_distribution(model, n, cap)),
+            (marginals, one_marginal(model, n, depth, cap)),
+            (sequentials, one_sequential(model, n, cap)),
         ]
         if depth >= 2:
-            pairs.append((joints, joint_error_distribution(model, n, depth, cap)))
+            pairs.append((joints, one_joint(model, n, depth, cap)))
         for (buckets, law), (alone_buckets, alone_law) in pairs:
             assert np.array_equal(buckets[i], alone_buckets)
             assert np.array_equal(law[i], alone_law)
@@ -405,7 +425,7 @@ def test_stacked_laws_equal_per_channel_laws(stack, n, depth, cap):
 
 
 @pytest.mark.parametrize("states", [2, 3])
-@pytest.mark.parametrize("n,cap", [(1, 2), (5, 0), (9, 4), (12, 6)])
+@pytest.mark.parametrize("n,cap", [(1, 2), (5, 1), (9, 4), (12, 6)])
 def test_mixed_depth_stack_equals_per_depth_calls(states, n, cap):
     # one depth per channel: each channel gets its own gap power, and a
     # depth-2 channel of a joint stack with deeper ones is multiplied by an
@@ -414,12 +434,12 @@ def test_mixed_depth_stack_equals_per_depth_calls(states, n, cap):
     stack = [random_fsmc(int(seed), states) for seed in rng.integers(0, 10**6, 7)]
     for recursion, depths in [
         (marginal_error_distribution, [1, 3, 1, 8, 2, 5, 3]),
-        (joint_error_distribution, [2, 3, 2, 8, 4, 2, 5]),
+        (lambda *args: joint_error_distribution(*args[:3], [args[3]])[0], [2, 3, 2, 8, 4, 2, 5]),
     ]:
         mixed = recursion(stack, n, depths, cap)
         for depth in set(depths):
             chosen = [i for i, d in enumerate(depths) if d == depth]
-            alone = recursion([stack[i] for i in chosen], n, depth, cap)
+            alone = recursion([stack[i] for i in chosen], n, [depth] * len(chosen), cap)
             assert np.array_equal(mixed[0][chosen], alone[0])
             assert np.array_equal(mixed[1][chosen], alone[1])
 
@@ -431,7 +451,7 @@ def test_depths_must_match_the_stack():
     with pytest.raises(ValueError, match="depth must be >= 1, got 0"):
         marginal_error_distribution(stack, 4, [1, 0, 2, 2, 2], 2)
     with pytest.raises(ValueError, match="needs depth >= 2"):
-        joint_error_distribution(stack, 4, [2, 2, 1, 3, 3], 2)
+        joint_error_distribution(stack, 4, [2, 2, 1, 3, 3], [2])
 
 
 def power_stacks():
@@ -439,7 +459,7 @@ def power_stacks():
     transient matrices (l = 3), the two kinds of matrix the gap powers
     and the chain stage raise to a power."""
     transitions = np.array([model.transition for model in STACKS["ber-nacf-grid"]])
-    q = joint_error_distribution(STACKS["ber-nacf-grid"][:-4], 7, 3, 4)[1]
+    q = joint_error_distribution(STACKS["ber-nacf-grid"][:-4], 7, [3] * 12, [4])[0][1]
     transient, _ = _absorbing_chains(q, 3)
     return {"transitions": transitions, "transient": transient}
 
@@ -466,21 +486,22 @@ def test_mixed_gap_powers_are_matrix_power_bit_for_bit():
 
 
 def test_single_channel_call_returns_one_result():
-    model = STACKS["one-channel"][0]
-    buckets, probs = marginal_error_distribution(model, 5, 3, 2)
-    assert buckets.shape == (3, 2, 2) and probs.shape == (3,)
-    buckets, q = joint_error_distribution(model, 5, 3, 2)
-    assert buckets.shape == (3, 3, 2, 2) and q.shape == (3, 3)
-    buckets, q = joint_error_distribution(STACKS["one-channel"], 5, 3, 2)
-    assert buckets.shape == (1, 3, 3, 2, 2) and q.shape == (1, 3, 3)
+    # one channel is a stack of one: every result keeps its channel axis
+    stack = STACKS["one-channel"]
+    buckets, probs = marginal_error_distribution(stack, 5, [3], 2)
+    assert buckets.shape == (1, 3, 2, 2) and probs.shape == (1, 3)
+    for buckets, q in (
+        *joint_error_distribution(stack, 5, [3], [2]), *sequential_joint_distribution(stack, 5, [2])
+    ):
+        assert buckets.shape == (1, 3, 3, 2, 2) and q.shape == (1, 3, 3)
 
 
 @pytest.mark.parametrize(
     "recursion",
     [
-        lambda stack: marginal_error_distribution(stack, 4, 2, 2),
-        lambda stack: joint_error_distribution(stack, 4, 2, 2),
-        lambda stack: sequential_joint_distribution(stack, 4, 2),
+        lambda stack: marginal_error_distribution(stack, 4, [2] * len(stack), 2),
+        lambda stack: joint_error_distribution(stack, 4, [2] * len(stack), [2]),
+        lambda stack: sequential_joint_distribution(stack, 4, [2]),
     ],
     ids=["marginal", "joint", "sequential"],
 )
@@ -488,7 +509,7 @@ def test_stack_with_mixed_state_counts_is_rejected(recursion):
     mixed = [STACKS["one-channel"][0], random_fsmc(0)]
     with pytest.raises(ValueError, match="common state count, got \\[2, 3\\]"):
         recursion(mixed)
-    with pytest.raises(ValueError, match="need at least one channel, got an empty sequence"):
+    with pytest.raises(ValueError, match="common state count, got \\[\\]"):
         recursion([])
 
 
@@ -523,10 +544,10 @@ def fsmc_stacks(draw):
 
 @settings(max_examples=80, deadline=None, derandomize=True)
 @example(stack=STACKS["ber-nacf-grid"], n=63, depths=[1, 2, 4, 8] * 4, caps=[2, 4, 6])
-@example(stack=STACKS["ibp-and-mixed-profile"], n=7, depths=[3, 1, 2], caps=[0, 3, 0])
+@example(stack=STACKS["ibp-and-mixed-profile"], n=7, depths=[3, 1, 2], caps=[3])
 # unevenly spaced, unsorted and repeated caps, on clean/erring and mixed stacks
-@example(stack=STACKS["three-state-clean-erring"], n=9, depths=[1, 3, 2, 5], caps=[0, 1, 3])
-@example(stack=STACKS["ibp-and-mixed-profile"], n=8, depths=[2, 1, 4], caps=[0, 1, 3])
+@example(stack=STACKS["three-state-clean-erring"], n=9, depths=[1, 3, 2, 5], caps=[1, 3])
+@example(stack=STACKS["ibp-and-mixed-profile"], n=8, depths=[2, 1, 4], caps=[1, 3])
 @example(stack=STACKS["ber-nacf-grid"], n=20, depths=[1, 2, 4, 8] * 4, caps=[6, 2, 4])
 @example(stack=STACKS["ibp-and-mixed-profile"], n=9, depths=[3, 1, 2], caps=[6, 2, 4])
 @example(stack=STACKS["three-state-clean-erring"], n=7, depths=[2, 1, 3, 4], caps=[5, 5, 1])
@@ -535,7 +556,7 @@ def fsmc_stacks(draw):
     stack=fsmc_stacks(),
     n=st.integers(1, 9),
     depths=st.lists(st.integers(1, 5), min_size=4, max_size=4),
-    caps=st.lists(st.integers(0, 7), min_size=1, max_size=3),
+    caps=st.lists(st.integers(1, 7), min_size=1, max_size=3),
 )
 def test_cap_sequence_equals_one_call_per_cap(stack, n, depths, caps):
     # the joint and sequential walks carry one top slot per distinct cap;
@@ -551,7 +572,7 @@ def test_cap_sequence_equals_one_call_per_cap(stack, n, depths, caps):
         laws = recursion(stack, n, *args, caps)
         assert len(laws) == len(caps)
         for cap, (buckets, law) in zip(caps, laws):
-            alone_buckets, alone_law = recursion(stack, n, *args, cap)
+            [(alone_buckets, alone_law)] = recursion(stack, n, *args, [cap])
             assert np.array_equal(buckets, alone_buckets)
             assert np.array_equal(law, alone_law)
             assert buckets.flags.c_contiguous and law.flags.c_contiguous
@@ -568,28 +589,46 @@ def test_one_distinct_cap_is_the_walk_uncut():
     # a cap sequence with one distinct cap walks that cap's slots alone, so
     # every entry is the walk's own arrays, with no cut and no copy
     stack = STACKS["ber-nacf-grid"]
-    for recursion, args in [(joint_error_distribution, (3,)), (sequential_joint_distribution, ())]:
+    for recursion, args in [
+        (joint_error_distribution, ([3] * len(stack),)), (sequential_joint_distribution, ()),
+    ]:
         laws = recursion(stack, 6, *args, [4, 4])
         assert laws[0][0] is laws[1][0] and laws[0][1] is laws[1][1]
-        alone_buckets, alone_law = recursion(stack, 6, *args, 4)
+        [(alone_buckets, alone_law)] = recursion(stack, 6, *args, [4])
         assert np.array_equal(laws[0][0], alone_buckets)
         assert np.array_equal(laws[0][1], alone_law)
 
 
 def test_cap_sequence_of_one_channel_gives_its_own_slices():
-    model = STACKS["one-channel"][0]
-    for recursion, args in [(joint_error_distribution, (3,)), (sequential_joint_distribution, ())]:
-        laws = recursion(model, 5, *args, np.array([2, 0]))
+    stack = STACKS["one-channel"]
+    for recursion, args in [(joint_error_distribution, ([3],)), (sequential_joint_distribution, ())]:
+        laws = recursion(stack, 5, *args, [2, 1])
         shapes = [(buckets.shape, q.shape) for buckets, q in laws]
-        assert shapes == [((3, 3, 2, 2), (3, 3)), ((1, 1, 2, 2), (1, 1))]
-        assert np.array_equal(laws[0][1], recursion(model, 5, *args, 2)[1])
-        assert laws[1][1][0, 0] == recursion(model, 5, *args, 0)[1][0, 0]
+        assert shapes == [((1, 3, 3, 2, 2), (1, 3, 3)), ((1, 2, 2, 2, 2), (1, 2, 2))]
+        for cap, (_, q) in zip([2, 1], laws):
+            assert np.array_equal(q, recursion(stack, 5, *args, [cap])[0][1])
 
 
 @pytest.mark.parametrize("caps", [[], [3, -1]])
 def test_cap_sequence_rejects_no_cap_and_negative_caps(caps):
-    model = STACKS["one-channel"][0]
-    with pytest.raises(ValueError, match="counter cap must be >= 0"):
-        joint_error_distribution(model, 4, 2, caps)
-    with pytest.raises(ValueError, match="counter cap must be >= 0"):
-        sequential_joint_distribution(model, 4, caps)
+    stack = STACKS["one-channel"]
+    with pytest.raises(ValueError, match="counter cap must be >= 1"):
+        joint_error_distribution(stack, 4, [2], caps)
+    with pytest.raises(ValueError, match="counter cap must be >= 1"):
+        sequential_joint_distribution(stack, 4, caps)
+
+
+def test_caps_below_one_are_refused_with_one_message():
+    # a saturating count needs a count below its top: cap 0 is refused by
+    # every recursion and by the exact joint law, with one message
+    stack = STACKS["one-channel"]
+    refusals = [
+        lambda: marginal_error_distribution(stack, 4, [2], 0),
+        lambda: joint_error_distribution(stack, 4, [2], [0]),
+        lambda: joint_error_distribution(stack, 4, [2], [2, 0]),
+        lambda: sequential_joint_distribution(stack, 4, [0]),
+        lambda: exact_joint_law(stack[0], 4, 2, 0),
+    ]
+    for refusal in refusals:
+        with pytest.raises(ValueError, match="^counter cap must be >= 1, got "):
+            refusal()

@@ -17,7 +17,7 @@ from burstfec.mc import (
     dar1_stream,
     simulate_packets,
 )
-from reference_stats import lag1_autocorr, stat_standard_errors
+from reference_stats import binomial_packet_error, lag1_autocorr, stat_standard_errors
 
 STREAM_BITS = 1_000_000
 Z95 = 1.9599639845400545  # standard normal quantile at 0.975
@@ -518,12 +518,10 @@ def test_grouped_simulation_losses_are_pinned(
 
 
 def test_simulation_uncorrelated_matches_baseline():
-    from burstfec.models import binomial_baseline
-
     channel = ChannelSpec(ber=0.01, nacf=0.0)
     code = CodeSpec(63, 45, 3)
     scheme = SchemeSpec(depth=2, blocks=8)
-    expected = binomial_baseline(0.01, code, 16)
+    expected = binomial_packet_error(0.01, code.n, code.l, 16)
     cfg = SimConfig(channel=channel, code=code, scheme=scheme, packets=100_000, seed=13)
     estimate = simulate_packets(cfg)
     se = math.sqrt(expected * (1 - expected) / cfg.packets)

@@ -21,7 +21,6 @@ from burstfec.models import (
     _joint_chains,
     _quadrants,
     _two_state_blocks,
-    binomial_baseline,
     block_to_packet,
     evaluate_models,
 )
@@ -31,13 +30,15 @@ from burstfec.oracle import exact_loss
 def make_joint(model, n, depth, cap):
     """The joint law q of two adjacent codewords."""
     if depth >= 2:
-        return joint_error_distribution(model, n, depth, cap)[1]
-    return sequential_joint_distribution(model, n, cap)[1]
+        [(_, q)] = joint_error_distribution([model], n, [depth], [cap])
+    else:
+        [(_, q)] = sequential_joint_distribution([model], n, [cap])
+    return q[0]
 
 
 def codeword_error_rate(model, n, depth, l):
-    _, probs = marginal_error_distribution(model, n, depth, l + 1)
-    return 1.0 - float(probs[: l + 1].sum())
+    _, probs = marginal_error_distribution([model], n, [depth], l + 1)
+    return 1.0 - float(probs[0, : l + 1].sum())
 
 
 def block_error(name, model, n, l, depth):
@@ -96,6 +97,13 @@ def test_block_to_packet_rejects_bad_probability(bad):
         block_to_packet(bad, 4)
 
 
+def baseline(ber, code, depth, blocks):
+    """The baseline's packet error over a memoryless channel at ``ber``."""
+    model = ibp_from_stats(ChannelSpec(ber=ber, nacf=0.0))
+    scheme = SchemeSpec(depth=depth, blocks=blocks)
+    return evaluate_models(model, code, scheme, ("baseline",))["baseline"].packet_error
+
+
 def test_binomial_baseline_against_mpmath():
     mpmath = pytest.importorskip("mpmath")
     mpmath.mp.dps = 50
@@ -109,21 +117,21 @@ def test_binomial_baseline_against_mpmath():
         )
 
     expected = float(1 - (1 - tail(63, 3, 0.01)) ** 16)
-    assert binomial_baseline(0.01, code, 16) == pytest.approx(expected, rel=1e-12)
+    assert baseline(0.01, code, 4, 4) == pytest.approx(expected, rel=1e-12)
     # frozen copy of the same oracle value
-    assert binomial_baseline(0.01, code, 16) == pytest.approx(
+    assert baseline(0.01, code, 4, 4) == pytest.approx(
         0.05798231830414516, rel=1e-12
     )
 
 
 def test_binomial_baseline_edge_rates():
     code = CodeSpec(5, 3, 1)
-    assert binomial_baseline(0.0, code, 10) == 0.0
-    assert binomial_baseline(1.0, code, 10) == 1.0
+    assert baseline(0.0, code, 5, 2) == 0.0
+    assert baseline(1.0, code, 5, 2) == 1.0
     # l = n-1 leaves only the all-errors word undecodable
     code = CodeSpec(4, 2, 3)
     expected = 1.0 - (1.0 - 0.3**4) ** 6
-    assert binomial_baseline(0.3, code, 6) == pytest.approx(expected, rel=1e-12)
+    assert baseline(0.3, code, 3, 2) == pytest.approx(expected, rel=1e-12)
 
 
 # ----------------------------------------------------------------------

@@ -210,13 +210,13 @@ def test_block_count_is_bounded(monkeypatch):
 def test_laws_match_dist_recursions_at_paper_scale(depth, l):
     model = ibp_from_stats(ChannelSpec(ber=0.01, nacf=0.9))
     n, cap = 63, l + 1
-    _, probs = marginal_error_distribution(model, n, depth, cap)
-    _, q = joint_error_distribution(model, n, depth, cap)
+    _, probs = marginal_error_distribution([model], n, [depth], cap)
+    [(_, q)] = joint_error_distribution([model], n, [depth], [cap])
     np.testing.assert_allclose(
-        exact_joint_law(model, n, depth, cap).sum(axis=1), probs, rtol=0, atol=1e-12
+        exact_joint_law(model, n, depth, cap).sum(axis=1), probs[0], rtol=0, atol=1e-12
     )
     np.testing.assert_allclose(
-        exact_joint_law(model, n, depth, cap), q, rtol=0, atol=1e-12
+        exact_joint_law(model, n, depth, cap), q[0], rtol=0, atol=1e-12
     )
 
 
@@ -291,7 +291,8 @@ def test_one_product_flow_equals_the_kernel_flow(n, l, depth, drop):
 def test_one_product_flow_on_three_state_chains(profile, drop, depth):
     model = FsmcModel([[0.5, 0.3, 0.2], [0.1, 0.8, 0.1], [0.3, 0.3, 0.4]], profile)
     owner, counters, _ = layout(6, depth, 0, drop)
-    for cap in (0, 1, 3):
+    # a saturating joint-law flow has cap >= 1; a dropping block flow has l >= 0
+    for cap in (0, 1, 3) if drop else (1, 3):
         flow, dropped = oracle._count_flow(model, owner, counters, cap, drop)
         want_flow, want_dropped = kernel_flow(model, owner, counters, cap, drop)
         np.testing.assert_allclose(flow, want_flow, rtol=1e-13, atol=0)
@@ -391,7 +392,7 @@ def pattern_laws(model, n, depth, cap, l, blocks):
     model=small_fsmcs(),
     n=st.integers(1, 4),
     depth=st.integers(1, 4),
-    cap=st.integers(0, 5),
+    cap=st.integers(1, 5),
     l=st.integers(0, 3),
     blocks=st.integers(1, 3),
 )

@@ -16,7 +16,7 @@ PUBLIC_NAMES = [
     "ANALYTIC_MODELS", "BIT_GENERATOR", "CSV_COLUMNS", "ChannelParameterError",
     "ChannelSpec", "CiEstimate", "CodeSpec", "DepthCandidate", "FsmcModel",
     "PacketErrorResult", "ResultRow", "SchemeSpec", "SimConfig", "SweepSpec",
-    "binomial_baseline", "block_to_packet", "confidence_interval",
+    "block_to_packet", "confidence_interval",
     "dar1_stream", "emit_results", "evaluate_models",
     "exact_joint_law", "exact_loss", "feasible_pairs",
     "ibp_from_stats", "joint_error_distribution",
@@ -26,8 +26,24 @@ PUBLIC_NAMES = [
 ]
 
 
+def readme_block(heading):
+    """The first fenced Python block under a README heading."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = text.split(f"\n## {heading}\n", 1)[1]
+    return section.split("```python\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_library_example_runs(capsys):
+    # the documented use of the public API: one line per depth, each the
+    # depth and a model-3 packet error probability
+    exec(compile(readme_block("Library example"), "README.md", "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    assert [int(line.split()[0]) for line in lines] == [1, 4, 16]
+    assert all(0.0 < float(line.split()[1]) < 1.0 for line in lines)
+
+
 def test_public_names_are_pinned_and_resolve():
-    assert len(PUBLIC_NAMES) == 34
+    assert len(PUBLIC_NAMES) == 33
     assert sorted(burstfec.__all__) == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         assert hasattr(burstfec, name), name

@@ -20,6 +20,7 @@ from burstfec.sweep import (
     DepthCandidate,
     ResultRow,
     SweepSpec,
+    _csv_records,
     _row_seed,
     emit_results,
     feasible_pairs,
@@ -31,6 +32,11 @@ from burstfec.sweep import (
 
 CODE_63_57 = CodeSpec(n=63, k=57, l=1)
 SMALL_CODE = CodeSpec(n=6, k=3, l=1)
+
+
+def csv_record(row):
+    """One row's CSV fields, as the emitter writes them."""
+    return list(_csv_records([row])[0])
 
 
 def small_spec(**overrides):
@@ -56,7 +62,7 @@ def small_spec(**overrides):
 def test_row_count_and_nesting_order():
     spec = small_spec(models=("model1", "mc"))
     rows = run_sweep(spec)
-    assert len(rows) == spec.rows == 2 * 2 * 1 * 2 * 2
+    assert len(rows) == 2 * 2 * 1 * 2 * 2
     expected = [
         (pair.depth, nacf, ber, model)
         for pair in spec.pairs
@@ -170,7 +176,7 @@ def test_budget_mismatch_marks_row_infeasible():
     for row in bad:
         assert row.note.startswith("infeasible:")
         assert row.p is None and row.p_hat is None and row.seed is None
-        record = dict(zip(CSV_COLUMNS, row.csv_record()))
+        record = dict(zip(CSV_COLUMNS, csv_record(row)))
         assert record["p"] == "" and record["p_hat"] == "" and record["seed"] == ""
         assert record["residual_corr"] != ""  # grid geometry is still known
 
@@ -211,8 +217,8 @@ def test_stacked_sweep_matches_per_point_evaluation():
                 row.p = results[model].packet_error
                 row.throughput = throughput(code, scheme, row.p)
                 row.residual_corr = residual_correlation(nacf, scheme.depth)
-            expected.append(row.csv_record())
-    assert [row.csv_record() for row in rows] == expected
+            expected.append(csv_record(row))
+    assert [csv_record(row) for row in rows] == expected
     bad = [row for row in rows if row.ber == 1.5 or row.nacf == 1.0]
     assert len(bad) == 2 * 2 * 5 * 4
     assert all(row.note.startswith("error: ") and row.residual_corr is None for row in bad)
@@ -575,10 +581,10 @@ def test_streamed_report_equals_json_dump(rows, config, tmp_path):
     report = json.loads(text)
     notes = [{} if row.note is None else {"note": row.note} for row in rows]
     assert report["rows"] == [
-        {**dict(zip(CSV_COLUMNS, row.csv_record())), **note} for row, note in zip(rows, notes)
+        {**dict(zip(CSV_COLUMNS, csv_record(row))), **note} for row, note in zip(rows, notes)
     ]
     with open(tmp_path / "r.csv", newline="") as handle:
-        assert list(csv.reader(handle))[1:] == [row.csv_record() for row in rows]
+        assert list(csv.reader(handle))[1:] == [csv_record(row) for row in rows]
     assert report["config"] == (config if config is not None else {})
     expected = io.StringIO()
     json.dump(report, expected, indent=2, sort_keys=True)
@@ -646,7 +652,7 @@ def test_csv_lines_are_the_bytes_csv_writer_writes(tmp_path):
     expected = io.StringIO(newline="")
     writer = csv.writer(expected, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
-    writer.writerows(row.csv_record() for row in rows)
+    writer.writerows(csv_record(row) for row in rows)
     assert (tmp_path / "r.csv").read_bytes() == expected.getvalue().encode()
 
 
@@ -656,6 +662,6 @@ def test_csv_uses_twelve_significant_digits(tmp_path):
         code=SMALL_CODE, scheme=SchemeSpec(depth=2, blocks=2),
         p=2 / 3,
     )
-    record = dict(zip(CSV_COLUMNS, row.csv_record()))
+    record = dict(zip(CSV_COLUMNS, csv_record(row)))
     assert record["p_E"] == "0.333333333333"
     assert record["p"] == "0.666666666667"
