@@ -4,10 +4,12 @@ The bit error process is a finite-state Markov chain whose states each
 carry a bit error probability.  The chain's transition matrix is split
 into two parts, ``d0`` and ``d1``, holding the probability flow for a
 correct respectively incorrect reception of the bit associated with the
-*destination* state of each transition.  Every recursion downstream
-(error-count distributions, codeword-level chains) consumes that split,
-so the whole toolkit works for any finite-state model, not only the
-two-state one built by :func:`ibp_from_stats`.
+*destination* state of each transition.  The one-codeword count
+recursion multiplies by that split; the two-codeword recursions and the
+exact oracle multiply by the transition matrix and move each end
+state's flow by its error probability, which is the same split made per
+state.  Either way the whole toolkit works for any finite-state model,
+not only the two-state one built by :func:`ibp_from_stats`.
 """
 
 from __future__ import annotations
@@ -112,11 +114,13 @@ class FsmcModel:
         self.d0, self.d1 = split_transition_matrix(transition, error_profile)
         if transition.shape[0] < 2:
             raise ValueError("need at least two states")
-        if (transition < 0.0).any() or (
-            np.abs(transition.sum(axis=1) - 1.0) > STOCHASTIC_TOL
-        ).any():
+        # one reduction per check: every entry is finite here, so no NaN
+        # slips past a comparison of the least or largest entry
+        if transition.min() < 0.0 or (
+            np.abs(transition.sum(axis=1) - 1.0).max() > STOCHASTIC_TOL
+        ):
             raise ValueError("transition matrix must be row-stochastic")
-        if (error_profile < 0.0).any() or (error_profile > 1.0).any():
+        if error_profile.min() < 0.0 or error_profile.max() > 1.0:
             raise ValueError("per-state error probabilities must be in [0, 1]")
 
         self.transition = transition

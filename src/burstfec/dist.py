@@ -131,12 +131,13 @@ def _powers(matrices, depths, offset: int):
 def _walk(buckets, transition, errors, path, gap, tops, swap=False):
     """Advance a joint bucket stack along ``path``: each entry is the
     counter axis (1 or 2) of a counted bit, or None for a product by
-    ``gap``, or with ``swap`` for a copy with the two counter axes swapped,
-    after which axis 1 is the second counter.
+    ``gap``.  A counter that the path never counts on may have fewer
+    slots than the other, down to one.  With ``swap`` the result comes
+    back with its two counter axes swapped.
 
     A counted bit costs one product per channel by the transition matrix,
     written into the buffer it does not read.  The flows run as
-    B x S_end x slots x slots x S_start, so each end state's rows are
+    B x S_end x slots_1 x slots_2 x S_start, so each end state's rows are
     contiguous; each end state t then moves by its error probability,
     ``errors[b, t]`` for channel b.  A state is clean, erring or mixed
     over the whole stack.  A clean state's rows (e = 0) stand.  An erring
@@ -149,7 +150,7 @@ def _walk(buckets, transition, errors, path, gap, tops, swap=False):
     depend on the rest of the stack.
     """
     flows = buckets.transpose(0, 4, 1, 2, 3).copy()
-    count, states, slots = flows.shape[:3]
+    count, states, slots, width = flows.shape[:4]
     size = slots - len(tops)  # the counts 0..L-1 of a counter below the largest cap L
     moving = errors.any(axis=0).nonzero()[0].tolist()
     erring = (errors == 1.0).all(axis=0).tolist()
@@ -160,13 +161,10 @@ def _walk(buckets, transition, errors, path, gap, tops, swap=False):
     runs = _runs(tops)
     # per buffer and path entry, the product, written into the buffer it
     # does not read, and the numpy calls of the count move of each state
-    stride = slots * states  # one count of the first counter, in a flat row
+    stride = width * states  # one count of the first counter, in a flat row
     steps = []
-    buffers = flows, np.empty_like(flows)
-    for buffer, other in zip(buffers, buffers[::-1]):
-        moves = {None: (gap, []), 1: (full, []), 2: (full, [])}
-        if swap:
-            moves[None] = None, [(np.copyto, (buffer, other.transpose(0, 1, 3, 2, 4)))]
+    for buffer in flows, np.empty_like(flows):
+        moves = {axis: (full if axis else gap, []) for axis in set(path)}
         for state in moving:
             counts = buffer[:, state]
             flat = counts.reshape(count, -1)  # each channel's rows as one
@@ -174,6 +172,8 @@ def _walk(buckets, transition, errors, path, gap, tops, swap=False):
             # counter's, and a row of the second counter's per first slot
             rows = counts.reshape(count, slots, -1)[..., : size * states]
             for axis, lead, step in (1, flat[:, : size * stride], stride), (2, rows, states):
+                if axis not in moves:  # a counter the path never counts on
+                    continue
                 head = (slice(None),) * axis
                 calls = moves[axis][1]
                 if erring[state]:
@@ -203,8 +203,7 @@ def _walk(buckets, transition, errors, path, gap, tops, swap=False):
         steps.append((buffer.reshape(count, states, -1), moves))
     for ((source, _), (target, moves)), axis in zip(itertools.cycle((steps, steps[::-1])), path):
         matrix, calls = moves[axis]
-        if matrix is not None:
-            np.matmul(matrix, source, out=target)
+        np.matmul(matrix, source, out=target)
         for call, args in calls:
             call(*args)
     flows = steps[len(path) % 2][0].reshape(flows.shape)
@@ -307,6 +306,11 @@ def sequential_joint_distribution(channels, n: int, caps):
     caps that are all one value share one pair of arrays, as they do there.
     """
     buckets, transition, errors, tops = _stack(channels, n, caps, 2)
-    path = [1] * n + [None] + [1] * n  # the second codeword's bits on swapped axes
-    flows = _walk(buckets, transition, errors, path, None, tops, swap=True)
+    # until its first counted bit the second counter holds count 0 alone,
+    # so the first codeword's bits walk a one-slot second counter
+    first = _walk(buckets[:, :, :1], transition, errors, [1] * n, None, tops)
+    # placed at count 0 of the second counter, on swapped axes, the first
+    # codeword's counts stand while the second codeword's bits walk axis 1
+    buckets[:, 0] = first[:, :, 0]
+    flows = _walk(buckets, transition, errors, [1] * n, None, tops, swap=True)
     return _laws(channels, flows, caps, tops)

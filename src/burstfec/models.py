@@ -297,43 +297,47 @@ def evaluate_models(model, code, scheme, which=ANALYTIC_MODELS):
         # model 2 reuses the bit-level correlation at the codeword level
         _, probs = marginal_error_distribution(channels, n, depths, max(caps))
         nacf = np.array([channel.lag1_nacf() for channel in channels])
-    coded = []
+    stages = [{} for _ in codes]  # per code: name -> (block errors, errors)
+    # models 1 and 2 differ only in their (error rate, NACF) fits: the
+    # chains of every code are one stack, model 1's channels first per code
+    fits = []  # (code index, name, (error rate, NACF), one error or None per channel)
     for k, l in enumerate(c.l for c in codes):
-        stages = {}  # name -> (block errors, one error or None per channel)
-        # models 1 and 2 differ only in their (error rate, NACF) fits: their
-        # chains are one stack, model 1's channels first
-        fits = {}  # name -> ((error rate, NACF), one error or None per channel)
         if "model1" in which:
-            fits["model1"] = (_joint_chains(_quadrants(laws[k], l)), [None] * count)
+            fits.append((k, "model1", _joint_chains(_quadrants(laws[k], l)), [None] * count))
         if "model3" in which:
             transient, start = _absorbing_chains(laws[k], l)
-            stages["model3"] = (_absorbed(start, transient, depths, 1), [None] * count)
+            stages[k]["model3"] = (_absorbed(start, transient, depths, 1).tolist(), [None] * count)
         if "model2" in which:
             error_rate = np.minimum(np.maximum(1.0 - probs[:, : l + 1].sum(axis=1), 0.0), 1.0)
             errors = [None] * count
             _fail(errors, np.isnan(error_rate), "error rate must be in [0, 1], got {!r}", error_rate)
             _fail(errors, ~((-1.0 < nacf) & (nacf < 1.0)),
                   "lag-1 NACF must be in (-1, 1), got {!r}", nacf)
-            fits["model2"] = ((error_rate, nacf), errors)
-        if fits:
-            error_rate, nacf_fits = map(np.concatenate, zip(*(rates for rates, _ in fits.values())))
-            errors = [error for _, model_errors in fits.values() for error in model_errors]
-            alpha, beta = _chains(error_rate, nacf_fits, errors)
-            block_errors = _two_state_blocks(alpha, beta, depths * len(fits), errors)
-            for i, name in enumerate(fits):
-                part = slice(i * count, (i + 1) * count)
-                stages[name] = (block_errors[part], errors[part])
+            fits.append((k, "model2", (error_rate, nacf), errors))
+    if fits:
+        error_rate, nacf_fits = map(np.concatenate, zip(*(rates for _, _, rates, _ in fits)))
+        errors = [error for *_, model_errors in fits for error in model_errors]
+        alpha, beta = _chains(error_rate, nacf_fits, errors)
+        block_errors = _two_state_blocks(alpha, beta, depths * len(fits), errors)
+        for i, (k, name, _, _) in enumerate(fits):
+            part = slice(i * count, (i + 1) * count)
+            stages[k][name] = (block_errors[part].tolist(), errors[part])
+    blocks = [s.blocks for s in schemes]
+    coded = []
+    for k, code_stages in enumerate(stages):
         columns = {}
         for name in ANALYTIC_MODELS:
             if name == "baseline" and name in which:
                 columns[name] = _baseline_results(channels, codes[k], schemes)
-            elif name in stages:
-                block_errors, errors = stages[name]
+            elif name in code_stages:
+                block_errors, errors = code_stages[name]
                 columns[name] = [
-                    PacketErrorResult(block, block_to_packet(block, s.blocks)) if error is None
+                    PacketErrorResult(block, block_to_packet(block, m)) if error is None
                     else PacketErrorResult(None, None, error=error)
-                    for block, error, s in zip(block_errors.tolist(), errors, schemes)
+                    for block, error, m in zip(block_errors, errors, blocks)
                 ]
-        results = [{name: column[i] for name, column in columns.items()} for i in range(count)]
+        # each channel's dict from its entry of every column; no model, no entries
+        entries = zip(*columns.values())
+        results = [dict(zip(columns, entry)) for entry in entries] or [{} for _ in channels]
         coded.append(results[0] if isinstance(model, FsmcModel) else results)
     return coded[0] if isinstance(code, CodeSpec) else coded

@@ -103,7 +103,9 @@ class _Texts(dict):
 
 
 def _csv_records(rows) -> list[tuple[str, ...]]:
-    """The CSV fields of each row, each distinct number formatted once."""
+    """The CSV fields of each row: each distinct number formatted once,
+    but for ``p`` and ``throughput``, which differ on nearly every row and
+    are formatted in place."""
     text, integer = _Texts(_fmt), _Texts(str)
     return [
         (
@@ -111,8 +113,8 @@ def _csv_records(rows) -> list[tuple[str, ...]]:
             text[row.ber], text[row.nacf],
             integer[row.code.n], integer[row.code.k], integer[row.code.l],
             integer[row.scheme.depth], integer[row.scheme.blocks],
-            text[row.p], text[row.p_hat], text[row.ci_lo], text[row.ci_hi],
-            text[row.rel_err], text[row.throughput], text[row.residual_corr],
+            _fmt(row.p), text[row.p_hat], text[row.ci_lo], text[row.ci_hi],
+            text[row.rel_err], _fmt(row.throughput), text[row.residual_corr],
             "" if row.seed is None else str(row.seed),
         )
         for row in rows
@@ -164,14 +166,58 @@ def run_sweep(spec: SweepSpec, workers: int = 1, on_row=None) -> list[ResultRow]
     points = [(nacf, ber, _point_channel(nacf, ber)) for nacf in spec.nacfs for ber in spec.bers]
     grid = [(scheme, *point) for scheme in spec.pairs for point in points]
     records = {}  # code -> its records; the codes of one n from one stack
+    residuals = {  # (nacf, depth) -> residual correlation, for the entries with a channel
+        key: residual_correlation(*key)
+        for key in {
+            (nacf, scheme.depth) for scheme, nacf, _, channel in grid
+            if not isinstance(channel, ValueError)
+        }
+    }
     rows: list[ResultRow] = []
     for code in spec.codes:
         if code not in records:
             group = [c for c in spec.codes if c.n == code.n]
             records.update(zip(group, _evaluate_codes(spec, group, grid, analytic)))
-        for entry, record in zip(grid, records[code]):
-            point_rows = _grid_point_rows(spec, code, entry, record, len(rows), workers)
-            rows.extend(point_rows)
+        for (scheme, nacf, ber, channel), (note, results) in zip(grid, records[code]):
+            residual = None if isinstance(channel, ValueError) else residuals[nacf, scheme.depth]
+            first, estimate = len(rows), None
+            for model in spec.models:
+                result = results.get(model)  # None for "mc" and for a noted entry
+                if result is not None:
+                    # fields in order: model, ber, nacf, code, scheme, p, p_hat,
+                    # ci_lo, ci_hi, rel_err, throughput, residual_corr, seed, note
+                    p = result.packet_error
+                    row = ResultRow(
+                        model, ber, nacf, code, scheme, p, None, None, None, None,
+                        None if p is None else throughput(code, scheme, p), residual, None,
+                        None if result.error is None else f"error: {result.error}",
+                    )
+                elif note is None and model == "mc":
+                    row = ResultRow(model, ber, nacf, code, scheme, residual_corr=residual,
+                                    seed=_row_seed(spec.seed, len(rows)))
+                    try:
+                        estimate = simulate_packets(
+                            SimConfig(
+                                channel=ChannelSpec(ber=ber, nacf=nacf),
+                                code=code, scheme=scheme, packets=spec.packets,
+                                seed=row.seed, gamma=spec.gamma,
+                            ),
+                            workers=workers,
+                        )
+                        row.p_hat, row.ci_lo, row.ci_hi = estimate.p_hat, estimate.lo, estimate.hi
+                        row.throughput = throughput(code, scheme, estimate.p_hat)
+                        if estimate.degenerate:
+                            row.note = "degenerate: loss rate estimate is 0 or 1"
+                    except Exception as exc:
+                        row.note = f"error: {exc}"
+                else:
+                    row = ResultRow(model, ber, nacf, code, scheme, residual_corr=residual, note=note)
+                rows.append(row)
+            point_rows = rows[first:]
+            if estimate is not None and estimate.p_hat > 0.0:
+                for row in point_rows:
+                    if row.p is not None:
+                        row.rel_err = (row.p - estimate.p_hat) / estimate.p_hat
             if on_row is not None:
                 for row in point_rows:
                     on_row(row)
@@ -215,51 +261,6 @@ def _evaluate_codes(spec, codes, grid, analytic):
             for i, result in zip(live, results):
                 code_records[i] = (notes[i], result)
     return records
-
-
-def _grid_point_rows(spec, code, entry, record, first, workers):
-    """The rows of one grid entry with its (note, results) record, one per
-    model; ``first`` is the sweep's index of its first row."""
-    scheme, nacf, ber, channel = entry
-    note, results = record
-    residual = None if isinstance(channel, ValueError) else residual_correlation(nacf, scheme.depth)
-    rows = []
-    estimate = None
-    for index, model in enumerate(spec.models, start=first):
-        row = ResultRow(
-            model=model, ber=ber, nacf=nacf, code=code, scheme=scheme,
-            residual_corr=residual, note=note,
-        )
-        result = results.get(model)  # looked up once; None for "mc" and for a noted entry
-        if result is not None and result.error is None:
-            row.p = result.packet_error
-            row.throughput = throughput(code, scheme, row.p)
-        elif result is not None:
-            row.note = f"error: {result.error}"
-        elif note is None and model == "mc":
-            row.seed = _row_seed(spec.seed, index)
-            try:
-                estimate = simulate_packets(
-                    SimConfig(
-                        channel=ChannelSpec(ber=ber, nacf=nacf),
-                        code=code, scheme=scheme, packets=spec.packets,
-                        seed=row.seed, gamma=spec.gamma,
-                    ),
-                    workers=workers,
-                )
-                row.p_hat, row.ci_lo, row.ci_hi = estimate.p_hat, estimate.lo, estimate.hi
-                row.throughput = throughput(code, scheme, estimate.p_hat)
-                if estimate.degenerate:
-                    row.note = "degenerate: loss rate estimate is 0 or 1"
-            except Exception as exc:
-                row.note = f"error: {exc}"
-        rows.append(row)
-
-    if estimate is not None and estimate.p_hat > 0.0:
-        for row in rows:
-            if row.p is not None:
-                row.rel_err = (row.p - estimate.p_hat) / estimate.p_hat
-    return rows
 
 
 # ======================================================================

@@ -585,6 +585,29 @@ def test_cap_sequence_equals_one_call_per_cap(stack, n, depths, caps):
         assert np.array_equal(top_probs[:, :cap], probs[:, :cap])
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@example(stack=STACKS["ber-nacf-grid"], n=20, caps=[6, 2, 4])
+@example(stack=STACKS["three-state-clean-erring"], n=7, caps=[5, 5, 1])
+@example(stack=STACKS["ibp-and-mixed-profile"], n=9, caps=[6, 2, 4])
+@example(stack=STACKS["ibp-and-mixed-profile"], n=1, caps=[1, 3])
+@given(
+    stack=fsmc_stacks(),
+    n=st.integers(1, 9),
+    caps=st.lists(st.integers(1, 7), min_size=1, max_size=3),
+)
+def test_sequential_equals_the_unswapped_two_counter_walk(stack, n, caps):
+    # the sequential recursion walks the first codeword's bits on a
+    # one-slot second counter, then the second codeword's bits on swapped
+    # axes; both only drop zeros and move counts between axes, so every
+    # cap's buckets and law are those of the plain walk of both counters
+    buckets, transition, errors, tops = dist._stack(stack, n, caps, 2)
+    plain = dist._walk(buckets, transition, errors, [1] * n + [2] * n, None, tops)
+    laws = zip(sequential_joint_distribution(stack, n, caps), dist._laws(stack, plain, caps, tops))
+    for (buckets, law), (plain_buckets, plain_law) in laws:
+        assert np.array_equal(buckets, plain_buckets)
+        assert np.array_equal(law, plain_law)
+
+
 def test_one_distinct_cap_is_the_walk_uncut():
     # a cap sequence with one distinct cap walks that cap's slots alone, so
     # every entry is the walk's own arrays, with no cut and no copy

@@ -632,6 +632,16 @@ def test_stacked_chain_stage_on_any_fsmc(stack, n, l, schemes):
     stack=[ibp_from_stats(ChannelSpec(ber=0.01, nacf=0.9))] * 4, n=63, ls=[1, 3, 5],
     schemes=[SchemeSpec(1, 16), SchemeSpec(2, 8), SchemeSpec(4, 4), SchemeSpec(8, 2)],
 )
+@example(  # one two-state chain stack for all three codes, whose chains reject
+    # different channels per code: model 2 rejects PERIODIC at l = 0 and 2
+    # and MODEL2_REJECTS at l = 1 and 2, model 1 MODEL2_REJECTS at l = 2
+    stack=[
+        ibp_from_stats(ChannelSpec(ber=0.01, nacf=0.9)), MODEL2_REJECTS, PERIODIC,
+        ibp_from_stats(ChannelSpec(ber=0.2, nacf=0.5)),
+    ],
+    n=3, ls=[0, 1, 2],
+    schemes=[SchemeSpec(1, 2), SchemeSpec(2, 1), SchemeSpec(4, 1), SchemeSpec(2, 3)],
+)
 @given(
     stack=channel_stacks(),
     n=st.integers(2, 7),
