@@ -16,6 +16,7 @@ distinguishes their accuracy on bursty channels.
 
 from __future__ import annotations
 
+import decimal
 import math
 from dataclasses import dataclass
 
@@ -190,16 +191,37 @@ def block_to_packet(block_error: float, blocks: int) -> float:
     return -math.expm1(blocks * math.log1p(-block_error))
 
 
-def _binomial_tail_above(n: int, l: int, p: float) -> float:
-    """P(X > l) for X ~ Binomial(n, p), via exact combinatorics and fsum."""
-    if p <= 0.0:
-        return 0.0
-    if p >= 1.0:
-        return 1.0
-    terms = [
-        math.comb(n, i) * p**i * (1.0 - p) ** (n - i) for i in range(l + 1, n + 1)
+def _lift(block_errors, counts) -> list:
+    """``block_to_packet`` of each block error with its entry of ``counts``,
+    in the same float steps; a None block error (a rejected channel's)
+    stays None.  The column is range-checked once, with the same message."""
+    for block in block_errors:
+        if block is not None and not 0.0 <= block <= 1.0:
+            raise ValueError(f"block error must be in [0, 1], got {block!r}")
+    log1p, expm1 = math.log1p, math.expm1
+    return [
+        block if block is None or block == 1.0 or m == 1 else -expm1(m * log1p(-block))
+        for block, m in zip(block_errors, counts)
     ]
-    return min(math.fsum(terms), 1.0)
+
+
+def _binomial_tails(n: int, ls, p: float) -> list[float]:
+    """P(X > l) for X ~ Binomial(n, p) and each l of ``ls``: the terms
+    P(X = i) from the exact ``math.comb`` are worked out once, and each
+    tail is the fsum of its own.  Where a coefficient overflows a float
+    (n >= 1030), the terms are 40-digit decimals, each rounded to a float."""
+    if p <= 0.0 or p >= 1.0:
+        return [float(p >= 1.0)] * len(ls)
+    low, q = min(ls) + 1, 1.0 - p
+    try:
+        terms = [math.comb(n, i) * p**i * q ** (n - i) for i in range(low, n + 1)]
+    except OverflowError:
+        with decimal.localcontext() as context:
+            context.prec = 40
+            p = decimal.Decimal(p)
+            q = 1 - p  # exact, unlike the float 1 - p
+            terms = [float(math.comb(n, i) * p**i * q ** (n - i)) for i in range(low, n + 1)]
+    return [min(math.fsum(terms[l + 1 - low :]), 1.0) for l in ls]
 
 
 def binomial_baseline(ber: float, code: CodeSpec, codewords: int) -> float:
@@ -211,7 +233,7 @@ def binomial_baseline(ber: float, code: CodeSpec, codewords: int) -> float:
     """
     if not 0.0 <= ber <= 1.0:
         raise ValueError(f"ber must be in [0, 1], got {ber!r}")
-    return block_to_packet(_binomial_tail_above(code.n, code.l, ber), codewords)
+    return block_to_packet(_binomial_tails(code.n, (code.l,), ber)[0], codewords)
 
 
 def _joint_laws(channels, n: int, depths, caps):
@@ -236,32 +258,18 @@ def _joint_laws(channels, n: int, depths, caps):
     return laws
 
 
-def _baseline_results(channels, code: CodeSpec, schemes):
-    """The baseline result of each channel: the codeword's binomial tail
-    worked out once per distinct ber, its block and packet lifts once per
-    distinct (ber, depth, codewords)."""
-    keys = [(c.ber, s.depth, s.codewords) for c, s in zip(channels, schemes)]
-    tails, memo = {}, {}
-    for key in keys:
-        if key in memo:
-            continue
-        ber, depth, codewords = key
-        if ber not in tails:
-            tails[ber] = _binomial_tail_above(code.n, code.l, ber)
-        codeword_error = tails[ber]
-        memo[key] = PacketErrorResult(
-            block_to_packet(codeword_error, depth), block_to_packet(codeword_error, codewords)
-        )
-    return [memo[key] for key in keys]
-
-
 def evaluate_models(model, code, scheme, which=ANALYTIC_MODELS):
     """Evaluate the requested analytic models on one configuration.
 
-    ``model`` is one FsmcModel, giving one dict of results by model name,
-    or a non-empty sequence of them with equal state counts, giving a
-    list of such dicts: the count recursions and each model's chain
-    stage then run once over the whole stack.  ``scheme`` is one
+    ``model`` is a non-empty sequence of FsmcModels with equal state
+    counts, a stack: the count recursions and each model's chain stage run
+    once over it, giving one column triple per model name, (block errors,
+    packet errors, errors), lists with one entry per channel.  A model
+    whose chain stage rejects a channel (e.g. a codeword NACF outside the
+    two-state chain's range) has None for its two errors and the reason
+    in ``errors``; the other models and channels keep their numbers.  One
+    FsmcModel is a stack of one, giving a dict of PacketErrorResult by
+    model name from entry 0 of each column.  ``scheme`` is one
     SchemeSpec, or for a stack one per channel, so a sweep over depths
     is one stack too; a channel's results do not depend on the rest of
     its stack.  ``code`` is one CodeSpec, or a sequence of codes with one
@@ -271,10 +279,7 @@ def evaluate_models(model, code, scheme, which=ANALYTIC_MODELS):
     Models 1 and 3 consume the identical joint law array, so
     any disagreement between them isolates their second-stage
     approximations rather than the shared first stage.  Model 2 reads
-    only the buckets 0..l of a marginal law whose cap may be larger.  A
-    model whose chain stage rejects a channel (e.g. a codeword NACF outside the
-    two-state chain's range) gets a result with ``error`` set; the other
-    models and channels keep their numbers.
+    only the buckets 0..l of a marginal law whose cap may be larger.
     """
     unknown = set(which) - set(ANALYTIC_MODELS)
     if unknown:
@@ -322,22 +327,25 @@ def evaluate_models(model, code, scheme, which=ANALYTIC_MODELS):
         for i, (k, name, _, _) in enumerate(fits):
             part = slice(i * count, (i + 1) * count)
             stages[k][name] = (block_errors[part].tolist(), errors[part])
+    if "baseline" in which:  # the binomial terms of each distinct ber once, for every code
+        ls = [c.l for c in codes]
+        tails = {ber: _binomial_tails(n, ls, ber) for ber in {c.ber for c in channels}}
     blocks = [s.blocks for s in schemes]
     coded = []
     for k, code_stages in enumerate(stages):
-        columns = {}
+        columns = {}  # name -> (block errors, packet errors, errors)
         for name in ANALYTIC_MODELS:
             if name == "baseline" and name in which:
-                columns[name] = _baseline_results(channels, codes[k], schemes)
+                codeword_errors = [tails[c.ber][k] for c in channels]
+                packet_errors = _lift(codeword_errors, [s.codewords for s in schemes])
+                columns[name] = (_lift(codeword_errors, depths), packet_errors, [None] * count)
             elif name in code_stages:
                 block_errors, errors = code_stages[name]
-                columns[name] = [
-                    PacketErrorResult(block, block_to_packet(block, m)) if error is None
-                    else PacketErrorResult(None, None, error=error)
-                    for block, error, m in zip(block_errors, errors, blocks)
-                ]
-        # each channel's dict from its entry of every column; no model, no entries
-        entries = zip(*columns.values())
-        results = [dict(zip(columns, entry)) for entry in entries] or [{} for _ in channels]
-        coded.append(results[0] if isinstance(model, FsmcModel) else results)
+                if errors.count(None) != count:
+                    block_errors = [b if e is None else None for b, e in zip(block_errors, errors)]
+                columns[name] = (block_errors, _lift(block_errors, blocks), errors)
+        if isinstance(model, FsmcModel):  # one channel: entry 0 of each column
+            columns = {name: PacketErrorResult(b[0], p[0], e[0])
+                       for name, (b, p, e) in columns.items()}
+        coded.append(columns)
     return coded[0] if isinstance(code, CodeSpec) else coded

@@ -154,7 +154,9 @@ def run_sweep(spec: SweepSpec, workers: int = 1, on_row=None) -> list[ResultRow]
     and the grid is one flat list of (pair, nacf, ber, channel) entries
     in that order.  Each grid point's channel is built once and shared
     by every (code, pair); the feasible entries of all the codes of one n
-    go through the analytic models as one stack, with one scheme per channel.
+    go through the analytic models as one stack, with one scheme per channel,
+    and each analytic row reads its ``p`` and error from its model's
+    columns, with the throughput worked out inline.
     When both analytic models and "mc" are requested,
     analytic rows get ``rel_err`` against the Monte Carlo estimate of the
     same grid point.  Infeasible or failing grid points, and single
@@ -165,7 +167,7 @@ def run_sweep(spec: SweepSpec, workers: int = 1, on_row=None) -> list[ResultRow]
     analytic = tuple(m for m in spec.models if m != "mc")
     points = [(nacf, ber, _point_channel(nacf, ber)) for nacf in spec.nacfs for ber in spec.bers]
     grid = [(scheme, *point) for scheme in spec.pairs for point in points]
-    records = {}  # code -> its records; the codes of one n from one stack
+    evaluated = {}  # code -> its notes and columns; the codes of one n from one stack
     residuals = {  # (nacf, depth) -> residual correlation, for the entries with a channel
         key: residual_correlation(*key)
         for key in {
@@ -175,22 +177,28 @@ def run_sweep(spec: SweepSpec, workers: int = 1, on_row=None) -> list[ResultRow]
     }
     rows: list[ResultRow] = []
     for code in spec.codes:
-        if code not in records:
+        if code not in evaluated:
             group = [c for c in spec.codes if c.n == code.n]
-            records.update(zip(group, _evaluate_codes(spec, group, grid, analytic)))
-        for (scheme, nacf, ber, channel), (note, results) in zip(grid, records[code]):
+            notes, columns = _evaluate_codes(spec, group, grid, analytic)
+            evaluated.update((c, (notes, code_columns)) for c, code_columns in zip(group, columns))
+        notes, columns = evaluated[code]
+        # each model's packet errors and errors, None for "mc" and a failed stack
+        picks = [(model, *columns.get(model, (None,) * 3)[1:]) for model in spec.models]
+        live = -1  # the entry's index in the columns, which skip the noted entries
+        for (scheme, nacf, ber, channel), note in zip(grid, notes):
             residual = None if isinstance(channel, ValueError) else residuals[nacf, scheme.depth]
             first, estimate = len(rows), None
-            for model in spec.models:
-                result = results.get(model)  # None for "mc" and for a noted entry
-                if result is not None:
+            live += note is None
+            data_bits = scheme.codewords * code.k  # throughput's factor of (1 - p)
+            for model, packets, errors in picks:
+                if note is None and packets is not None:
                     # fields in order: model, ber, nacf, code, scheme, p, p_hat,
                     # ci_lo, ci_hi, rel_err, throughput, residual_corr, seed, note
-                    p = result.packet_error
+                    p, error = packets[live], errors[live]
                     row = ResultRow(
                         model, ber, nacf, code, scheme, p, None, None, None, None,
-                        None if p is None else throughput(code, scheme, p), residual, None,
-                        None if result.error is None else f"error: {result.error}",
+                        None if p is None else data_bits * (1.0 - p), residual,
+                        None, None if error is None else f"error: {error}",
                     )
                 elif note is None and model == "mc":
                     row = ResultRow(model, ber, nacf, code, scheme, residual_corr=residual,
@@ -234,13 +242,14 @@ def _point_channel(nacf, ber):
 
 
 def _evaluate_codes(spec, codes, grid, analytic):
-    """One (note, analytic results) record per (pair, nacf, ber, channel)
-    entry of the grid, for each code of ``codes``, all of one n; the
-    entries without a note are evaluated as one stack for all the codes.
+    """The note of each (pair, nacf, ber, channel) entry of the grid, and
+    for each code of ``codes``, all of one n, its ``evaluate_models``
+    columns: the entries without a note, in grid order, are evaluated as
+    one stack for all the codes.
 
     A point whose statistics no channel can represent, a pair that does
     not fill the budget and, when the stack fails, every stacked entry
-    get a note and no results.
+    get a note; a noted entry has no entry in the columns.
     """
     notes = [
         f"error: {channel}" if isinstance(channel, ValueError)
@@ -248,19 +257,16 @@ def _evaluate_codes(spec, codes, grid, analytic):
         if spec.budget and (bits := scheme.packet_bits(codes[0].n)) != spec.budget else None
         for scheme, _, _, channel in grid
     ]
-    records = [[(note, {}) for note in notes] for _ in codes]
     live = [i for i, note in enumerate(notes) if note is None]
+    columns = [{} for _ in codes]
     if analytic and live:
         schemes, channels = zip(*[(grid[i][0], grid[i][3]) for i in live])
         try:
-            evaluated = evaluate_models(channels, codes, schemes, analytic)
+            columns = evaluate_models(channels, codes, schemes, analytic)
         except Exception as exc:  # surfaced per-row, sweep keeps going
-            evaluated = [[{}] * len(live)] * len(codes)
-            notes = [f"error: {exc}"] * len(grid)
-        for code_records, results in zip(records, evaluated):
-            for i, result in zip(live, results):
-                code_records[i] = (notes[i], result)
-    return records
+            for i in live:
+                notes[i] = f"error: {exc}"
+    return notes, columns
 
 
 # ======================================================================
@@ -315,21 +321,14 @@ def optimize_depth(
     if not pairs:
         raise ValueError(f"no feasible (depth, blocks) pair: budget {budget}, n {code.n}")
     fsmc = ibp_from_stats(channel)
-    evaluated = evaluate_models([fsmc] * len(pairs), code, pairs, which=(model,))
-    candidates = []
-    for scheme, results in zip(pairs, evaluated):
-        result = results[model]
-        if result.error is not None:
-            raise ValueError(result.error)
-        residual = residual_correlation(channel.nacf, scheme.depth)
-        candidates.append(
-            DepthCandidate(
-                scheme=scheme,
-                packet_error=result.packet_error,
-                residual_corr=residual,
-                decorrelated=residual < threshold,
-            )
-        )
+    _, packets, errors = evaluate_models([fsmc] * len(pairs), code, pairs, which=(model,))[model]
+    if any(errors):
+        raise ValueError(next(filter(None, errors)))  # the first failing pair's
+    residuals = [residual_correlation(channel.nacf, scheme.depth) for scheme in pairs]
+    candidates = [
+        DepthCandidate(scheme, packet_error, residual, residual < threshold)
+        for scheme, packet_error, residual in zip(pairs, packets, residuals)
+    ]
     candidates.sort(key=lambda c: (float(f"{c.packet_error:.9e}"), c.scheme.depth))
     return candidates
 

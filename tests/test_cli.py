@@ -161,6 +161,18 @@ def test_infeasible_budget_is_reported_not_fatal(tmp_path):
     assert all(r["note"].startswith("infeasible:") for r in report["rows"])
 
 
+def test_long_code_analyze_gives_every_model_a_number(tmp_path):
+    # from n = 1030 a binomial coefficient of the baseline overflows a
+    # float; the baseline neither fails nor takes models 1-3 down with it
+    argv = grid_args(tmp_path, "analyze", code="1100,1,1", pair="1,1", ber="0.01", nacf="0.5")
+    assert main(argv) == 0
+    rows = read_rows(tmp_path / "out.csv")
+    assert [r["model"] for r in rows] == ["model1", "model2", "model3", "baseline"]
+    assert all(0.0 < float(r["p"]) < 1.0 and float(r["throughput"]) > 0.0 for r in rows)
+    report = json.loads((tmp_path / "out.json").read_text())
+    assert not any("note" in row for row in report["rows"])
+
+
 @pytest.mark.parametrize("verb", ["analyze", "simulate", "compare"])
 def test_bad_channel_statistics_give_error_rows_not_a_traceback(tmp_path, verb):
     # c = 1.0 and p_E = 1.5 are statistics no channel has

@@ -1,5 +1,7 @@
 import hashlib
+import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,10 +17,13 @@ from burstfec.dist import (
     sequential_joint_distribution,
 )
 from burstfec.models import (
+    ANALYTIC_MODELS,
+    PacketErrorResult,
     _absorbed,
     _absorbing_chains,
     _chains,
     _joint_chains,
+    _lift,
     _quadrants,
     _two_state_blocks,
     block_to_packet,
@@ -39,6 +44,14 @@ def make_joint(model, n, depth, cap):
 def codeword_error_rate(model, n, depth, l):
     _, probs = marginal_error_distribution([model], n, [depth], l + 1)
     return 1.0 - float(probs[0, : l + 1].sum())
+
+
+def per_channel(columns):
+    """A stack's columns as the one-channel results of each of its
+    channels: a dict of PacketErrorResult by model name, from the
+    channel's entry of every column."""
+    entries = zip(*(zip(*column) for column in columns.values()))
+    return [{name: PacketErrorResult(*entry) for name, entry in zip(columns, row)} for row in entries]
 
 
 def block_error(name, model, n, l, depth):
@@ -97,6 +110,32 @@ def test_block_to_packet_rejects_bad_probability(bad):
         block_to_packet(bad, 4)
 
 
+BLOCK_ERRORS = st.one_of(
+    st.floats(0.0, 1.0),
+    st.sampled_from([0.0, 1.0, 5e-324, 2.2250738585072014e-308, 1e-300, 1.0 - 2.0**-53]),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(entries=st.lists(st.tuples(BLOCK_ERRORS, st.integers(1, 5000)), min_size=1, max_size=8))
+def test_column_lift_equals_block_to_packet_to_the_bit(entries):
+    block_errors, counts = map(list, zip(*entries))
+    lifted = _lift(block_errors, counts)
+    assert [p.hex() for p in lifted] == [block_to_packet(b, m).hex() for b, m in entries]
+    # a rejected channel's None stays None and is not range-checked
+    assert _lift([None, *block_errors], [1, *counts]) == [None, *lifted]
+
+
+@pytest.mark.parametrize("bad", [-0.1, 1.2, float("nan"), -5e-324])
+def test_column_lift_rejects_a_block_error_without_an_error_message(bad):
+    with pytest.raises(ValueError, match=r"^block error must be in \[0, 1\], got "):
+        _lift([0.5, None, bad], [4, 4, 4])
+    with pytest.raises(ValueError) as raised:
+        block_to_packet(bad, 4)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(raised.value))}$"):
+        _lift([bad], [4])
+
+
 def baseline(ber, code, depth, blocks):
     """The baseline's packet error over a memoryless channel at ``ber``."""
     model = ibp_from_stats(ChannelSpec(ber=ber, nacf=0.0))
@@ -122,6 +161,24 @@ def test_binomial_baseline_against_mpmath():
     assert baseline(0.01, code, 4, 4) == pytest.approx(
         0.05798231830414516, rel=1e-12
     )
+
+
+@pytest.mark.parametrize("n, l", [(1100, 1), (2000, 30)])
+def test_long_code_baseline_against_mpmath(n, l):
+    # from n = 1030 a binomial coefficient overflows a float, and the
+    # terms are worked out in decimal; models 1-3 are not asked for, so
+    # no count recursion runs at this length
+    mpmath = pytest.importorskip("mpmath")
+    model = ibp_from_stats(ChannelSpec(ber=0.01, nacf=0.0))
+    with mpmath.workdps(60):
+        p = mpmath.mpf(model.ber)
+        expected = float(
+            mpmath.fsum(mpmath.binomial(n, i) * p**i * (1 - p) ** (n - i) for i in range(l + 1, n + 1))
+        )
+    result = evaluate_models(model, CodeSpec(n, 1, l), SchemeSpec(1, 1), ("baseline",))["baseline"]
+    assert result.error is None
+    assert result.block_error == result.packet_error
+    assert result.packet_error == pytest.approx(expected, rel=1e-14, abs=0.0)
 
 
 def test_binomial_baseline_edge_rates():
@@ -394,7 +451,7 @@ def test_stacked_evaluation_equals_per_channel_evaluation():
         for ber in (0.001, 0.02)
     ] + [PERIODIC]
     stacked = evaluate_models(stack, code, scheme)
-    assert stacked == [evaluate_models(model, code, scheme) for model in stack]
+    assert per_channel(stacked) == [evaluate_models(model, code, scheme) for model in stack]
     three_state = FsmcModel(np.full((3, 3), 1 / 3), [0.0, 0.5, 1.0])
     with pytest.raises(ValueError, match="common state count"):
         evaluate_models([PERIODIC, three_state], code, scheme)
@@ -424,14 +481,13 @@ def test_models_1_and_2_share_one_stack_with_their_own_errors(monkeypatch):
     stack.append(MODEL2_REJECTS)
     both = evaluate_models(stack, code, scheme, ("model1", "model2"))
     for name in ("model1", "model2"):
-        alone = evaluate_models(stack, code, scheme, (name,))
-        assert [results[name] for results in both] == [results[name] for results in alone]
-    assert [results["model1"].error is None for results in both] == [False, True, True]
-    assert [results["model2"].error is None for results in both] == [True, True, False]
-    assert both[0]["model1"].error.endswith(
+        assert both[name] == evaluate_models(stack, code, scheme, (name,))[name]
+    assert [error is None for error in both["model1"][2]] == [False, True, True]
+    assert [error is None for error in both["model2"][2]] == [True, True, False]
+    assert both["model1"][2][0].endswith(
         "nacf=nan) is outside the two-state chain's parameter range"
     )
-    assert "outside the two-state chain's parameter range" in both[2]["model2"].error
+    assert "outside the two-state chain's parameter range" in both["model2"][2][2]
 
 
 @pytest.mark.parametrize("which", [("model1", "model2", "model3", "baseline"), ("baseline",)])
@@ -442,11 +498,13 @@ def test_empty_stack_is_rejected(which):
 
 def test_stack_works_out_each_channel_statistic_once(monkeypatch):
     # each channel's lag-1 NACF once, when it is built, and the baseline's
-    # binomial tail once per distinct (n, l, ber) of the stack
+    # binomial tails once per distinct ber of the stack, for every code
     nacfs, tails = [], []
-    lag1_nacf, tail = channel_module._lag1_nacf, models_module._binomial_tail_above
+    lag1_nacf, tail = channel_module._lag1_nacf, models_module._binomial_tails
     monkeypatch.setattr(channel_module, "_lag1_nacf", lambda *a: nacfs.append(a) or lag1_nacf(*a))
-    monkeypatch.setattr(models_module, "_binomial_tail_above", lambda *a: tails.append(a) or tail(*a))
+    monkeypatch.setattr(
+        models_module, "_binomial_tails", lambda n, ls, p: tails.append((n, *ls, p)) or tail(n, ls, p)
+    )
     channels = [
         ibp_from_stats(ChannelSpec(ber=ber, nacf=nacf))
         for nacf in (0.3, 0.9)
@@ -456,13 +514,14 @@ def test_stack_works_out_each_channel_statistic_once(monkeypatch):
     code = CodeSpec(63, 45, 3)
     stack = [*channels, PERIODIC] * len(BUDGET_PAIRS)
     schemes = [scheme for scheme in BUDGET_PAIRS for _ in range(len(channels) + 1)]
-    stacked = evaluate_models(stack, code, schemes)
+    stacked = evaluate_models(stack, BENCHMARK_CODES, schemes)
     for c in channels:
         c.lag1_nacf()
     assert len(nacfs) == len(channels)
-    assert sorted(tails) == sorted({(63, 3, c.ber) for c in stack})
+    assert sorted(tails) == sorted({(63, 1, 3, 5, c.ber) for c in stack})
     monkeypatch.undo()
-    assert stacked == [evaluate_models(c, code, s) for c, s in zip(stack, schemes)]
+    for code, columns in zip(BENCHMARK_CODES, stacked):
+        assert per_channel(columns) == [evaluate_models(c, code, s) for c, s in zip(stack, schemes)]
 
 
 def test_chain_stage_values_are_pinned_to_the_bit():
@@ -477,7 +536,7 @@ def test_chain_stage_values_are_pinned_to_the_bit():
     lines = []
     for code in BENCHMARK_CODES:
         for scheme in BUDGET_PAIRS:
-            for results in evaluate_models(stack, code, scheme):
+            for results in per_channel(evaluate_models(stack, code, scheme)):
                 lines += [
                     r.error if r.error is not None
                     else f"{r.block_error.hex()} {r.packet_error.hex()}"
@@ -601,13 +660,13 @@ SCHEMES = st.builds(SchemeSpec, depth=st.integers(1, 4), blocks=st.integers(1, 3
 def test_stacked_chain_stage_on_any_fsmc(stack, n, l, schemes):
     assume(l < n)
     code, schemes = CodeSpec(n, 1, l), schemes[: len(stack)]
-    stacked = evaluate_models(stack, code, schemes)
+    stacked = per_channel(evaluate_models(stack, code, schemes))
     assert len(stacked) == len(stack)
     # a stack of the channels sharing one scheme gives the same floats and
     # the same error strings as the mixed-scheme stack
     for scheme in set(schemes):
         chosen = [i for i, s in enumerate(schemes) if s == scheme]
-        alike = evaluate_models([stack[i] for i in chosen], code, scheme)
+        alike = per_channel(evaluate_models([stack[i] for i in chosen], code, scheme))
         assert alike == [stacked[i] for i in chosen]
     for channel, scheme, results in zip(stack, schemes, stacked):
         # every model gives a probability or its own error
@@ -657,6 +716,47 @@ def test_code_sequence_equals_one_call_per_code(stack, n, ls, schemes):
     assert grouped == [evaluate_models(stack, code, schemes) for code in codes]
     alone = evaluate_models(stack[0], codes, schemes[0])
     assert alone == [evaluate_models(stack[0], code, schemes[0]) for code in codes]
+
+
+POINT_STATS = st.tuples(st.sampled_from([0.001, 0.02, 0.2]), st.sampled_from([0.0, 0.5, 0.9]))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@example(  # model 2 rejects MODEL2_REJECTS at l = 1 and 2, and PERIODIC at
+    # l = 0 and 2; model 1 rejects MODEL2_REJECTS at l = 2
+    points=[(0.02, 0.9), (0.2, 0.5)], n=3, ls=[0, 1, 2],
+    schemes=[SchemeSpec(1, 2), SchemeSpec(2, 3), SchemeSpec(2, 1), SchemeSpec(4, 1)],
+)
+@given(
+    points=st.lists(POINT_STATS, min_size=1, max_size=3),
+    n=st.integers(3, 6),
+    ls=st.lists(st.integers(0, 2), min_size=2, max_size=3, unique=True),
+    schemes=st.lists(SCHEMES, min_size=5, max_size=5),
+)
+def test_mixed_stack_columns_equal_the_one_channel_results(points, n, ls, schemes):
+    # depth-1 entries beside deeper ones, channels the chains reject and
+    # several codes: each column entry is the one-channel result's field,
+    # for every subset of the models
+    stack = [ibp_from_stats(ChannelSpec(ber, nacf)) for ber, nacf in points]
+    stack += [MODEL2_REJECTS, PERIODIC]
+    schemes, codes = schemes[: len(stack)], [CodeSpec(n, 1, l) for l in ls]
+    assume({scheme.depth == 1 for scheme in schemes} == {True, False})
+    for size in range(len(ANALYTIC_MODELS) + 1):
+        for which in itertools.combinations(ANALYTIC_MODELS, size):
+            for code, columns in zip(codes, evaluate_models(stack, codes, schemes, which)):
+                assert list(columns) == list(which)
+                for block_errors, packet_errors, errors in columns.values():
+                    # a rejected channel has its message and no numbers
+                    assert [b is None for b in block_errors] == [e is not None for e in errors]
+                    assert [p is None for p in packet_errors] == [e is not None for e in errors]
+                for i, (channel, scheme) in enumerate(zip(stack, schemes)):
+                    alone = evaluate_models(channel, code, scheme, which)
+                    assert list(alone) == list(which)
+                    for name, result in alone.items():
+                        block_errors, packet_errors, errors = columns[name]
+                        assert (block_errors[i], packet_errors[i], errors[i]) == (
+                            result.block_error, result.packet_error, result.error
+                        )
 
 
 def test_code_sequence_needs_one_codeword_length():

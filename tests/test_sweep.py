@@ -14,7 +14,7 @@ import burstfec
 from burstfec.channel import ChannelSpec, CodeSpec, FsmcModel, SchemeSpec, ibp_from_stats
 from burstfec.cli import DEFAULT_CONFIG, main
 from burstfec.mc import SimConfig, simulate_packets
-from burstfec.models import ANALYTIC_MODELS, PacketErrorResult, evaluate_models
+from burstfec.models import ANALYTIC_MODELS, evaluate_models
 from burstfec.sweep import (
     CSV_COLUMNS,
     DepthCandidate,
@@ -414,11 +414,13 @@ def test_optimizer_raises_the_first_failing_pairs_error(monkeypatch):
     original = burstfec.sweep.evaluate_models
 
     def failing(stack, code, schemes, which):
-        results = original(stack, code, schemes, which)
-        for scheme, result in zip(schemes, results):
+        columns = original(stack, code, schemes, which)
+        block_errors, packet_errors, errors = columns[which[0]]
+        for i, scheme in enumerate(schemes):
             if scheme.depth in (8, 4):
-                result[which[0]] = PacketErrorResult(None, None, f"fails at I={scheme.depth}")
-        return results
+                block_errors[i] = packet_errors[i] = None
+                errors[i] = f"fails at I={scheme.depth}"
+        return columns
 
     monkeypatch.setattr(burstfec.sweep, "evaluate_models", failing)
     with pytest.raises(ValueError, match="^fails at I=4$"):
