@@ -14,19 +14,18 @@ between the bit pairs of two adjacent codewords.
 
 Each recursion takes a non-empty sequence of FsmcModels with equal
 state counts, run as one stack along a leading batch axis, and returns
-two plain arrays ``(buckets, law)``, each with a leading channel axis.
-``buckets`` holds one S x S flow matrix per counter value: (cap+1) of
-them for one codeword, (cap+1) x (cap+1) for two; summed over the
-counter values they give the plain transition power over the
-recursion's horizon.  ``law`` is the count law ``pi @ buckets[...] @ 1``.
-Every cap is at least 1.  The two-codeword recursions take a sequence
-of caps, for one walk whose counters hold the counts below the largest
-cap and one top slot per distinct cap; each cap's ``(buckets, law)`` is
-a one-cap walk's, bit for bit.  One channel or many is decided by
+the count law as a plain array with a leading channel axis: (cap+1)
+counts for one codeword, (cap+1) x (cap+1) for two.  A count's law is
+``pi @ flow @ 1`` of its S x S flow matrix; summed over the counter
+values the flows give the plain transition power over the recursion's
+horizon.  Every cap is at least 1.  The two-codeword recursions take a
+sequence of caps, for one walk whose counters hold the counts below the
+largest cap and one top slot per distinct cap; each cap's law is a
+one-cap walk's, bit for bit.  One channel or many is decided by
 :func:`burstfec.models.evaluate_models`, the recursions' one caller.
 The interleaved recursions take one depth per channel, so a whole sweep
 over depths is one stack.  Every product multiplies a channel's whole
-bucket stack, viewed as one (counts*S) x S matrix, written into one of
+flow stack, viewed as one (counts*S) x S matrix, written into one of
 two reused buffers.  In the one-codeword recursion a counted bit costs
 one product per channel and kernel (d0, d1, each times the gap power).
 In the joint and sequential recursions it costs one product per
@@ -121,9 +120,9 @@ def _powers(matrices, depths, offset: int):
     distinct = set(depths)
     if len(distinct) == 1:
         return _power(matrices, depths[0] - offset)
-    powers = np.empty_like(matrices)
+    powers, stacked = np.empty_like(matrices), np.array(depths)
     for depth in distinct:
-        chosen = [i for i, d in enumerate(depths) if d == depth]
+        chosen = np.flatnonzero(stacked == depth)
         powers[chosen] = _power(matrices[chosen], depth - offset)
     return powers
 
@@ -132,8 +131,8 @@ def _walk(buckets, transition, errors, path, gap, tops, swap=False):
     """Advance a joint bucket stack along ``path``: each entry is the
     counter axis (1 or 2) of a counted bit, or None for a product by
     ``gap``.  A counter that the path never counts on may have fewer
-    slots than the other, down to one.  With ``swap`` the result comes
-    back with its two counter axes swapped.
+    slots than the other, down to one.  Returns the walk's own flows, or
+    with ``swap`` a view of them with the two counter axes swapped.
 
     A counted bit costs one product per channel by the transition matrix,
     written into the buffer it does not read.  The flows run as
@@ -207,7 +206,7 @@ def _walk(buckets, transition, errors, path, gap, tops, swap=False):
         for call, args in calls:
             call(*args)
     flows = steps[len(path) % 2][0].reshape(flows.shape)
-    return np.ascontiguousarray(flows.transpose(0, 2 + swap, 3 - swap, 4, 1))
+    return flows.transpose(0, 1, 3, 2, 4) if swap else flows
 
 
 def _add(total, part):
@@ -215,30 +214,24 @@ def _add(total, part):
     return np.add, (total, part, total)
 
 
-def _laws(channels, buckets, caps=None, tops=None):
-    """(buckets, law): the law of each channel is its buckets contracted
-    with its stationary vector, one einsum per channel.  A batched form,
-    the row sums of each bucket matrix and then their pi-weighted sum,
-    matched it bit for bit on 2-state chains but not on 3-state ones, so
-    the per-channel einsum stays.
+def _laws(channels, flows, caps=None, tops=None):
+    """The law of each channel of a stack of flows, B x S_end x counts x
+    S_start: the flows summed over their end states, then weighted by the
+    stationary vectors, in one einsum over the stack.
 
-    A list of ``caps`` gets one pair per cap: a walk's law is contracted
-    once over all its slots, then each cap's counts below it and its top
-    slot are cut from the buckets and the law, as C-contiguous arrays,
-    since the models' sums round by memory layout.  With one distinct cap
-    the walk's slots are that cap's buckets, returned uncut."""
-    laws = np.empty(buckets.shape[:-2])
-    for i, channel in enumerate(channels):
-        laws[i] = np.einsum("s,...st->...", channel.pi, buckets[i])
+    A list of ``caps`` gets one law per cap: each cap's counts below it
+    and its top slot are cut from the walk's law.  Every law is
+    C-contiguous, since the models' sums round by memory layout.  With
+    one distinct cap the walk's slots are that cap's, and its law is
+    returned uncut."""
+    pi = np.array([channel.pi for channel in channels])
+    laws = np.einsum("bs,b...s->b...", pi, flows.sum(axis=1), order="C")
     if caps is None:
-        return buckets, laws
+        return laws
     if len(tops) == 1:
-        return [(buckets, laws)] * len(caps)
+        return [laws] * len(caps)
     cuts = {c: [*range(c), top] for c, top in tops.items()}
-    return [
-        tuple(np.ascontiguousarray(a[:, cuts[c]][:, :, cuts[c]]) for a in (buckets, laws))
-        for c in caps
-    ]
+    return [np.ascontiguousarray(laws[:, cuts[c]][:, :, cuts[c]]) for c in caps]
 
 
 def marginal_error_distribution(channels, n: int, depths, cap: int):
@@ -246,8 +239,8 @@ def marginal_error_distribution(channels, n: int, depths, cap: int):
 
     Every counted bit except the last is followed by a marginalized gap
     of depth-1 slots occupied by the other codewords of the block, with
-    one depth per channel of the stack.  Returns ``(buckets, probs)``
-    with ``probs[b, j] = pi_b @ buckets[b, j] @ 1``.
+    one depth per channel of the stack.  Returns the law ``probs``, with
+    ``probs[b, j]`` = P(the codeword counts j) on channel b.
     """
     buckets, transition, _, _ = _stack(channels, n, [cap], 1)
     kernels = np.array([[c.d0 for c in channels], [c.d1 for c in channels]])
@@ -269,7 +262,7 @@ def marginal_error_distribution(channels, n: int, depths, cap: int):
         upper += lower
         top += hit
         buckets = rows
-    return _laws(channels, buckets.reshape(count, cap + 1, states, states))
+    return _laws(channels, buckets.reshape(count, cap + 1, states, states).transpose(0, 3, 1, 2))
 
 
 def joint_error_distribution(channels, n: int, depths, caps):
@@ -282,10 +275,10 @@ def joint_error_distribution(channels, n: int, depths, caps):
     computed, only when every depth is 2, and is the identity for the
     depth-2 channels of a mixed stack.  Requires depth >= 2 -- depth 1 has
     no column pairing (see :func:`sequential_joint_distribution`).
-    Returns one ``(buckets, q)`` per cap, with ``q[b, i, j]`` = P(first
-    counts i, second counts j) on channel b.  When the caps are all one
-    value, every entry of that list is the same pair of arrays, the
-    walk's own, so an entry edited in place edits the others too.
+    Returns one law ``q`` per cap, with ``q[b, i, j]`` = P(first counts
+    i, second counts j) on channel b.  When the caps are all one value,
+    every entry of that list is the same array, the walk's own, so an
+    entry edited in place edits the others too.
     """
     buckets, transition, errors, tops = _stack(channels, n, caps, 2)
     depths = _depths(
@@ -302,8 +295,8 @@ def sequential_joint_distribution(channels, n: int, caps):
 
     This is the depth-1 layout: the two codewords occupy 2n consecutive
     transmission slots with no interleaving gaps at all.  Returns one
-    ``(buckets, q)`` per cap as :func:`joint_error_distribution` does;
-    caps that are all one value share one pair of arrays, as they do there.
+    law ``q`` per cap as :func:`joint_error_distribution` does; caps that
+    are all one value share one array, as they do there.
     """
     buckets, transition, errors, tops = _stack(channels, n, caps, 2)
     # until its first counted bit the second counter holds count 0 alone,
@@ -311,6 +304,6 @@ def sequential_joint_distribution(channels, n: int, caps):
     first = _walk(buckets[:, :, :1], transition, errors, [1] * n, None, tops)
     # placed at count 0 of the second counter, on swapped axes, the first
     # codeword's counts stand while the second codeword's bits walk axis 1
-    buckets[:, 0] = first[:, :, 0]
+    buckets[:, 0] = first[:, :, :, 0].transpose(0, 2, 3, 1)
     flows = _walk(buckets, transition, errors, [1] * n, None, tops, swap=True)
     return _laws(channels, flows, caps, tops)

@@ -242,12 +242,12 @@ def _joint_laws(channels, n: int, depths, caps):
     joint recursion; a stack of one kind takes its recursion's laws."""
     sequential = [i for i, depth in enumerate(depths) if depth == 1]
     if not sequential:
-        return [q for _, q in joint_error_distribution(channels, n, depths, caps)]
+        return joint_error_distribution(channels, n, depths, caps)
     if len(sequential) == len(channels):
-        return [q for _, q in sequential_joint_distribution(channels, n, caps)]
+        return sequential_joint_distribution(channels, n, caps)
     laws = [np.empty((len(channels), cap + 1, cap + 1)) for cap in caps]
     paired = [i for i, depth in enumerate(depths) if depth != 1]
-    for q, (_, first), (_, second) in zip(
+    for q, first, second in zip(
         laws,
         sequential_joint_distribution([channels[i] for i in sequential], n, caps),
         joint_error_distribution(
@@ -279,7 +279,7 @@ def evaluate_models(model, code, scheme, which=ANALYTIC_MODELS):
     Models 1 and 3 consume the identical joint law array, so
     any disagreement between them isolates their second-stage
     approximations rather than the shared first stage.  Model 2 reads
-    only the buckets 0..l of a marginal law whose cap may be larger.
+    only the counts 0..l of a marginal law whose cap may be larger.
     """
     unknown = set(which) - set(ANALYTIC_MODELS)
     if unknown:
@@ -300,7 +300,7 @@ def evaluate_models(model, code, scheme, which=ANALYTIC_MODELS):
         laws = _joint_laws(channels, n, depths, caps)
     if "model2" in which:
         # model 2 reuses the bit-level correlation at the codeword level
-        _, probs = marginal_error_distribution(channels, n, depths, max(caps))
+        probs = marginal_error_distribution(channels, n, depths, max(caps))
         nacf = np.array([channel.lag1_nacf() for channel in channels])
     stages = [{} for _ in codes]  # per code: name -> (block errors, errors)
     # models 1 and 2 differ only in their (error rate, NACF) fits: the

@@ -105,13 +105,13 @@ def test_criterion_2_oracle_equivalence():
                         fsmc = ibp_from_stats(ChannelSpec(ber=ber, nacf=nacf))
 
                         exact_q = exact_joint_law(fsmc, n, depth, cap)
-                        _, probs = marginal_error_distribution([fsmc], n, [depth], cap)
+                        probs = marginal_error_distribution([fsmc], n, [depth], cap)
                         gap = np.max(np.abs(probs[0] - exact_q.sum(axis=1)))
                         worst_dist = max(worst_dist, float(gap))
                         if depth >= 2:
-                            [(_, q)] = joint_error_distribution([fsmc], n, [depth], [cap])
+                            [q] = joint_error_distribution([fsmc], n, [depth], [cap])
                         else:
-                            [(_, q)] = sequential_joint_distribution([fsmc], n, [cap])
+                            [q] = sequential_joint_distribution([fsmc], n, [cap])
                         gap = np.max(np.abs(q[0] - exact_q))
                         worst_dist = max(worst_dist, float(gap))
 

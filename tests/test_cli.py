@@ -330,7 +330,7 @@ def test_oracle_verb_prints_the_joint_law_row_sums_as_the_codeword_law(depth, ca
         float(f"{prob:.12g}") for prob in marginal
     ]
     np.testing.assert_allclose(
-        marginal, marginal_error_distribution([model], n, [depth], l + 1)[1][0], rtol=0, atol=1e-13
+        marginal, marginal_error_distribution([model], n, [depth], l + 1)[0], rtol=0, atol=1e-13
     )
 
 

@@ -1,3 +1,4 @@
+import contextlib
 import itertools
 import math
 import time
@@ -64,21 +65,20 @@ def sequential_by_paths(model, n, cap):
 
 
 def one_marginal(model, n, depth, cap):
-    """One channel's (buckets, probs), from a stack of one."""
-    buckets, probs = marginal_error_distribution([model], n, [depth], cap)
-    return buckets[0], probs[0]
+    """One channel's probs, from a stack of one."""
+    return marginal_error_distribution([model], n, [depth], cap)[0]
 
 
 def one_joint(model, n, depth, cap):
-    """One channel's (buckets, q) at one cap, from a stack of one."""
-    [(buckets, q)] = joint_error_distribution([model], n, [depth], [cap])
-    return buckets[0], q[0]
+    """One channel's q at one cap, from a stack of one."""
+    [q] = joint_error_distribution([model], n, [depth], [cap])
+    return q[0]
 
 
 def one_sequential(model, n, cap):
-    """One channel's back-to-back (buckets, q) at one cap, from a stack of one."""
-    [(buckets, q)] = sequential_joint_distribution([model], n, [cap])
-    return buckets[0], q[0]
+    """One channel's back-to-back q at one cap, from a stack of one."""
+    [q] = sequential_joint_distribution([model], n, [cap])
+    return q[0]
 
 
 def marginal_gap(q, probs):
@@ -127,25 +127,25 @@ SEQUENTIAL_2 = np.array(
 
 def test_single_bit_error_probability():
     model = ibp_from_stats(ChannelSpec(ber=0.01, nacf=0.6))
-    _, probs = one_marginal(model, 1, 1, 1)
+    probs = one_marginal(model, 1, 1, 1)
     np.testing.assert_allclose(probs, [0.99, 0.01], atol=1e-15)
 
 
 def test_marginal_frozen_reference():
     model = ibp_from_stats(ChannelSpec(ber=0.1, nacf=0.5))
-    _, probs = one_marginal(model, 4, 3, 4)
+    probs = one_marginal(model, 4, 3, 4)
     np.testing.assert_allclose(probs, MARGINAL_4_3, atol=1e-14)
 
 
 def test_joint_frozen_reference():
     model = ibp_from_stats(ChannelSpec(ber=0.2, nacf=0.7))
-    _, q = one_joint(model, 3, 2, 3)
+    q = one_joint(model, 3, 2, 3)
     np.testing.assert_allclose(q, JOINT_3_2, atol=1e-14)
 
 
 def test_sequential_frozen_reference():
     model = ibp_from_stats(ChannelSpec(ber=0.2, nacf=0.7))
-    _, q = one_sequential(model, 2, 2)
+    q = one_sequential(model, 2, 2)
     np.testing.assert_allclose(q, SEQUENTIAL_2, atol=1e-14)
 
 
@@ -153,7 +153,7 @@ def test_sequential_frozen_reference():
 @pytest.mark.parametrize("n,depth", [(1, 1), (2, 3), (4, 2), (5, 3)])
 def test_marginal_matches_path_enumeration(ber, nacf, n, depth):
     model = ibp_from_stats(ChannelSpec(ber=ber, nacf=nacf))
-    _, probs = one_marginal(model, n, depth, n)
+    probs = one_marginal(model, n, depth, n)
     assert np.max(np.abs(probs - marginal_by_paths(model, n, depth, n))) <= 1e-13
 
 
@@ -161,7 +161,7 @@ def test_marginal_matches_path_enumeration(ber, nacf, n, depth):
 @pytest.mark.parametrize("n,depth", [(1, 2), (2, 3), (3, 2), (3, 4)])
 def test_joint_matches_path_enumeration(ber, nacf, n, depth):
     model = ibp_from_stats(ChannelSpec(ber=ber, nacf=nacf))
-    _, q = one_joint(model, n, depth, n)
+    q = one_joint(model, n, depth, n)
     assert np.max(np.abs(q - joint_by_paths(model, n, depth, n))) <= 1e-13
 
 
@@ -169,14 +169,14 @@ def test_joint_matches_path_enumeration(ber, nacf, n, depth):
 @pytest.mark.parametrize("n", [1, 2, 4])
 def test_sequential_matches_path_enumeration(ber, nacf, n):
     model = ibp_from_stats(ChannelSpec(ber=ber, nacf=nacf))
-    _, q = one_sequential(model, n, n)
+    q = one_sequential(model, n, n)
     assert np.max(np.abs(q - sequential_by_paths(model, n, n))) <= 1e-13
 
 
 def test_single_pair_back_to_back():
     # n=1 sequential law is exactly pi @ D(a) @ D(b) @ 1
     model = ibp_from_stats(ChannelSpec(ber=0.2, nacf=0.7))
-    _, q = one_sequential(model, 1, 1)
+    q = one_sequential(model, 1, 1)
     ones = np.ones(2)
     kernels = (model.d0, model.d1)
     for a in (0, 1):
@@ -189,11 +189,11 @@ def test_uncorrelated_joint_factorizes():
     # nacf=0 makes every bit i.i.d.: the joint is an outer product of
     # binomial laws and the quarter table shows up at n=1, ber=0.5
     model = ibp_from_stats(ChannelSpec(ber=0.5, nacf=0.0))
-    _, q = one_joint(model, 1, 2, 1)
+    q = one_joint(model, 1, 2, 1)
     np.testing.assert_allclose(q, np.full((2, 2), 0.25), atol=1e-14)
 
     model = ibp_from_stats(ChannelSpec(ber=0.3, nacf=0.0))
-    _, q = one_joint(model, 4, 3, 4)
+    q = one_joint(model, 4, 3, 4)
     binom = np.array([math.comb(4, j) * 0.3**j * 0.7 ** (4 - j) for j in range(5)])
     np.testing.assert_allclose(q, np.outer(binom, binom), atol=1e-13)
 
@@ -202,7 +202,7 @@ def test_uncorrelated_joint_factorizes():
 def test_uncapped_marginal_is_binomial_at_nacf_zero(ber):
     model = ibp_from_stats(ChannelSpec(ber=ber, nacf=0.0))
     n = 6
-    _, probs = one_marginal(model, n, 4, n)
+    probs = one_marginal(model, n, 4, n)
     binom = [math.comb(n, j) * ber**j * (1 - ber) ** (n - j) for j in range(n + 1)]
     np.testing.assert_allclose(probs, binom, atol=1e-13)
 
@@ -211,9 +211,9 @@ def test_uncapped_marginal_is_binomial_at_nacf_zero(ber):
 @pytest.mark.parametrize("n,depth", [(3, 1), (3, 2), (5, 3)])
 def test_laws_sum_to_one(ber, nacf, n, depth):
     model = ibp_from_stats(ChannelSpec(ber=ber, nacf=nacf))
-    _, probs = one_marginal(model, n, depth, 2)
+    probs = one_marginal(model, n, depth, 2)
     assert probs.sum() == pytest.approx(1.0, abs=1e-12)
-    _, q = (
+    q = (
         one_joint(model, n, depth, 2)
         if depth >= 2
         else one_sequential(model, n, 2)
@@ -222,32 +222,52 @@ def test_laws_sum_to_one(ber, nacf, n, depth):
     assert np.all(q >= -1e-15)
 
 
+@contextlib.contextmanager
+def flows_handed_to_laws():
+    """The walked flows (B x S_end x counts x S_start) that each recursion
+    called in the block hands to ``dist._laws``, copied, in call order."""
+    seen, laws = [], dist._laws
+
+    def record(channels, flows, *args):
+        seen.append(flows.copy())
+        return laws(channels, flows, *args)
+
+    dist._laws = record
+    try:
+        yield seen
+    finally:
+        dist._laws = laws
+
+
 @pytest.mark.parametrize("n,depth", [(4, 1), (4, 2), (6, 5)])
 def test_bucket_sum_reproduces_gap_horizon(n, depth):
-    # summed over buckets, the returned buckets of every recursion must equal
-    # the plain transition matrix over the whole recursion horizon
+    # summed over every count slot, the flows each recursion walks (the
+    # joint and sequential ones from _walk) must equal the plain transition
+    # matrix over the whole recursion horizon; they run end state first, so
+    # the sum is that power transposed
     model = ibp_from_stats(ChannelSpec(ber=0.02, nacf=0.8))
-    buckets, _ = one_marginal(model, n, depth, 2)
-    horizon = np.linalg.matrix_power(model.transition, (n - 1) * depth + 1)
-    assert np.max(np.abs(buckets.sum(axis=0) - horizon)) <= 1e-12
-    buckets, _ = one_sequential(model, n, 2)
-    horizon = np.linalg.matrix_power(model.transition, 2 * n)
-    assert np.max(np.abs(buckets.sum(axis=(0, 1)) - horizon)) <= 1e-12
-    if depth >= 2:
-        buckets, _ = one_joint(model, n, depth, 2)
-        horizon = np.linalg.matrix_power(model.transition, (n - 1) * depth + 2)
-        assert np.max(np.abs(buckets.sum(axis=(0, 1)) - horizon)) <= 1e-12
+    horizons = [(n - 1) * depth + 1, 2 * n] + ([(n - 1) * depth + 2] if depth >= 2 else [])
+    with flows_handed_to_laws() as seen:
+        one_marginal(model, n, depth, 2)
+        one_sequential(model, n, 2)
+        if depth >= 2:
+            one_joint(model, n, depth, 2)
+    assert len(seen) == len(horizons)
+    for flows, steps in zip(seen, horizons):
+        horizon = np.linalg.matrix_power(model.transition, steps)
+        total = flows[0].sum(axis=tuple(range(1, flows.ndim - 2)))
+        assert np.max(np.abs(total.T - horizon)) <= 1e-12
 
 
 @pytest.mark.parametrize("cap", [1, 3])
 def test_saturation_equals_rebucketed_full_resolution(cap):
     model = ibp_from_stats(ChannelSpec(ber=0.15, nacf=0.6))
     n, depth = 5, 2
-    _, full = one_marginal(model, n, depth, n)
-    _, capped = one_marginal(model, n, depth, cap)
+    full = one_marginal(model, n, depth, n)
+    capped = one_marginal(model, n, depth, cap)
     np.testing.assert_allclose(capped, bucket(full, cap), atol=1e-13)
-    _, full_q = one_joint(model, n, depth, n)
-    _, capped_q = one_joint(model, n, depth, cap)
+    full_q = one_joint(model, n, depth, n)
+    capped_q = one_joint(model, n, depth, cap)
     np.testing.assert_allclose(capped_q, bucket(full_q, cap), atol=1e-13)
 
 
@@ -255,12 +275,12 @@ def test_saturation_equals_rebucketed_full_resolution(cap):
 @pytest.mark.parametrize("n,depth,cap", [(63, 16, 6), (31, 4, 4), (5, 1, 2)])
 def test_marginal_consistency(ber, nacf, n, depth, cap):
     model = ibp_from_stats(ChannelSpec(ber=ber, nacf=nacf))
-    _, q = (
+    q = (
         one_joint(model, n, depth, cap)
         if depth >= 2
         else one_sequential(model, n, cap)
     )
-    _, probs = one_marginal(model, n, depth, cap)
+    probs = one_marginal(model, n, depth, cap)
     assert marginal_gap(q, probs) <= 1e-12
 
 
@@ -268,8 +288,8 @@ def test_marginal_consistency_rejects_shape_mismatch():
     # a marginal of another cap has another length: compared with a joint's
     # first marginal it is refused, not broadcast
     model = ibp_from_stats(ChannelSpec(ber=0.01, nacf=0.5))
-    _, q = one_joint(model, 4, 2, 2)
-    _, probs = one_marginal(model, 4, 2, 4)
+    q = one_joint(model, 4, 2, 2)
+    probs = one_marginal(model, 4, 2, 4)
     assert q.shape == (3, 3) and probs.shape == (5,)
     with pytest.raises(ValueError):
         marginal_gap(q, probs)
@@ -281,9 +301,9 @@ def test_three_state_channel_supported():
 
     transition = np.array([[0.9, 0.08, 0.02], [0.25, 0.6, 0.15], [0.05, 0.25, 0.7]])
     model = FsmcModel(transition, np.array([0.001, 0.1, 0.6]))
-    _, q = one_joint(model, 3, 2, 3)
+    q = one_joint(model, 3, 2, 3)
     assert np.max(np.abs(q - joint_by_paths(model, 3, 2, 3))) <= 1e-13
-    _, probs = one_marginal(model, 3, 2, 3)
+    probs = one_marginal(model, 3, 2, 3)
     assert marginal_gap(q, probs) <= 1e-12
 
 
@@ -305,7 +325,7 @@ def test_long_codeword_joint_is_fast():
     # worst realistic size: (1023, k, t<=16)-style code at depth 16
     model = ibp_from_stats(ChannelSpec(ber=0.001, nacf=0.9))
     start = time.perf_counter()
-    _, q = one_joint(model, 1023, 16, 16)
+    q = one_joint(model, 1023, 16, 16)
     elapsed = time.perf_counter() - start
     assert q.sum() == pytest.approx(1.0, abs=1e-11)
     assert elapsed < 1.0
@@ -322,7 +342,8 @@ def looped_laws(model, n, depth, cap):
     stacked ones, so the results must agree bit for bit: the marginal
     multiplies by the split kernels, the joint by the transition matrix,
     then keeps (1 - e) of each end state t's flow and moves e of it up one
-    count (one count keeps its flow)."""
+    count (one count keeps its flow).  Each law sums its flows over their
+    end states, then weights them by the stationary vector."""
 
     def kernel_step(buckets, miss, hit):
         out, up = buckets @ miss, buckets @ hit
@@ -359,8 +380,8 @@ def looped_laws(model, n, depth, cap):
             if i < n - 1 and depth > 2:
                 joint = joint @ gap
     return (
-        np.einsum("s,jst->j", model.pi, marginal),
-        np.einsum("s,ijst->ij", model.pi, joint),
+        np.einsum("s,js->j", model.pi, marginal.sum(axis=-1)),
+        np.einsum("s,ijs->ij", model.pi, joint.sum(axis=-1)),
     )
 
 
@@ -403,12 +424,8 @@ def test_stacked_laws_equal_per_channel_laws(stack, n, depth, cap):
     joints = (
         joint_error_distribution(stack, n, depths, [cap])[0] if depth >= 2 else sequentials
     )
-    size = stack[0].states
-    assert marginals[0].shape == (len(stack), cap + 1, size, size)
-    assert marginals[1].shape == (len(stack), cap + 1)
-    for buckets, law in (joints, sequentials):
-        assert buckets.shape == (len(stack), cap + 1, cap + 1, size, size)
-        assert law.shape == (len(stack), cap + 1, cap + 1)
+    assert marginals.shape == (len(stack), cap + 1)
+    assert joints.shape == sequentials.shape == (len(stack), cap + 1, cap + 1)
     for i, model in enumerate(stack):
         pairs = [
             (marginals, one_marginal(model, n, depth, cap)),
@@ -416,12 +433,11 @@ def test_stacked_laws_equal_per_channel_laws(stack, n, depth, cap):
         ]
         if depth >= 2:
             pairs.append((joints, one_joint(model, n, depth, cap)))
-        for (buckets, law), (alone_buckets, alone_law) in pairs:
-            assert np.array_equal(buckets[i], alone_buckets)
+        for law, alone_law in pairs:
             assert np.array_equal(law[i], alone_law)
         looped_probs, looped_q = looped_laws(model, n, depth, cap)
-        assert np.array_equal(marginals[1][i], looped_probs)
-        assert np.array_equal(joints[1][i], looped_q)
+        assert np.array_equal(marginals[i], looped_probs)
+        assert np.array_equal(joints[i], looped_q)
 
 
 @pytest.mark.parametrize("states", [2, 3])
@@ -429,7 +445,7 @@ def test_stacked_laws_equal_per_channel_laws(stack, n, depth, cap):
 def test_mixed_depth_stack_equals_per_depth_calls(states, n, cap):
     # one depth per channel: each channel gets its own gap power, and a
     # depth-2 channel of a joint stack with deeper ones is multiplied by an
-    # identity gap, which must leave its buckets bit for bit as they were
+    # identity gap, which must leave its law bit for bit as it was
     rng = np.random.default_rng(100 * states + n)
     stack = [random_fsmc(int(seed), states) for seed in rng.integers(0, 10**6, 7)]
     for recursion, depths in [
@@ -440,8 +456,7 @@ def test_mixed_depth_stack_equals_per_depth_calls(states, n, cap):
         for depth in set(depths):
             chosen = [i for i, d in enumerate(depths) if d == depth]
             alone = recursion([stack[i] for i in chosen], n, [depth] * len(chosen), cap)
-            assert np.array_equal(mixed[0][chosen], alone[0])
-            assert np.array_equal(mixed[1][chosen], alone[1])
+            assert np.array_equal(mixed[chosen], alone)
 
 
 def test_depths_must_match_the_stack():
@@ -459,7 +474,7 @@ def power_stacks():
     transient matrices (l = 3), the two kinds of matrix the gap powers
     and the chain stage raise to a power."""
     transitions = np.array([model.transition for model in STACKS["ber-nacf-grid"]])
-    q = joint_error_distribution(STACKS["ber-nacf-grid"][:-4], 7, [3] * 12, [4])[0][1]
+    [q] = joint_error_distribution(STACKS["ber-nacf-grid"][:-4], 7, [3] * 12, [4])
     transient, _ = _absorbing_chains(q, 3)
     return {"transitions": transitions, "transient": transient}
 
@@ -488,12 +503,11 @@ def test_mixed_gap_powers_are_matrix_power_bit_for_bit():
 def test_single_channel_call_returns_one_result():
     # one channel is a stack of one: every result keeps its channel axis
     stack = STACKS["one-channel"]
-    buckets, probs = marginal_error_distribution(stack, 5, [3], 2)
-    assert buckets.shape == (1, 3, 2, 2) and probs.shape == (1, 3)
-    for buckets, q in (
+    assert marginal_error_distribution(stack, 5, [3], 2).shape == (1, 3)
+    for q in (
         *joint_error_distribution(stack, 5, [3], [2]), *sequential_joint_distribution(stack, 5, [2])
     ):
-        assert buckets.shape == (1, 3, 3, 2, 2) and q.shape == (1, 3, 3)
+        assert q.shape == (1, 3, 3)
 
 
 @pytest.mark.parametrize(
@@ -560,8 +574,8 @@ def fsmc_stacks(draw):
 )
 def test_cap_sequence_equals_one_call_per_cap(stack, n, depths, caps):
     # the joint and sequential walks carry one top slot per distinct cap;
-    # each cap's buckets and law come out as a call at that cap gives them.
-    # They must also be C-contiguous: models reduces the laws with sum,
+    # each cap's law comes out as a call at that cap gives it.  It must
+    # also be C-contiguous: models reduces the laws with sum,
     # whose rounding follows the memory layout, so a strided cut of the
     # same numbers could move a model's last bits
     depths = depths[: len(stack)]
@@ -571,17 +585,15 @@ def test_cap_sequence_equals_one_call_per_cap(stack, n, depths, caps):
     ]:
         laws = recursion(stack, n, *args, caps)
         assert len(laws) == len(caps)
-        for cap, (buckets, law) in zip(caps, laws):
-            [(alone_buckets, alone_law)] = recursion(stack, n, *args, [cap])
-            assert np.array_equal(buckets, alone_buckets)
+        for cap, law in zip(caps, laws):
+            [alone_law] = recursion(stack, n, *args, [cap])
             assert np.array_equal(law, alone_law)
-            assert buckets.flags.c_contiguous and law.flags.c_contiguous
+            assert law.flags.c_contiguous
     # below its cap a saturating count evolves the same whatever the cap:
     # the marginal at the largest cap holds each cap's counts 0..cap-1
-    top_buckets, top_probs = marginal_error_distribution(stack, n, depths, max(caps))
+    top_probs = marginal_error_distribution(stack, n, depths, max(caps))
     for cap in caps:
-        buckets, probs = marginal_error_distribution(stack, n, depths, cap)
-        assert np.array_equal(top_buckets[:, :cap], buckets[:, :cap])
+        probs = marginal_error_distribution(stack, n, depths, cap)
         assert np.array_equal(top_probs[:, :cap], probs[:, :cap])
 
 
@@ -598,38 +610,39 @@ def test_cap_sequence_equals_one_call_per_cap(stack, n, depths, caps):
 def test_sequential_equals_the_unswapped_two_counter_walk(stack, n, caps):
     # the sequential recursion walks the first codeword's bits on a
     # one-slot second counter, then the second codeword's bits on swapped
-    # axes; both only drop zeros and move counts between axes, so every
-    # cap's buckets and law are those of the plain walk of both counters
+    # axes; both only drop zeros and move counts between axes, so its flows
+    # and every cap's law are those of the plain walk of both counters
     buckets, transition, errors, tops = dist._stack(stack, n, caps, 2)
     plain = dist._walk(buckets, transition, errors, [1] * n + [2] * n, None, tops)
-    laws = zip(sequential_joint_distribution(stack, n, caps), dist._laws(stack, plain, caps, tops))
-    for (buckets, law), (plain_buckets, plain_law) in laws:
-        assert np.array_equal(buckets, plain_buckets)
+    with flows_handed_to_laws() as seen:
+        laws = sequential_joint_distribution(stack, n, caps)
+    assert len(seen) == 1 and np.array_equal(seen[0], plain)
+    plain_laws = dist._laws(stack, plain, caps, tops)
+    assert len(laws) == len(plain_laws) == len(caps)
+    for law, plain_law in zip(laws, plain_laws):
         assert np.array_equal(law, plain_law)
 
 
 def test_one_distinct_cap_is_the_walk_uncut():
     # a cap sequence with one distinct cap walks that cap's slots alone, so
-    # every entry is the walk's own arrays, with no cut and no copy
+    # every entry is the walk's own law, with no cut and no copy
     stack = STACKS["ber-nacf-grid"]
     for recursion, args in [
         (joint_error_distribution, ([3] * len(stack),)), (sequential_joint_distribution, ()),
     ]:
         laws = recursion(stack, 6, *args, [4, 4])
-        assert laws[0][0] is laws[1][0] and laws[0][1] is laws[1][1]
-        [(alone_buckets, alone_law)] = recursion(stack, 6, *args, [4])
-        assert np.array_equal(laws[0][0], alone_buckets)
-        assert np.array_equal(laws[0][1], alone_law)
+        assert laws[0] is laws[1]
+        [alone_law] = recursion(stack, 6, *args, [4])
+        assert np.array_equal(laws[0], alone_law)
 
 
 def test_cap_sequence_of_one_channel_gives_its_own_slices():
     stack = STACKS["one-channel"]
     for recursion, args in [(joint_error_distribution, ([3],)), (sequential_joint_distribution, ())]:
         laws = recursion(stack, 5, *args, [2, 1])
-        shapes = [(buckets.shape, q.shape) for buckets, q in laws]
-        assert shapes == [((1, 3, 3, 2, 2), (1, 3, 3)), ((1, 2, 2, 2, 2), (1, 2, 2))]
-        for cap, (_, q) in zip([2, 1], laws):
-            assert np.array_equal(q, recursion(stack, 5, *args, [cap])[0][1])
+        assert [q.shape for q in laws] == [(1, 3, 3), (1, 2, 2)]
+        for cap, q in zip([2, 1], laws):
+            assert np.array_equal(q, recursion(stack, 5, *args, [cap])[0])
 
 
 @pytest.mark.parametrize("caps", [[], [3, -1]])

@@ -106,7 +106,7 @@ def test_simulation_error_free_channel():
     assert estimate.losses == 0
     # Wilson's interval keeps its upper bound t^2 / (N + t^2) at no loss
     assert estimate.lo == 0.0
-    assert estimate.hi == pytest.approx(Z95**2 / (5_000 + Z95**2), rel=1e-12)
+    assert estimate.hi == pytest.approx(Z95**2 / (5_000 + Z95**2), rel=1e-12, abs=0.0)
     assert estimate.degenerate
 
 
@@ -550,7 +550,7 @@ def test_interval_quantile_value():
     n = 10_000
     lo, hi = confidence_interval(0.5, n, 0.95)
     half = Z95 * math.sqrt(0.25 / n + Z95**2 / (4 * n * n)) / (1 + Z95**2 / n)
-    assert hi - lo == pytest.approx(2 * half, rel=1e-12)
+    assert hi - lo == pytest.approx(2 * half, rel=1e-12, abs=0.0)
     assert (lo + hi) / 2 == pytest.approx(0.5, abs=1e-15)
 
 
@@ -567,9 +567,9 @@ def test_interval_degenerate_estimate_collapses():
     # at 0 and 1 only the far bound moves off the estimate: t^2 / (N + t^2)
     far = Z95**2 / (1000 + Z95**2)
     lo, hi = confidence_interval(0.0, 1000, 0.95)
-    assert lo == 0.0 and hi == pytest.approx(far, rel=1e-12)
+    assert lo == 0.0 and hi == pytest.approx(far, rel=1e-12, abs=0.0)
     lo, hi = confidence_interval(1.0, 1000, 0.95)
-    assert hi == 1.0 and lo == pytest.approx(1 - far, rel=1e-12)
+    assert hi == 1.0 and lo == pytest.approx(1 - far, rel=1e-12, abs=0.0)
 
 
 def binomial_pmf(k, n, p):

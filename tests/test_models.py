@@ -35,14 +35,14 @@ from burstfec.oracle import exact_loss
 def make_joint(model, n, depth, cap):
     """The joint law q of two adjacent codewords."""
     if depth >= 2:
-        [(_, q)] = joint_error_distribution([model], n, [depth], [cap])
+        [q] = joint_error_distribution([model], n, [depth], [cap])
     else:
-        [(_, q)] = sequential_joint_distribution([model], n, [cap])
+        [q] = sequential_joint_distribution([model], n, [cap])
     return q[0]
 
 
 def codeword_error_rate(model, n, depth, l):
-    _, probs = marginal_error_distribution([model], n, [depth], l + 1)
+    probs = marginal_error_distribution([model], n, [depth], l + 1)
     return 1.0 - float(probs[0, : l + 1].sum())
 
 
@@ -99,9 +99,9 @@ def test_block_to_packet_trivials():
 
 
 def test_block_to_packet_small_probability_precision():
-    assert block_to_packet(1e-9, 8) == pytest.approx(8e-9, rel=1e-7)
+    assert block_to_packet(1e-9, 8) == pytest.approx(8e-9, rel=1e-7, abs=0.0)
     # naive 1-(1-p)^M would lose most digits here
-    assert block_to_packet(1e-15, 10) == pytest.approx(1e-14, rel=1e-6)
+    assert block_to_packet(1e-15, 10) == pytest.approx(1e-14, rel=1e-6, abs=0.0)
 
 
 @pytest.mark.parametrize("bad", [-0.1, 1.2])
@@ -156,10 +156,10 @@ def test_binomial_baseline_against_mpmath():
         )
 
     expected = float(1 - (1 - tail(63, 3, 0.01)) ** 16)
-    assert baseline(0.01, code, 4, 4) == pytest.approx(expected, rel=1e-12)
+    assert baseline(0.01, code, 4, 4) == pytest.approx(expected, rel=1e-12, abs=0.0)
     # frozen copy of the same oracle value
     assert baseline(0.01, code, 4, 4) == pytest.approx(
-        0.05798231830414516, rel=1e-12
+        0.05798231830414516, rel=1e-12, abs=0.0
     )
 
 
@@ -188,7 +188,7 @@ def test_binomial_baseline_edge_rates():
     # l = n-1 leaves only the all-errors word undecodable
     code = CodeSpec(4, 2, 3)
     expected = 1.0 - (1.0 - 0.3**4) ** 6
-    assert baseline(0.3, code, 3, 2) == pytest.approx(expected, rel=1e-12)
+    assert baseline(0.3, code, 3, 2) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 # ----------------------------------------------------------------------
@@ -339,7 +339,7 @@ def test_codeword_process_rejects_bad_rates(monkeypatch):
     assert result.block_error is None and result.packet_error is None
     # the error rate is clipped to [0, 1], so only a NaN law reaches its check
     monkeypatch.setattr(
-        models_module, "marginal_error_distribution", lambda *args: (None, np.full((1, 3), np.nan))
+        models_module, "marginal_error_distribution", lambda *args: np.full((1, 3), np.nan)
     )
     result = evaluate_models(alternating, code, scheme, ("model2",))["model2"]
     assert result.error == "error rate must be in [0, 1], got nan"

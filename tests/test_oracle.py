@@ -210,8 +210,8 @@ def test_block_count_is_bounded(monkeypatch):
 def test_laws_match_dist_recursions_at_paper_scale(depth, l):
     model = ibp_from_stats(ChannelSpec(ber=0.01, nacf=0.9))
     n, cap = 63, l + 1
-    _, probs = marginal_error_distribution([model], n, [depth], cap)
-    [(_, q)] = joint_error_distribution([model], n, [depth], [cap])
+    probs = marginal_error_distribution([model], n, [depth], cap)
+    [q] = joint_error_distribution([model], n, [depth], [cap])
     np.testing.assert_allclose(
         exact_joint_law(model, n, depth, cap).sum(axis=1), probs[0], rtol=0, atol=1e-12
     )

@@ -120,7 +120,7 @@ def test_relative_error_is_against_matching_mc_estimate():
                 assert row.rel_err is None
             else:
                 assert row.rel_err == pytest.approx(
-                    (row.p - mc_row.p_hat) / mc_row.p_hat, rel=1e-12
+                    (row.p - mc_row.p_hat) / mc_row.p_hat, rel=1e-12, abs=0.0
                 )
 
 
@@ -454,9 +454,9 @@ def test_emitted_csv_round_trips_and_is_deterministic(tmp_path):
         assert record["model"] == row.model
         assert int(record["n"]) == row.code.n
         if row.p is not None:
-            assert float(record["p"]) == pytest.approx(row.p, rel=1e-11)
+            assert float(record["p"]) == pytest.approx(row.p, rel=1e-11, abs=0.0)
         if row.p_hat is not None:
-            assert float(record["p_hat"]) == pytest.approx(row.p_hat, rel=1e-11)
+            assert float(record["p_hat"]) == pytest.approx(row.p_hat, rel=1e-11, abs=0.0)
 
 
 def test_report_embeds_config_and_notes(tmp_path):
