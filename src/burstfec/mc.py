@@ -23,9 +23,10 @@ Each error is one position r * bits + slot in its batch's stream, and
 the stream's positions come out sorted, so only the errors of the few
 packets whose start state flips are found (by ``searchsorted``) and
 moved.  Column-wise interleaving then maps a position straight to its
-codeword key, packet * codewords + codeword, in a few floor divisions.
-A zero rate alpha, where (1 - nacf) * ber rounds to 0, is a good run
-that never ends.
+codeword key, packet * codewords + codeword, in a few floor divisions,
+done in 32-bit integers, whose divisions are cheaper, when the group's
+stream has fewer than 2**31 slots.  A zero rate alpha, where
+(1 - nacf) * ber rounds to 0, is a good run that never ends.
 
 Packets are simulated in fixed-size batches whose RNG streams derive
 from (seed, batch index) only, so estimates are bit-for-bit reproducible
@@ -36,15 +37,17 @@ for the whole group.  A group holds at most ``_GROUP_ERRORS`` expected
 errors and ``_GROUP_COUNTS`` codeword counters (one batch at least), so
 its memory stays bounded whatever the packet count; at p_E 0.002 and 16
 codewords a packet that is four batches, at p_E 0.02 one.  Run lengths
-at one rate below 1/3 are drawn as numpy's own geometric inversion, done
-as array operations, so they are the integers numpy would draw.
-Confidence intervals are Wilson score intervals.
+at one rate are numpy's own geometric algorithm done as array
+operations on the same draws, so they are the integers numpy would
+draw: from 1/3 up its search, on one uniform fill, and below its
+inversion, on one exponential fill.  Where both rates invert, a round
+of (bad, good) pairs takes both from one exponential fill, which is the
+same stream as two.  Confidence intervals are Wilson score intervals.
 """
 
 from __future__ import annotations
 
 import math
-import statistics
 from dataclasses import dataclass
 
 import numpy as np
@@ -120,6 +123,10 @@ def confidence_interval(p_hat: float, packets: int, gamma: float):
     """
     if not 0.0 <= p_hat <= 1.0:
         raise ValueError(f"estimate must be in [0, 1], got {p_hat!r}")
+    # imported here: statistics loads fractions and decimal, which
+    # the analytic verbs never need
+    import statistics
+
     _check_sampling(packets, gamma)
     quantile = statistics.NormalDist().inv_cdf((1.0 + gamma) / 2.0)
     spread = quantile * quantile / packets
@@ -146,11 +153,12 @@ def _run_lengths(rng, rate, cap, size=None):
     A run at rate 0 (alpha, where (1 - nacf) * ber rounds to 0) never
     ends, so it lasts the whole window, ``cap``, and draws nothing.
 
-    Below ``_SEARCH_RATE`` numpy draws a geometric length by inversion,
-    ceil(E / -log1p(-rate)) for one standard exponential E; an array of
-    draws at one rate does the same in a few array operations, on the
-    same exponentials, so it returns the same integers.  From 1e-300 up
-    the quotient stays finite (E < 45).
+    An array of draws at one rate takes numpy's own algorithm as array
+    operations, on the same draws, so it returns the integers
+    ``Generator.geometric`` would: from ``_SEARCH_RATE`` up numpy
+    searches, and ``_searched`` does the search on one uniform fill;
+    from 1e-300 up to there it inverts, and ``_inverted`` does the
+    inversion on one exponential fill.
     """
     if isinstance(rate, np.ndarray):
         if not rate.all():
@@ -160,13 +168,60 @@ def _run_lengths(rng, rate, cap, size=None):
             return lengths
     elif rate == 0.0:
         return cap if size is None else np.full(size, cap)
-    elif size is not None and 1e-300 <= rate < _SEARCH_RATE:
-        draw = rng.standard_exponential(size)
-        draw /= -math.log1p(-rate)
-        np.ceil(draw, out=draw)
-        np.minimum(draw, cap, out=draw)
-        return draw.astype(np.int64)
+    elif size is not None and rate >= _SEARCH_RATE:
+        return _searched(rng.random(size), rate, cap)
+    elif size is not None and rate >= 1e-300:
+        return _inverted(rng.standard_exponential(size), (rate,), cap)
     return np.minimum(rng.geometric(rate, size), cap)
+
+
+def _searched(uniform, rate, cap):
+    """numpy's geometric search on an array of its uniforms, clipped to ``cap``.
+
+    numpy adds up p, p + pq, p + pq + pq², ... (q = 1 - p) until the sum
+    reaches the uniform U, so a length is 1 + the first index whose sum
+    is >= U.  The same sums, formed in the same float steps, decide every
+    draw up to the second sum in two comparisons; only the few draws
+    past it search a table that runs to their largest U.  At some rates
+    the float sums stop growing just below 1 (at 0.7, at 1 - 3 * 2**-53),
+    and numpy's loop never ends for a U past them; the table stops there,
+    and such a draw is one longer than the table.
+    """
+    q = 1.0 - rate
+    product = rate * q
+    sums = [rate, rate + product]
+    lengths = (uniform > rate).astype(np.int64)
+    lengths += 1
+    late = (uniform > sums[1]).nonzero()[0]
+    if late.size:
+        drawn = uniform[late]
+        top = drawn.max()
+        while sums[-1] < top:
+            product *= q
+            if sums[-1] + product == sums[-1]:
+                break
+            sums.append(sums[-1] + product)
+        lengths[late] = np.array(sums).searchsorted(drawn) + 1
+    if cap <= len(sums):  # no length exceeds the table's size + 1
+        np.minimum(lengths, cap, out=lengths)
+    return lengths
+
+
+def _inverted(draw, rates, cap):
+    """numpy's geometric inversion, ceil(E / -log1p(-rate)), of each
+    standard exponential E of ``draw``, clipped to ``cap``; ``draw`` is
+    worked in place and falls into equal shares, one per rate of
+    ``rates``.  From 1e-300 up the quotient stays finite.  numpy's
+    exponentials stay below 45 (its ziggurat's tail, 7.70 - log1p(-U),
+    peaks near 44.4), so no length reaches ``cap`` when
+    45 / -log1p(-rate) does not, and the clip is skipped then."""
+    share = draw.size // len(rates)
+    for k, rate in enumerate(rates):
+        draw[k * share:(k + 1) * share] /= -math.log1p(-rate)
+    np.ceil(draw, out=draw)
+    if 45.0 / -math.log1p(-min(rates)) > cap:
+        np.minimum(draw, cap, out=draw)
+    return draw.astype(np.int64)
 
 
 def _error_runs(rng, start, stop, ber, alpha, beta):
@@ -177,25 +232,33 @@ def _error_runs(rng, start, stop, ber, alpha, beta):
     first slot draws its state from the stationary law, and by
     memorylessness the rest of the opening run is geometric like any
     other.  Run lengths are drawn in (bad, good) pairs, per round the
-    mean pair count still to cover plus three times its square root.
+    mean pair count still to cover plus three times its square root:
+    the round's bad lengths, then its good ones.  Where both rates
+    invert, one exponential fill of both, bad first, is the same stream
+    as two fills.
     """
     slots = stop - start
     # slot where the stream's next bad run begins
     begin = start if rng.random() < ber else start + int(_run_lengths(rng, alpha, slots))
     # at alpha = 0 a good run never ends, so one pair covers the window
     mean_pair = (1.0 / alpha if alpha > 0.0 else math.inf) + 1.0 / beta
+    inverted = 1e-300 <= min(alpha, beta) and max(alpha, beta) < _SEARCH_RATE
     runs = []
     while begin < stop:
         expected = (stop - begin) / mean_pair
         pairs = int(expected + 3.0 * math.sqrt(expected)) + 1
-        bad = _run_lengths(rng, beta, slots, pairs)
-        good = _run_lengths(rng, alpha, slots, pairs)
+        if inverted:
+            lengths = _inverted(rng.standard_exponential(2 * pairs), (beta, alpha), slots)
+            bad, good = lengths[:pairs], lengths[pairs:]
+        else:
+            bad = _run_lengths(rng, beta, slots, pairs)
+            good = _run_lengths(rng, alpha, slots, pairs)
         # edge[k] is where run k begins, edge[pairs] where the round ends
         edge = np.empty(pairs + 1, dtype=np.int64)
         edge[0] = begin
         np.add(bad, good, out=edge[1:])
-        np.cumsum(edge, out=edge)
-        inside = int(np.searchsorted(edge[:pairs], stop))  # starts only grow
+        edge.cumsum(out=edge)
+        inside = int(edge[:pairs].searchsorted(stop))  # starts only grow
         runs.append((edge[:inside], bad[:inside]))
         begin = int(edge[pairs])
     if not runs:
@@ -208,7 +271,7 @@ def _error_runs(rng, start, stop, ber, alpha, beta):
 
 def _expand(first, length):
     """Every slot first..first+length-1 of each run, run after run."""
-    shift = np.repeat(first - (np.cumsum(length) - length), length)
+    shift = (first - (length.cumsum() - length)).repeat(length)
     return np.arange(shift.size) + shift
 
 
@@ -266,12 +329,12 @@ def _error_slots(batches, bits, ber, nacf):
     stream_bad = np.zeros(rows, dtype=bool)
     if begin.size:
         # bad when the last run to begin by the packet's first slot lasts past it
-        last = np.searchsorted(begin, first, side="right") - 1
+        last = begin.searchsorted(first, side="right") - 1
         stream_bad = (last >= 0) & (begin[last] + length[last] > first)
-    flip = np.flatnonzero(own_bad != stream_bad)
+    flip = (own_bad != stream_bad).nonzero()[0]
     rates = np.where(own_bad[flip], beta, alpha)
     # each batch draws the opening runs of its own flipped packets
-    bounds = np.searchsorted(flip, np.cumsum(counts)[:-1]).tolist()
+    bounds = flip.searchsorted(np.cumsum(counts)[:-1]).tolist()
     shift = np.concatenate([
         _run_lengths(rng, rates[low:high], bits)
         for (rng, _), low, high in zip(batches, [0, *bounds], [*bounds, flip.size])
@@ -281,19 +344,19 @@ def _error_slots(batches, bits, ber, nacf):
     # c = 0, where runs are about as many as errors, a batch holds three
     # error-sized arrays at once, not five, and its heap is not given
     # back and faulted in again on every batch
-    before = np.cumsum(length)
+    before = length.cumsum()
     before -= length
     begin -= before
-    pos = np.repeat(begin, length)
+    pos = begin.repeat(length)
     del before, begin, length
     pos += np.arange(pos.size)
     # a flipped packet's errors before end - shift move on by shift, the
     # ones from there to its end fall off
     start = first[flip]
-    low, cut, stop = np.searchsorted(pos, (start, start + bits - shift, start + bits))
-    pos[_expand(low, cut - low)] += np.repeat(shift, cut - low)
+    low, cut, stop = pos.searchsorted((start, start + bits - shift, start + bits))
+    pos[_expand(low, cut - low)] += shift.repeat(cut - low)
     # the kept errors are the slices between the dropped stretches
-    dropped = np.flatnonzero(stop > cut)
+    dropped = (stop > cut).nonzero()[0]
     keep_from = [0, *stop[dropped].tolist()]
     keep_to = [*cut[dropped].tolist(), pos.size]
     kept = [pos[a:b] for a, b in zip(keep_from, keep_to)]
@@ -361,6 +424,8 @@ def simulate_packets(cfg: SimConfig, workers: int = 1) -> CiEstimate:
         batches = [(_batch_rng(cfg.seed, index), count) for index, count in group]
         count = sum(rows for _, rows in group)
         pos = _error_slots(batches, bits, cfg.channel.ber, cfg.channel.nacf)
+        if count * bits < 2**31:  # keys fit int32, whose divisions are cheaper
+            pos = pos.astype(np.int32)
         # slot u of a block carries its codeword u % depth; the key
         # (pos // block_bits) * depth + pos % depth, with the remainder
         # taken as pos - (pos // depth) * depth
@@ -371,17 +436,17 @@ def simulate_packets(cfg: SimConfig, workers: int = 1) -> CiEstimate:
         # one count per codeword, at most _COUNT_BINS of them at a time
         step = max(1, _COUNT_BINS // scheme.codewords)
         if count > step:
-            key = np.sort(key)  # so each chunk of rows is one slice
+            key.sort()  # so each chunk of rows is one slice
         losses = 0
         for first in range(0, count, step):
             rows = min(step, count - first)
             part = key
             if rows < count:
                 low = first * scheme.codewords
-                bounds = np.searchsorted(key, (low, low + rows * scheme.codewords))
+                bounds = key.searchsorted((low, low + rows * scheme.codewords))
                 part = key[slice(*bounds)] - low
             counts = np.bincount(part, minlength=rows * scheme.codewords)
-            failed = np.flatnonzero(counts > code.l) // scheme.codewords
+            failed = (counts > code.l).nonzero()[0] // scheme.codewords
             # the packets of failed codewords, ascending: count the distinct ones
             losses += failed.size - int(np.count_nonzero(failed[1:] == failed[:-1]))
         return losses

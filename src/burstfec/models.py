@@ -16,7 +16,6 @@ distinguishes their accuracy on bursty channels.
 
 from __future__ import annotations
 
-import decimal
 import math
 from dataclasses import dataclass
 
@@ -216,6 +215,8 @@ def _binomial_tails(n: int, ls, p: float) -> list[float]:
     try:
         terms = [math.comb(n, i) * p**i * q ** (n - i) for i in range(low, n + 1)]
     except OverflowError:
+        import decimal  # here: only codes of n >= 1030 need it
+
         with decimal.localcontext() as context:
             context.prec = 40
             p = decimal.Decimal(p)

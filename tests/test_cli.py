@@ -150,7 +150,7 @@ def test_compare_attaches_relative_errors(tmp_path):
     for row in rows[:-1]:
         assert row["rel_err"] != ""
         expected = (float(row["p"]) - p_hat) / p_hat
-        assert float(row["rel_err"]) == pytest.approx(expected, rel=1e-9)
+        assert float(row["rel_err"]) == pytest.approx(expected, rel=1e-9, abs=0.0)
 
 
 def test_infeasible_budget_is_reported_not_fatal(tmp_path):
@@ -234,7 +234,7 @@ def test_oracle_verb_prints_reference(capsys):
     block_line = next(line for line in out.splitlines() if line.startswith("block error"))
     printed = float(block_line.split(":")[1])
     model = ibp_from_stats(ChannelSpec(ber=0.1, nacf=0.6))
-    assert printed == pytest.approx(exact_loss(model, 4, 2, 1, 1)[0], rel=1e-11)
+    assert printed == pytest.approx(exact_loss(model, 4, 2, 1, 1)[0], rel=1e-11, abs=0.0)
     assert "model predictions" in out
 
 

@@ -11,8 +11,10 @@ from burstfec.mc import (
     CiEstimate,
     SimConfig,
     _batch_rng,
+    _error_runs,
     _error_slots,
     _run_lengths,
+    _searched,
     confidence_interval,
     dar1_stream,
     simulate_packets,
@@ -259,16 +261,66 @@ def test_error_slots_stay_in_their_packets(rows, bits, ber, nacf, seed):
     [
         # numpy inverts below 1/3 and searches from there on
         np.nextafter(1 / 3, 0.0), 1 / 3, np.nextafter(1 / 3, 1.0),
-        1e-300, 1e-12, 0.002, 0.0998, 0.98,
+        1e-300, 1e-12, 0.002, 0.0998, 0.5, 0.9, 0.98, 0.999999, 1.0,
     ],
 )
-@pytest.mark.parametrize("cap", [1, 7, 10**9])
+# at 0.9 the search's table of sums for 5 000 draws is 4 long, one past cap 3
+@pytest.mark.parametrize("cap", [1, 3, 7, 10**9])
 def test_run_lengths_are_numpys_geometric_draws(rate, cap):
     # same integers as numpy's own draws, and the generator left in step
     ours, theirs = _batch_rng(71, 0), _batch_rng(71, 0)
     lengths = _run_lengths(ours, rate, cap, 5_000)
     assert lengths.dtype == np.int64
     np.testing.assert_array_equal(lengths, np.minimum(theirs.geometric(rate, 5_000), cap))
+    assert ours.random() == theirs.random()
+
+
+def test_searched_run_lengths_end_past_where_numpys_sums_stall():
+    # at rate 0.7 numpy's float sums stop growing at 1 - 3 * 2**-53, so its
+    # search would never end for the two uniforms above that
+    uniform = np.array([1 - 3 * 2**-53, 1 - 2**-53])
+    lengths = _searched(uniform, 0.7, 10**9)
+    assert lengths[0] == 31 and lengths[1] == 32
+    np.testing.assert_array_equal(_searched(uniform, 0.7, 31), [31, 31])
+
+
+def two_call_error_runs(rng, start, stop, ber, alpha, beta):
+    # _error_runs as two _run_lengths calls a round, bad then good, and a
+    # scalar walk over the pairs in place of the array sums
+    slots = stop - start
+    begin = start if rng.random() < ber else start + int(_run_lengths(rng, alpha, slots))
+    mean_pair = (1.0 / alpha if alpha > 0.0 else math.inf) + 1.0 / beta
+    begins, lengths = [], []
+    while begin < stop:
+        expected = (stop - begin) / mean_pair
+        pairs = int(expected + 3.0 * math.sqrt(expected)) + 1
+        bad = _run_lengths(rng, beta, slots, pairs)
+        good = _run_lengths(rng, alpha, slots, pairs)
+        for b, g in zip(bad.tolist(), good.tolist()):
+            if begin < stop:
+                begins.append(begin)
+                lengths.append(min(b, stop - begin))
+            begin += b + g
+    return begins, lengths
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    start=st.integers(0, 10**6),
+    slots=st.integers(1, 20_000),
+    ber=st.floats(1e-6, 1 - 1e-6),
+    # from nacf 2/3 up both rates invert and a round draws one stream
+    nacf=st.one_of(st.floats(0.67, 0.999), st.floats(0.0, 0.999)),
+    seed=st.integers(0, 2**32),
+)
+def test_error_runs_draw_as_two_run_length_calls_a_round(start, slots, ber, nacf, seed):
+    ours, theirs = _batch_rng(seed, 0), _batch_rng(seed, 0)
+    alpha, beta = (1.0 - nacf) * ber, (1.0 - nacf) * (1.0 - ber)
+    begin, length = _error_runs(ours, start, start + slots, ber, alpha, beta)
+    assert begin.dtype == length.dtype == np.int64
+    assert (begin.tolist(), length.tolist()) == two_call_error_runs(
+        theirs, start, start + slots, ber, alpha, beta
+    )
     assert ours.random() == theirs.random()
 
 
@@ -358,6 +410,30 @@ def test_losses_match_a_dense_recount_of_the_error_slots(
     )
     with mock.patch.object(burstfec.mc, "_COUNT_BINS", bins):
         assert simulate_packets(cfg).losses == expected
+
+
+def test_losses_match_a_recount_where_the_keys_need_64_bits():
+    # one batch whose stream has 3 * 2**31 / 2 slots: half its errors lie
+    # past 2**31 - 1, where 32-bit keys would wrap.  A dense recount
+    # would hold every slot, so numpy's unravel_index splits each error
+    # position into (packet, block, bit, codeword) instead of a reshape
+    rows, n, depth, blocks, l = 1024, 3 * 2**18, 2, 2, 1
+    ber, nacf, seed = 1e-6, 0.5, 29
+    bits = n * depth * blocks
+    assert rows * bits > 2**31
+    pos = _error_slots([(_batch_rng(seed, 0), rows)], bits, ber, nacf)
+    assert np.count_nonzero(pos >= 2**31) > 100
+    row, block, _, codeword = np.unravel_index(pos, (rows, blocks, n, depth))
+    keys, counts = np.unique(np.stack([row, block, codeword]), axis=1, return_counts=True)
+    expected = np.unique(keys[0][counts > l]).size
+    cfg = SimConfig(
+        channel=ChannelSpec(ber=ber, nacf=nacf),
+        code=CodeSpec(n, n - 1, l),
+        scheme=SchemeSpec(depth=depth, blocks=blocks),
+        packets=rows,
+        seed=seed,
+    )
+    assert 0 < simulate_packets(cfg).losses == expected
 
 
 @pytest.mark.parametrize(

@@ -261,7 +261,7 @@ def test_model3_depth_three_stays_close_to_oracle():
     n, l, depth = 5, 1, 3
     predicted = block_error("model3", model, n, l, depth)
     exact = exact_loss(model, n, depth, l, 1)[0]
-    assert predicted == pytest.approx(exact, rel=0.10)
+    assert predicted == pytest.approx(exact, rel=0.10, abs=0.0)
     assert predicted != pytest.approx(exact, rel=1e-12)
 
 
@@ -558,7 +558,7 @@ def test_models_against_exhaustive_packet_reference(name):
     exact = exact_loss(model, 5, 3, 1, 2)[1]
     predicted = evaluate_models(model, code, scheme, (name,))[name].packet_error
     assert exact / 10 <= predicted <= exact * 10
-    assert predicted == pytest.approx(exact, rel=0.35)
+    assert predicted == pytest.approx(exact, rel=0.35, abs=0.0)
 
 
 def test_model1_tracks_simulation_within_expected_envelope():

@@ -84,13 +84,26 @@ def test_deleted_options_stay_deleted():
         build_parser().parse_args(["analyze", "--slot", "1e-6"])
 
 
-def test_importing_the_cli_leaves_the_thread_pool_out():
-    # only simulate_packets with workers > 1 needs concurrent.futures
+def cli_import_loads(module):
+    """Whether a fresh interpreter has ``module`` loaded after ``import burstfec.cli``."""
     src = str(Path(burstfec.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    probe = "import sys, burstfec.cli; print('concurrent.futures' in sys.modules)"
+    probe = f"import sys, burstfec.cli; print({module!r} in sys.modules)"
     done = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout == "False\n"
+    assert done.stdout in ("True\n", "False\n"), done.stdout
+    return done.stdout == "True\n"
+
+
+def test_importing_the_cli_leaves_the_thread_pool_out():
+    # only simulate_packets with workers > 1 needs concurrent.futures
+    assert not cli_import_loads("concurrent.futures")
+
+
+@pytest.mark.parametrize("module", ["statistics", "decimal", "fractions"])
+def test_importing_the_cli_leaves_out_what_only_some_verbs_need(module):
+    # only a confidence interval needs statistics (which loads fractions
+    # and decimal), and only the baseline of a code of n >= 1030 decimal
+    assert not cli_import_loads(module)
