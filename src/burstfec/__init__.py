@@ -17,7 +17,6 @@ from .channel import (
     FsmcModel,
     SchemeSpec,
     ibp_from_stats,
-    split_transition_matrix,
     stationary_vector,
 )
 from .dist import (
@@ -35,8 +34,6 @@ from .mc import (
 )
 from .models import (
     ANALYTIC_MODELS,
-    PacketErrorResult,
-    block_to_packet,
     evaluate_models,
 )
 from .oracle import (
@@ -53,7 +50,6 @@ from .sweep import (
     optimize_depth,
     residual_correlation,
     run_sweep,
-    throughput,
 )
 
 __all__ = [
@@ -66,12 +62,10 @@ __all__ = [
     "CodeSpec",
     "DepthCandidate",
     "FsmcModel",
-    "PacketErrorResult",
     "ResultRow",
     "SchemeSpec",
     "SimConfig",
     "SweepSpec",
-    "block_to_packet",
     "confidence_interval",
     "dar1_stream",
     "emit_results",
@@ -87,7 +81,5 @@ __all__ = [
     "run_sweep",
     "sequential_joint_distribution",
     "simulate_packets",
-    "split_transition_matrix",
     "stationary_vector",
-    "throughput",
 ]

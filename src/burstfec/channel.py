@@ -1,15 +1,11 @@
 """Markov-modulated bit error models for correlated wireless channels.
 
 The bit error process is a finite-state Markov chain whose states each
-carry a bit error probability.  The chain's transition matrix is split
-into two parts, ``d0`` and ``d1``, holding the probability flow for a
-correct respectively incorrect reception of the bit associated with the
-*destination* state of each transition.  The one-codeword count
-recursion multiplies by that split; the two-codeword recursions and the
-exact oracle multiply by the transition matrix and move each end
-state's flow by its error probability, which is the same split made per
-state.  Either way the whole toolkit works for any finite-state model,
-not only the two-state one built by :func:`ibp_from_stats`.
+carry a bit error probability, which belongs to the *destination* state
+of each transition.  The count recursions and the exact oracle take the
+transition matrix and that per-state error profile as they are, so the
+whole toolkit works for any finite-state model, not only the two-state
+one built by :func:`ibp_from_stats`.
 """
 
 from __future__ import annotations
@@ -102,16 +98,20 @@ class SchemeSpec:
 class FsmcModel:
     """Finite-state Markov bit error model.
 
-    Holds the transition matrix, the per-state error profile, the d0/d1
-    split and the stationary vector.  Instances are immutable (the arrays
-    are marked read-only) and safe to share across worker threads.
+    Holds the transition matrix, the per-state error profile and the
+    stationary vector.  Instances are immutable (the arrays are marked
+    read-only) and safe to share across worker threads.
     """
 
     def __init__(self, transition, error_profile):
         transition = np.array(transition, dtype=float)
         error_profile = np.array(error_profile, dtype=float)
-        # refuses a non-square matrix, a profile of the wrong length, NaN and inf
-        self.d0, self.d1 = split_transition_matrix(transition, error_profile)
+        if transition.ndim != 2 or transition.shape[0] != transition.shape[1]:
+            raise ValueError("transition matrix must be square")
+        if error_profile.shape != (transition.shape[0],):
+            raise ValueError("error profile length must match the state count")
+        _require_finite("transition matrix", transition)
+        _require_finite("error profile", error_profile)
         if transition.shape[0] < 2:
             raise ValueError("need at least two states")
         # one reduction per check: every entry is finite here, so no NaN
@@ -125,8 +125,8 @@ class FsmcModel:
 
         self.transition = transition
         self.error_profile = error_profile
-        self.pi = _stationary(transition)  # finite: split_transition_matrix checked it
-        for arr in (self.transition, self.error_profile, self.d0, self.d1, self.pi):
+        self.pi = _stationary(transition)  # finite: checked above
+        for arr in (self.transition, self.error_profile, self.pi):
             arr.setflags(write=False)
         # the statistics every model and sweep row reads, worked out once
         self._ber = float(self.pi @ self.error_profile)
@@ -168,25 +168,6 @@ def _require_finite(name, values):
     if not np.isfinite(values).all():
         bad = float(values[~np.isfinite(values)][0])
         raise ValueError(f"{name} entries must be finite, got {bad}")
-
-
-def split_transition_matrix(transition, error_profile):
-    """Split a transition matrix into (d0, d1) by reception outcome.
-
-    The error indicator is attached to the destination state:
-    ``d1[s, t] = transition[s, t] * error_profile[t]`` and ``d0`` is the
-    complement, so ``d0 + d1`` reproduces the full matrix exactly.
-    """
-    transition = np.asarray(transition, dtype=float)
-    error_profile = np.asarray(error_profile, dtype=float)
-    if transition.ndim != 2 or transition.shape[0] != transition.shape[1]:
-        raise ValueError("transition matrix must be square")
-    if error_profile.shape != (transition.shape[0],):
-        raise ValueError("error profile length must match the state count")
-    _require_finite("transition matrix", transition)
-    _require_finite("error profile", error_profile)
-    d1 = transition * error_profile[np.newaxis, :]
-    return transition - d1, d1
 
 
 _TWO_ABSORBING_STATES = "no unique stationary distribution: both states absorbing"

@@ -345,14 +345,12 @@ def _run_oracle(args):
     lines.append("joint law of two adjacent codewords:")
     lines += ["  " + "  ".join(f"{value:.6e}" for value in row) for row in q.tolist()]
     if code is not None:
-        results = evaluate_models(model, code, SchemeSpec(depth=args.depth, blocks=args.blocks))
+        scheme = SchemeSpec(depth=args.depth, blocks=args.blocks)
+        [columns] = evaluate_models([model], [code], [scheme])
         lines.append("model predictions for the same instance:")
         for name in ANALYTIC_MODELS:
-            result = results[name]
-            shown = (
-                f"{result.packet_error:.12g}" if result.error is None
-                else f"error: {result.error}"
-            )
+            _, [packet_error], [error] = columns[name]
+            shown = f"{packet_error:.12g}" if error is None else f"error: {error}"
             lines.append(f"  {name:<9s}: {shown}")
     print("\n".join(lines))
     return 0

@@ -21,19 +21,21 @@ values the flows give the plain transition power over the recursion's
 horizon.  Every cap is at least 1.  The two-codeword recursions take a
 sequence of caps, for one walk whose counters hold the counts below the
 largest cap and one top slot per distinct cap; each cap's law is a
-one-cap walk's, bit for bit.  One channel or many is decided by
-:func:`burstfec.models.evaluate_models`, the recursions' one caller.
-The interleaved recursions take one depth per channel, so a whole sweep
-over depths is one stack.  Every product multiplies a channel's whole
-flow stack, viewed as one (counts*S) x S matrix, written into one of
-two reused buffers.  In the one-codeword recursion a counted bit costs
-one product per channel and kernel (d0, d1, each times the gap power).
-In the joint and sequential recursions it costs one product per
-channel by the transition matrix, after which each end state's flow
-moves by that state's error probability e: it stands for e = 0, moves
-up one count for e = 1 (as every state of an ibp_from_stats channel
-does one or the other), and otherwise keeps (1 - e) of itself and moves
-e up one count.
+one-cap walk's, bit for bit.  Their one caller,
+:func:`burstfec.models.evaluate_models`, passes every channel as one
+stack.  The interleaved recursions take one depth per channel, so a
+whole sweep over depths is one stack.  Every product multiplies a
+channel's whole flow stack, viewed as one (counts*S) x S matrix,
+written into one of two reused buffers.  In the one-codeword recursion
+a counted bit costs one product per channel and kernel, each times the
+gap power: the kernels split the transition matrix T by the error
+probability e of each destination state, d1 = T * e moving the flow up
+one count and d0 = T - d1 keeping it.  In the joint and sequential
+recursions it costs one product per channel by the transition matrix,
+after which each end state's flow moves by that state's error
+probability e: it stands for e = 0, moves up one count for e = 1 (as
+every state of an ibp_from_stats channel does one or the other), and
+otherwise keeps (1 - e) of itself and moves e up one count.
 """
 
 from __future__ import annotations
@@ -242,8 +244,9 @@ def marginal_error_distribution(channels, n: int, depths, cap: int):
     one depth per channel of the stack.  Returns the law ``probs``, with
     ``probs[b, j]`` = P(the codeword counts j) on channel b.
     """
-    buckets, transition, _, _ = _stack(channels, n, [cap], 1)
-    kernels = np.array([[c.d0 for c in channels], [c.d1 for c in channels]])
+    buckets, transition, errors, _ = _stack(channels, n, [cap], 1)
+    hit = transition * errors[:, None, :]  # d1 = T * e; d0 = T - d1
+    kernels = np.stack((transition - hit, hit))
     depths = _depths(depths, channels, 1, "interleaving depth must be >= 1, got {}")
     steps = kernels @ _powers(transition, depths, 1)
     count, states = transition.shape[:2]

@@ -17,17 +17,10 @@ distinguishes their accuracy on bursty channels.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import (
-    _TWO_ABSORBING_STATES,
-    CodeSpec,
-    FsmcModel,
-    SchemeSpec,
-    _two_state_rates,
-)
+from .channel import _TWO_ABSORBING_STATES, CodeSpec, _two_state_rates
 from .dist import (
     _powers,
     joint_error_distribution,
@@ -159,41 +152,12 @@ def _two_state_blocks(alpha, beta, depths, errors):
 # ======================================================================
 
 
-@dataclass(frozen=True)
-class PacketErrorResult:
-    """One model's prediction for one configuration.
-
-    A model whose chain stage rejects its inputs carries the reason in
-    ``error`` and no probabilities.
-    """
-
-    block_error: float | None  # P(an interleaved codeblock is lost)
-    packet_error: float | None  # P(the whole packet is lost)
-    error: str | None = None
-
-
-def block_to_packet(block_error: float, blocks: int) -> float:
-    """Lift the codeblock error probability to the packet.
-
-    Codeblocks are treated as independent: p = 1 - (1 - p_block)**blocks,
-    evaluated in log space so tiny probabilities keep full relative
-    precision.
-    """
-    if not 0.0 <= block_error <= 1.0:
-        raise ValueError(f"block error must be in [0, 1], got {block_error!r}")
-    if blocks < 1:
-        raise ValueError(f"block count must be >= 1, got {blocks}")
-    if block_error == 1.0:
-        return 1.0
-    if blocks == 1:
-        return block_error
-    return -math.expm1(blocks * math.log1p(-block_error))
-
-
 def _lift(block_errors, counts) -> list:
-    """``block_to_packet`` of each block error with its entry of ``counts``,
-    in the same float steps; a None block error (a rejected channel's)
-    stays None.  The column is range-checked once, with the same message."""
+    """The packet error of each block error, for a packet of its entry m
+    of ``counts`` codeblocks treated as independent: 1 - (1 - block)**m,
+    in log space so tiny probabilities keep full relative precision.  A
+    None block error (a rejected channel's) stays None; every other one
+    must lie in [0, 1]."""
     for block in block_errors:
         if block is not None and not 0.0 <= block <= 1.0:
             raise ValueError(f"block error must be in [0, 1], got {block!r}")
@@ -234,7 +198,7 @@ def binomial_baseline(ber: float, code: CodeSpec, codewords: int) -> float:
     """
     if not 0.0 <= ber <= 1.0:
         raise ValueError(f"ber must be in [0, 1], got {ber!r}")
-    return block_to_packet(_binomial_tails(code.n, (code.l,), ber)[0], codewords)
+    return _lift(_binomial_tails(code.n, (code.l,), ber), [codewords])[0]
 
 
 def _joint_laws(channels, n: int, depths, caps):
@@ -259,23 +223,21 @@ def _joint_laws(channels, n: int, depths, caps):
     return laws
 
 
-def evaluate_models(model, code, scheme, which=ANALYTIC_MODELS):
-    """Evaluate the requested analytic models on one configuration.
+def evaluate_models(channels, codes, schemes, which=ANALYTIC_MODELS):
+    """Evaluate the requested analytic models over a stack of channels.
 
-    ``model`` is a non-empty sequence of FsmcModels with equal state
-    counts, a stack: the count recursions and each model's chain stage run
-    once over it, giving one column triple per model name, (block errors,
-    packet errors, errors), lists with one entry per channel.  A model
-    whose chain stage rejects a channel (e.g. a codeword NACF outside the
-    two-state chain's range) has None for its two errors and the reason
-    in ``errors``; the other models and channels keep their numbers.  One
-    FsmcModel is a stack of one, giving a dict of PacketErrorResult by
-    model name from entry 0 of each column.  ``scheme`` is one
-    SchemeSpec, or for a stack one per channel, so a sweep over depths
-    is one stack too; a channel's results do not depend on the rest of
-    its stack.  ``code`` is one CodeSpec, or a sequence of codes with one
-    n, giving a list of one such result per code: each count recursion
-    runs once for all the codes, each code's chain stages on its laws.
+    ``channels`` is a non-empty sequence of FsmcModels with equal state
+    counts, a stack, and ``schemes`` holds one SchemeSpec per channel, so
+    a sweep over depths is one stack too.  ``codes`` is a non-empty
+    sequence of codes with one n.  Each count recursion runs once over
+    the stack for all the codes, and each model's chain stage once per
+    code on its laws.  Returns one dict per code, giving for each
+    requested model name its column triple (block errors, packet errors,
+    errors): lists with one entry per channel.  A model whose chain stage
+    rejects a channel (e.g. a codeword NACF outside the two-state chain's
+    range) has None for its two errors and the reason in ``errors``; the
+    other models and channels keep their numbers.  A channel's results do
+    not depend on the rest of its stack.
 
     Models 1 and 3 consume the identical joint law array, so
     any disagreement between them isolates their second-stage
@@ -285,13 +247,11 @@ def evaluate_models(model, code, scheme, which=ANALYTIC_MODELS):
     unknown = set(which) - set(ANALYTIC_MODELS)
     if unknown:
         raise ValueError(f"unknown models: {sorted(unknown)}")
-    codes = [code] if isinstance(code, CodeSpec) else list(code)
+    codes, channels, schemes = list(codes), list(channels), list(schemes)
     if len({c.n for c in codes}) != 1:
         raise ValueError(f"need codes of one length n, got {sorted({c.n for c in codes})}")
-    channels = [model] if isinstance(model, FsmcModel) else list(model)
     if not channels:
         raise ValueError("need at least one channel, got an empty sequence")
-    schemes = [scheme] * len(channels) if isinstance(scheme, SchemeSpec) else list(scheme)
     if len(schemes) != len(channels):
         raise ValueError(f"got {len(schemes)} schemes for {len(channels)} channels")
     n, caps = codes[0].n, [c.l + 1 for c in codes]
@@ -345,8 +305,5 @@ def evaluate_models(model, code, scheme, which=ANALYTIC_MODELS):
                 if errors.count(None) != count:
                     block_errors = [b if e is None else None for b, e in zip(block_errors, errors)]
                 columns[name] = (block_errors, _lift(block_errors, blocks), errors)
-        if isinstance(model, FsmcModel):  # one channel: entry 0 of each column
-            columns = {name: PacketErrorResult(b[0], p[0], e[0])
-                       for name, (b, p, e) in columns.items()}
         coded.append(columns)
-    return coded[0] if isinstance(code, CodeSpec) else coded
+    return coded

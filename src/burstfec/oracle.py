@@ -42,14 +42,17 @@ def _codeword_of_slot(n: int, depth: int, slots: int) -> list:
 def _count_flow(model: FsmcModel, owner, counters: int, cap: int, drop: bool):
     """(flow, dropped) after the slots of ``owner``.
 
-    flow[t, s, c_0, ..., c_{counters-1}] is the probability of the paths
-    from start state s to end state t whose tracked codewords saw c_0, c_1,
-    ... errors; ``owner[u]`` is the counter slot u advances, or >=
-    ``counters`` for an untracked slot.  A count past ``cap`` saturates at
-    cap, which is then at least 1, or with ``drop`` its path is discarded
-    and its probability added to dropped[s].  The flow is kept as one
+    flow[t, s, v] is the probability of the paths from start state s to
+    end state t whose tracked codewords saw the count vector v, read in
+    base cap + 1 with the first counter's count as the leading digit:
+    flow.reshape(S, S, cap + 1, ...) has one axis per counter, and
+    ``owner[u]`` is the counter slot u advances, or >= ``counters`` for
+    an untracked slot.  A count past ``cap`` saturates at cap, which is
+    then at least 1, or with ``drop`` its path is discarded and its
+    probability added to dropped[s].  The flow is kept as one
     (S, S * count vectors) array, so each slot is a matrix product over
-    all count vectors at once.
+    all count vectors at once, and is returned as (S, S, count vectors)
+    whatever the number of counters.
 
     Each slot is one product by the transition matrix from one buffer into
     the other.  On a slot of counter j, each end state t's row, read as
@@ -67,7 +70,6 @@ def _count_flow(model: FsmcModel, owner, counters: int, cap: int, drop: bool):
     with a mixed state.
     """
     states = model.states
-    shape = (states, states) + (cap + 1,) * counters
     if (size := states**2 * (cap + 1) ** counters) > MAX_FLOW:
         raise ValueError(
             f"exact recursion needs {states}**2 * {cap + 1}**{counters} = {size}"
@@ -124,7 +126,7 @@ def _count_flow(model: FsmcModel, owner, counters: int, cap: int, drop: bool):
             top.fill(0.0)  # so that no top count lands on the next count 0
             upper += lower
         buffers.reverse()
-    return buffers[0][0].reshape(shape), dropped
+    return buffers[0][0].reshape(states, states, -1), dropped
 
 
 def exact_joint_law(model: FsmcModel, n: int, depth: int, cap: int) -> np.ndarray:
@@ -139,6 +141,7 @@ def exact_joint_law(model: FsmcModel, n: int, depth: int, cap: int) -> np.ndarra
         raise ValueError(f"counter cap must be >= 1, got {cap}")
     slots = n * depth if depth >= 2 else 2 * n
     flow, _ = _count_flow(model, _codeword_of_slot(n, depth, slots), 2, cap, drop=False)
+    flow = flow.reshape(model.states, model.states, cap + 1, cap + 1)
     return np.einsum("s,tsij->ij", model.pi, flow)
 
 
@@ -156,7 +159,7 @@ def exact_loss(model: FsmcModel, n: int, depth: int, l: int, blocks: int):
     if blocks > MAX_BLOCKS:
         raise ValueError(f"exact loss over {blocks} blocks, over the limit of {MAX_BLOCKS}")
     flow, failed = _count_flow(model, _codeword_of_slot(n, depth, n * depth), depth, l, True)
-    flow_ok = flow.reshape(model.states, model.states, -1).sum(axis=2).T
+    flow_ok = flow.sum(axis=2).T
     first = total = float(model.pi @ failed)
     reach = model.pi @ flow_ok
     for _ in range(blocks - 1):

@@ -135,13 +135,6 @@ def residual_correlation(nacf: float, depth: int) -> float:
     return nacf**depth
 
 
-def throughput(code: CodeSpec, scheme: SchemeSpec, p: float) -> float:
-    """Expected delivered data bits per packet under all-or-nothing delivery."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"loss probability must be in [0, 1], got {p!r}")
-    return scheme.codewords * code.k * (1.0 - p)
-
-
 def _row_seed(root: int, index: int) -> int:
     key = np.random.SeedSequence(root, spawn_key=(index,))
     return int(key.generate_state(1, np.uint64)[0])
@@ -189,7 +182,9 @@ def run_sweep(spec: SweepSpec, workers: int = 1, on_row=None) -> list[ResultRow]
             residual = None if isinstance(channel, ValueError) else residuals[nacf, scheme.depth]
             first, estimate = len(rows), None
             live += note is None
-            data_bits = scheme.codewords * code.k  # throughput's factor of (1 - p)
+            # expected delivered data bits per packet under all-or-nothing
+            # delivery: data_bits * (1 - p)
+            data_bits = scheme.codewords * code.k
             for model, packets, errors in picks:
                 if note is None and packets is not None:
                     # fields in order: model, ber, nacf, code, scheme, p, p_hat,
@@ -213,7 +208,7 @@ def run_sweep(spec: SweepSpec, workers: int = 1, on_row=None) -> list[ResultRow]
                             workers=workers,
                         )
                         row.p_hat, row.ci_lo, row.ci_hi = estimate.p_hat, estimate.lo, estimate.hi
-                        row.throughput = throughput(code, scheme, estimate.p_hat)
+                        row.throughput = data_bits * (1.0 - estimate.p_hat)
                         if estimate.degenerate:
                             row.note = "degenerate: loss rate estimate is 0 or 1"
                     except Exception as exc:
@@ -321,7 +316,8 @@ def optimize_depth(
     if not pairs:
         raise ValueError(f"no feasible (depth, blocks) pair: budget {budget}, n {code.n}")
     fsmc = ibp_from_stats(channel)
-    _, packets, errors = evaluate_models([fsmc] * len(pairs), code, pairs, which=(model,))[model]
+    [columns] = evaluate_models([fsmc] * len(pairs), [code], pairs, which=(model,))
+    _, packets, errors = columns[model]
     if any(errors):
         raise ValueError(next(filter(None, errors)))  # the first failing pair's
     residuals = [residual_correlation(channel.nacf, scheme.depth) for scheme in pairs]

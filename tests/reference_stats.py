@@ -1,5 +1,7 @@
-"""Shared statistical references for the stream-fidelity tests, and the
-memoryless packet loss that the Monte Carlo checks take as truth.
+"""Shared references for the tests: the statistics of the stream-fidelity
+tests, the memoryless packet loss that the Monte Carlo checks take as
+truth, a channel's two reception kernels for the brute-force references,
+and one channel's results from the stacked model evaluation.
 
 The sample mean and sample lag-1 autocorrelation of a binary Markov
 chain have asymptotic variances given by the Markov-chain CLT; Gaussian
@@ -9,10 +11,12 @@ and mapped through the delta method.
 """
 
 import math
+from collections import namedtuple
 
 import numpy as np
 
 from burstfec.channel import ChannelSpec, ibp_from_stats
+from burstfec.models import ANALYTIC_MODELS, evaluate_models
 
 
 def stat_standard_errors(ber: float, nacf: float, count: int):
@@ -61,3 +65,22 @@ def binomial_packet_error(ber: float, n: int, l: int, codewords: int) -> float:
     by math.fsum; written here, apart from the package's baseline."""
     tail = math.fsum(math.comb(n, i) * ber**i * (1.0 - ber) ** (n - i) for i in range(l + 1, n + 1))
     return -math.expm1(codewords * math.log1p(-tail))
+
+
+def kernels(model):
+    """(d0, d1) of a channel: its transition matrix T split by the error
+    probability e of each destination state, d1 = T * e for an erred bit
+    and d0 = T - d1 for a correct one, so d0 + d1 is T exactly.  Built
+    here, apart from the package's count recursions."""
+    d1 = model.transition * model.error_profile
+    return model.transition - d1, d1
+
+
+Result = namedtuple("Result", "block_error packet_error error")
+
+
+def one(model, code, scheme, which=ANALYTIC_MODELS):
+    """One channel's results: ``evaluate_models`` on a stack of one channel
+    and one code, entry 0 of each column, as a Result by model name."""
+    [columns] = evaluate_models([model], [code], [scheme], which)
+    return {name: Result(*(column[0] for column in triple)) for name, triple in columns.items()}

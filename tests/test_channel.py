@@ -8,9 +8,10 @@ from burstfec.channel import (
     FsmcModel,
     SchemeSpec,
     ibp_from_stats,
-    split_transition_matrix,
     stationary_vector,
 )
+from burstfec.dist import marginal_error_distribution
+from reference_stats import kernels
 
 STAT_GRID = [(p, c) for p in (0.001, 0.01, 0.1, 0.5) for c in (0.0, 0.3, 0.6, 0.9)]
 
@@ -43,26 +44,37 @@ def test_ibp_round_trips_stats(ber, nacf):
 @pytest.mark.parametrize("ber,nacf", STAT_GRID)
 def test_model_invariants(ber, nacf):
     model = ibp_from_stats(ChannelSpec(ber=ber, nacf=nacf))
+    d0, d1 = kernels(model)
     np.testing.assert_allclose(model.transition.sum(axis=1), 1.0, atol=1e-12)
-    np.testing.assert_allclose(model.d0 + model.d1, model.transition, atol=1e-15)
+    np.testing.assert_allclose(d0 + d1, model.transition, atol=1e-15)
     assert np.max(np.abs(model.pi @ model.transition - model.pi)) <= 1e-12
-    assert np.all(model.d0 >= 0.0) and np.all(model.d1 >= 0.0)
+    assert np.all(d0 >= 0.0) and np.all(d1 >= 0.0)
+
+
+# the kernels that the brute-force references of the count laws multiply by
 
 
 def test_split_attaches_errors_to_destination():
     transition = np.array([[0.7, 0.2, 0.1], [0.3, 0.4, 0.3], [0.1, 0.1, 0.8]])
     profile = np.array([0.0, 0.5, 1.0])
-    d0, d1 = split_transition_matrix(transition, profile)
+    model = FsmcModel(transition, profile)
+    d0, d1 = kernels(model)
     np.testing.assert_allclose(d1, transition * profile, atol=1e-15)
     np.testing.assert_allclose(d0 + d1, transition, atol=1e-15)
     # error-free state never contributes to d1, always-erring state never to d0
     assert np.all(d1[:, 0] == 0.0)
     assert np.all(d0[:, 2] == 0.0)
+    # the one-codeword recursion's law of two back-to-back bits, by pattern
+    [law] = marginal_error_distribution([model], 2, [1], 2)
+    ones = np.ones(3)
+    expected = [model.pi @ d0 @ d0 @ ones, model.pi @ (d0 @ d1 + d1 @ d0) @ ones,
+                model.pi @ d1 @ d1 @ ones]
+    np.testing.assert_allclose(law, expected, rtol=0, atol=1e-15)
 
 
 def test_split_all_good_profile():
     transition = np.array([[0.9, 0.1], [0.5, 0.5]])
-    d0, d1 = split_transition_matrix(transition, np.zeros(2))
+    d0, d1 = kernels(FsmcModel(transition, np.zeros(2)))
     np.testing.assert_allclose(d0, transition, atol=1e-15)
     assert np.all(d1 == 0.0)
 
@@ -129,9 +141,8 @@ def test_fsmc_rejects_bad_matrices():
     ],
 )
 def test_fsmc_and_split_refuse_mismatched_shapes(transition, profile, message):
-    for call in (FsmcModel, split_transition_matrix):
-        with pytest.raises(ValueError, match=f"^{message}$"):
-            call(transition, profile)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        FsmcModel(transition, profile)
 
 
 @pytest.mark.parametrize("transition", [[[0.9, 0.1]], [0.5, 0.5], np.full((2, 2, 2), 0.5)])
@@ -148,6 +159,7 @@ def test_stationary_refuses_a_non_square_matrix(transition):
         ([[0.9, np.nan], [0.1, 0.9]], [0.0, 1.0], "transition matrix entries must be finite, got nan"),
         ([[np.nan] * 2] * 2, [0.0, 1.0], "transition matrix entries must be finite, got nan"),
         ([[0.9, 0.1], [np.inf, 0.9]], [0.0, 1.0], "transition matrix entries must be finite, got inf"),
+        ([[0.9, -np.inf], [0.1, 0.9]], [0.0, 1.0], "transition matrix entries must be finite, got -inf"),
     ],
 )
 def test_fsmc_rejects_non_finite_entries(transition, profile, message):
@@ -167,19 +179,11 @@ def test_fsmc_rejects_non_finite_entries(transition, profile, message):
             lambda: stationary_vector([[0.5, 0.5, 0.0], [0.0, 0.5, np.inf], [0.3, 0.3, 0.4]]),
             "transition matrix entries must be finite, got inf", id="stationary-three-state-inf",
         ),
-        pytest.param(
-            lambda: split_transition_matrix([[0.9, 0.1], [0.1, 0.9]], [0.0, np.nan]),
-            "error profile entries must be finite, got nan", id="split-profile-nan",
-        ),
-        pytest.param(
-            lambda: split_transition_matrix([[0.9, -np.inf], [0.1, 0.9]], [0.0, 1.0]),
-            "transition matrix entries must be finite, got -inf", id="split-transition-inf",
-        ),
     ],
 )
 def test_every_channel_entry_point_refuses_non_finite_entries(call, message):
-    # NaN passes the stationary residual test and the split's arithmetic, so it is
-    # refused by name, with FsmcModel's message
+    # NaN passes the stationary residual test, so it is refused by name,
+    # with FsmcModel's message
     with pytest.raises(ValueError, match=f"^{message}$"):
         call()
 

@@ -225,6 +225,22 @@ def test_optimize_breaks_uncorrelated_tie_toward_shallow(capsys):
     assert "best: I=1 M=16" in capsys.readouterr().out
 
 
+# sha256 of the optimize verb's whole stdout at p_E 0.01, c 0.9 (budget
+# 1008, code (63, 45, 3)), by model: CI's two runs; the ranking comes from
+# one stack of the channel once per pair, which no CSV digest covers
+OPTIMIZE_STDOUT_SHA256 = {
+    "model3": "301154172d796ffb04ea865af54b3b3d24131eb690439fd276f75dc7cff677a5",
+    "model2": "a57110666da4cb9bd61d265fc2dac2fa804d176facb8f804252271658324becc",
+}
+
+
+@pytest.mark.parametrize("model", OPTIMIZE_STDOUT_SHA256)
+def test_optimize_verb_stdout_is_pinned(model, capsys):
+    assert main(["optimize", "--ber", "0.01", "--nacf", "0.9", "--model", model]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == OPTIMIZE_STDOUT_SHA256[model]
+
+
 def test_oracle_verb_prints_reference(capsys):
     assert main([
         "oracle", "--n", "4", "--l", "1", "--depth", "2",

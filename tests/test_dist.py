@@ -17,6 +17,7 @@ from burstfec.dist import (
 )
 from burstfec.models import _absorbing_chains
 from burstfec.oracle import exact_joint_law
+from reference_stats import kernels
 
 # ----------------------------------------------------------------------
 # Independent references: explicit path-by-path enumeration written
@@ -28,11 +29,12 @@ from burstfec.oracle import exact_joint_law
 
 def marginal_by_paths(model, n, depth, cap):
     gap = np.linalg.matrix_power(model.transition, depth - 1)
+    split = kernels(model)
     out = np.zeros(cap + 1)
     for pattern in itertools.product((0, 1), repeat=n):
         vec = model.pi.copy()
         for i, err in enumerate(pattern):
-            vec = vec @ (model.d1 if err else model.d0)
+            vec = vec @ split[err]
             if i < n - 1:
                 vec = vec @ gap
         out[min(sum(pattern), cap)] += vec.sum()
@@ -41,13 +43,13 @@ def marginal_by_paths(model, n, depth, cap):
 
 def joint_by_paths(model, n, depth, cap):
     gap = np.linalg.matrix_power(model.transition, depth - 2)
+    split = kernels(model)
     out = np.zeros((cap + 1, cap + 1))
     for first in itertools.product((0, 1), repeat=n):
         for second in itertools.product((0, 1), repeat=n):
             vec = model.pi.copy()
             for i, (a, b) in enumerate(zip(first, second)):
-                vec = vec @ (model.d1 if a else model.d0)
-                vec = vec @ (model.d1 if b else model.d0)
+                vec = vec @ split[a] @ split[b]
                 if i < n - 1:
                     vec = vec @ gap
             out[min(sum(first), cap), min(sum(second), cap)] += vec.sum()
@@ -55,11 +57,12 @@ def joint_by_paths(model, n, depth, cap):
 
 
 def sequential_by_paths(model, n, cap):
+    split = kernels(model)
     out = np.zeros((cap + 1, cap + 1))
     for pattern in itertools.product((0, 1), repeat=2 * n):
         vec = model.pi.copy()
         for err in pattern:
-            vec = vec @ (model.d1 if err else model.d0)
+            vec = vec @ split[err]
         out[min(sum(pattern[:n]), cap), min(sum(pattern[n:]), cap)] += vec.sum()
     return out
 
@@ -178,10 +181,10 @@ def test_single_pair_back_to_back():
     model = ibp_from_stats(ChannelSpec(ber=0.2, nacf=0.7))
     q = one_sequential(model, 1, 1)
     ones = np.ones(2)
-    kernels = (model.d0, model.d1)
+    split = kernels(model)
     for a in (0, 1):
         for b in (0, 1):
-            expect = float(model.pi @ kernels[a] @ kernels[b] @ ones)
+            expect = float(model.pi @ split[a] @ split[b] @ ones)
             assert q[a, b] == pytest.approx(expect, abs=1e-15)
 
 
@@ -364,9 +367,10 @@ def looped_laws(model, n, depth, cap):
     gap = np.linalg.matrix_power(model.transition, depth - 1)
     marginal = np.zeros((cap + 1, size, size))
     marginal[0] = np.eye(size)
+    miss, hit = kernels(model)
     for _ in range(n - 1):
-        marginal = kernel_step(marginal, model.d0 @ gap, model.d1 @ gap)
-    marginal = kernel_step(marginal, model.d0, model.d1)
+        marginal = kernel_step(marginal, miss @ gap, hit @ gap)
+    marginal = kernel_step(marginal, miss, hit)
     joint = np.zeros((cap + 1, cap + 1, size, size))
     joint[0, 0] = np.eye(size)
     if depth == 1:

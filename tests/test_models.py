@@ -18,7 +18,6 @@ from burstfec.dist import (
 )
 from burstfec.models import (
     ANALYTIC_MODELS,
-    PacketErrorResult,
     _absorbed,
     _absorbing_chains,
     _chains,
@@ -26,10 +25,10 @@ from burstfec.models import (
     _lift,
     _quadrants,
     _two_state_blocks,
-    block_to_packet,
     evaluate_models,
 )
 from burstfec.oracle import exact_loss
+from reference_stats import Result, one
 
 
 def make_joint(model, n, depth, cap):
@@ -48,16 +47,16 @@ def codeword_error_rate(model, n, depth, l):
 
 def per_channel(columns):
     """A stack's columns as the one-channel results of each of its
-    channels: a dict of PacketErrorResult by model name, from the
-    channel's entry of every column."""
+    channels: a dict of Result by model name, from the channel's entry of
+    every column."""
     entries = zip(*(zip(*column) for column in columns.values()))
-    return [{name: PacketErrorResult(*entry) for name, entry in zip(columns, row)} for row in entries]
+    return [{name: Result(*entry) for name, entry in zip(columns, row)} for row in entries]
 
 
 def block_error(name, model, n, l, depth):
     """One chain model's codeblock error on a valid (n, l) code."""
     scheme = SchemeSpec(depth=depth, blocks=1)
-    return evaluate_models(model, CodeSpec(n, 1, l), scheme, (name,))[name].block_error
+    return one(model, CodeSpec(n, 1, l), scheme, (name,))[name].block_error
 
 
 def rate_chain(error_rate, nacf):
@@ -88,26 +87,25 @@ def two_state_block(alpha, beta, depth):
 
 
 # ----------------------------------------------------------------------
-# block_to_packet and the binomial baseline
+# the block-to-packet lift and the binomial baseline
 # ----------------------------------------------------------------------
 
 
 def test_block_to_packet_trivials():
-    assert block_to_packet(0.0, 16) == 0.0
-    assert block_to_packet(1.0, 3) == 1.0
-    assert block_to_packet(0.25, 1) == 0.25
+    assert _lift([0.0, 1.0, 0.25], [16, 3, 1]) == [0.0, 1.0, 0.25]
 
 
 def test_block_to_packet_small_probability_precision():
-    assert block_to_packet(1e-9, 8) == pytest.approx(8e-9, rel=1e-7, abs=0.0)
+    small, tiny = _lift([1e-9, 1e-15], [8, 10])
+    assert small == pytest.approx(8e-9, rel=1e-7, abs=0.0)
     # naive 1-(1-p)^M would lose most digits here
-    assert block_to_packet(1e-15, 10) == pytest.approx(1e-14, rel=1e-6, abs=0.0)
+    assert tiny == pytest.approx(1e-14, rel=1e-6, abs=0.0)
 
 
 @pytest.mark.parametrize("bad", [-0.1, 1.2])
 def test_block_to_packet_rejects_bad_probability(bad):
     with pytest.raises(ValueError):
-        block_to_packet(bad, 4)
+        _lift([bad], [4])
 
 
 BLOCK_ERRORS = st.one_of(
@@ -119,28 +117,28 @@ BLOCK_ERRORS = st.one_of(
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(entries=st.lists(st.tuples(BLOCK_ERRORS, st.integers(1, 5000)), min_size=1, max_size=8))
 def test_column_lift_equals_block_to_packet_to_the_bit(entries):
+    # the reference: 1 - (1 - b)**m in log space, b itself for a certain
+    # loss or one block
     block_errors, counts = map(list, zip(*entries))
     lifted = _lift(block_errors, counts)
-    assert [p.hex() for p in lifted] == [block_to_packet(b, m).hex() for b, m in entries]
+    expected = [b if b == 1.0 or m == 1 else -math.expm1(m * math.log1p(-b)) for b, m in entries]
+    assert [p.hex() for p in lifted] == [p.hex() for p in expected]
     # a rejected channel's None stays None and is not range-checked
     assert _lift([None, *block_errors], [1, *counts]) == [None, *lifted]
 
 
 @pytest.mark.parametrize("bad", [-0.1, 1.2, float("nan"), -5e-324])
 def test_column_lift_rejects_a_block_error_without_an_error_message(bad):
-    with pytest.raises(ValueError, match=r"^block error must be in \[0, 1\], got "):
+    message = re.escape(f"block error must be in [0, 1], got {bad!r}")
+    with pytest.raises(ValueError, match=f"^{message}$"):
         _lift([0.5, None, bad], [4, 4, 4])
-    with pytest.raises(ValueError) as raised:
-        block_to_packet(bad, 4)
-    with pytest.raises(ValueError, match=f"^{re.escape(str(raised.value))}$"):
-        _lift([bad], [4])
 
 
 def baseline(ber, code, depth, blocks):
     """The baseline's packet error over a memoryless channel at ``ber``."""
     model = ibp_from_stats(ChannelSpec(ber=ber, nacf=0.0))
     scheme = SchemeSpec(depth=depth, blocks=blocks)
-    return evaluate_models(model, code, scheme, ("baseline",))["baseline"].packet_error
+    return one(model, code, scheme, ("baseline",))["baseline"].packet_error
 
 
 def test_binomial_baseline_against_mpmath():
@@ -175,7 +173,7 @@ def test_long_code_baseline_against_mpmath(n, l):
         expected = float(
             mpmath.fsum(mpmath.binomial(n, i) * p**i * (1 - p) ** (n - i) for i in range(l + 1, n + 1))
         )
-    result = evaluate_models(model, CodeSpec(n, 1, l), SchemeSpec(1, 1), ("baseline",))["baseline"]
+    result = one(model, CodeSpec(n, 1, l), SchemeSpec(1, 1), ("baseline",))["baseline"]
     assert result.error is None
     assert result.block_error == result.packet_error
     assert result.packet_error == pytest.approx(expected, rel=1e-14, abs=0.0)
@@ -334,14 +332,14 @@ def test_codeword_process_rejects_bad_rates(monkeypatch):
     # channel has a bit NACF of exactly -1
     code, scheme = CodeSpec(3, 1, 1), SchemeSpec(depth=2, blocks=2)
     alternating = FsmcModel([[0.0, 1.0], [1.0, 0.0]], [0.0, 1.0])
-    result = evaluate_models(alternating, code, scheme, ("model2",))["model2"]
+    result = one(alternating, code, scheme, ("model2",))["model2"]
     assert result.error == "lag-1 NACF must be in (-1, 1), got -1.0"
     assert result.block_error is None and result.packet_error is None
     # the error rate is clipped to [0, 1], so only a NaN law reaches its check
     monkeypatch.setattr(
         models_module, "marginal_error_distribution", lambda *args: np.full((1, 3), np.nan)
     )
-    result = evaluate_models(alternating, code, scheme, ("model2",))["model2"]
+    result = one(alternating, code, scheme, ("model2",))["model2"]
     assert result.error == "error rate must be in [0, 1], got nan"
 
 
@@ -386,7 +384,7 @@ def test_model1_exact_through_depth_two(ber, nacf, n, l):
 def test_model2_depth_one_is_codeword_error_rate():
     model = ibp_from_stats(ChannelSpec(ber=0.03, nacf=0.8))
     code = CodeSpec(15, 7, 2)
-    result = evaluate_models(model, code, SchemeSpec(depth=1, blocks=4), ("model2",))["model2"]
+    result = one(model, code, SchemeSpec(depth=1, blocks=4), ("model2",))["model2"]
     assert result.block_error == pytest.approx(
         codeword_error_rate(model, 15, 1, 2), abs=1e-13
     )
@@ -404,7 +402,7 @@ BUDGET_PAIRS = [SchemeSpec(*pair) for pair in [(1, 16), (2, 8), (4, 4), (8, 2), 
 @pytest.mark.parametrize("scheme", [BUDGET_PAIRS[0], BUDGET_PAIRS[2], BUDGET_PAIRS[4]])
 def test_uncorrelated_models_collapse_to_baseline(code, scheme):
     model = ibp_from_stats(ChannelSpec(ber=0.01, nacf=0.0))
-    results = evaluate_models(model, code, scheme)
+    results = one(model, code, scheme)
     base = results["baseline"].packet_error
     for name in ("model1", "model2", "model3"):
         assert results[name].packet_error == pytest.approx(base, abs=1e-10)
@@ -416,7 +414,7 @@ def test_packet_error_monotone_in_blocks():
     last = 0.0
     for blocks in (1, 2, 4, 8):
         scheme = SchemeSpec(depth=2, blocks=blocks)
-        result = evaluate_models(model, code, scheme, ("model3",))["model3"]
+        result = one(model, code, scheme, ("model3",))["model3"]
         assert result.packet_error >= last - 1e-15
         last = result.packet_error
 
@@ -424,7 +422,7 @@ def test_packet_error_monotone_in_blocks():
 def test_evaluate_models_rejects_unknown_model():
     model = ibp_from_stats(ChannelSpec(ber=0.01, nacf=0.9))
     with pytest.raises(ValueError, match="model9"):
-        evaluate_models(model, CodeSpec(63, 45, 3), SchemeSpec(depth=4, blocks=4), ("model9",))
+        evaluate_models([model], [CodeSpec(63, 45, 3)], [SchemeSpec(depth=4, blocks=4)], ("model9",))
 
 
 # A periodic chain: every codeword errs almost surely and the codeword
@@ -434,7 +432,7 @@ PERIODIC = FsmcModel([[0.1, 0.9], [0.9, 0.1]], [0.0, 1.0])
 
 def test_failing_chain_stage_keeps_the_other_models():
     code, scheme = CodeSpec(63, 45, 3), SchemeSpec(depth=4, blocks=4)
-    results = evaluate_models(PERIODIC, code, scheme)
+    results = one(PERIODIC, code, scheme)
     for name in ("model1", "model2"):
         assert "outside the two-state chain's parameter range" in results[name].error
         assert results[name].block_error is None and results[name].packet_error is None
@@ -450,13 +448,13 @@ def test_stacked_evaluation_equals_per_channel_evaluation():
         for nacf in (0.0, 0.9)
         for ber in (0.001, 0.02)
     ] + [PERIODIC]
-    stacked = evaluate_models(stack, code, scheme)
-    assert per_channel(stacked) == [evaluate_models(model, code, scheme) for model in stack]
+    [stacked] = evaluate_models(stack, [code], [scheme] * len(stack))
+    assert per_channel(stacked) == [one(model, code, scheme) for model in stack]
     three_state = FsmcModel(np.full((3, 3), 1 / 3), [0.0, 0.5, 1.0])
     with pytest.raises(ValueError, match="common state count"):
-        evaluate_models([PERIODIC, three_state], code, scheme)
+        evaluate_models([PERIODIC, three_state], [code], [scheme] * 2)
     with pytest.raises(ValueError, match="got 2 schemes for 5 channels"):
-        evaluate_models(stack, code, [scheme, scheme])
+        evaluate_models(stack, [code], [scheme, scheme])
 
 
 # On the (3, 1, 1) code at depth 2, model 2's chain rejects this channel:
@@ -476,12 +474,12 @@ def test_models_1_and_2_share_one_stack_with_their_own_errors(monkeypatch):
         return error_rate, nacf
 
     monkeypatch.setattr(models_module, "_joint_chains", reject_first)
-    code, scheme = CodeSpec(3, 1, 1), SchemeSpec(depth=2, blocks=2)
+    codes, schemes = [CodeSpec(3, 1, 1)], [SchemeSpec(depth=2, blocks=2)] * 3
     stack = [ibp_from_stats(ChannelSpec(ber=ber, nacf=0.6)) for ber in (0.1, 0.02)]
     stack.append(MODEL2_REJECTS)
-    both = evaluate_models(stack, code, scheme, ("model1", "model2"))
+    [both] = evaluate_models(stack, codes, schemes, ("model1", "model2"))
     for name in ("model1", "model2"):
-        assert both[name] == evaluate_models(stack, code, scheme, (name,))[name]
+        assert both[name] == evaluate_models(stack, codes, schemes, (name,))[0][name]
     assert [error is None for error in both["model1"][2]] == [False, True, True]
     assert [error is None for error in both["model2"][2]] == [True, True, False]
     assert both["model1"][2][0].endswith(
@@ -493,7 +491,7 @@ def test_models_1_and_2_share_one_stack_with_their_own_errors(monkeypatch):
 @pytest.mark.parametrize("which", [("model1", "model2", "model3", "baseline"), ("baseline",)])
 def test_empty_stack_is_rejected(which):
     with pytest.raises(ValueError, match="need at least one channel, got an empty sequence"):
-        evaluate_models([], CodeSpec(63, 45, 3), [], which)
+        evaluate_models([], [CodeSpec(63, 45, 3)], [], which)
 
 
 def test_stack_works_out_each_channel_statistic_once(monkeypatch):
@@ -521,7 +519,7 @@ def test_stack_works_out_each_channel_statistic_once(monkeypatch):
     assert sorted(tails) == sorted({(63, 1, 3, 5, c.ber) for c in stack})
     monkeypatch.undo()
     for code, columns in zip(BENCHMARK_CODES, stacked):
-        assert per_channel(columns) == [evaluate_models(c, code, s) for c, s in zip(stack, schemes)]
+        assert per_channel(columns) == [one(c, code, s) for c, s in zip(stack, schemes)]
 
 
 def test_chain_stage_values_are_pinned_to_the_bit():
@@ -536,7 +534,7 @@ def test_chain_stage_values_are_pinned_to_the_bit():
     lines = []
     for code in BENCHMARK_CODES:
         for scheme in BUDGET_PAIRS:
-            for results in per_channel(evaluate_models(stack, code, scheme)):
+            for results in per_channel(evaluate_models(stack, [code], [scheme] * len(stack))[0]):
                 lines += [
                     r.error if r.error is not None
                     else f"{r.block_error.hex()} {r.packet_error.hex()}"
@@ -556,7 +554,7 @@ def test_models_against_exhaustive_packet_reference(name):
     code = CodeSpec(5, 3, 1)
     scheme = SchemeSpec(depth=3, blocks=2)
     exact = exact_loss(model, 5, 3, 1, 2)[1]
-    predicted = evaluate_models(model, code, scheme, (name,))[name].packet_error
+    predicted = one(model, code, scheme, (name,))[name].packet_error
     assert exact / 10 <= predicted <= exact * 10
     assert predicted == pytest.approx(exact, rel=0.35, abs=0.0)
 
@@ -569,7 +567,7 @@ def test_model1_tracks_simulation_within_expected_envelope():
     channel = ChannelSpec(ber=0.01, nacf=0.6)
     code = CodeSpec(63, 45, 3)
     scheme = SchemeSpec(depth=2, blocks=8)
-    results = evaluate_models(ibp_from_stats(channel), code, scheme, ("model1",))
+    results = one(ibp_from_stats(channel), code, scheme, ("model1",))
     predicted = results["model1"].packet_error
     estimate = simulate_packets(
         SimConfig(channel=channel, code=code, scheme=scheme, packets=100_000, seed=7)
@@ -588,7 +586,7 @@ def test_model2_comparable_to_model3_on_strong_code():
     code = CodeSpec(63, 36, 5)
     scheme = SchemeSpec(depth=16, blocks=1)
     fsmc = ibp_from_stats(channel)
-    results = evaluate_models(fsmc, code, scheme, ("model2", "model3"))
+    results = one(fsmc, code, scheme, ("model2", "model3"))
     estimate = simulate_packets(
         SimConfig(channel=channel, code=code, scheme=scheme, packets=100_000, seed=11)
     )
@@ -660,13 +658,15 @@ SCHEMES = st.builds(SchemeSpec, depth=st.integers(1, 4), blocks=st.integers(1, 3
 def test_stacked_chain_stage_on_any_fsmc(stack, n, l, schemes):
     assume(l < n)
     code, schemes = CodeSpec(n, 1, l), schemes[: len(stack)]
-    stacked = per_channel(evaluate_models(stack, code, schemes))
+    [columns] = evaluate_models(stack, [code], schemes)
+    stacked = per_channel(columns)
     assert len(stacked) == len(stack)
     # a stack of the channels sharing one scheme gives the same floats and
     # the same error strings as the mixed-scheme stack
     for scheme in set(schemes):
         chosen = [i for i, s in enumerate(schemes) if s == scheme]
-        alike = per_channel(evaluate_models([stack[i] for i in chosen], code, scheme))
+        [alike] = evaluate_models([stack[i] for i in chosen], [code], [scheme] * len(chosen))
+        alike = per_channel(alike)
         assert alike == [stacked[i] for i in chosen]
     for channel, scheme, results in zip(stack, schemes, stacked):
         # every model gives a probability or its own error
@@ -677,7 +677,7 @@ def test_stacked_chain_stage_on_any_fsmc(stack, n, l, schemes):
             else:
                 assert result.error and result.block_error is None and result.packet_error is None
         # a stack of one gives the same floats and the same error strings
-        assert evaluate_models(channel, code, scheme) == results
+        assert one(channel, code, scheme) == results
         # at depth <= 2 models 1 and 3 are exact wherever they give a value
         if scheme.depth <= 2:
             exact = exact_loss(channel, n, scheme.depth, l, 1)[0]
@@ -713,9 +713,9 @@ def test_code_sequence_equals_one_call_per_code(stack, n, ls, schemes):
     codes, schemes = [CodeSpec(n, 1, l) for l in ls if l < n], schemes[: len(stack)]
     assume(codes)
     grouped = evaluate_models(stack, codes, schemes)
-    assert grouped == [evaluate_models(stack, code, schemes) for code in codes]
-    alone = evaluate_models(stack[0], codes, schemes[0])
-    assert alone == [evaluate_models(stack[0], code, schemes[0]) for code in codes]
+    assert grouped == [evaluate_models(stack, [code], schemes)[0] for code in codes]
+    alone = evaluate_models(stack[:1], codes, schemes[:1])
+    assert alone == [evaluate_models(stack[:1], [code], schemes[:1])[0] for code in codes]
 
 
 POINT_STATS = st.tuples(st.sampled_from([0.001, 0.02, 0.2]), st.sampled_from([0.0, 0.5, 0.9]))
@@ -750,7 +750,7 @@ def test_mixed_stack_columns_equal_the_one_channel_results(points, n, ls, scheme
                     assert [b is None for b in block_errors] == [e is not None for e in errors]
                     assert [p is None for p in packet_errors] == [e is not None for e in errors]
                 for i, (channel, scheme) in enumerate(zip(stack, schemes)):
-                    alone = evaluate_models(channel, code, scheme, which)
+                    alone = one(channel, code, scheme, which)
                     assert list(alone) == list(which)
                     for name, result in alone.items():
                         block_errors, packet_errors, errors = columns[name]
@@ -763,6 +763,6 @@ def test_code_sequence_needs_one_codeword_length():
     channel = ibp_from_stats(ChannelSpec(ber=0.01, nacf=0.5))
     scheme = SchemeSpec(depth=2, blocks=2)
     with pytest.raises(ValueError, match=r"codes of one length n, got \[7, 15\]"):
-        evaluate_models(channel, [CodeSpec(15, 7, 2), CodeSpec(7, 4, 1)], scheme)
+        evaluate_models([channel], [CodeSpec(15, 7, 2), CodeSpec(7, 4, 1)], [scheme])
     with pytest.raises(ValueError, match=r"codes of one length n, got \[\]"):
-        evaluate_models(channel, [], scheme)
+        evaluate_models([channel], [], [scheme])

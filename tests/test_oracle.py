@@ -11,11 +11,12 @@ from burstfec import oracle
 from burstfec.channel import ChannelSpec, FsmcModel, ibp_from_stats
 from burstfec.dist import joint_error_distribution, marginal_error_distribution
 from burstfec.oracle import exact_joint_law, exact_loss
+from reference_stats import kernels
 
 
 def chain_matrices(ber, nacf):
     model = ibp_from_stats(ChannelSpec(ber=ber, nacf=nacf))
-    return model.pi, model.transition, (model.d0, model.d1)
+    return model.pi, model.transition, kernels(model)
 
 
 def stream_probability(pi, kernels, pattern):
@@ -186,6 +187,18 @@ def test_enumeration_size_is_bounded():
         exact_loss(model, 63, 11, 3, 1)[0]  # 2**2 * 4**11 count vectors: over the ceiling
 
 
+def test_block_error_at_l0_past_numpys_axis_limit():
+    # l = 0 tracks 100 codewords of one count slot each: the flow holds
+    # 4 entries, more counters than an ndarray has axes.  A block decodes
+    # iff no slot errs: the chain starts in the error-free state and stays
+    # there for every one of the n * depth - 1 transitions after it.
+    model = ibp_from_stats(ChannelSpec(ber=0.01, nacf=0.5))
+    alpha, n, depth = model.transition[0, 1], 2, 100
+    block, packet = exact_loss(model, n, depth, 0, 2)
+    assert block == pytest.approx(1.0 - model.pi[0] * (1.0 - alpha) ** (n * depth - 1), rel=1e-12)
+    assert packet == pytest.approx(1.0 - model.pi[0] * (1.0 - alpha) ** (2 * n * depth - 1), rel=1e-12)
+
+
 def test_block_count_is_bounded(monkeypatch):
     # one Python pass per block: more blocks than the ceiling are refused
     # before any flow is made
@@ -237,12 +250,14 @@ def layout(n, depth, l, drop):
 def kernel_flow(model, owner, counters, cap, drop):
     """Reference for oracle._count_flow on any chain: a tracked slot
     multiplies by the no-error kernel d0 and by the error kernel d1, and
-    moves the error terms up one count, dropping or saturating the top."""
+    moves the error terms up one count, dropping or saturating the top.
+    The flow comes out as _count_flow's does, (S, S, count vectors)."""
     states = model.states
     flow = np.zeros((states, states, (cap + 1) ** counters))
     flow[:, :, 0] = np.eye(states)
     flow = flow.reshape(states, -1)
-    miss, hit, full = model.d0.T, model.d1.T, model.transition.T
+    miss, hit = (kernel.T for kernel in kernels(model))
+    full = model.transition.T
     dropped = np.zeros(states)
     for j in owner:
         if j >= counters:
@@ -258,7 +273,7 @@ def kernel_flow(model, owner, counters, cap, drop):
             dropped += errors[:, :, :, -1].sum(axis=(0, 2, 3))
         else:
             moved[:, :, :, -1] += errors[:, :, :, -1]
-    return flow.reshape((states, states) + (cap + 1,) * counters), dropped
+    return flow.reshape(states, states, -1), dropped
 
 
 MIXED_CHAINS = {
@@ -345,7 +360,7 @@ def small_fsmcs(draw):
 
 def pattern_laws(model, n, depth, cap, l, blocks):
     """Marginal, joint, block and packet references by enumerating every pattern."""
-    kernels = (model.d0, model.d1)
+    split = kernels(model)
     block_slots = n * depth
 
     def counts(pattern, codewords):
@@ -357,13 +372,13 @@ def pattern_laws(model, n, depth, cap, l, blocks):
     marginal = np.zeros(cap + 1)
     for pattern in itertools.product((0, 1), repeat=block_slots):
         marginal[min(counts(pattern, depth)[0], cap)] += stream_probability(
-            model.pi, kernels, pattern
+            model.pi, split, pattern
         )
     joint = np.zeros((cap + 1, cap + 1))
     for pattern in itertools.product((0, 1), repeat=max(block_slots, 2 * n)):
         first, second = counts(pattern, max(depth, 2))[:2]
         joint[min(first, cap), min(second, cap)] += stream_probability(
-            model.pi, kernels, pattern
+            model.pi, split, pattern
         )
     block = packet = 0.0
     for pattern in itertools.product((0, 1), repeat=block_slots * blocks):
@@ -371,7 +386,7 @@ def pattern_laws(model, n, depth, cap, l, blocks):
             max(counts(pattern[b * block_slots:(b + 1) * block_slots], depth)) > l
             for b in range(blocks)
         ]
-        prob = stream_probability(model.pi, kernels, pattern)
+        prob = stream_probability(model.pi, split, pattern)
         block += prob * failed[0]
         packet += prob * any(failed)
     return marginal, joint, block, packet

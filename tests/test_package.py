@@ -7,22 +7,21 @@ from pathlib import Path
 import pytest
 
 import burstfec
-from burstfec import dist, models, oracle
-from burstfec.channel import ChannelSpec, SchemeSpec
+from burstfec import channel, dist, models, oracle, sweep
+from burstfec.channel import ChannelSpec, SchemeSpec, ibp_from_stats
 from burstfec.cli import DEFAULT_CONFIG, build_parser
 from burstfec.sweep import SweepSpec
 
 PUBLIC_NAMES = [
     "ANALYTIC_MODELS", "BIT_GENERATOR", "CSV_COLUMNS", "ChannelParameterError",
     "ChannelSpec", "CiEstimate", "CodeSpec", "DepthCandidate", "FsmcModel",
-    "PacketErrorResult", "ResultRow", "SchemeSpec", "SimConfig", "SweepSpec",
-    "block_to_packet", "confidence_interval",
+    "ResultRow", "SchemeSpec", "SimConfig", "SweepSpec", "confidence_interval",
     "dar1_stream", "emit_results", "evaluate_models",
     "exact_joint_law", "exact_loss", "feasible_pairs",
     "ibp_from_stats", "joint_error_distribution",
     "marginal_error_distribution", "optimize_depth",
     "residual_correlation", "run_sweep", "sequential_joint_distribution",
-    "simulate_packets", "split_transition_matrix", "stationary_vector", "throughput",
+    "simulate_packets", "stationary_vector",
 ]
 
 
@@ -43,7 +42,7 @@ def test_readme_library_example_runs(capsys):
 
 
 def test_public_names_are_pinned_and_resolve():
-    assert len(PUBLIC_NAMES) == 33
+    assert len(PUBLIC_NAMES) == 29
     assert sorted(burstfec.__all__) == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         assert hasattr(burstfec, name), name
@@ -64,15 +63,23 @@ def test_count_law_wrappers_stay_deleted(module, name):
     "model1_packet_error", "model2_packet_error", "model3_packet_error",
     "absorbing_chain_from_joint", "model3_block_error", "codeword_process_from_joint",
     "codeword_process_from_rates", "two_state_block_error", "AbsorbingChain", "CodewordProcess",
+    "PacketErrorResult", "block_to_packet",
 ])
 def test_models_have_one_entry_point(name):
+    # evaluate_models takes a stack and returns columns; _lift is the one
+    # block-to-packet lift
     assert not hasattr(burstfec, name)
     assert not hasattr(models, name)
 
 
-def test_packet_error_result_holds_only_what_callers_read():
-    fields = [field.name for field in dataclasses.fields(models.PacketErrorResult)]
-    assert fields == ["block_error", "packet_error", "error"]
+@pytest.mark.parametrize("module,name", [(channel, "split_transition_matrix"), (sweep, "throughput")])
+def test_duplicate_arithmetic_stays_deleted(module, name):
+    # the one-codeword recursion splits the transition matrices of its
+    # stack itself, and every sweep row works out its throughput inline
+    assert not hasattr(burstfec, name)
+    assert not hasattr(module, name)
+    model = ibp_from_stats(ChannelSpec(ber=0.01, nacf=0.5))
+    assert not hasattr(model, "d0") and not hasattr(model, "d1")
 
 
 def test_deleted_options_stay_deleted():

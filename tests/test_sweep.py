@@ -14,7 +14,7 @@ import burstfec
 from burstfec.channel import ChannelSpec, CodeSpec, FsmcModel, SchemeSpec, ibp_from_stats
 from burstfec.cli import DEFAULT_CONFIG, main
 from burstfec.mc import SimConfig, simulate_packets
-from burstfec.models import ANALYTIC_MODELS, evaluate_models
+from burstfec.models import ANALYTIC_MODELS
 from burstfec.sweep import (
     CSV_COLUMNS,
     DepthCandidate,
@@ -27,8 +27,8 @@ from burstfec.sweep import (
     optimize_depth,
     residual_correlation,
     run_sweep,
-    throughput,
 )
+from reference_stats import one
 
 CODE_63_57 = CodeSpec(n=63, k=57, l=1)
 SMALL_CODE = CodeSpec(n=6, k=3, l=1)
@@ -208,14 +208,14 @@ def test_stacked_sweep_matches_per_point_evaluation():
         spec.codes, spec.pairs, spec.nacfs, spec.bers
     ):
         try:
-            results = evaluate_models(ibp_from_stats(ChannelSpec(ber, nacf)), code, scheme)
+            results = one(ibp_from_stats(ChannelSpec(ber, nacf)), code, scheme)
         except ValueError:
             results = None
         for model in spec.models:
             row = ResultRow(model=model, ber=ber, nacf=nacf, code=code, scheme=scheme)
             if results is not None:
                 row.p = results[model].packet_error
-                row.throughput = throughput(code, scheme, row.p)
+                row.throughput = scheme.codewords * code.k * (1.0 - row.p)
                 row.residual_corr = residual_correlation(nacf, scheme.depth)
             expected.append(csv_record(row))
     assert [csv_record(row) for row in rows] == expected
@@ -332,13 +332,20 @@ def test_spec_validation():
 
 
 def test_throughput_values():
-    code = CodeSpec(n=63, k=45, l=3)
-    scheme = SchemeSpec(depth=16, blocks=1)
-    assert throughput(code, scheme, 0.0) == pytest.approx(720.0, abs=1e-12)
-    assert throughput(code, scheme, 0.1) == pytest.approx(648.0, abs=1e-12)
-    assert throughput(code, scheme, 1.0) == 0.0
-    with pytest.raises(ValueError):
-        throughput(code, scheme, 1.5)
+    # expected delivered data bits per packet under all-or-nothing
+    # delivery, 16 codewords * 45 data bits * (1 - p), on the analytic and
+    # the Monte Carlo rows alike
+    spec = small_spec(
+        codes=(CodeSpec(n=63, k=45, l=3),), pairs=(SchemeSpec(depth=16, blocks=1),),
+        bers=(0.0, 0.02), nacfs=(0.5,), models=("model3", "mc"),
+    )
+    rows = run_sweep(spec)
+    assert [row.throughput for row in rows[:2]] == [720.0, 720.0]  # p_E = 0: no loss
+    for row in rows:
+        p = row.p_hat if row.model == "mc" else row.p
+        assert 0.0 < row.throughput <= 720.0
+        assert row.throughput == 720 * (1.0 - p)
+    assert rows[2].throughput < 720.0 and rows[3].throughput < 720.0
 
 
 def test_residual_correlation_values():
@@ -413,14 +420,14 @@ def test_optimizer_raises_the_first_failing_pairs_error(monkeypatch):
     # that comes first in pair order names the error
     original = burstfec.sweep.evaluate_models
 
-    def failing(stack, code, schemes, which):
-        columns = original(stack, code, schemes, which)
-        block_errors, packet_errors, errors = columns[which[0]]
+    def failing(stack, codes, schemes, which):
+        coded = original(stack, codes, schemes, which)
+        block_errors, packet_errors, errors = coded[0][which[0]]
         for i, scheme in enumerate(schemes):
             if scheme.depth in (8, 4):
                 block_errors[i] = packet_errors[i] = None
                 errors[i] = f"fails at I={scheme.depth}"
-        return columns
+        return coded
 
     monkeypatch.setattr(burstfec.sweep, "evaluate_models", failing)
     with pytest.raises(ValueError, match="^fails at I=4$"):
