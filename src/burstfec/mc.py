@@ -30,23 +30,33 @@ stream has fewer than 2**31 slots.  A zero rate alpha, where
 
 Packets are simulated in fixed-size batches whose RNG streams derive
 from (seed, batch index) only, so estimates are bit-for-bit reproducible
-for any worker count.  Consecutive batches form a group that shares one
-array pass: each batch still makes its own draws from its own generator,
-in its own order, and only the array work after the draws is done once
-for the whole group.  A group holds at most ``_GROUP_ERRORS`` expected
-errors and ``_GROUP_COUNTS`` codeword counters (one batch at least), so
-its memory stays bounded whatever the packet count; at p_E 0.002 and 16
-codewords a packet that is four batches, at p_E 0.02 one.  Run lengths
-at one rate are numpy's own geometric algorithm done as array
-operations on the same draws, so they are the integers numpy would
-draw: from 1/3 up its search, on one uniform fill, and below its
-inversion, on one exponential fill.  Where both rates invert, a round
-of (bad, good) pairs takes both from one exponential fill, which is the
-same stream as two.  Confidence intervals are Wilson score intervals.
+for any worker count.  Batch k's generator is Philox with the key that
+``SeedSequence(seed, spawn_key=(k,))`` gives it; one array pass of
+numpy's SeedSequence hash makes the keys of all batches.  Consecutive
+batches form a group that shares one array pass: each batch still makes
+its own draws from its own generator, in its own order, and only the
+array work after the draws is done once for the whole group.  A group
+holds at most ``_GROUP_ERRORS`` expected errors and ``_GROUP_COUNTS``
+codeword counters (one batch at least), so its memory stays bounded
+whatever the packet count; at p_E 0.002 and 16 codewords a packet that
+is four batches, at p_E 0.02 one.
+
+Run lengths are numpy's own geometric algorithm worked on the same
+draws, so they are the integers ``Generator.geometric`` would draw: from
+1/3 up its search, on one uniform fill, and below its inversion, on one
+exponential fill, or for a stream's first run on one exponential in
+plain floats.  Where both rates invert, a round of (bad, good) pairs
+takes both from one exponential fill, which is the same stream as two,
+and a group's flipped packets take their opening runs from one array
+that each batch fills with its own exponentials.  Elsewhere the openings
+call ``Generator.geometric``, once a batch.  Confidence intervals are
+Wilson score intervals.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -139,9 +149,81 @@ def confidence_interval(p_hat: float, packets: int, gamma: float):
     return max(0.0, lo), min(1.0, hi)
 
 
-def _batch_rng(seed: int, index: int) -> np.random.Generator:
-    key = np.random.SeedSequence(seed, spawn_key=(index,))
-    return np.random.Generator(np.random.Philox(key))
+def _hashmix(value, const, multiplier):
+    """One hash step of numpy's SeedSequence on 32-bit words: the hashed
+    word and the next hash constant.  ``value`` is a Python int or a
+    uint32 array, ``const`` a Python int."""
+    value = value ^ const
+    const = const * multiplier & 0xFFFFFFFF
+    value = value * const & 0xFFFFFFFF
+    return value ^ value >> 16, const
+
+
+def _mix(word, value):
+    """numpy's SeedSequence mix of a pool word with a hashed word."""
+    mixed = ((0xCA01F9DD * word & 0xFFFFFFFF) - (0x4973F715 * value & 0xFFFFFFFF)) & 0xFFFFFFFF
+    return mixed ^ mixed >> 16
+
+
+def _batch_keys(seed: int, count: int) -> np.ndarray:
+    """Philox keys of batches 0 .. count - 1, one row of two uint64 words
+    each: the key that ``SeedSequence(seed, spawn_key=(index,))`` gives
+    a Philox generator, without a SeedSequence per batch.
+
+    numpy's SeedSequence hashes its entropy words (the seed's 32-bit
+    words, padded with zeros to its pool of 4, then the index) into the
+    pool, and the pool into the key.  Every word but the index is the
+    same for all batches, so those steps run once on Python ints, and
+    only the index's and the key's run, on arrays of all the batches.
+    An index is one entropy word, so ``count`` is at most 2**32.
+    """
+    words = [seed >> shift & 0xFFFFFFFF for shift in range(0, max(seed.bit_length(), 1), 32)]
+    words += [0] * (4 - len(words))
+    const = 0x43B0D7E5
+    pool = []
+    for word in words[:4]:
+        value, const = _hashmix(word, const, 0x931E8875)
+        pool.append(value)
+    # each pool word takes in the hash of every other one, then that of
+    # each entropy word past the pool, the index last
+    for source in range(4):
+        for target in range(4):
+            if source != target:
+                value, const = _hashmix(pool[source], const, 0x931E8875)
+                pool[target] = _mix(pool[target], value)
+    for word in [*words[4:], np.arange(count, dtype=np.uint32)]:
+        for target in range(4):
+            value, const = _hashmix(word, const, 0x931E8875)
+            pool[target] = _mix(pool[target], value)
+    const = 0x8B51F9DD
+    key = []
+    for word in pool:
+        value, const = _hashmix(word, const, 0x58F38DED)
+        key.append(value.astype(np.uint64))
+    # two 32-bit words make one 64-bit word, low word first
+    return np.stack((key[0] | key[1] << 32, key[2] | key[3] << 32), axis=1)
+
+
+@functools.cache
+def _key_type():
+    """A seed sequence that hands a Philox generator a ``_batch_keys``
+    row; made on first use, so that importing the package leaves
+    numpy.random out."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class Key(ISeedSequence):
+        def __init__(self, key):
+            self.key = key
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.key
+
+    return Key
+
+
+def _batch_rng(key) -> np.random.Generator:
+    """The generator of the batch whose ``_batch_keys`` row is ``key``."""
+    return np.random.Generator(np.random.Philox(_key_type()(key)))
 
 
 def _run_lengths(rng, rate, cap, size=None):
@@ -153,12 +235,14 @@ def _run_lengths(rng, rate, cap, size=None):
     A run at rate 0 (alpha, where (1 - nacf) * ber rounds to 0) never
     ends, so it lasts the whole window, ``cap``, and draws nothing.
 
-    An array of draws at one rate takes numpy's own algorithm as array
-    operations, on the same draws, so it returns the integers
-    ``Generator.geometric`` would: from ``_SEARCH_RATE`` up numpy
-    searches, and ``_searched`` does the search on one uniform fill;
-    from 1e-300 up to there it inverts, and ``_inverted`` does the
-    inversion on one exponential fill.
+    Draws at one rate take numpy's own algorithm on the same draws, so
+    they are the integers ``Generator.geometric`` would give.  From
+    ``_SEARCH_RATE`` up numpy searches, and ``_searched`` does the search
+    on an array's uniform fill.  From 1e-300 up to there numpy inverts,
+    ceil(E / -log1p(-rate)) of one standard exponential E: ``_inverted``
+    does it on an array's exponential fill, and plain floats do it for
+    one draw (a stream's first run).  One searched draw and an array of
+    rates call ``Generator.geometric``.
     """
     if isinstance(rate, np.ndarray):
         if not rate.all():
@@ -168,10 +252,14 @@ def _run_lengths(rng, rate, cap, size=None):
             return lengths
     elif rate == 0.0:
         return cap if size is None else np.full(size, cap)
-    elif size is not None and rate >= _SEARCH_RATE:
-        return _searched(rng.random(size), rate, cap)
-    elif size is not None and rate >= 1e-300:
-        return _inverted(rng.standard_exponential(size), (rate,), cap)
+    elif rate >= _SEARCH_RATE:
+        if size is not None:
+            return _searched(rng.random(size), rate, cap)
+    elif rate >= 1e-300:
+        divisor = -math.log1p(-rate)
+        if size is None:
+            return min(math.ceil(rng.standard_exponential() / divisor), cap)
+        return _inverted(rng.standard_exponential(size), divisor, cap, divisor)
     return np.minimum(rng.geometric(rate, size), cap)
 
 
@@ -207,21 +295,25 @@ def _searched(uniform, rate, cap):
     return lengths
 
 
-def _inverted(draw, rates, cap):
+def _inverted(draw, divisor, cap, least):
     """numpy's geometric inversion, ceil(E / -log1p(-rate)), of each
-    standard exponential E of ``draw``, clipped to ``cap``; ``draw`` is
-    worked in place and falls into equal shares, one per rate of
-    ``rates``.  From 1e-300 up the quotient stays finite.  numpy's
-    exponentials stay below 45 (its ziggurat's tail, 7.70 - log1p(-U),
-    peaks near 44.4), so no length reaches ``cap`` when
-    45 / -log1p(-rate) does not, and the clip is skipped then."""
-    share = draw.size // len(rates)
-    for k, rate in enumerate(rates):
-        draw[k * share:(k + 1) * share] /= -math.log1p(-rate)
+    standard exponential E of ``draw``, clipped to ``cap``.  ``divisor``
+    is -log1p(-rate): one float, or an array of one per draw that
+    broadcasts against ``draw``; ``least`` is its smallest value.
+    ``draw`` is worked in place.  From rate 1e-300 up the quotient stays
+    finite.  numpy's exponentials stay below 45 (its ziggurat's tail,
+    7.70 - log1p(-U), peaks near 44.4), so no length reaches ``cap`` when
+    45 / least does not, and the clip is skipped then."""
+    draw /= divisor
     np.ceil(draw, out=draw)
-    if 45.0 / -math.log1p(-min(rates)) > cap:
+    if 45.0 / least > cap:
         np.minimum(draw, cap, out=draw)
     return draw.astype(np.int64)
+
+
+def _inverts(alpha, beta):
+    """Whether numpy draws geometric lengths at both rates by inversion."""
+    return 1e-300 <= min(alpha, beta) and max(alpha, beta) < _SEARCH_RATE
 
 
 def _error_runs(rng, start, stop, ber, alpha, beta):
@@ -242,14 +334,17 @@ def _error_runs(rng, start, stop, ber, alpha, beta):
     begin = start if rng.random() < ber else start + int(_run_lengths(rng, alpha, slots))
     # at alpha = 0 a good run never ends, so one pair covers the window
     mean_pair = (1.0 / alpha if alpha > 0.0 else math.inf) + 1.0 / beta
-    inverted = 1e-300 <= min(alpha, beta) and max(alpha, beta) < _SEARCH_RATE
+    inverted = _inverts(alpha, beta)
+    if inverted:
+        # a round's fill is one row of bad runs, then one of good runs
+        least = -math.log1p(-min(alpha, beta))
+        divisor = np.array(((-math.log1p(-beta),), (-math.log1p(-alpha),)))
     runs = []
     while begin < stop:
         expected = (stop - begin) / mean_pair
         pairs = int(expected + 3.0 * math.sqrt(expected)) + 1
         if inverted:
-            lengths = _inverted(rng.standard_exponential(2 * pairs), (beta, alpha), slots)
-            bad, good = lengths[:pairs], lengths[pairs:]
+            bad, good = _inverted(rng.standard_exponential((2, pairs)), divisor, slots, least)
         else:
             bad = _run_lengths(rng, beta, slots, pairs)
             good = _run_lengths(rng, alpha, slots, pairs)
@@ -275,6 +370,48 @@ def _expand(first, length):
     return np.arange(shift.size) + shift
 
 
+def _bad_at_packet_starts(begin, length, rows, bits):
+    """Whether a stream of ``rows`` packets of ``bits`` slots is bad at
+    each packet's first slot r * bits, given its bad runs (``begin``
+    ascending, runs disjoint): where the last run to begin by that slot
+    lasts past it.  The runs that begin by slot r * bits are those whose
+    next packet start, ceil(begin / bits), is r or before; with fewer
+    runs than four a packet, counting them per packet is cheaper than a
+    binary search per packet."""
+    if not begin.size:
+        return np.zeros(rows, dtype=bool)
+    first = np.arange(0, rows * bits, bits)
+    if begin.size < 4 * rows:
+        after = begin + (bits - 1)
+        after //= bits
+        last = np.bincount(after, minlength=rows + 1)[:rows].cumsum()
+        last -= 1
+    else:
+        last = begin.searchsorted(first, side="right") - 1
+    return (last >= 0) & (begin[last] + length[last] > first)
+
+
+def _opening_runs(rngs, cuts, bad, alpha, beta, cap):
+    """Opening run lengths of flipped packets, clipped to ``cap``: a bad
+    run (rate ``beta``) where ``bad``, a good one (rate ``alpha``)
+    elsewhere.  Generator ``rngs[k]`` draws entries cuts[k] to
+    cuts[k + 1] - 1, the integers ``Generator.geometric`` would draw on
+    the array of their rates.  Where both rates invert, numpy draws each
+    of them from one exponential, so the generators fill one array and
+    one ``_inverted`` divides each entry by its own -log1p(-rate);
+    otherwise each generator calls ``Generator.geometric``."""
+    spans = zip(rngs, cuts, cuts[1:])
+    if _inverts(alpha, beta):
+        draw = np.empty(bad.size)
+        for rng, low, high in spans:
+            rng.standard_exponential(out=draw[low:high])
+        divisor = -math.log1p(-beta), -math.log1p(-alpha)
+        return _inverted(draw, np.where(bad, *divisor), cap, min(divisor))
+    rates = np.where(bad, beta, alpha)
+    lengths = [_run_lengths(rng, rates[low:high], cap) for rng, low, high in spans]
+    return lengths[0] if len(lengths) == 1 else np.concatenate(lengths)
+
+
 def _error_slots(batches, bits, ber, nacf):
     """Position r * bits + slot of every error in a group of packet batches.
 
@@ -297,13 +434,15 @@ def _error_slots(batches, bits, ber, nacf):
     Each batch draws from its own generator, in this order: its
     stream's runs, its packets' start states, then the opening runs of
     its flipped packets; so a group's positions are each batch's own,
-    offset by the packets before it.  Everything else (the packet-start
-    test, the run expansion, the moves and the drops) is array work done
-    once for the group, so its memory grows with the group's errors.  No
-    run leaves its batch's window, so the group's stream positions come
-    out sorted, and one ``searchsorted`` on them finds the errors of the
-    few packets that flip their start state; only those errors move.
-    The opening bad runs of the flipped packets come first in the result.
+    offset by the packets before it.  One ``_opening_runs`` call takes
+    the openings of all the group's batches.  Everything else (the
+    packet-start test, the run expansion, the moves and the drops) is
+    array work done once for the group, so its memory grows with the
+    group's errors.  No run leaves its batch's window, so the group's
+    stream positions come out sorted, and one ``searchsorted`` on them
+    finds the errors of the few packets that flip their start state;
+    only those errors move.  The opening bad runs of the flipped packets
+    come first in the result.
     """
     counts = [rows for _, rows in batches]
     rows = sum(counts)
@@ -325,20 +464,13 @@ def _error_slots(batches, bits, ber, nacf):
         begin, length = map(np.concatenate, zip(*runs))
         own_bad = np.concatenate(own)
     del runs  # leaves begin and length the only holders, so the expansion frees them
-    first = np.arange(0, rows * bits, bits)
-    stream_bad = np.zeros(rows, dtype=bool)
-    if begin.size:
-        # bad when the last run to begin by the packet's first slot lasts past it
-        last = begin.searchsorted(first, side="right") - 1
-        stream_bad = (last >= 0) & (begin[last] + length[last] > first)
-    flip = (own_bad != stream_bad).nonzero()[0]
-    rates = np.where(own_bad[flip], beta, alpha)
+    flip = (own_bad != _bad_at_packet_starts(begin, length, rows, bits)).nonzero()[0]
     # each batch draws the opening runs of its own flipped packets
-    bounds = flip.searchsorted(np.cumsum(counts)[:-1]).tolist()
-    shift = np.concatenate([
-        _run_lengths(rng, rates[low:high], bits)
-        for (rng, _), low, high in zip(batches, [0, *bounds], [*bounds, flip.size])
-    ])
+    cuts = [0, flip.size]
+    if len(batches) > 1:
+        cuts[1:1] = flip.searchsorted(list(itertools.accumulate(counts[:-1]))).tolist()
+    opening = own_bad[flip]
+    shift = _opening_runs([rng for rng, _ in batches], cuts, opening, alpha, beta, bits)
 
     # _expand, in place and with the runs freed before the arange: at
     # c = 0, where runs are about as many as errors, a batch holds three
@@ -352,7 +484,7 @@ def _error_slots(batches, bits, ber, nacf):
     pos += np.arange(pos.size)
     # a flipped packet's errors before end - shift move on by shift, the
     # ones from there to its end fall off
-    start = first[flip]
+    start = flip * bits
     low, cut, stop = pos.searchsorted((start, start + bits - shift, start + bits))
     pos[_expand(low, cut - low)] += shift.repeat(cut - low)
     # the kept errors are the slices between the dropped stretches
@@ -360,7 +492,6 @@ def _error_slots(batches, bits, ber, nacf):
     keep_from = [0, *stop[dropped].tolist()]
     keep_to = [*cut[dropped].tolist(), pos.size]
     kept = [pos[a:b] for a, b in zip(keep_from, keep_to)]
-    opening = own_bad[flip]
     return np.concatenate([_expand(start[opening], shift[opening]), *kept])
 
 
@@ -419,9 +550,10 @@ def simulate_packets(cfg: SimConfig, workers: int = 1) -> CiEstimate:
         size = int(_GROUP_ERRORS / errors)
     size = max(1, size)
     groups = [spans[first:first + size] for first in range(0, len(spans), size)]
+    keys = _batch_keys(cfg.seed, len(spans))
 
     def group_losses(group):
-        batches = [(_batch_rng(cfg.seed, index), count) for index, count in group]
+        batches = [(_batch_rng(keys[index]), count) for index, count in group]
         count = sum(rows for _, rows in group)
         pos = _error_slots(batches, bits, cfg.channel.ber, cfg.channel.nacf)
         if count * bits < 2**31:  # keys fit int32, whose divisions are cheaper

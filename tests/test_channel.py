@@ -54,7 +54,7 @@ def test_model_invariants(ber, nacf):
 # the kernels that the brute-force references of the count laws multiply by
 
 
-def test_split_attaches_errors_to_destination():
+def test_kernels_attach_errors_to_destination():
     transition = np.array([[0.7, 0.2, 0.1], [0.3, 0.4, 0.3], [0.1, 0.1, 0.8]])
     profile = np.array([0.0, 0.5, 1.0])
     model = FsmcModel(transition, profile)
@@ -72,7 +72,7 @@ def test_split_attaches_errors_to_destination():
     np.testing.assert_allclose(law, expected, rtol=0, atol=1e-15)
 
 
-def test_split_all_good_profile():
+def test_kernels_of_an_all_good_profile():
     transition = np.array([[0.9, 0.1], [0.5, 0.5]])
     d0, d1 = kernels(FsmcModel(transition, np.zeros(2)))
     np.testing.assert_allclose(d0, transition, atol=1e-15)
@@ -140,7 +140,7 @@ def test_fsmc_rejects_bad_matrices():
         ([[0.9, 0.1], [0.1, 0.9]], [[0.0, 1.0]], "error profile length must match the state count"),
     ],
 )
-def test_fsmc_and_split_refuse_mismatched_shapes(transition, profile, message):
+def test_fsmc_refuses_mismatched_shapes(transition, profile, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         FsmcModel(transition, profile)
 

@@ -10,9 +10,12 @@ from burstfec.channel import ChannelSpec, CodeSpec, SchemeSpec, ibp_from_stats
 from burstfec.mc import (
     CiEstimate,
     SimConfig,
+    _bad_at_packet_starts,
+    _batch_keys,
     _batch_rng,
     _error_runs,
     _error_slots,
+    _opening_runs,
     _run_lengths,
     _searched,
     confidence_interval,
@@ -23,6 +26,11 @@ from reference_stats import binomial_packet_error, lag1_autocorr, stat_standard_
 
 STREAM_BITS = 1_000_000
 Z95 = 1.9599639845400545  # standard normal quantile at 0.975
+
+
+def batch_rng(seed, index):
+    """Batch ``index``'s generator, as numpy's SeedSequence spawns it."""
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(index,))))
 
 
 def mean_se(ber, nacf, count):
@@ -188,10 +196,8 @@ def test_simulation_counts_the_partial_last_batch():
 def test_first_slot_follows_the_stationary_law():
     # at c = 0.9 a stream that always opened in one state would keep its
     # first slots far from p_E for about ten slots
-    from burstfec.mc import _batch_rng, _error_slots
-
     ber, rows, bits = 0.05, 200_000, 8
-    row, slot = divmod(_error_slots([(_batch_rng(51, 0), rows)], bits, ber, 0.9), bits)
+    row, slot = divmod(_error_slots([(batch_rng(51, 0), rows)], bits, ber, 0.9), bits)
     se = math.sqrt(ber * (1 - ber) / rows)
     for position in (0, bits - 1):
         freq = np.count_nonzero(slot == position) / rows
@@ -207,7 +213,7 @@ def test_packets_cut_from_one_stream_are_independent(bits, nacf):
     # a batch's packets are cut from one stream; packet r + 1 must not
     # carry on from the end of packet r, and every slot keeps the law p_E
     ber, rows = 0.05, 200_000
-    row, slot = divmod(_error_slots([(_batch_rng(53, 0), rows)], bits, ber, nacf), bits)
+    row, slot = divmod(_error_slots([(batch_rng(53, 0), rows)], bits, ber, nacf), bits)
     errors = np.zeros((rows, bits), dtype=bool)
     errors[row, slot] = True
     se = math.sqrt(ber * (1 - ber) / rows)
@@ -239,7 +245,7 @@ def test_simulation_matches_exact_where_runs_cross_packets(ber, nacf, code, dept
     seed=st.integers(0, 2**32),
 )
 def test_error_slots_stay_in_their_packets(rows, bits, ber, nacf, seed):
-    position = _error_slots([(_batch_rng(seed, 0), rows)], bits, ber, nacf)
+    position = _error_slots([(batch_rng(seed, 0), rows)], bits, ber, nacf)
     assert position.dtype == np.int64
     row, slot = divmod(position, bits)
     assert row.size == slot.size
@@ -268,7 +274,7 @@ def test_error_slots_stay_in_their_packets(rows, bits, ber, nacf, seed):
 @pytest.mark.parametrize("cap", [1, 3, 7, 10**9])
 def test_run_lengths_are_numpys_geometric_draws(rate, cap):
     # same integers as numpy's own draws, and the generator left in step
-    ours, theirs = _batch_rng(71, 0), _batch_rng(71, 0)
+    ours, theirs = batch_rng(71, 0), batch_rng(71, 0)
     lengths = _run_lengths(ours, rate, cap, 5_000)
     assert lengths.dtype == np.int64
     np.testing.assert_array_equal(lengths, np.minimum(theirs.geometric(rate, 5_000), cap))
@@ -314,7 +320,7 @@ def two_call_error_runs(rng, start, stop, ber, alpha, beta):
     seed=st.integers(0, 2**32),
 )
 def test_error_runs_draw_as_two_run_length_calls_a_round(start, slots, ber, nacf, seed):
-    ours, theirs = _batch_rng(seed, 0), _batch_rng(seed, 0)
+    ours, theirs = batch_rng(seed, 0), batch_rng(seed, 0)
     alpha, beta = (1.0 - nacf) * ber, (1.0 - nacf) * (1.0 - ber)
     begin, length = _error_runs(ours, start, start + slots, ber, alpha, beta)
     assert begin.dtype == length.dtype == np.int64
@@ -325,7 +331,7 @@ def test_error_runs_draw_as_two_run_length_calls_a_round(start, slots, ber, nacf
 
 
 def test_run_lengths_at_rate_zero_last_the_window_and_draw_nothing():
-    ours, theirs = _batch_rng(72, 0), _batch_rng(72, 0)
+    ours, theirs = batch_rng(72, 0), batch_rng(72, 0)
     np.testing.assert_array_equal(_run_lengths(ours, 0.0, 9, 4), np.full(4, 9))
     assert _run_lengths(ours, 0.0, 9) == 9
     np.testing.assert_array_equal(
@@ -333,6 +339,104 @@ def test_run_lengths_at_rate_zero_last_the_window_and_draw_nothing():
     )
     theirs.geometric(np.array([0.5]))
     assert ours.random() == theirs.random()
+
+
+# rates where numpy inverts, where it searches, and at the edges of both
+INVERTED_RATES = st.one_of(
+    st.floats(1e-300, 1e-6), st.floats(1e-6, np.nextafter(1 / 3, 0.0)),
+    st.sampled_from([1e-300, np.nextafter(1 / 3, 0.0)]),
+)
+SEARCHED_RATES = st.one_of(st.floats(1 / 3, 1.0), st.sampled_from([1 / 3, 1.0]))
+# below 1e-300 numpy still inverts, but the quotient can overflow, so
+# these go to Generator.geometric
+TINY_RATES = st.sampled_from([5e-324, 5e-301, np.nextafter(1e-300, 0.0)])
+RATE_PAIRS = st.one_of(
+    st.tuples(INVERTED_RATES, INVERTED_RATES),
+    st.tuples(INVERTED_RATES, SEARCHED_RATES),
+    st.tuples(SEARCHED_RATES, INVERTED_RATES),
+    st.tuples(SEARCHED_RATES, SEARCHED_RATES),
+    st.tuples(st.just(0.0), st.one_of(INVERTED_RATES, SEARCHED_RATES)),
+    st.tuples(TINY_RATES, st.one_of(INVERTED_RATES, SEARCHED_RATES)),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    rates=RATE_PAIRS,
+    bad=st.lists(st.booleans(), max_size=60),
+    data=st.data(),
+    cap=st.sampled_from([1, 7, 4032, 10**9]),
+    seed=st.integers(0, 2**32),
+)
+def test_opening_runs_are_each_batchs_geometric_draws(rates, bad, data, cap, seed):
+    # uneven cuts, empty batches among them: each generator draws its own
+    # entries as Generator.geometric on their rates, and is left in step
+    alpha, beta = rates
+    bad = np.array(bad, dtype=bool)
+    inner = data.draw(st.lists(st.integers(0, bad.size), max_size=4), label="cuts")
+    cuts = [0, *sorted(inner), bad.size]
+    batches = len(cuts) - 1
+    ours = [batch_rng(seed, k) for k in range(batches)]
+    theirs = [batch_rng(seed, k) for k in range(batches)]
+    lengths = _opening_runs(ours, cuts, bad, alpha, beta, cap)
+    assert lengths.dtype == np.int64
+    rate = np.where(bad, beta, alpha)
+    for rng, low, high in zip(theirs, cuts, cuts[1:]):
+        # a run at rate 0 never ends, lasts the window and draws nothing
+        expected = np.full(high - low, cap)
+        ends = rate[low:high] > 0.0
+        expected[ends] = np.minimum(rng.geometric(rate[low:high][ends]), cap)
+        np.testing.assert_array_equal(lengths[low:high], expected)
+    assert [rng.random() for rng in ours] == [rng.random() for rng in theirs]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    rate=st.one_of(INVERTED_RATES, SEARCHED_RATES, TINY_RATES),
+    cap=st.sampled_from([1, 7, 4032, 10**9, 2**62]),
+    seed=st.integers(0, 2**32),
+)
+def test_first_run_is_numpys_scalar_geometric_draw(rate, cap, seed):
+    ours, theirs = batch_rng(seed, 0), batch_rng(seed, 0)
+    assert _run_lengths(ours, rate, cap) == np.minimum(theirs.geometric(rate), cap)
+    assert ours.random() == theirs.random()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    # one to nine 32-bit seed words: short seeds are padded to the pool
+    # of four, long ones mix in past it
+    seed=st.one_of(
+        st.integers(0, 2**64), st.integers(0, 2**288),
+        st.sampled_from([0, 2**32 - 1, 2**32, 2**128 - 1, 2**128]),
+    ),
+    count=st.integers(1, 40),
+)
+def test_batch_keys_are_the_spawned_seed_sequences_keys(seed, count):
+    keys = _batch_keys(seed, count)
+    assert keys.dtype == np.uint64 and keys.shape == (count, 2)
+    for index in range(count):
+        spawned = np.random.SeedSequence(seed, spawn_key=(index,))
+        np.testing.assert_array_equal(keys[index], spawned.generate_state(2, np.uint64))
+    ours, theirs = _batch_rng(keys[-1]), batch_rng(seed, count - 1)
+    assert ours.random(3).tolist() == theirs.random(3).tolist()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    rows=st.integers(1, 40),
+    bits=st.integers(1, 40),
+    density=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32),
+)
+def test_bad_at_packet_starts_reads_the_dense_stream(rows, bits, density, seed):
+    # fewer runs than four a packet are counted per packet, more are
+    # found by binary search; both read the stream at each r * bits
+    dense = np.random.default_rng(seed).random(rows * bits) < density
+    edges = np.diff(np.concatenate(([False], dense, [False])).astype(np.int8))
+    begin, end = np.flatnonzero(edges == 1), np.flatnonzero(edges == -1)
+    bad = _bad_at_packet_starts(begin, end - begin, rows, bits)
+    np.testing.assert_array_equal(bad, dense[::bits])
 
 
 @settings(max_examples=120, deadline=None, derandomize=True)
@@ -347,11 +451,11 @@ def test_a_group_of_batches_is_each_batch_alone(sizes, bits, ber, nacf, seed):
     # full batches of sizes[0] rows and a last one of at most that many:
     # the group's positions are each batch's own, after the rows before it
     rows = [sizes[0]] * (len(sizes) - 1) + [min(sizes[-1], sizes[0])]
-    group = _error_slots([(_batch_rng(seed, k), r) for k, r in enumerate(rows)], bits, ber, nacf)
+    group = _error_slots([(batch_rng(seed, k), r) for k, r in enumerate(rows)], bits, ber, nacf)
     assert group.dtype == np.int64
     offsets = np.cumsum([0, *rows[:-1]]) * bits
     alone = [
-        _error_slots([(_batch_rng(seed, k), r)], bits, ber, nacf) + offset
+        _error_slots([(batch_rng(seed, k), r)], bits, ber, nacf) + offset
         for k, (r, offset) in enumerate(zip(rows, offsets))
     ]
     np.testing.assert_array_equal(np.sort(group), np.sort(np.concatenate(alone)))
@@ -398,7 +502,7 @@ def test_losses_match_a_dense_recount_of_the_error_slots(
     l = data.draw(st.integers(0, n - 1), label="l")
     bits = n * depth * blocks
     errors = np.zeros(rows * bits, dtype=np.int64)
-    errors[_error_slots([(_batch_rng(seed, 0), rows)], bits, ber, nacf)] = 1
+    errors[_error_slots([(batch_rng(seed, 0), rows)], bits, ber, nacf)] = 1
     counts = errors.reshape(rows, blocks, n, depth).sum(axis=2)
     expected = int(np.count_nonzero((counts > l).any(axis=(1, 2))))
     cfg = SimConfig(
@@ -421,7 +525,7 @@ def test_losses_match_a_recount_where_the_keys_need_64_bits():
     ber, nacf, seed = 1e-6, 0.5, 29
     bits = n * depth * blocks
     assert rows * bits > 2**31
-    pos = _error_slots([(_batch_rng(seed, 0), rows)], bits, ber, nacf)
+    pos = _error_slots([(batch_rng(seed, 0), rows)], bits, ber, nacf)
     assert np.count_nonzero(pos >= 2**31) > 100
     row, block, _, codeword = np.unravel_index(pos, (rows, blocks, n, depth))
     keys, counts = np.unique(np.stack([row, block, codeword]), axis=1, return_counts=True)
@@ -537,6 +641,9 @@ PINNED_LOSSES = [
     (0.3, 0.99, (7, 4, 1), 16, 2, 207, None, 1436),
     # 12 codewords a packet in 64 bins: chunks of 5 rows
     (0.3, 0.9, (5, 3, 1), 4, 3, 208, 64, 1914),
+    # alpha = beta = 0.5: both rates search, so the openings take
+    # Generator.geometric
+    (0.5, 0.0, (15, 1, 7), 2, 1, 209, None, 1893),
 ]
 
 

@@ -87,25 +87,19 @@ def two_state_block(alpha, beta, depth):
 
 
 # ----------------------------------------------------------------------
-# the block-to-packet lift and the binomial baseline
+# the packet lift and the binomial baseline
 # ----------------------------------------------------------------------
 
 
-def test_block_to_packet_trivials():
+def test_lift_trivials():
     assert _lift([0.0, 1.0, 0.25], [16, 3, 1]) == [0.0, 1.0, 0.25]
 
 
-def test_block_to_packet_small_probability_precision():
+def test_lift_small_probability_precision():
     small, tiny = _lift([1e-9, 1e-15], [8, 10])
     assert small == pytest.approx(8e-9, rel=1e-7, abs=0.0)
     # naive 1-(1-p)^M would lose most digits here
     assert tiny == pytest.approx(1e-14, rel=1e-6, abs=0.0)
-
-
-@pytest.mark.parametrize("bad", [-0.1, 1.2])
-def test_block_to_packet_rejects_bad_probability(bad):
-    with pytest.raises(ValueError):
-        _lift([bad], [4])
 
 
 BLOCK_ERRORS = st.one_of(

@@ -109,8 +109,9 @@ def test_importing_the_cli_leaves_the_thread_pool_out():
     assert not cli_import_loads("concurrent.futures")
 
 
-@pytest.mark.parametrize("module", ["statistics", "decimal", "fractions"])
+@pytest.mark.parametrize("module", ["statistics", "decimal", "fractions", "numpy.random"])
 def test_importing_the_cli_leaves_out_what_only_some_verbs_need(module):
     # only a confidence interval needs statistics (which loads fractions
-    # and decimal), and only the baseline of a code of n >= 1030 decimal
+    # and decimal), only the baseline of a code of n >= 1030 decimal, and
+    # only a simulation numpy.random
     assert not cli_import_loads(module)
