@@ -102,6 +102,12 @@ def test_lift_small_probability_precision():
     assert tiny == pytest.approx(1e-14, rel=1e-6, abs=0.0)
 
 
+@pytest.mark.parametrize("bad", [-0.1, 1.2])
+def test_block_to_packet_rejects_bad_probability(bad):
+    with pytest.raises(ValueError):
+        _lift([bad], [4])
+
+
 BLOCK_ERRORS = st.one_of(
     st.floats(0.0, 1.0),
     st.sampled_from([0.0, 1.0, 5e-324, 2.2250738585072014e-308, 1e-300, 1.0 - 2.0**-53]),
