@@ -58,6 +58,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -177,6 +178,7 @@ def _batch_keys(seed: int, count: int) -> np.ndarray:
     only the index's and the key's run, on arrays of all the batches.
     An index is one entropy word, so ``count`` is at most 2**32.
     """
+    seed = operator.index(seed)  # numpy integers have no bit_length
     words = [seed >> shift & 0xFFFFFFFF for shift in range(0, max(seed.bit_length(), 1), 32)]
     words += [0] * (4 - len(words))
     const = 0x43B0D7E5
@@ -409,7 +411,7 @@ def _opening_runs(rngs, cuts, bad, alpha, beta, cap):
         return _inverted(draw, np.where(bad, *divisor), cap, min(divisor))
     rates = np.where(bad, beta, alpha)
     lengths = [_run_lengths(rng, rates[low:high], cap) for rng, low, high in spans]
-    return lengths[0] if len(lengths) == 1 else np.concatenate(lengths)
+    return np.concatenate(lengths)
 
 
 def _error_slots(batches, bits, ber, nacf):
@@ -466,9 +468,7 @@ def _error_slots(batches, bits, ber, nacf):
     del runs  # leaves begin and length the only holders, so the expansion frees them
     flip = (own_bad != _bad_at_packet_starts(begin, length, rows, bits)).nonzero()[0]
     # each batch draws the opening runs of its own flipped packets
-    cuts = [0, flip.size]
-    if len(batches) > 1:
-        cuts[1:1] = flip.searchsorted(list(itertools.accumulate(counts[:-1]))).tolist()
+    cuts = [0, *flip.searchsorted(list(itertools.accumulate(counts[:-1]))).tolist(), flip.size]
     opening = own_bad[flip]
     shift = _opening_runs([rng for rng, _ in batches], cuts, opening, alpha, beta, bits)
 

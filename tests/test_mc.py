@@ -409,6 +409,8 @@ def test_first_run_is_numpys_scalar_geometric_draw(rate, cap, seed):
     seed=st.one_of(
         st.integers(0, 2**64), st.integers(0, 2**288),
         st.sampled_from([0, 2**32 - 1, 2**32, 2**128 - 1, 2**128]),
+        # numpy integers, which SeedSequence takes too
+        st.integers(0, 2**63 - 1).map(np.int64), st.integers(0, 2**64 - 1).map(np.uint64),
     ),
     count=st.integers(1, 40),
 )
