@@ -41,16 +41,15 @@ codeword counters (one batch at least), so its memory stays bounded
 whatever the packet count; at p_E 0.002 and 16 codewords a packet that
 is four batches, at p_E 0.02 one.
 
-Run lengths are numpy's own geometric algorithm worked on the same
-draws, so they are the integers ``Generator.geometric`` would draw: from
-1/3 up its search, on one uniform fill, and below its inversion, on one
-exponential fill, or for a stream's first run on one exponential in
-plain floats.  Where both rates invert, a round of (bad, good) pairs
-takes both from one exponential fill, which is the same stream as two,
-and a group's flipped packets take their opening runs from one array
-that each batch fills with its own exponentials.  Elsewhere the openings
-call ``Generator.geometric``, once a batch.  Confidence intervals are
-Wilson score intervals.
+Every run length is one uniform U of ``Generator.random``, inverted:
+L = floor(log1p(-U) / log1p(-rate)) + 1, clipped to the window, which is
+geometric at ``rate``.  Each batch draws its uniforms in a fixed order:
+its stream's start state; one for the first run if that is good; one
+(2, pairs) fill a round of (bad, good) run pairs, bad row first; its
+packets' start states; then one for each opening run of its flipped
+packets, which all batches of a group fill into one array.  So the
+simulator takes nothing from numpy's Generator but the uniforms of the
+pinned Philox stream.  Confidence intervals are Wilson score intervals.
 """
 
 from __future__ import annotations
@@ -66,12 +65,11 @@ import numpy as np
 from .channel import ChannelSpec, CodeSpec, SchemeSpec, _two_state_rates
 
 BIT_GENERATOR = "philox"  # pinned counter-based generator, echoed in reports
-SAMPLER = "sojourn-cut"  # error-stream construction, echoed in reports next to the generator
+SAMPLER = "sojourn-cut-inversion"  # error-stream construction and run-length rule, echoed in reports
 _BATCH_PACKETS = 1024  # RNG partition size; independent of the worker count
 _COUNT_BINS = 2**20  # codeword counts held at once, so long packets stay bounded
 _GROUP_ERRORS = 2**15  # expected errors of one group of batches
 _GROUP_COUNTS = 2**16  # codeword counters of one group of batches
-_SEARCH_RATE = 0.333333333333333333333333  # numpy's geometric searches from here, inverts below
 
 
 @dataclass(frozen=True)
@@ -228,94 +226,39 @@ def _batch_rng(key) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(_key_type()(key)))
 
 
-def _run_lengths(rng, rate, cap, size=None):
-    """Geometric run lengths at ``rate``, clipped to ``cap``; ``rate`` is
-    one float, or an array of one rate per run.
+def _log_stay(rate):
+    """log1p(-rate), and -inf at rate 1, where a run lasts one slot."""
+    return math.log1p(-rate) if rate < 1.0 else -math.inf
 
-    Clipping changes nothing inside a window of ``cap`` slots and keeps
-    numpy's saturated draws at tiny rates from overflowing running sums.
-    A run at rate 0 (alpha, where (1 - nacf) * ber rounds to 0) never
-    ends, so it lasts the whole window, ``cap``, and draws nothing.
 
-    Draws at one rate take numpy's own algorithm on the same draws, so
-    they are the integers ``Generator.geometric`` would give.  From
-    ``_SEARCH_RATE`` up numpy searches, and ``_searched`` does the search
-    on an array's uniform fill.  From 1e-300 up to there numpy inverts,
-    ceil(E / -log1p(-rate)) of one standard exponential E: ``_inverted``
-    does it on an array's exponential fill, and plain floats do it for
-    one draw (a stream's first run).  One searched draw and an array of
-    rates call ``Generator.geometric``.
+def _lengths(uniform, divisor, cap, least):
+    """Geometric run lengths L = min(floor(log1p(-U) / log1p(-rate)) + 1,
+    cap) of uniforms U in [0, 1): L > k exactly when 1 - U <= (1 - rate)**k.
+
+    ``uniform`` is one float (never at rate 0, whose run draws none), or
+    an array worked in place, and then ``divisor``, log1p(-rate), may be
+    an array that broadcasts against it; ``least`` is its value nearest 0.  As log1p(-U) > -37, no length
+    reaches ``cap`` when 37 / -least + 1 <= cap, and the clip is skipped.
+    Otherwise it is done in floats, before the integer cast, and makes
+    ``cap`` of a quotient that overflows (near rate 5e-324) or is inf or
+    nan (rate 0, divisor -0.0): a run that lasts the window.
     """
-    if isinstance(rate, np.ndarray):
-        if not rate.all():
-            lengths = np.full(rate.shape, cap)
-            ends = rate > 0.0
-            lengths[ends] = _run_lengths(rng, rate[ends], cap)
-            return lengths
-    elif rate == 0.0:
-        return cap if size is None else np.full(size, cap)
-    elif rate >= _SEARCH_RATE:
-        if size is not None:
-            return _searched(rng.random(size), rate, cap)
-    elif rate >= 1e-300:
-        divisor = -math.log1p(-rate)
-        if size is None:
-            return min(math.ceil(rng.standard_exponential() / divisor), cap)
-        return _inverted(rng.standard_exponential(size), divisor, cap, divisor)
-    return np.minimum(rng.geometric(rate, size), cap)
-
-
-def _searched(uniform, rate, cap):
-    """numpy's geometric search on an array of its uniforms, clipped to ``cap``.
-
-    numpy adds up p, p + pq, p + pq + pq², ... (q = 1 - p) until the sum
-    reaches the uniform U, so a length is 1 + the first index whose sum
-    is >= U.  The same sums, formed in the same float steps, decide every
-    draw up to the second sum in two comparisons; only the few draws
-    past it search a table that runs to their largest U.  At some rates
-    the float sums stop growing just below 1 (at 0.7, at 1 - 3 * 2**-53),
-    and numpy's loop never ends for a U past them; the table stops there,
-    and such a draw is one longer than the table.
-    """
-    q = 1.0 - rate
-    product = rate * q
-    sums = [rate, rate + product]
-    lengths = (uniform > rate).astype(np.int64)
-    lengths += 1
-    late = (uniform > sums[1]).nonzero()[0]
-    if late.size:
-        drawn = uniform[late]
-        top = drawn.max()
-        while sums[-1] < top:
-            product *= q
-            if sums[-1] + product == sums[-1]:
-                break
-            sums.append(sums[-1] + product)
-        lengths[late] = np.array(sums).searchsorted(drawn) + 1
-    if cap <= len(sums):  # no length exceeds the table's size + 1
-        np.minimum(lengths, cap, out=lengths)
-    return lengths
-
-
-def _inverted(draw, divisor, cap, least):
-    """numpy's geometric inversion, ceil(E / -log1p(-rate)), of each
-    standard exponential E of ``draw``, clipped to ``cap``.  ``divisor``
-    is -log1p(-rate): one float, or an array of one per draw that
-    broadcasts against ``draw``; ``least`` is its smallest value.
-    ``draw`` is worked in place.  From rate 1e-300 up the quotient stays
-    finite.  numpy's exponentials stay below 45 (its ziggurat's tail,
-    7.70 - log1p(-U), peaks near 44.4), so no length reaches ``cap`` when
-    45 / least does not, and the clip is skipped then."""
-    draw /= divisor
-    np.ceil(draw, out=draw)
-    if 45.0 / least > cap:
-        np.minimum(draw, cap, out=draw)
-    return draw.astype(np.int64)
-
-
-def _inverts(alpha, beta):
-    """Whether numpy draws geometric lengths at both rates by inversion."""
-    return 1e-300 <= min(alpha, beta) and max(alpha, beta) < _SEARCH_RATE
+    if isinstance(uniform, float):  # numpy's log1p, as for an array
+        quotient = float(np.log1p(-uniform)) / divisor
+        return math.floor(quotient) + 1 if quotient < cap - 1 else cap
+    np.negative(uniform, out=uniform)
+    np.log1p(uniform, out=uniform)
+    if (cap - 1) * -least >= 37.0:
+        uniform /= divisor
+        length = uniform.astype(np.int64)  # the quotients are >= 0: their floor
+        length += 1
+        return length
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        uniform /= divisor
+    np.floor(uniform, out=uniform)
+    uniform += 1.0
+    np.fmin(uniform, cap, out=uniform)
+    return uniform.astype(np.int64)
 
 
 def _error_runs(rng, start, stop, ber, alpha, beta):
@@ -326,30 +269,24 @@ def _error_runs(rng, start, stop, ber, alpha, beta):
     first slot draws its state from the stationary law, and by
     memorylessness the rest of the opening run is geometric like any
     other.  Run lengths are drawn in (bad, good) pairs, per round the
-    mean pair count still to cover plus three times its square root:
-    the round's bad lengths, then its good ones.  Where both rates
-    invert, one exponential fill of both, bad first, is the same stream
-    as two fills.
+    mean pair count still to cover plus three times its square root,
+    from one (2, pairs) uniform fill: its bad lengths, then its good ones.
     """
     slots = stop - start
-    # slot where the stream's next bad run begins
-    begin = start if rng.random() < ber else start + int(_run_lengths(rng, alpha, slots))
-    # at alpha = 0 a good run never ends, so one pair covers the window
+    stay = _log_stay(beta), _log_stay(alpha)
+    # slot where the stream's next bad run begins; a good run at alpha = 0
+    # never ends, so it lasts the window, draws nothing, and one pair of
+    # runs covers the window
+    begin = start
+    if rng.random() >= ber:
+        begin += _lengths(rng.random(), stay[1], slots, stay[1]) if alpha > 0.0 else slots
     mean_pair = (1.0 / alpha if alpha > 0.0 else math.inf) + 1.0 / beta
-    inverted = _inverts(alpha, beta)
-    if inverted:
-        # a round's fill is one row of bad runs, then one of good runs
-        least = -math.log1p(-min(alpha, beta))
-        divisor = np.array(((-math.log1p(-beta),), (-math.log1p(-alpha),)))
+    divisor = np.array(((stay[0],), (stay[1],)))  # a fill's bad row, then its good row
     runs = []
     while begin < stop:
         expected = (stop - begin) / mean_pair
         pairs = int(expected + 3.0 * math.sqrt(expected)) + 1
-        if inverted:
-            bad, good = _inverted(rng.standard_exponential((2, pairs)), divisor, slots, least)
-        else:
-            bad = _run_lengths(rng, beta, slots, pairs)
-            good = _run_lengths(rng, alpha, slots, pairs)
+        bad, good = _lengths(rng.random((2, pairs)), divisor, slots, max(stay))
         # edge[k] is where run k begins, edge[pairs] where the round ends
         edge = np.empty(pairs + 1, dtype=np.int64)
         edge[0] = begin
@@ -396,22 +333,14 @@ def _bad_at_packet_starts(begin, length, rows, bits):
 def _opening_runs(rngs, cuts, bad, alpha, beta, cap):
     """Opening run lengths of flipped packets, clipped to ``cap``: a bad
     run (rate ``beta``) where ``bad``, a good one (rate ``alpha``)
-    elsewhere.  Generator ``rngs[k]`` draws entries cuts[k] to
-    cuts[k + 1] - 1, the integers ``Generator.geometric`` would draw on
-    the array of their rates.  Where both rates invert, numpy draws each
-    of them from one exponential, so the generators fill one array and
-    one ``_inverted`` divides each entry by its own -log1p(-rate);
-    otherwise each generator calls ``Generator.geometric``."""
-    spans = zip(rngs, cuts, cuts[1:])
-    if _inverts(alpha, beta):
-        draw = np.empty(bad.size)
-        for rng, low, high in spans:
-            rng.standard_exponential(out=draw[low:high])
-        divisor = -math.log1p(-beta), -math.log1p(-alpha)
-        return _inverted(draw, np.where(bad, *divisor), cap, min(divisor))
-    rates = np.where(bad, beta, alpha)
-    lengths = [_run_lengths(rng, rates[low:high], cap) for rng, low, high in spans]
-    return np.concatenate(lengths)
+    elsewhere.  Generator ``rngs[k]`` fills entries cuts[k] to
+    cuts[k + 1] - 1 of one array of uniforms, and each entry is divided
+    by the log1p(-rate) of its own run."""
+    uniform = np.empty(bad.size)
+    for rng, low, high in zip(rngs, cuts, cuts[1:]):
+        rng.random(out=uniform[low:high])
+    divisor = _log_stay(beta), _log_stay(alpha)
+    return _lengths(uniform, np.where(bad, *divisor), cap, max(divisor))
 
 
 def _error_slots(batches, bits, ber, nacf):
@@ -422,29 +351,25 @@ def _error_slots(batches, bits, ber, nacf):
     whole group, so batch k's packets follow the packets of the batches
     before it.  Each batch's packets are cut from one stationary stream
     of rows * bits slots: packet r reads it from position r * bits on.
-    A packet first draws its own stationary start state; where that
-    differs from the stream's state at r * bits, the packet opens with a
-    fresh geometric run of its own state and then reads the stream,
-    shifted by that run's length, dropping what the shift pushes past
-    its end.  Given the stream's state at r * bits, its future is
-    independent of its past, and in a two-state chain a run of the other
-    state followed by the stream is the chain started in that other
-    state.  So each packet is the chain from its own fresh stationary
-    start, whatever came before it, and the packets are independent and
-    identically distributed.
+    Where a packet's own stationary start state differs from the
+    stream's state at r * bits, the packet opens with a fresh geometric
+    run of its own state and then reads the stream, shifted by that
+    run's length, dropping what the shift pushes past its end; as the
+    module docstring shows, the packets are then independent and
+    identically distributed, each the chain from a stationary start.
 
-    Each batch draws from its own generator, in this order: its
-    stream's runs, its packets' start states, then the opening runs of
-    its flipped packets; so a group's positions are each batch's own,
-    offset by the packets before it.  One ``_opening_runs`` call takes
-    the openings of all the group's batches.  Everything else (the
-    packet-start test, the run expansion, the moves and the drops) is
-    array work done once for the group, so its memory grows with the
-    group's errors.  No run leaves its batch's window, so the group's
-    stream positions come out sorted, and one ``searchsorted`` on them
-    finds the errors of the few packets that flip their start state;
-    only those errors move.  The opening bad runs of the flipped packets
-    come first in the result.
+    Each batch draws only uniforms, from its own generator, in this
+    order: its stream's start state and runs, its packets' start states,
+    then one for each opening run of its flipped packets; so a group's
+    positions are each batch's own, offset by the packets before it.
+    One ``_opening_runs`` call takes the openings of all the group's
+    batches.  Everything else (the packet-start test, the run expansion,
+    the moves and the drops) is array work done once for the group, so
+    its memory grows with the group's errors.  No run leaves its batch's
+    window, so the group's stream positions come out sorted, and one
+    ``searchsorted`` on them finds the errors of the few packets that
+    flip their start state; only those errors move.  The opening bad
+    runs of the flipped packets come first in the result.
     """
     counts = [rows for _, rows in batches]
     rows = sum(counts)

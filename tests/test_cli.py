@@ -47,7 +47,7 @@ def test_analyze_writes_csv_and_report(tmp_path, capsys):
     assert all(r["p"] != "" and r["p_hat"] == "" for r in rows)
     report = json.loads((tmp_path / "out.json").read_text())
     assert report["generator"] == "philox"
-    assert report["sampler"] == "sojourn-cut"
+    assert report["sampler"] == "sojourn-cut-inversion"
     assert report["config"]["packets"] == 500
     assert len(report["rows"]) == 4
     err = capsys.readouterr().err

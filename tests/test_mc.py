@@ -15,9 +15,9 @@ from burstfec.mc import (
     _batch_rng,
     _error_runs,
     _error_slots,
+    _lengths,
+    _log_stay,
     _opening_runs,
-    _run_lengths,
-    _searched,
     confidence_interval,
     dar1_stream,
     simulate_packets,
@@ -31,6 +31,20 @@ Z95 = 1.9599639845400545  # standard normal quantile at 0.975
 def batch_rng(seed, index):
     """Batch ``index``'s generator, as numpy's SeedSequence spawns it."""
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(index,))))
+
+
+def rule(uniform, rate, cap):
+    """The run-length rule worked one uniform at a time, in Python floats:
+    floor(log1p(-U) / log1p(-rate)) + 1, at most ``cap``, where a run at
+    rate 0 never ends and so lasts ``cap``."""
+    if rate == 0.0:
+        return [cap] * len(uniform)
+    stay = math.log1p(-rate) if rate < 1.0 else -math.inf
+    lengths = []
+    for u in uniform:
+        quotient = float(np.log1p(-u)) / stay
+        lengths.append(cap if quotient >= cap else int(min(math.floor(quotient) + 1.0, cap)))
+    return lengths
 
 
 def mean_se(ber, nacf, count):
@@ -262,47 +276,75 @@ def test_error_slots_stay_in_their_packets(rows, bits, ber, nacf, seed):
     np.testing.assert_array_equal(np.sort(alone), np.flatnonzero(stream))
 
 
-@pytest.mark.parametrize(
-    "rate",
-    [
-        # numpy inverts below 1/3 and searches from there on
-        np.nextafter(1 / 3, 0.0), 1 / 3, np.nextafter(1 / 3, 1.0),
-        1e-300, 1e-12, 0.002, 0.0998, 0.5, 0.9, 0.98, 0.999999, 1.0,
-    ],
-)
-# at 0.9 the search's table of sums for 5 000 draws is 4 long, one past cap 3
-@pytest.mark.parametrize("cap", [1, 3, 7, 10**9])
-def test_run_lengths_are_numpys_geometric_draws(rate, cap):
-    # same integers as numpy's own draws, and the generator left in step
-    ours, theirs = batch_rng(71, 0), batch_rng(71, 0)
-    lengths = _run_lengths(ours, rate, cap, 5_000)
+RULE_RATES = [
+    1.0, np.nextafter(1 / 3, 0.0), 1 / 3, np.nextafter(1 / 3, 1.0), 1e-300, 5e-324,
+]
+
+
+@pytest.mark.parametrize("rate", RULE_RATES)
+@pytest.mark.parametrize("cap", [1, 7, 10**9, 2**62])
+def test_lengths_map_chosen_uniforms_to_the_formula(rate, cap):
+    # the ends of [0, 1) and its middle; at rate 1e-300 and below only
+    # U = 0 gives a run shorter than any cap, and near 5e-324 the quotient
+    # overflows to inf and is clipped before the integer cast
+    uniform = [0.0, 0.5, 1 - 2**-53]
+    stay = _log_stay(rate)
+    lengths = _lengths(np.array(uniform), stay, cap, stay)
     assert lengths.dtype == np.int64
-    np.testing.assert_array_equal(lengths, np.minimum(theirs.geometric(rate, 5_000), cap))
-    assert ours.random() == theirs.random()
+    assert lengths.tolist() == rule(uniform, rate, cap)
+    assert [_lengths(u, stay, cap, stay) for u in uniform] == rule(uniform, rate, cap)
 
 
-def test_searched_run_lengths_end_past_where_numpys_sums_stall():
-    # at rate 0.7 numpy's float sums stop growing at 1 - 3 * 2**-53, so its
-    # search would never end for the two uniforms above that
-    uniform = np.array([1 - 3 * 2**-53, 1 - 2**-53])
-    lengths = _searched(uniform, 0.7, 10**9)
-    assert lengths[0] == 31 and lengths[1] == 32
-    np.testing.assert_array_equal(_searched(uniform, 0.7, 31), [31, 31])
+@pytest.mark.parametrize("rate", [0.002, 0.1, 1 / 3, 0.5, 0.98, 1e-300, 1.0])
+@pytest.mark.parametrize("cap", [7, 10**9])
+def test_a_uniform_gives_one_length_alone_or_in_an_array(rate, cap):
+    # a stream's first run takes one uniform alone, as a float, and its
+    # other runs and the openings take theirs inside arrays: one uniform,
+    # one length, clipped or not
+    alone, together = batch_rng(73, 0), batch_rng(73, 0)
+    stay, other = _log_stay(rate), _log_stay(0.3)
+    single = [_lengths(alone.random(), stay, cap, stay) for _ in range(2_000)]
+    assert single == _lengths(together.random(2_000), stay, cap, stay).tolist()
+    # and inside a fill of two rows, each with its own rate
+    bad, good = _lengths(together.random((2, 500)), np.array([[stay], [other]]), cap, max(stay, other))
+    assert bad.tolist() == [_lengths(alone.random(), stay, cap, stay) for _ in range(500)]
+    assert good.tolist() == [_lengths(alone.random(), other, cap, other) for _ in range(500)]
+
+
+@pytest.mark.parametrize("rate", [0.002, 0.1, 0.5, 0.9, 1e-300, 1.0])
+def test_length_tails_follow_the_geometric_law(rate):
+    # P(L > k) = (1 - rate)**k, within 4 binomial SEs of 10**6 seeded
+    # draws, at k from 1 up to k * rate = 5; at rate 1e-300 every such k
+    # is past the cap, so the law there is P(L > k) = 1 up to cap - 1
+    draws, cap = 10**6, 2**62
+    stay = _log_stay(rate)
+    lengths = _lengths(batch_rng(74, 0).random(draws), stay, cap, stay)
+    assert 1 <= lengths.min() and lengths.max() <= cap
+    for mean_runs in (0.0, 0.05, 0.5, 1.0, 2.0, 5.0):
+        k = max(1, min(math.ceil(mean_runs / rate), cap - 1))
+        expected = math.exp(k * stay)
+        se = math.sqrt(expected * (1.0 - expected) / draws)
+        assert np.count_nonzero(lengths > k) / draws == pytest.approx(expected, abs=4 * se)
 
 
 def two_call_error_runs(rng, start, stop, ber, alpha, beta):
-    # _error_runs as two _run_lengths calls a round, bad then good, and a
-    # scalar walk over the pairs in place of the array sums
+    # _error_runs as two uniform fills a round, bad then good, each worked
+    # by the rule one uniform at a time, and a scalar walk over the pairs
+    # in place of the array sums
     slots = stop - start
-    begin = start if rng.random() < ber else start + int(_run_lengths(rng, alpha, slots))
+    if rng.random() < ber:
+        begin = start
+    else:
+        # a good run at rate 0 lasts the window and draws nothing
+        begin = start + (rule(rng.random(1), alpha, slots)[0] if alpha > 0.0 else slots)
     mean_pair = (1.0 / alpha if alpha > 0.0 else math.inf) + 1.0 / beta
     begins, lengths = [], []
     while begin < stop:
         expected = (stop - begin) / mean_pair
         pairs = int(expected + 3.0 * math.sqrt(expected)) + 1
-        bad = _run_lengths(rng, beta, slots, pairs)
-        good = _run_lengths(rng, alpha, slots, pairs)
-        for b, g in zip(bad.tolist(), good.tolist()):
+        bad = rule(rng.random(pairs), beta, slots)
+        good = rule(rng.random(pairs), alpha, slots)
+        for b, g in zip(bad, good):
             if begin < stop:
                 begins.append(begin)
                 lengths.append(min(b, stop - begin))
@@ -314,9 +356,9 @@ def two_call_error_runs(rng, start, stop, ber, alpha, beta):
 @given(
     start=st.integers(0, 10**6),
     slots=st.integers(1, 20_000),
-    ber=st.floats(1e-6, 1 - 1e-6),
-    # from nacf 2/3 up both rates invert and a round draws one stream
-    nacf=st.one_of(st.floats(0.67, 0.999), st.floats(0.0, 0.999)),
+    ber=st.one_of(st.floats(1e-6, 1 - 1e-6), st.sampled_from([5e-324, 1e-17])),
+    # nacf 0 with p_E 1e-17 makes beta 1; with p_E 5e-324, alpha 0
+    nacf=st.one_of(st.floats(0.67, 0.999), st.floats(0.0, 0.999), st.just(0.0)),
     seed=st.integers(0, 2**32),
 )
 def test_error_runs_draw_as_two_run_length_calls_a_round(start, slots, ber, nacf, seed):
@@ -331,46 +373,49 @@ def test_error_runs_draw_as_two_run_length_calls_a_round(start, slots, ber, nacf
 
 
 def test_run_lengths_at_rate_zero_last_the_window_and_draw_nothing():
+    # the rule at rate 0 (divisor -0.0): every run lasts the window, U = 0
+    # too, whose quotient is nan
+    uniform = np.array([0.0, 0.5, 1 - 2**-53])
+    np.testing.assert_array_equal(_lengths(uniform, -0.0, 9, -0.0), [9, 9, 9])
+    # alpha = (1 - c) * p_E rounds to 0: a stream that starts good stays
+    # good, and its first run draws no uniform past the start state's
+    alpha, beta = 0.5 * 5e-324, 0.5
+    assert alpha == 0.0
     ours, theirs = batch_rng(72, 0), batch_rng(72, 0)
-    np.testing.assert_array_equal(_run_lengths(ours, 0.0, 9, 4), np.full(4, 9))
-    assert _run_lengths(ours, 0.0, 9) == 9
-    np.testing.assert_array_equal(
-        _run_lengths(ours, np.array([0.0, 0.5, 0.0]), 9)[[0, 2]], [9, 9]
-    )
-    theirs.geometric(np.array([0.5]))
+    begin, length = _error_runs(ours, 0, 100, 5e-324, alpha, beta)
+    assert begin.size == length.size == 0
+    theirs.random()
+    assert ours.random() == theirs.random()
+    # a good opening at rate 0 lasts its packet; a bad one keeps the rule
+    ours, theirs = batch_rng(72, 1), batch_rng(72, 1)
+    bad = np.array([False, True, False])
+    lengths = _opening_runs([ours], [0, 3], bad, alpha, beta, 9)
+    uniform = theirs.random(3)
+    assert lengths.tolist() == [9, rule(uniform[1:2], beta, 9)[0], 9]
     assert ours.random() == theirs.random()
 
 
-# rates where numpy inverts, where it searches, and at the edges of both
-INVERTED_RATES = st.one_of(
-    st.floats(1e-300, 1e-6), st.floats(1e-6, np.nextafter(1 / 3, 0.0)),
-    st.sampled_from([1e-300, np.nextafter(1 / 3, 0.0)]),
-)
-SEARCHED_RATES = st.one_of(st.floats(1 / 3, 1.0), st.sampled_from([1 / 3, 1.0]))
-# below 1e-300 numpy still inverts, but the quotient can overflow, so
-# these go to Generator.geometric
-TINY_RATES = st.sampled_from([5e-324, 5e-301, np.nextafter(1e-300, 0.0)])
-RATE_PAIRS = st.one_of(
-    st.tuples(INVERTED_RATES, INVERTED_RATES),
-    st.tuples(INVERTED_RATES, SEARCHED_RATES),
-    st.tuples(SEARCHED_RATES, INVERTED_RATES),
-    st.tuples(SEARCHED_RATES, SEARCHED_RATES),
-    st.tuples(st.just(0.0), st.one_of(INVERTED_RATES, SEARCHED_RATES)),
-    st.tuples(TINY_RATES, st.one_of(INVERTED_RATES, SEARCHED_RATES)),
+# rates from 0 to 1: small and large, at the ends, and below 1e-300,
+# where the quotient can overflow to inf
+RATES = st.one_of(
+    st.floats(0.0, 1.0),
+    st.floats(1e-300, 1e-6),
+    st.sampled_from([0.0, 5e-324, 5e-301, 1e-300, np.nextafter(1 / 3, 0.0), 1 / 3, 1.0]),
 )
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(
-    rates=RATE_PAIRS,
+    rates=st.tuples(RATES, RATES),
     bad=st.lists(st.booleans(), max_size=60),
     data=st.data(),
     cap=st.sampled_from([1, 7, 4032, 10**9]),
     seed=st.integers(0, 2**32),
 )
 def test_opening_runs_are_each_batchs_geometric_draws(rates, bad, data, cap, seed):
-    # uneven cuts, empty batches among them: each generator draws its own
-    # entries as Generator.geometric on their rates, and is left in step
+    # uneven cuts, empty batches among them: each generator fills its own
+    # entries with uniforms, each worked by the rule at its own rate, and
+    # is left in step
     alpha, beta = rates
     bad = np.array(bad, dtype=bool)
     inner = data.draw(st.lists(st.integers(0, bad.size), max_size=4), label="cuts")
@@ -380,26 +425,36 @@ def test_opening_runs_are_each_batchs_geometric_draws(rates, bad, data, cap, see
     theirs = [batch_rng(seed, k) for k in range(batches)]
     lengths = _opening_runs(ours, cuts, bad, alpha, beta, cap)
     assert lengths.dtype == np.int64
-    rate = np.where(bad, beta, alpha)
     for rng, low, high in zip(theirs, cuts, cuts[1:]):
-        # a run at rate 0 never ends, lasts the window and draws nothing
-        expected = np.full(high - low, cap)
-        ends = rate[low:high] > 0.0
-        expected[ends] = np.minimum(rng.geometric(rate[low:high][ends]), cap)
-        np.testing.assert_array_equal(lengths[low:high], expected)
+        uniform = rng.random(high - low)
+        expected = [
+            rule([u], beta if b else alpha, cap)[0] for u, b in zip(uniform, bad[low:high])
+        ]
+        assert lengths[low:high].tolist() == expected
     assert [rng.random() for rng in ours] == [rng.random() for rng in theirs]
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+class OnlyUniforms:
+    """A generator with nothing but ``random``, drawn from a real one."""
+
+    def __init__(self, rng):
+        self.random = rng.random
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
 @given(
-    rate=st.one_of(INVERTED_RATES, SEARCHED_RATES, TINY_RATES),
-    cap=st.sampled_from([1, 7, 4032, 10**9, 2**62]),
+    sizes=st.lists(st.integers(1, 9), min_size=1, max_size=4),
+    bits=st.integers(1, 40),
+    ber=st.one_of(st.floats(1e-6, 1 - 1e-6), st.sampled_from([5e-324, 1e-17, 0.5])),
+    nacf=st.one_of(st.floats(0.0, 0.999), st.just(0.0)),
     seed=st.integers(0, 2**32),
 )
-def test_first_run_is_numpys_scalar_geometric_draw(rate, cap, seed):
-    ours, theirs = batch_rng(seed, 0), batch_rng(seed, 0)
-    assert _run_lengths(ours, rate, cap) == np.minimum(theirs.geometric(rate), cap)
-    assert ours.random() == theirs.random()
+def test_error_slots_need_nothing_but_uniforms(sizes, bits, ber, nacf, seed):
+    # every draw of a group, runs, start states and openings, is a uniform
+    # fill: stand-ins that offer only Generator.random give the same slots
+    real = _error_slots([(batch_rng(seed, k), r) for k, r in enumerate(sizes)], bits, ber, nacf)
+    stand_ins = [(OnlyUniforms(batch_rng(seed, k)), r) for k, r in enumerate(sizes)]
+    np.testing.assert_array_equal(_error_slots(stand_ins, bits, ber, nacf), real)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -634,17 +689,18 @@ def test_counting_in_row_chunks_changes_no_loss(monkeypatch, bins):
 # batch partition stay, no change to how errors are counted may move one
 PINNED_LOSSES = [
     # ber, nacf, (n, k, l), depth, blocks, seed, count bins, losses
-    (0.002, 0.0, (63, 57, 1), 4, 4, 201, None, 279),
-    (0.02, 0.0, (63, 45, 3), 4, 4, 202, None, 1140),
-    (0.002, 0.9, (63, 45, 3), 16, 2, 203, None, 13),
-    (0.02, 0.9, (15, 11, 1), 1, 3, 204, None, 203),
-    (0.02, 0.99, (31, 21, 2), 4, 3, 205, None, 202),
-    (0.3, 0.0, (15, 7, 5), 1, 2, 206, None, 1161),
-    (0.3, 0.99, (7, 4, 1), 16, 2, 207, None, 1436),
+    (0.002, 0.0, (63, 57, 1), 4, 4, 201, None, 270),
+    (0.02, 0.0, (63, 45, 3), 4, 4, 202, None, 1106),
+    (0.002, 0.9, (63, 45, 3), 16, 2, 203, None, 17),
+    (0.02, 0.9, (15, 11, 1), 1, 3, 204, None, 219),
+    (0.02, 0.99, (31, 21, 2), 4, 3, 205, None, 215),
+    (0.3, 0.0, (15, 7, 5), 1, 2, 206, None, 1169),
+    (0.3, 0.99, (7, 4, 1), 16, 2, 207, None, 1435),
     # 12 codewords a packet in 64 bins: chunks of 5 rows
-    (0.3, 0.9, (5, 3, 1), 4, 3, 208, 64, 1914),
-    # alpha = beta = 0.5: both rates search, so the openings take
-    # Generator.geometric
+    (0.3, 0.9, (5, 3, 1), 4, 3, 208, 64, 1944),
+    # alpha = beta = 0.5: numpy's geometric search, which drew the runs
+    # before the inversion rule, cut each uniform where the rule does, so
+    # this count is the same under both
     (0.5, 0.0, (15, 1, 7), 2, 1, 209, None, 1893),
 ]
 
@@ -668,11 +724,11 @@ def test_simulation_losses_are_pinned(
     assert simulate_packets(cfg).losses == losses
 
 
-# the same where several batches share one array pass; recorded before
-# batches were grouped
+# the same where several batches share one array pass; the c 0.9 count
+# was recorded before batches were grouped
 PINNED_GROUP_LOSSES = [
     # ber, nacf, (n, k, l), depth, blocks, seed, packets, losses
-    (0.002, 0.0, (63, 57, 1), 4, 4, 211, 3_100, 329),
+    (0.002, 0.0, (63, 57, 1), 4, 4, 211, 3_100, 331),
     (0.002, 0.9, (63, 45, 3), 4, 4, 210, 3_100, 152),
 ]
 

@@ -487,7 +487,7 @@ def test_report_embeds_config_and_notes(tmp_path):
     report = json.loads(report_path.read_text())
     assert report["config"] == config
     assert report["generator"] == "philox"
-    assert report["sampler"] == "sojourn-cut"
+    assert report["sampler"] == "sojourn-cut-inversion"
     assert report["meta"] == {"numpy": np.__version__, "version": burstfec.__version__}
     assert len(report["rows"]) == 2
     assert report["rows"][0]["p"] == "0.125"
