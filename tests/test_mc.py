@@ -698,9 +698,8 @@ PINNED_LOSSES = [
     (0.3, 0.99, (7, 4, 1), 16, 2, 207, None, 1435),
     # 12 codewords a packet in 64 bins: chunks of 5 rows
     (0.3, 0.9, (5, 3, 1), 4, 3, 208, 64, 1944),
-    # alpha = beta = 0.5: numpy's geometric search, which drew the runs
-    # before the inversion rule, cut each uniform where the rule does, so
-    # this count is the same under both
+    # alpha = beta = 0.5: half the packets open with a run of their own
+    # start state
     (0.5, 0.0, (15, 1, 7), 2, 1, 209, None, 1893),
 ]
 
