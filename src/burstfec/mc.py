@@ -2,12 +2,21 @@
 
 The bit error stream is the two-state interrupted-Bernoulli channel of
 ``ibp_from_stats`` (stochastically identical to a DAR(1) recursion with
-the same ``ber`` and ``nacf``), sampled through its sojourn times as in
-Gilbert (1960): a stream alternates geometric good runs, rate
-alpha = (1 - nacf) * ber, and geometric bad runs, rate
-beta = (1 - nacf) * (1 - ber), starting from the stationary law.  Only
-the bad runs are expanded into error slots, so the work and memory of a
-batch grow with its error count, not with its bit count.
+the same ``ber`` and ``nacf``), starting from the stationary law, with
+the rates alpha = (1 - nacf) * ber (good to bad) and
+beta = (1 - nacf) * (1 - ber) (bad to good).  It has two encodings,
+chosen by the channel alone.  Where beta <= 1/2 it is sampled through
+its sojourn times as in Gilbert (1960): a stream alternates geometric
+good runs, rate alpha, and geometric bad runs, rate beta, and only the
+bad runs are expanded into error slots.  Where beta > 1/2 bad runs last
+less than two slots on average, and it is sampled through the gaps
+between its errors as in Fritchman (1967): after an error the next one
+lies G slots on, with P(G = 1) = 1 - beta and
+P(G > 1 + k) = beta * (1 - alpha)**k, the gaps independent.  The runs
+take two uniforms a bad run, 2 * beta an error, and the gaps one an
+error, so each encoding draws fewer where it is chosen.  Either way the
+work and memory of a batch grow with its error count, not with its bit
+count.
 
 A batch of packets draws one stream, as long as all its packets end to
 end, and cuts it into packets.  Each packet draws its own stationary
@@ -43,13 +52,16 @@ is four batches, at p_E 0.02 one.
 
 Every run length is one uniform U of ``Generator.random``, inverted:
 L = floor(log1p(-U) / log1p(-rate)) + 1, clipped to the window, which is
-geometric at ``rate``.  Each batch draws its uniforms in a fixed order:
-its stream's start state; one for the first run if that is good; one
-(2, pairs) fill a round of (bad, good) run pairs, bad row first; its
-packets' start states; then one for each opening run of its flipped
-packets, which all batches of a group fill into one array.  So the
-simulator takes nothing from numpy's Generator but the uniforms of the
-pinned Philox stream.  Confidence intervals are Wilson score intervals.
+geometric at ``rate``; every gap is one too, inverted as
+G = max(1, floor((log1p(-U) - log(beta)) / log1p(-alpha)) + 2), clipped
+to the window.  Each batch draws its uniforms in a fixed order: its
+stream's start state; one for the first run if that is good; per round,
+one (2, pairs) fill of (bad, good) run pairs, bad row first, or on the
+gap side one 1-D fill of gaps; its packets' start states; then one for
+each opening run of its flipped packets, which all batches of a group
+fill into one array.  So the simulator takes nothing from numpy's
+Generator but the uniforms of the pinned Philox stream.  Confidence
+intervals are Wilson score intervals.
 """
 
 from __future__ import annotations
@@ -65,7 +77,7 @@ import numpy as np
 from .channel import ChannelSpec, CodeSpec, SchemeSpec, _two_state_rates
 
 BIT_GENERATOR = "philox"  # pinned counter-based generator, echoed in reports
-SAMPLER = "sojourn-cut-inversion"  # error-stream construction and run-length rule, echoed in reports
+SAMPLER = "sojourn-or-gap-cut-inversion"  # error-stream encodings and length rule, echoed in reports
 _BATCH_PACKETS = 1024  # RNG partition size; independent of the worker count
 _COUNT_BINS = 2**20  # codeword counts held at once, so long packets stay bounded
 _GROUP_ERRORS = 2**15  # expected errors of one group of batches
@@ -303,6 +315,68 @@ def _error_runs(rng, start, stop, ber, alpha, beta):
     return begin, length
 
 
+def _gaps(uniform, leave, stay, cap):
+    """Gaps G = max(1, floor((log1p(-U) - log(beta)) / log1p(-alpha)) + 2)
+    between consecutive errors of uniforms U in [0, 1), clipped to ``cap``,
+    worked in place: ``leave`` is log(beta) and ``stay`` log1p(-alpha).
+    The gaps come back as whole floats, which an int64 buffer takes by
+    assignment, so no third error-sized array is made for the cast.
+
+    After an error the next slot errs too unless the bad run ends (rate
+    beta), and then a geometric good run (rate alpha) passes first, so
+    P(G = 1) = 1 - beta and P(G > 1 + k) = beta * (1 - alpha)**k, and
+    G > 1 + k exactly when 1 - U <= beta * (1 - alpha)**k.  The clip is
+    done in floats before the integer cast: ``fmin`` makes the window of
+    a quotient that overflows (near alpha 5e-324) or is nan, then the
+    gaps below one, where the bad run goes on, become one.
+    """
+    np.negative(uniform, out=uniform)
+    np.log1p(uniform, out=uniform)
+    uniform -= leave
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        uniform /= stay
+    np.floor(uniform, out=uniform)
+    uniform += 2.0
+    np.fmin(uniform, cap, out=uniform)
+    np.fmax(uniform, 1.0, out=uniform)
+    return uniform
+
+
+def _error_gaps(rng, start, stop, ber, alpha, beta):
+    """Error slots of one stationary channel stream over slots
+    start..stop-1, ascending, drawn as the i.i.d. gaps between errors.
+
+    The first slot draws its state from the stationary law; a good start
+    waits a geometric good run (rate alpha, lasting the window at alpha
+    0) for its first error.  Each error after it lies one ``_gaps`` gap
+    on, drawn per round as many as the mean error count still to cover
+    (the mean gap is 1 / ber) plus three times its square root, in one
+    1-D uniform fill.  One uniform an error, where the runs take one for
+    each end of every bad run: the cheaper encoding when beta > 1/2.
+    """
+    slots = stop - start
+    stay = _log_stay(alpha)
+    # slot of the stream's next error
+    begin = start
+    if rng.random() >= ber:
+        begin += _lengths(rng.random(), stay, slots, stay) if alpha > 0.0 else slots
+    leave = math.log(beta)
+    rounds = []
+    while begin < stop:
+        expected = (stop - begin) * ber
+        count = int(expected + 3.0 * math.sqrt(expected)) + 1
+        # edge[k] is error k of the round, edge[count] the next round's first
+        edge = np.empty(count + 1, dtype=np.int64)
+        edge[0] = begin
+        edge[1:] = _gaps(rng.random(count), leave, stay, slots)
+        edge.cumsum(out=edge)
+        rounds.append(edge[:int(edge[:count].searchsorted(stop))])  # errors only grow
+        begin = int(edge[count])
+    if not rounds:
+        return np.zeros(0, dtype=np.int64)
+    return rounds[0] if len(rounds) == 1 else np.concatenate(rounds)
+
+
 def _expand(first, length):
     """Every slot first..first+length-1 of each run, run after run."""
     shift = (first - (length.cumsum() - length)).repeat(length)
@@ -358,11 +432,15 @@ def _error_slots(batches, bits, ber, nacf):
     module docstring shows, the packets are then independent and
     identically distributed, each the chain from a stationary start.
 
-    Each batch draws only uniforms, from its own generator, in this
-    order: its stream's start state and runs, its packets' start states,
-    then one for each opening run of its flipped packets; so a group's
-    positions are each batch's own, offset by the packets before it.
-    One ``_opening_runs`` call takes the openings of all the group's
+    The stream is drawn as gaps between errors (``_error_gaps``) where
+    beta > 1/2, and as (bad, good) run pairs (``_error_runs``) elsewhere;
+    the gaps give the errors themselves, runs of one slot, so that side
+    has no run expansion.  Each batch draws only uniforms, from its own
+    generator, in this order: its stream's start state, the first good
+    run's if it starts good, then its runs or gaps, its packets' start
+    states, then one for each opening run of its flipped packets; so a
+    group's positions are each batch's own, offset by the packets before
+    it.  One ``_opening_runs`` call takes the openings of all the group's
     batches.  Everything else (the packet-start test, the run expansion,
     the moves and the drops) is array work done once for the group, so
     its memory grows with the group's errors.  No run leaves its batch's
@@ -378,18 +456,21 @@ def _error_slots(batches, bits, ber, nacf):
     if ber == 1.0:
         return np.arange(rows * bits)
     alpha, beta = _two_state_rates(ber, nacf)
+    # the gaps take one uniform an error, the runs two a bad run: 2 * beta an error
+    gaps = beta > 0.5
     runs, own = [], []
     start = 0
     for rng, count in batches:
         stop = start + count * bits
-        runs.append(_error_runs(rng, start, stop, ber, alpha, beta))
+        runs.append((_error_gaps if gaps else _error_runs)(rng, start, stop, ber, alpha, beta))
         own.append(rng.random(count) < ber)
         start = stop
-    if len(batches) == 1:
-        (begin, length), (own_bad,) = runs[0], own
+    if gaps:  # the errors themselves, as runs of one slot
+        begin = runs[0] if len(runs) == 1 else np.concatenate(runs)
+        length = np.broadcast_to(np.int64(1), begin.shape)
     else:
-        begin, length = map(np.concatenate, zip(*runs))
-        own_bad = np.concatenate(own)
+        begin, length = runs[0] if len(runs) == 1 else map(np.concatenate, zip(*runs))
+    own_bad = own[0] if len(own) == 1 else np.concatenate(own)
     del runs  # leaves begin and length the only holders, so the expansion frees them
     flip = (own_bad != _bad_at_packet_starts(begin, length, rows, bits)).nonzero()[0]
     # each batch draws the opening runs of its own flipped packets
@@ -397,16 +478,19 @@ def _error_slots(batches, bits, ber, nacf):
     opening = own_bad[flip]
     shift = _opening_runs([rng for rng, _ in batches], cuts, opening, alpha, beta, bits)
 
-    # _expand, in place and with the runs freed before the arange: at
-    # c = 0, where runs are about as many as errors, a batch holds three
-    # error-sized arrays at once, not five, and its heap is not given
-    # back and faulted in again on every batch
-    before = length.cumsum()
-    before -= length
-    begin -= before
-    pos = begin.repeat(length)
-    del before, begin, length
-    pos += np.arange(pos.size)
+    if gaps:
+        pos = begin
+    else:
+        # _expand, in place and with the runs freed before the arange: at
+        # beta near 1/2, where runs are about half as many as errors, a
+        # batch holds three error-sized arrays at once, not five, and its
+        # heap is not given back and faulted in again on every batch
+        before = length.cumsum()
+        before -= length
+        begin -= before
+        pos = begin.repeat(length)
+        del before, begin, length
+        pos += np.arange(pos.size)
     # a flipped packet's errors before end - shift move on by shift, the
     # ones from there to its end fall off
     start = flip * bits

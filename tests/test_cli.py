@@ -47,7 +47,7 @@ def test_analyze_writes_csv_and_report(tmp_path, capsys):
     assert all(r["p"] != "" and r["p_hat"] == "" for r in rows)
     report = json.loads((tmp_path / "out.json").read_text())
     assert report["generator"] == "philox"
-    assert report["sampler"] == "sojourn-cut-inversion"
+    assert report["sampler"] == "sojourn-or-gap-cut-inversion"
     assert report["config"]["packets"] == 500
     assert len(report["rows"]) == 4
     err = capsys.readouterr().err
@@ -123,10 +123,15 @@ def test_simulate_is_deterministic_across_runs_and_workers(tmp_path):
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
-@pytest.mark.parametrize("ber", ["1e-300", "5e-324"])
-def test_simulate_runs_at_the_tiniest_error_rates(tmp_path, capsys, ber):
-    # at 5e-324, alpha = (1 - c) * p_E rounds to 0: the good state never ends
-    assert main(grid_args(tmp_path, "simulate", ber=ber)) == 0
+@pytest.mark.parametrize(
+    "ber,nacf", [("1e-300", "0.5"), ("5e-324", "0.5"), ("5e-324", "0")],
+    ids=["1e-300", "5e-324", "5e-324-nacf0"],
+)
+def test_simulate_runs_at_the_tiniest_error_rates(tmp_path, capsys, ber, nacf):
+    # at 5e-324 and c 0.5, alpha = (1 - c) * p_E rounds to 0: the good
+    # state never ends; at c 0, alpha = 5e-324 and beta = 1, so the errors
+    # are drawn as gaps, each of whose quotients overflows to the window
+    assert main(grid_args(tmp_path, "simulate", ber=ber, nacf=nacf)) == 0
     (row,) = read_rows(tmp_path / "out.csv")
     assert row["p_hat"] == "0"
     assert "error row" not in capsys.readouterr().err

@@ -13,8 +13,10 @@ from burstfec.mc import (
     _bad_at_packet_starts,
     _batch_keys,
     _batch_rng,
+    _error_gaps,
     _error_runs,
     _error_slots,
+    _gaps,
     _lengths,
     _log_stay,
     _opening_runs,
@@ -45,6 +47,18 @@ def rule(uniform, rate, cap):
         quotient = float(np.log1p(-u)) / stay
         lengths.append(cap if quotient >= cap else int(min(math.floor(quotient) + 1.0, cap)))
     return lengths
+
+
+def gap_rule(uniform, alpha, beta, cap):
+    """The gap rule worked one uniform at a time, in Python floats:
+    max(1, floor((log1p(-U) - log(beta)) / log1p(-alpha)) + 2), at most
+    ``cap``, where a quotient that overflows lasts ``cap``."""
+    leave, stay = math.log(beta), math.log1p(-alpha)
+    gaps = []
+    for u in uniform:
+        quotient = (float(np.log1p(-u)) - leave) / stay
+        gaps.append(cap if quotient >= cap else max(1, int(min(math.floor(quotient) + 2.0, cap))))
+    return gaps
 
 
 def mean_se(ber, nacf, count):
@@ -180,6 +194,8 @@ def test_simulation_matches_exact_small_instance():
         (0.1, 0.8, (6, 4, 1), 3, 2, 33),
         # paper scale: 1008-bit packets
         (0.01, 0.9, (63, 45, 3), 8, 2, 34),
+        # beta = 0.665 > 1/2: errors drawn as gaps
+        (0.05, 0.3, (5, 3, 1), 3, 3, 37),
     ],
 )
 def test_simulation_matches_exact_correlated_instance(ber, nacf, code, depth, blocks, seed):
@@ -222,7 +238,7 @@ def test_first_slot_follows_the_stationary_law():
 
 
 @pytest.mark.parametrize("bits", [5, 32])
-@pytest.mark.parametrize("nacf", [0.9, 0.99])
+@pytest.mark.parametrize("nacf", [0.9, 0.99, 0.3])
 def test_packets_cut_from_one_stream_are_independent(bits, nacf):
     # a batch's packets are cut from one stream; packet r + 1 must not
     # carry on from the end of packet r, and every slot keeps the law p_E
@@ -434,6 +450,86 @@ def test_opening_runs_are_each_batchs_geometric_draws(rates, bad, data, cap, see
     assert [rng.random() for rng in ours] == [rng.random() for rng in theirs]
 
 
+# (alpha, beta): the rates at (p_E 0.02, c 0.3), at p_E 1e-17 and 5e-324
+# with c 0, where beta is 1 and near 5e-324 the quotient overflows, and
+# at (0.3, 0)
+GAP_RATES = [(0.7 * 0.02, 0.7 * 0.98), (1e-17, 1.0), (5e-324, 1.0), (0.3, 0.7)]
+
+
+@pytest.mark.parametrize("alpha,beta", GAP_RATES)
+@pytest.mark.parametrize("cap", [1, 7, 10**9, 2**62])
+def test_gaps_map_chosen_uniforms_to_the_formula(alpha, beta, cap):
+    # the ends of [0, 1) and the uniforms one ulp either side of 1 - beta,
+    # where the bad run ends: below it the next slot errs, above it a good
+    # run comes first
+    edge = 1.0 - beta
+    uniform = [u for u in (0.0, np.nextafter(edge, 0.0), edge, np.nextafter(edge, 1.0), 1 - 2**-53)
+               if 0.0 <= u < 1.0]
+    gaps = _gaps(np.array(uniform), math.log(beta), _log_stay(alpha), cap)
+    assert np.array_equal(gaps, np.floor(gaps))  # whole floats, cast as _error_gaps does
+    gaps = gaps.astype(np.int64)
+    assert gaps.tolist() == gap_rule(uniform, alpha, beta, cap)
+    if beta < 1.0:
+        assert gaps[:2].tolist() == [1, 1] and gaps[3] == min(2, cap)
+    else:  # the bad run always ends: a good run of at least one slot first
+        assert gaps.min() == min(2, cap)
+    if alpha == 5e-324:  # the quotient overflows: the gap lasts the window
+        assert gaps[-1] == cap
+
+
+@pytest.mark.parametrize("alpha,beta", [(0.7 * 0.02, 0.7 * 0.98), (0.002, 0.998), (1e-17, 1.0)])
+def test_gap_tails_follow_the_two_state_law(alpha, beta):
+    # P(G = 1) = 1 - beta and P(G > 1 + k) = beta * (1 - alpha)**k, within
+    # 4 binomial SEs of 10**6 seeded draws, at k * alpha from 0 up to 5
+    draws, cap = 10**6, 2**62
+    gaps = _gaps(batch_rng(75, 0).random(draws), math.log(beta), _log_stay(alpha), cap).astype(np.int64)
+    assert 1 <= gaps.min() and gaps.max() <= cap
+    se = math.sqrt(beta * (1.0 - beta) / draws)
+    assert np.count_nonzero(gaps == 1) / draws == pytest.approx(1.0 - beta, abs=4 * se)
+    for mean_runs in (0.0, 0.05, 0.5, 1.0, 2.0, 5.0):
+        k = min(math.ceil(mean_runs / alpha), cap - 2)
+        expected = beta * math.exp(k * math.log1p(-alpha))
+        se = math.sqrt(expected * (1.0 - expected) / draws)
+        assert np.count_nonzero(gaps > 1 + k) / draws == pytest.approx(expected, abs=4 * se)
+
+
+def scalar_error_gaps(rng, start, stop, ber, alpha, beta):
+    # _error_gaps as a scalar walk: the first error after the start state
+    # and its good run, then one gap after each error, a fill a round
+    slots = stop - start
+    if rng.random() < ber:
+        slot = start
+    else:
+        slot = start + (rule(rng.random(1), alpha, slots)[0] if alpha > 0.0 else slots)
+    errors = []
+    while slot < stop:
+        expected = (stop - slot) * ber
+        count = int(expected + 3.0 * math.sqrt(expected)) + 1
+        for gap in gap_rule(rng.random(count), alpha, beta, slots):
+            if slot < stop:
+                errors.append(slot)
+            slot += gap
+    return errors
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    start=st.integers(0, 10**6),
+    slots=st.integers(1, 20_000),
+    ber=st.one_of(st.floats(1e-6, 1 - 1e-6), st.sampled_from([5e-324, 1e-17])),
+    # nacf 0 with p_E 1e-17 makes beta 1, with p_E 5e-324 alpha 5e-324
+    nacf=st.one_of(st.floats(0.0, 0.5), st.floats(0.0, 0.999), st.just(0.0)),
+    seed=st.integers(0, 2**32),
+)
+def test_error_gaps_draw_one_fill_a_round(start, slots, ber, nacf, seed):
+    ours, theirs = batch_rng(seed, 0), batch_rng(seed, 0)
+    alpha, beta = (1.0 - nacf) * ber, (1.0 - nacf) * (1.0 - ber)
+    errors = _error_gaps(ours, start, start + slots, ber, alpha, beta)
+    assert errors.dtype == np.int64
+    assert errors.tolist() == scalar_error_gaps(theirs, start, start + slots, ber, alpha, beta)
+    assert ours.random() == theirs.random()
+
+
 class OnlyUniforms:
     """A generator with nothing but ``random``, drawn from a real one."""
 
@@ -607,6 +703,8 @@ def test_losses_match_a_recount_where_the_keys_need_64_bits():
         (0.0, 0.3),
         # alpha = (1 - c) * p_E rounds to 0: the good state never ends
         (5e-324, 0.5),
+        # alpha 5e-324 and beta 1: gaps whose quotient overflows
+        (5e-324, 0.0),
     ],
 )
 @pytest.mark.parametrize("scheme", [SchemeSpec(depth=1, blocks=1), SchemeSpec(depth=4, blocks=8)])
@@ -686,21 +784,25 @@ def test_counting_in_row_chunks_changes_no_loss(monkeypatch, bins):
 
 
 # exact losses of simulate_packets: while the draws, their order and the
-# batch partition stay, no change to how errors are counted may move one
+# batch partition stay, no change to how errors are counted may move one.
+# Rows with beta = (1 - c) * (1 - p_E) > 1/2 draw their errors as gaps,
+# the others as runs
 PINNED_LOSSES = [
     # ber, nacf, (n, k, l), depth, blocks, seed, count bins, losses
-    (0.002, 0.0, (63, 57, 1), 4, 4, 201, None, 270),
-    (0.02, 0.0, (63, 45, 3), 4, 4, 202, None, 1106),
+    (0.002, 0.0, (63, 57, 1), 4, 4, 201, None, 300),
+    (0.02, 0.0, (63, 45, 3), 4, 4, 202, None, 1122),
     (0.002, 0.9, (63, 45, 3), 16, 2, 203, None, 17),
     (0.02, 0.9, (15, 11, 1), 1, 3, 204, None, 219),
     (0.02, 0.99, (31, 21, 2), 4, 3, 205, None, 215),
-    (0.3, 0.0, (15, 7, 5), 1, 2, 206, None, 1169),
+    (0.3, 0.0, (15, 7, 5), 1, 2, 206, None, 1184),
     (0.3, 0.99, (7, 4, 1), 16, 2, 207, None, 1435),
     # 12 codewords a packet in 64 bins: chunks of 5 rows
     (0.3, 0.9, (5, 3, 1), 4, 3, 208, 64, 1944),
     # alpha = beta = 0.5: half the packets open with a run of their own
     # start state
     (0.5, 0.0, (15, 1, 7), 2, 1, 209, None, 1893),
+    # beta = 0.686 > 1/2 at c > 0: errors drawn as gaps, packets flipped
+    (0.02, 0.3, (63, 45, 3), 4, 4, 212, None, 1057),
 ]
 
 
@@ -727,7 +829,7 @@ def test_simulation_losses_are_pinned(
 # was recorded before batches were grouped
 PINNED_GROUP_LOSSES = [
     # ber, nacf, (n, k, l), depth, blocks, seed, packets, losses
-    (0.002, 0.0, (63, 57, 1), 4, 4, 211, 3_100, 331),
+    (0.002, 0.0, (63, 57, 1), 4, 4, 211, 3_100, 334),
     (0.002, 0.9, (63, 45, 3), 4, 4, 210, 3_100, 152),
 ]
 

@@ -116,7 +116,7 @@ BLOCK_ERRORS = st.one_of(
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(entries=st.lists(st.tuples(BLOCK_ERRORS, st.integers(1, 5000)), min_size=1, max_size=8))
-def test_column_lift_equals_block_to_packet_to_the_bit(entries):
+def test_column_lift_equals_the_log_space_reference_to_the_bit(entries):
     # the reference: 1 - (1 - b)**m in log space, b itself for a certain
     # loss or one block
     block_errors, counts = map(list, zip(*entries))

@@ -195,8 +195,9 @@ def test_block_error_at_l0_past_numpys_axis_limit():
     model = ibp_from_stats(ChannelSpec(ber=0.01, nacf=0.5))
     alpha, n, depth = model.transition[0, 1], 2, 100
     block, packet = exact_loss(model, n, depth, 0, 2)
-    assert block == pytest.approx(1.0 - model.pi[0] * (1.0 - alpha) ** (n * depth - 1), rel=1e-12)
-    assert packet == pytest.approx(1.0 - model.pi[0] * (1.0 - alpha) ** (2 * n * depth - 1), rel=1e-12)
+    for value, slots in ((block, n * depth), (packet, 2 * n * depth)):
+        expected = 1.0 - model.pi[0] * (1.0 - alpha) ** (slots - 1)
+        assert value == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 def test_block_count_is_bounded(monkeypatch):
