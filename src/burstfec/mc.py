@@ -249,8 +249,9 @@ def _lengths(uniform, divisor, cap, least):
 
     ``uniform`` is one float (never at rate 0, whose run draws none), or
     an array worked in place, and then ``divisor``, log1p(-rate), may be
-    an array that broadcasts against it; ``least`` is its value nearest 0.  As log1p(-U) > -37, no length
-    reaches ``cap`` when 37 / -least + 1 <= cap, and the clip is skipped.
+    an array that broadcasts against it; ``least`` is its value nearest
+    0.  As log1p(-U) > -37, no length reaches ``cap`` when
+    37 / -least + 1 <= cap, and the clip is skipped.
     Otherwise it is done in floats, before the integer cast, and makes
     ``cap`` of a quotient that overflows (near rate 5e-324) or is inf or
     nan (rate 0, divisor -0.0): a run that lasts the window.
@@ -507,9 +508,10 @@ def _error_slots(batches, bits, ber, nacf):
 def dar1_stream(channel: ChannelSpec, length: int, seed: int) -> np.ndarray:
     """One channel bit error stream as a boolean array; deterministic in seed.
 
-    Dense view of the run sampler that ``simulate_packets`` uses; its law
-    is that of the DAR(1) recursion with the channel's ``ber`` and
-    ``nacf``.
+    Dense view of the stream sampler that ``simulate_packets`` uses: it
+    draws the errors as runs, or as gaps where the bad-to-good rate
+    (1 - nacf)(1 - ber) is above 1/2 (see ``_error_slots``).  Its law is
+    that of the DAR(1) recursion with the channel's ``ber`` and ``nacf``.
     """
     if length < 1:
         raise ValueError(f"stream length must be >= 1, got {length}")
