@@ -95,6 +95,27 @@ class SchemeSpec:
         return self.depth * self.blocks
 
 
+# The Monte Carlo's input checks, here so that a sweep makes them before
+# any row without loading the simulator.
+
+
+def _check_sampling(packets: int, gamma: float, seed: int = 0):
+    """Refuse a packet count below 1, a confidence level outside (0, 1)
+    and a negative seed."""
+    if packets < 1:
+        raise ValueError(f"packet count must be >= 1, got {packets}")
+    if not 0.0 < gamma < 1.0:
+        raise ValueError(f"confidence level must be in (0, 1), got {gamma!r}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+
+
+def _check_workers(workers: int):
+    """Refuse a worker count below 1."""
+    if workers < 1:
+        raise ValueError(f"worker count must be >= 1, got {workers}")
+
+
 class FsmcModel:
     """Finite-state Markov bit error model.
 

@@ -26,7 +26,6 @@ import sys
 
 from .channel import ChannelSpec, CodeSpec, SchemeSpec, ibp_from_stats
 from .models import ANALYTIC_MODELS, evaluate_models
-from .oracle import exact_joint_law, exact_loss
 from .sweep import (
     DECORRELATION_THRESHOLD,
     SweepSpec,
@@ -320,6 +319,9 @@ def _run_optimize(args):
 
 
 def _run_oracle(args):
+    # imported here: only this verb runs the exact oracle
+    from .oracle import exact_joint_law, exact_loss
+
     channel = ChannelSpec(ber=args.ber, nacf=args.nacf)
     model = ibp_from_stats(channel)
     slots = args.n * args.depth

@@ -62,6 +62,10 @@ each opening run of its flipped packets, which all batches of a group
 fill into one array.  So the simulator takes nothing from numpy's
 Generator but the uniforms of the pinned Philox stream.  Confidence
 intervals are Wilson score intervals.
+
+Reports name this generator and this sampler by ``BIT_GENERATOR`` and
+``SAMPLER``, which live in the package's ``__init__`` next to
+``__version__``, so a sweep writes them without loading this module.
 """
 
 from __future__ import annotations
@@ -74,10 +78,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelSpec, CodeSpec, SchemeSpec, _two_state_rates
+from .channel import (
+    ChannelSpec,
+    CodeSpec,
+    SchemeSpec,
+    _check_sampling,
+    _check_workers,
+    _two_state_rates,
+)
 
-BIT_GENERATOR = "philox"  # pinned counter-based generator, echoed in reports
-SAMPLER = "sojourn-or-gap-cut-inversion"  # error-stream encodings and length rule, echoed in reports
 _BATCH_PACKETS = 1024  # RNG partition size; independent of the worker count
 _COUNT_BINS = 2**20  # codeword counts held at once, so long packets stay bounded
 _GROUP_ERRORS = 2**15  # expected errors of one group of batches
@@ -97,23 +106,6 @@ class SimConfig:
 
     def __post_init__(self):
         _check_sampling(self.packets, self.gamma, self.seed)
-
-
-def _check_sampling(packets: int, gamma: float, seed: int = 0):
-    """Refuse a packet count below 1, a confidence level outside (0, 1)
-    and a negative seed."""
-    if packets < 1:
-        raise ValueError(f"packet count must be >= 1, got {packets}")
-    if not 0.0 < gamma < 1.0:
-        raise ValueError(f"confidence level must be in (0, 1), got {gamma!r}")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
-
-
-def _check_workers(workers: int):
-    """Refuse a worker count below 1."""
-    if workers < 1:
-        raise ValueError(f"worker count must be >= 1, got {workers}")
 
 
 @dataclass(frozen=True)

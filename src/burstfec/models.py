@@ -235,9 +235,10 @@ def evaluate_models(channels, codes, schemes, which=ANALYTIC_MODELS):
     requested model name its column triple (block errors, packet errors,
     errors): lists with one entry per channel.  A model whose chain stage
     rejects a channel (e.g. a codeword NACF outside the two-state chain's
-    range) has None for its two errors and the reason in ``errors``; the
-    other models and channels keep their numbers.  A channel's results do
-    not depend on the rest of its stack.
+    range) has None for its two errors and the reason in ``errors``, and
+    so has the baseline of a channel whose ber its binomial tails fail
+    on; the other models and channels keep their numbers.  A channel's
+    results do not depend on the rest of its stack.
 
     Models 1 and 3 consume the identical joint law array, so
     any disagreement between them isolates their second-stage
@@ -290,7 +291,12 @@ def evaluate_models(channels, codes, schemes, which=ANALYTIC_MODELS):
             stages[k][name] = (block_errors[part].tolist(), errors[part])
     if "baseline" in which:  # the binomial terms of each distinct ber once, for every code
         ls = [c.l for c in codes]
-        tails = {ber: _binomial_tails(n, ls, ber) for ber in {c.ber for c in channels}}
+        tails, failures = {}, {}  # ber -> each code's tail; ber -> why its tails failed
+        for ber in {c.ber for c in channels}:
+            try:
+                tails[ber] = _binomial_tails(n, ls, ber)
+            except Exception as exc:  # only the baseline of this ber fails
+                tails[ber], failures[ber] = [None] * len(ls), str(exc)
     blocks = [s.blocks for s in schemes]
     coded = []
     for k, code_stages in enumerate(stages):
@@ -299,7 +305,8 @@ def evaluate_models(channels, codes, schemes, which=ANALYTIC_MODELS):
             if name == "baseline" and name in which:
                 codeword_errors = [tails[c.ber][k] for c in channels]
                 packet_errors = _lift(codeword_errors, [s.codewords for s in schemes])
-                columns[name] = (_lift(codeword_errors, depths), packet_errors, [None] * count)
+                errors = [failures.get(c.ber) for c in channels]
+                columns[name] = (_lift(codeword_errors, depths), packet_errors, errors)
             elif name in code_stages:
                 block_errors, errors = code_stages[name]
                 if errors.count(None) != count:

@@ -16,9 +16,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import __version__
-from .channel import ChannelSpec, CodeSpec, SchemeSpec, ibp_from_stats
-from .mc import BIT_GENERATOR, SAMPLER, SimConfig, _check_sampling, _check_workers, simulate_packets
+from . import BIT_GENERATOR, SAMPLER, __version__
+from .channel import (
+    ChannelSpec,
+    CodeSpec,
+    SchemeSpec,
+    _check_sampling,
+    _check_workers,
+    ibp_from_stats,
+)
 from .models import ANALYTIC_MODELS, evaluate_models
 
 MODEL_NAMES = ANALYTIC_MODELS + ("mc",)
@@ -196,6 +202,9 @@ def run_sweep(spec: SweepSpec, workers: int = 1, on_row=None) -> list[ResultRow]
                         None, None if error is None else f"error: {error}",
                     )
                 elif note is None and model == "mc":
+                    # imported here: the analytic verbs never load the simulator
+                    from .mc import SimConfig, simulate_packets
+
                     row = ResultRow(model, ber, nacf, code, scheme, residual_corr=residual,
                                     seed=_row_seed(spec.seed, len(rows)))
                     try:

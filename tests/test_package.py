@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import burstfec
-from burstfec import channel, dist, models, oracle, sweep
+from burstfec import channel, dist, mc, models, oracle, sweep
 from burstfec.channel import ChannelSpec, SchemeSpec, ibp_from_stats
 from burstfec.cli import DEFAULT_CONFIG, build_parser
 from burstfec.sweep import SweepSpec
@@ -46,6 +46,28 @@ def test_public_names_are_pinned_and_resolve():
     assert sorted(burstfec.__all__) == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         assert hasattr(burstfec, name), name
+
+
+@pytest.mark.parametrize("module,name", [
+    (mc, "CiEstimate"), (mc, "SimConfig"), (mc, "confidence_interval"), (mc, "dar1_stream"),
+    (mc, "simulate_packets"), (oracle, "exact_joint_law"), (oracle, "exact_loss"),
+])
+def test_lazy_names_are_their_modules_objects(module, name):
+    # the Monte Carlo and the oracle load on first use of one of their names
+    assert getattr(burstfec, name) is getattr(module, name)
+
+
+def test_lazy_names_import_from_the_package():
+    from burstfec import exact_loss, simulate_packets
+
+    assert simulate_packets is mc.simulate_packets and exact_loss is oracle.exact_loss
+
+
+def test_unknown_package_attribute_raises_attribute_error():
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        burstfec.no_such_name
+    with pytest.raises(ImportError):
+        from burstfec import no_such_name  # noqa: F401
 
 
 @pytest.mark.parametrize("module,name", [
@@ -109,9 +131,12 @@ def test_importing_the_cli_leaves_the_thread_pool_out():
     assert not cli_import_loads("concurrent.futures")
 
 
-@pytest.mark.parametrize("module", ["statistics", "decimal", "fractions", "numpy.random"])
+@pytest.mark.parametrize("module", [
+    "statistics", "decimal", "fractions", "numpy.random", "burstfec.mc", "burstfec.oracle",
+])
 def test_importing_the_cli_leaves_out_what_only_some_verbs_need(module):
     # only a confidence interval needs statistics (which loads fractions
-    # and decimal), only the baseline of a code of n >= 1030 decimal, and
-    # only a simulation numpy.random
+    # and decimal), only the baseline of a code of n >= 1030 decimal, only
+    # a simulation numpy.random and the Monte Carlo, and only the oracle
+    # verb the oracle
     assert not cli_import_loads(module)

@@ -241,6 +241,27 @@ def test_single_model_failure_notes_only_its_row(monkeypatch):
     assert rows["mc"].note is None and rows["mc"].p_hat is not None
 
 
+def test_failing_baseline_notes_only_its_rows(monkeypatch):
+    # models 1-3 keep the numbers they give with a working baseline
+    spec = small_spec(
+        bers=(0.01,), nacfs=(0.5,), codes=(CodeSpec(63, 45, 3),),
+        pairs=(SchemeSpec(depth=4, blocks=4),), models=ANALYTIC_MODELS,
+    )
+    working = {row.model: row for row in run_sweep(spec)}
+
+    def boom(n, ls, p):
+        raise RuntimeError("baseline boom")
+
+    monkeypatch.setattr(burstfec.models, "_binomial_tails", boom)
+    rows = {row.model: row for row in run_sweep(spec)}
+    assert rows["baseline"].note == "error: baseline boom"
+    assert rows["baseline"].p is None and rows["baseline"].throughput is None
+    assert rows["baseline"].residual_corr == working["baseline"].residual_corr
+    for name in ("model1", "model2", "model3"):
+        assert rows[name].note is None and 0.0 < rows[name].p < 1.0
+        assert csv_record(rows[name]) == csv_record(working[name])
+
+
 def counted(monkeypatch, module, name):
     """Count the calls made through ``module.name``; returns the live tally."""
     calls = []
